@@ -82,7 +82,7 @@ type Metrics struct {
 	Lifetime    stats.Summary // latency in microseconds
 
 	// Current window.
-	Window       stats.Sample // latency in microseconds
+	Window       stats.Summary // latency in microseconds
 	windowReads  uint64
 	windowWrite  uint64
 	windowErrors uint64
@@ -179,8 +179,16 @@ func (m *Metrics) AddContention(us float64) {
 	m.LifetimeContentionUS += us
 }
 
-// WindowMeanLatencyUS returns the mean latency (µs) of the current window.
-func (m *Metrics) WindowMeanLatencyUS() float64 { return m.Window.Mean() }
+// WindowMeanLatencyUS returns the mean latency (µs) of the current window
+// (0 when empty). It divides the sequential running sum rather than
+// reading the Welford Summary.Mean, so the result is bit-equal to
+// averaging the window's samples in arrival order.
+func (m *Metrics) WindowMeanLatencyUS() float64 {
+	if m.Window.N() == 0 {
+		return 0
+	}
+	return m.Window.Sum() / float64(m.Window.N())
+}
 
 // WindowRequests returns the number of requests completed in the window.
 func (m *Metrics) WindowRequests() uint64 { return m.windowReads + m.windowWrite }

@@ -6,6 +6,8 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -111,5 +113,25 @@ func TestFreeSpaceRatioBoundsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWindowMeanIsSequentialSum pins WindowMeanLatencyUS to the
+// arrival-order sum divided by the count — the figure the management
+// layer has always steered by — on a stream where the Welford running
+// mean rounds differently in the last bit.
+func TestWindowMeanIsSequentialSum(t *testing.T) {
+	m := NewMetrics("dev")
+	var lats []float64
+	for _, ns := range []sim.Time{238354, 413187, 830163, 474729} {
+		m.Observe(&trace.IORequest{Op: trace.OpRead, Size: 4096, Issue: 0, Complete: ns})
+		lats = append(lats, ns.Micros())
+	}
+	want := stats.Mean(lats)
+	if got := m.WindowMeanLatencyUS(); got != want {
+		t.Fatalf("window mean = %v, want the sequential mean %v", got, want)
+	}
+	if m.Window.Mean() == want {
+		t.Fatal("stream no longer separates the Welford mean from the sequential sum")
 	}
 }

@@ -6,11 +6,11 @@ import (
 	"go/types"
 )
 
-// checkIndexSync enforces the DESIGN.md §14 index/state consistency
-// rule: struct fields that feed derived indexes (the storeindex heap
-// keys, quarantine membership, slot bookkeeping) may only be written by
-// their canonical helpers, so the index maintenance those helpers
-// perform can never be skipped. The protected fields and their writers
+// checkIndexSync enforces the DESIGN.md §10 guarded-field rule: struct
+// fields whose consistency depends on one canonical writer (the extent
+// allocator's water-marks, for instance) may only be written by the
+// helpers declared for them, so the bookkeeping those helpers perform
+// can never be skipped. The protected fields and their writers
 // are declared next to the data with //lint:guarded-by (grammar in
 // guard.go); any assignment, compound assignment, or ++/-- targeting a
 // guarded field from a function not on the guard list is a finding.
@@ -66,7 +66,7 @@ func guardedWrite(m *Module, p *Package, owner *types.Func, lhs ast.Expr) []Find
 	}
 	file, line := m.relFile(sel.Sel.Pos())
 	return []Finding{{File: file, Line: line, Check: "indexsync",
-		Message: fmt.Sprintf("%s writes %s.%s outside its guards; //lint:guarded-by restricts writes to %s (DESIGN.md §14)",
+		Message: fmt.Sprintf("%s writes %s.%s outside its guards; //lint:guarded-by restricts writes to %s (DESIGN.md §10)",
 			funcDisplay(owner), recvStructName(p, sel, v), v.Name(), guardNames(guards))}}
 }
 

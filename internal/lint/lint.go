@@ -41,8 +41,8 @@
 //     (cmd/, examples/, the root facade) — the laundering path the leaf
 //     walltime check deliberately does not look at.
 //   - indexsync: struct fields annotated //lint:guarded-by <func>[,...]
-//     (storeindex heap keys, quarantine/slot bookkeeping) may only be
-//     written by the declared canonical helpers.
+//     (e.g. the extent allocator's water-marks) may only be written by
+//     the declared canonical helpers.
 //   - journalfence: on call paths reachable from a //lint:ack-path
 //     function (application-write ack/completion entry points), journal
 //     records must be appended through Journal.AppendIfEpoch; raw

@@ -23,23 +23,10 @@ type Datastore struct {
 	nextOffset int64 //lint:guarded-by Datastore.allocExtent
 	allocated  int64 //lint:guarded-by Datastore.allocExtent,Datastore.releaseExtent
 
-	// Incremental-management bookkeeping (DESIGN.md §14). slot is the
-	// store's dense index in its manager's store list; onDirty (set by
-	// NewManager) marks the store for the next epoch's worklist; touched
-	// lists the VMDKs with nonzero window counters so window resets and
-	// candidate selection cost O(activity), not O(resident VMDKs).
-	//lint:guarded-by Manager.initIncremental
-	slot    int
-	onDirty func()
-	touched []*VMDK
-
 	// Quarantine state (failure-aware management): a quarantined store is
 	// excluded from placement and migration-candidate selection, and its
 	// VMDKs are evacuated. cleanWindows counts consecutive error-free
-	// epochs toward probation release. The storeindex heaps key on
-	// quarantine membership, so the write must go through the helper
-	// that reindexes.
-	//lint:guarded-by Manager.setQuarantined
+	// epochs toward probation release.
 	quarantined   bool
 	quarantinedAt sim.Time
 	cleanWindows  int
@@ -87,24 +74,6 @@ func (d *Datastore) VMDKs() []*VMDK {
 // NumVMDKs returns the resident count.
 func (d *Datastore) NumVMDKs() int { return len(d.vmdks) }
 
-// markDirty flags the store for the next epoch's incremental worklist
-// (no-op when the store is not under incremental management).
-func (d *Datastore) markDirty() {
-	if d.onDirty != nil {
-		d.onDirty()
-	}
-}
-
-// noteTouched registers a VMDK whose window counters just became
-// nonzero. The primary store is marked dirty even when the I/O itself
-// routes to a migration destination (mirrored writes): candidate
-// selection reads the VMDK's counters through its *primary* store, so
-// the primary must be observed and reset this window.
-func (d *Datastore) noteTouched(v *VMDK) {
-	d.touched = append(d.touched, v)
-	d.markDirty()
-}
-
 // allocExtent reserves size bytes, returning the base offset.
 func (d *Datastore) allocExtent(size int64) (int64, error) {
 	if size <= 0 {
@@ -118,7 +87,6 @@ func (d *Datastore) allocExtent(size int64) (int64, error) {
 	d.nextOffset += size
 	d.allocated += size
 	d.Dev.SetUsed(d.allocated)
-	d.markDirty() // free-space ratio changed; cached window snapshots stale
 	return base, nil
 }
 
@@ -131,7 +99,6 @@ func (d *Datastore) releaseExtent(size int64) {
 		d.allocated = 0
 	}
 	d.Dev.SetUsed(d.allocated)
-	d.markDirty()
 }
 
 // CreateVMDK allocates a new VMDK on this datastore.
@@ -145,52 +112,29 @@ func (d *Datastore) CreateVMDK(id int, size int64) (*VMDK, error) {
 	return v, nil
 }
 
-// adopt registers a VMDK that migrated onto this store. A VMDK that was
-// active this window joins the adopter's touched list so its counters
-// are reset with the adopter's window.
-func (d *Datastore) adopt(v *VMDK) {
-	d.vmdks[v.ID] = v
-	if v.windowRequests > 0 {
-		d.noteTouched(v)
-	}
-}
+// adopt registers a VMDK that migrated onto this store.
+func (d *Datastore) adopt(v *VMDK) { d.vmdks[v.ID] = v }
 
 // evict unregisters a VMDK that migrated away.
 func (d *Datastore) evict(v *VMDK) { delete(d.vmdks, v.ID) }
 
-// WindowLoad sums VMDK request counts for the current window. Only
-// touched VMDKs can contribute (untouched ones have zero counters), so
-// the sum walks the touched list; entries whose VMDK migrated away
-// mid-window belong to the new primary and are skipped.
+// WindowLoad sums the current window's request counts over the VMDKs
+// resident here (primary placements): a VMDK that migrated away
+// mid-window counts toward its new primary. The sum is an integer, so
+// map iteration order does not matter.
 func (d *Datastore) WindowLoad() uint64 {
 	var sum uint64
-	for _, v := range d.touched {
-		if v.src == d {
-			sum += v.windowRequests
-		}
+	for _, v := range d.vmdks {
+		sum += v.windowRequests
 	}
 	return sum
 }
 
-// resetWindow clears monitor and VMDK windows (the full-sweep reset:
-// every resident VMDK, whether or not it saw traffic).
+// resetWindow clears the monitor, device, and resident-VMDK windows.
 func (d *Datastore) resetWindow() {
 	d.Mon.ResetWindow()
 	d.Dev.Metrics().ResetWindow(0)
 	for _, v := range d.vmdks {
 		v.resetWindow()
 	}
-	d.touched = d.touched[:0]
-}
-
-// resetWindowTouched is the incremental window reset: identical state
-// transition to resetWindow, but VMDK counters are cleared through the
-// touched list — untouched VMDKs are already zero.
-func (d *Datastore) resetWindowTouched() {
-	d.Mon.ResetWindow()
-	d.Dev.Metrics().ResetWindow(0)
-	for _, v := range d.touched {
-		v.resetWindow()
-	}
-	d.touched = d.touched[:0]
 }

@@ -439,9 +439,8 @@ func TestQuarantinedStoreExcludedFromBalancing(t *testing.T) {
 		t.Fatal(err)
 	}
 	// b is quarantined: even a maximal imbalance must not select it as a
-	// migration destination. The manager helper keeps the incremental
-	// worklist and indexes consistent with the flag.
-	mgr.setQuarantined(b, true)
+	// migration destination.
+	b.quarantined = true
 	p := workload.Profile{Name: "w", WriteRatio: 0.5, ReadRand: 0.8, WriteRand: 0.8,
 		IOSize: 4096, OIO: 8, Footprint: 1 << 20}
 	r := workload.NewRunner(eng, sim.NewRNG(1), p, v, 0)

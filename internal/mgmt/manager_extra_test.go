@@ -133,7 +133,6 @@ func TestHysteresisBlocksRecentMover(t *testing.T) {
 	n := newNode(t)
 	cfg := quickCfg()
 	cfg.MinResidenceWindows = 100 // effectively forever within the test
-	cfg.FullSweep = true          // Plan is fed a hand-built vector, not the manager's
 	mgr := NewManager(n.eng, cfg, BASIL(), n.dss)
 	v, _ := n.dss[2].CreateVMDK(1, 8<<20)
 	v.lastMoveEpoch = 1

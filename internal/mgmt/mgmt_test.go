@@ -408,6 +408,45 @@ func TestDatastoreWindowReset(t *testing.T) {
 	}
 }
 
+// TestWindowLoadFollowsPrimary pins whose window a migrated VMDK's
+// requests count toward: a VMDK that migrates mid-window moves its whole
+// window count to the new primary, and the old store keeps only what its
+// remaining residents issued.
+func TestWindowLoadFollowsPrimary(t *testing.T) {
+	n := newNode(t)
+	mgr := NewManager(n.eng, quickCfg(), BASIL(), n.dss)
+	mover, _ := n.dss[0].CreateVMDK(1, 1<<20)
+	stayer, _ := n.dss[0].CreateVMDK(2, 1<<20)
+	submit := func(v *VMDK, k int) {
+		for i := 0; i < k; i++ {
+			v.Submit(&trace.IORequest{Op: trace.OpRead, Offset: int64(i) * BlockSize, Size: 4096}, nil)
+		}
+		n.eng.Run()
+	}
+	submit(mover, 3)
+	submit(stayer, 2)
+	if got := n.dss[0].WindowLoad(); got != 5 {
+		t.Fatalf("source window load before migration = %d, want 5", got)
+	}
+	if err := mgr.startMigration(mover, n.dss[1]); err != nil {
+		t.Fatal(err)
+	}
+	n.eng.Run()
+	if mover.Migrating() || mover.Store() != n.dss[1] {
+		t.Fatal("migration did not complete")
+	}
+	if got := n.dss[0].WindowLoad(); got != 2 {
+		t.Fatalf("old primary window load = %d, want 2 (stayer only)", got)
+	}
+	if got := n.dss[1].WindowLoad(); got != 3 {
+		t.Fatalf("new primary window load = %d, want 3 (mover's window)", got)
+	}
+	submit(mover, 1)
+	if got := n.dss[1].WindowLoad(); got != 4 {
+		t.Fatalf("new primary window load after more I/O = %d, want 4", got)
+	}
+}
+
 var _ device.Device = (*nvdimm.NVDIMM)(nil)
 
 func TestPauseResumeMigration(t *testing.T) {

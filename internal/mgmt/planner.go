@@ -2,7 +2,6 @@ package mgmt
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/device"
 )
@@ -35,22 +34,42 @@ func DefaultPlanners(gateProposals bool) Planners {
 // also aborts operator-paused copies whose destination was quarantined —
 // a paused copy cannot make progress off a failing device, and leaving
 // it active would pin the balancing budget forever.
-//
-// Incrementally (the default), only the epoch worklist is scanned: a
-// store can only enter quarantine when its window saw failures (failed
-// completions are window events, so such stores are always dirty), and
-// quarantined stores are on every epoch's worklist until readmitted.
 type FailurePlanner struct{}
 
-// Plan scans store window error rates and acts on transitions.
+// Plan scans every store's window error rate and acts on transitions.
 func (FailurePlanner) Plan(m *Manager, perfs []StorePerf) {
-	if m.cfg.FullSweep {
-		for slot := range perfs {
-			m.failureCheck(slot, perfs)
+	for i := range perfs {
+		ds := perfs[i].Store
+		errs := ds.Mon.WindowErrors()
+		if !ds.quarantined {
+			total := errs + perfs[i].Requests
+			if errs >= m.cfg.QuarantineMinErrors && total > 0 &&
+				float64(errs)/float64(total) >= m.cfg.QuarantineErrorRate {
+				ds.quarantined = true
+				ds.quarantinedAt = m.eng.Now()
+				ds.cleanWindows = 0
+				m.stats.Quarantines++
+				m.logDecision(Decision{At: m.eng.Now(), Kind: DecisionQuarantine, Stage: StagePlan,
+					VMDK: -1, Src: ds.Dev.Name(),
+					Detail: fmt.Sprintf("%d/%d window requests failed (threshold %.0f%%)",
+						errs, total, m.cfg.QuarantineErrorRate*100)})
+			}
+		} else {
+			if errs == 0 {
+				ds.cleanWindows++
+			} else {
+				ds.cleanWindows = 0
+			}
+			if ds.cleanWindows >= m.cfg.ProbationWindows {
+				ds.quarantined = false
+				m.stats.Readmissions++
+				m.logDecision(Decision{At: m.eng.Now(), Kind: DecisionReadmit, Stage: StagePlan,
+					VMDK: -1, Src: ds.Dev.Name(),
+					Detail: fmt.Sprintf("probation served (%d clean windows)", m.cfg.ProbationWindows)})
+			}
 		}
-	} else {
-		for _, slot := range m.work {
-			m.failureCheck(slot, perfs)
+		if ds.quarantined {
+			m.evacuate(ds, perfs)
 		}
 	}
 	// An operator-paused balancing copy whose destination just entered
@@ -62,43 +81,6 @@ func (FailurePlanner) Plan(m *Manager, perfs []StorePerf) {
 		if mig.opPaused && !mig.aborting && !mig.completed && mig.dst.quarantined {
 			mig.abort("destination quarantined while copy paused")
 		}
-	}
-}
-
-// failureCheck runs the quarantine/probation/evacuation state machine
-// for one store, shared by the full-sweep and incremental passes.
-func (m *Manager) failureCheck(slot int, perfs []StorePerf) {
-	ds := perfs[slot].Store
-	errs := ds.Mon.WindowErrors()
-	if !ds.quarantined {
-		total := errs + perfs[slot].Requests
-		if errs >= m.cfg.QuarantineMinErrors && total > 0 &&
-			float64(errs)/float64(total) >= m.cfg.QuarantineErrorRate {
-			m.setQuarantined(ds, true)
-			ds.quarantinedAt = m.eng.Now()
-			ds.cleanWindows = 0
-			m.stats.Quarantines++
-			m.logDecision(Decision{At: m.eng.Now(), Kind: DecisionQuarantine, Stage: StagePlan,
-				VMDK: -1, Src: ds.Dev.Name(),
-				Detail: fmt.Sprintf("%d/%d window requests failed (threshold %.0f%%)",
-					errs, total, m.cfg.QuarantineErrorRate*100)})
-		}
-	} else {
-		if errs == 0 {
-			ds.cleanWindows++
-		} else {
-			ds.cleanWindows = 0
-		}
-		if ds.cleanWindows >= m.cfg.ProbationWindows {
-			m.setQuarantined(ds, false)
-			m.stats.Readmissions++
-			m.logDecision(Decision{At: m.eng.Now(), Kind: DecisionReadmit, Stage: StagePlan,
-				VMDK: -1, Src: ds.Dev.Name(),
-				Detail: fmt.Sprintf("probation served (%d clean windows)", m.cfg.ProbationWindows)})
-		}
-	}
-	if ds.quarantined {
-		m.evacuate(ds, perfs)
 	}
 }
 
@@ -174,32 +156,15 @@ type BalancePlanner struct {
 	// migration is proposed (the Pesto baseline): without write
 	// redirection the whole copy either starts or it does not.
 	GateProposals bool
-	// Batch keeps launching candidates off the same overloaded store
-	// until the MaxConcurrentMigrations budget is exhausted or eligible
-	// candidates run out, amortizing one epoch's imbalance detection and
-	// candidate scoring across several launches. Selection uses the same
-	// epoch view for every launch (norms are not re-estimated mid-plan).
-	// Off by default: the canonical schemes launch at most one balancing
-	// migration per epoch, and the golden digests pin that behavior.
-	Batch bool
 }
 
-// Plan runs one balancing pass, respecting MaxConcurrentMigrations.
-// Source/destination selection is O(log stores) through the manager's
-// incremental indexes; Config.FullSweep restores the original sweep over
-// the performance vector. Both modes pick the same pair: the indexes
-// order by (key, slot), which reproduces the sweep's strict-comparison
-// first-store-wins tie-breaking.
+// Plan runs one balancing pass, launching at most one migration and
+// respecting MaxConcurrentMigrations.
 func (p BalancePlanner) Plan(m *Manager, perfs []StorePerf) {
 	if m.balancingMigrations() >= m.cfg.MaxConcurrentMigrations {
 		return
 	}
-	var maxP, minP *StorePerf
-	if m.cfg.FullSweep {
-		maxP, minP = pickPairSweep(m, perfs)
-	} else {
-		maxP, minP = m.pickPairIndexed()
-	}
+	maxP, minP := pickPairSweep(m, perfs)
 	if maxP == nil || minP == nil || maxP == minP {
 		return
 	}
@@ -214,57 +179,49 @@ func (p BalancePlanner) Plan(m *Manager, perfs []StorePerf) {
 	}
 	src, dst := maxP.Store, minP.Store
 
-	cands := m.balanceCandidates(src)
-	for {
-		// Candidate: the busiest non-migrating VMDK on the overloaded
-		// store that fits on the destination, excluding recent movers
-		// (hysteresis). Re-evaluated per launch in batch mode: a launch
-		// flips its VMDK to Migrating and shrinks the destination.
-		var cand *VMDK
-		for _, v := range cands {
-			if v.Migrating() || v.Size > dst.Free() {
-				continue
-			}
-			if m.stats.Epochs-v.lastMoveEpoch < m.cfg.MinResidenceWindows && v.lastMoveEpoch > 0 {
-				continue
-			}
-			if cand == nil || v.windowRequests > cand.windowRequests {
-				cand = v
-			}
+	// Candidate: the busiest non-migrating VMDK on the overloaded store
+	// that fits on the destination, excluding recent movers (hysteresis).
+	var cand *VMDK
+	for _, v := range src.VMDKs() {
+		if v.Migrating() || v.Size > dst.Free() {
+			continue
 		}
-		if cand == nil || cand.windowRequests == 0 {
-			return
+		if m.stats.Epochs-v.lastMoveEpoch < m.cfg.MinResidenceWindows && v.lastMoveEpoch > 0 {
+			continue
 		}
+		if cand == nil || v.windowRequests > cand.windowRequests {
+			cand = v
+		}
+	}
+	if cand == nil || cand.windowRequests == 0 {
+		return
+	}
 
-		// Proposal-time gate: without write redirection, cost/benefit
-		// decides whether the migration is worth starting at all.
-		if p.GateProposals {
-			cost, benefit := m.costBenefit(cand, maxP, minP, cand.Size)
-			if benefit <= cost {
-				m.stats.MigrationsSkipped++
-				m.logDecision(Decision{At: m.eng.Now(), Kind: DecisionSkip, Stage: StagePlan, VMDK: cand.ID,
-					Src: src.Dev.Name(), Dst: dst.Dev.Name(),
-					Detail: fmt.Sprintf("cost %.0fus > benefit %.0fus", cost, benefit)})
-				return
-			}
-		}
-		if err := m.startMigration(cand, dst); err != nil {
+	// Proposal-time gate: without write redirection, cost/benefit
+	// decides whether the migration is worth starting at all.
+	if p.GateProposals {
+		cost, benefit := m.costBenefit(cand, maxP, minP, cand.Size)
+		if benefit <= cost {
+			m.stats.MigrationsSkipped++
+			m.logDecision(Decision{At: m.eng.Now(), Kind: DecisionSkip, Stage: StagePlan, VMDK: cand.ID,
+				Src: src.Dev.Name(), Dst: dst.Dev.Name(),
+				Detail: fmt.Sprintf("cost %.0fus > benefit %.0fus", cost, benefit)})
 			return
 		}
+	}
+	if err := m.startMigration(cand, dst); err == nil {
 		cand.lastMoveEpoch = m.stats.Epochs
 		m.recordMove(cand, src, dst)
 		m.logDecision(Decision{At: m.eng.Now(), Kind: DecisionMigrate, Stage: StagePlan, VMDK: cand.ID,
 			Src: src.Dev.Name(), Dst: dst.Dev.Name(),
 			Detail: fmt.Sprintf("norm %.1f vs %.1f (tau %.2f)", maxP.Norm, minP.Norm, m.cfg.Tau)})
-		if !p.Batch || m.balancingMigrations() >= m.cfg.MaxConcurrentMigrations {
-			return
-		}
 	}
 }
 
-// pickPairSweep is the full-sweep max/min selection over the epoch's
-// performance vector (the pre-incremental planner, kept as the
-// reference behavior for Config.FullSweep).
+// pickPairSweep picks the balancing pair from the epoch's performance
+// vector: the highest-Norm store with resident VMDKs and enough window
+// signal as the source, the lowest-PerfUS store as the destination. Ties
+// go to the first store in order.
 func pickPairSweep(m *Manager, perfs []StorePerf) (maxP, minP *StorePerf) {
 	for i := range perfs {
 		sp := &perfs[i]
@@ -285,39 +242,6 @@ func pickPairSweep(m *Manager, perfs []StorePerf) (maxP, minP *StorePerf) {
 		}
 	}
 	return maxP, minP
-}
-
-// pickPairIndexed reads the max-Norm source and min-PerfUS destination
-// straight off the incremental indexes. Quarantined stores are absent
-// from both indexes, and source eligibility (resident VMDKs, enough
-// window signal) was folded in when the entries were last updated.
-func (m *Manager) pickPairIndexed() (maxP, minP *StorePerf) {
-	if srcSlot, _, ok := m.srcIdx.Min(); ok {
-		maxP = &m.perfs[srcSlot]
-	}
-	if dstSlot, _, ok := m.dstIdx.Min(); ok {
-		minP = &m.perfs[dstSlot]
-	}
-	return maxP, minP
-}
-
-// balanceCandidates returns the migration-candidate pool on the
-// overloaded store in ID order. The full sweep considers every resident
-// VMDK; incrementally only touched VMDKs can qualify — an untouched
-// VMDK has zero window requests, and a zero-request best candidate
-// never launches — so the pool is the store's touched list.
-func (m *Manager) balanceCandidates(src *Datastore) []*VMDK {
-	if m.cfg.FullSweep {
-		return src.VMDKs()
-	}
-	out := make([]*VMDK, 0, len(src.touched))
-	for _, v := range src.touched {
-		if v.src == src {
-			out = append(out, v)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
 }
 
 // costBenefit evaluates Eq. 6 and Eq. 7 for moving v from src to dst,

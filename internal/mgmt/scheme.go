@@ -157,14 +157,10 @@ func describeStage(stage any) string {
 	case GatePlanner:
 		return "regate"
 	case BalancePlanner:
-		out := "balance"
 		if v.GateProposals {
-			out = "balance(gated)"
+			return "balance(gated)"
 		}
-		if v.Batch {
-			out += "+batch"
-		}
-		return out
+		return "balance"
 	case Planners:
 		parts := make([]string, len(v))
 		for i, p := range v {

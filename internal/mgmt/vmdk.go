@@ -157,11 +157,6 @@ func (v *VMDK) markUnmigrated(b int64) {
 //
 //lint:ack-path application-write completions ack to the workload; DESIGN.md §13 record-then-ack requires the epoch fence
 func (v *VMDK) Submit(r *trace.IORequest, done device.Completion) {
-	if v.windowRequests == 0 {
-		// First activity this window: join the primary store's touched
-		// list so incremental management observes and resets it.
-		v.src.noteTouched(v)
-	}
 	v.windowRequests++
 	v.windowBytes += r.Size
 	v.totalRequests++

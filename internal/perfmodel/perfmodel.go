@@ -121,12 +121,6 @@ type Monitor struct {
 	// layer's quarantine logic steers by the per-window rate.
 	windowErrors int
 	totalErrors  uint64
-	// onActivity, when set, fires once per measurement window on the
-	// first observed event (issue, completion, or failure). The
-	// management layer uses it as the dirty-store signal that keeps
-	// incremental epoch processing proportional to activity.
-	onActivity func()
-	notified   bool
 }
 
 // NewMonitor wraps dev.
@@ -137,27 +131,10 @@ func NewMonitor(dev device.Device) *Monitor {
 // Device returns the wrapped device.
 func (m *Monitor) Device() device.Device { return m.dev }
 
-// SetOnActivity installs the once-per-window first-event callback (nil
-// disables it). The callback must be cheap: it runs inline on the I/O
-// submission path.
-func (m *Monitor) SetOnActivity(fn func()) { m.onActivity = fn }
-
-// noteActivity fires the activity callback at most once per window.
-func (m *Monitor) noteActivity() {
-	if !m.notified {
-		m.notified = true
-		if m.onActivity != nil {
-			m.onActivity()
-		}
-	}
-}
-
 // Submit forwards to the device, recording issue/complete events.
 func (m *Monitor) Submit(r *trace.IORequest, done device.Completion) {
-	m.noteActivity()
 	m.inflight++
 	m.dev.Submit(r, func(completed *trace.IORequest) {
-		m.noteActivity()
 		m.inflight--
 		if completed.Err != nil {
 			// A failed request occupied the device (the OIO integral must
@@ -206,7 +183,6 @@ func (m *Monitor) ResetWindow() {
 	m.analyzer.Reset()
 	m.analyzer.SeedOutstanding(m.inflight)
 	m.windowErrors = 0
-	m.notified = false
 }
 
 // FeatureImportance returns the trained model's per-feature importance

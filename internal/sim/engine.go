@@ -81,11 +81,9 @@ type Engine struct {
 type EngineProfile struct {
 	// Events is the number of events dispatched since profiling was enabled.
 	Events uint64
-	// HeapPushes counts event-queue insertions (one per At/Schedule call or
+	// Inserts counts timer-wheel insertions (one per At/Schedule call or
 	// timer arm, including periodic re-arms).
-	HeapPushes uint64
-	// HeapPops counts event-queue removals (one per dispatched event).
-	HeapPops uint64
+	Inserts uint64
 	// MaxDepth is the high-water mark of simultaneously pending events —
 	// the timer depth the queue actually had to organize.
 	MaxDepth int
@@ -173,7 +171,7 @@ func (e *Engine) arm(tm *timer, t Time) {
 	tm.seq = e.seq
 	e.wheel.insert(tm)
 	if e.prof != nil {
-		e.prof.HeapPushes++
+		e.prof.Inserts++
 		if d := e.wheel.pending; d > e.prof.MaxDepth {
 			e.prof.MaxDepth = d
 		}
@@ -188,7 +186,6 @@ func (e *Engine) Step() bool {
 		return false
 	}
 	if e.prof != nil {
-		e.prof.HeapPops++
 		e.prof.Events++
 	}
 	tm.state = tmRunning

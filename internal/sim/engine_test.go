@@ -341,8 +341,8 @@ func TestProfilingCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := e.Profile()
-	if p.Events != 6 || p.HeapPushes != 6 || p.HeapPops != 6 {
-		t.Fatalf("counters: %+v, want 6 events/pushes/pops", p)
+	if p.Events != 6 || p.Inserts != 6 {
+		t.Fatalf("counters: %+v, want 6 events/inserts", p)
 	}
 	// All four initial events were pending at once before any ran.
 	if p.MaxDepth != 4 {
@@ -356,7 +356,7 @@ func TestProfilingReenableResets(t *testing.T) {
 	e.Schedule(0, func() {})
 	e.Run()
 	e.EnableProfiling()
-	if p := e.Profile(); p.Events != 0 || p.HeapPushes != 0 {
+	if p := e.Profile(); p.Events != 0 || p.Inserts != 0 {
 		t.Fatalf("re-enable did not reset: %+v", p)
 	}
 }
