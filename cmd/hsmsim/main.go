@@ -316,15 +316,16 @@ func runReplicas(opts core.Options, scheme mgmt.Scheme, n int, seedList string,
 		return err
 	}
 
-	var lat, iops stats.Sample
+	lat := make([]float64, 0, n)
+	iops := make([]float64, 0, n)
 	for i, rep := range reports {
 		fmt.Printf("replica %d (seed %d): mean latency %.1fus, mean IOPS %.0f\n",
 			i, seeds[i], rep.MeanLatencyUS, rep.MeanIOPS)
-		lat.Add(rep.MeanLatencyUS)
-		iops.Add(rep.MeanIOPS)
+		lat = append(lat, rep.MeanLatencyUS)
+		iops = append(iops, rep.MeanIOPS)
 	}
 	fmt.Printf("aggregate over %d replicas: mean latency %.1fus (p95 %.1fus), mean IOPS %.0f (p95 %.0f)\n",
-		n, lat.Mean(), lat.Percentile(95), iops.Mean(), iops.Percentile(95))
+		n, stats.Mean(lat), stats.Percentile(lat, 95), stats.Mean(iops), stats.Percentile(iops, 95))
 
 	if scope.Enabled() {
 		tel := scope.Merge()

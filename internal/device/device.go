@@ -94,7 +94,7 @@ type Metrics struct {
 	LifetimeContentionUS float64
 
 	// Optional telemetry hooks; all nil unless wired (zero cost when off).
-	hist  *telemetry.Histogram
+	hist  *telemetry.TailHist // lifetime latency distribution, µs
 	tr    *telemetry.Tracer
 	track string
 	tail  *telemetry.TailTracker
@@ -147,9 +147,10 @@ func (m *Metrics) Observe(r *trace.IORequest) {
 
 // RegisterTelemetry exposes the collector under prefix (e.g.
 // "node0.nvdimm."): lifetime read/write/byte counts, mean and max latency,
-// accumulated bus contention, and a latency histogram. All gauges are
-// read-callbacks over counters the collector already maintains, so the hot
-// path pays nothing until a sample is taken.
+// accumulated bus contention, and the lat_hist.* count/mean/p95 of a
+// lifetime TailHist. All are gauges, read-callbacks over state the
+// collector already maintains; the only hot-path cost is one
+// TailHist.Observe per successful completion.
 func (m *Metrics) RegisterTelemetry(reg *telemetry.Registry, prefix string) {
 	reg.Gauge(prefix+"reads", func() float64 { return float64(m.TotalReads) })
 	reg.Gauge(prefix+"writes", func() float64 { return float64(m.TotalWrites) })
@@ -158,7 +159,10 @@ func (m *Metrics) RegisterTelemetry(reg *telemetry.Registry, prefix string) {
 	reg.Gauge(prefix+"lat_max_us", func() float64 { return m.Lifetime.Max() })
 	reg.Gauge(prefix+"contention_us", func() float64 { return m.LifetimeContentionUS })
 	reg.Gauge(prefix+"errors", func() float64 { return float64(m.TotalErrors) })
-	m.hist = reg.Histogram(prefix+"lat_hist", 0, 5000, 50)
+	m.hist = &telemetry.TailHist{}
+	reg.Gauge(prefix+"lat_hist.count", func() float64 { return float64(m.hist.Count()) })
+	reg.Gauge(prefix+"lat_hist.mean_us", func() float64 { return m.Lifetime.Mean() })
+	reg.Gauge(prefix+"lat_hist.p95_us", func() float64 { return m.hist.Quantile(0.95) })
 }
 
 // SetTracer enables per-request completion spans on the given track. A

@@ -1,13 +1,17 @@
 package device
 
 import (
+	"errors"
+	"math"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -133,5 +137,47 @@ func TestWindowMeanIsSequentialSum(t *testing.T) {
 	}
 	if m.Window.Mean() == want {
 		t.Fatal("stream no longer separates the Welford mean from the sequential sum")
+	}
+}
+
+// TestLatHistCoversHDDTail observes HDD-range latencies (5–120 ms) and
+// checks the registry's lat_hist.* gauges. The p95 must lie within one
+// TailHist bucket (1/8 octave) above the nearest-rank p95, the mean must
+// be the lifetime mean bit for bit, and failed requests count in neither.
+func TestLatHistCoversHDDTail(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	m := NewMetrics("hdd")
+	m.RegisterTelemetry(reg, "hdd.")
+	rng := rand.New(rand.NewSource(7))
+	var lats []float64
+	for i := 0; i < 2000; i++ {
+		d := 5*sim.Millisecond + sim.Time(rng.Int63n(int64(115*sim.Millisecond)))
+		r := &trace.IORequest{ID: uint64(i), Op: trace.OpRead, Size: 4096, Issue: 0, Complete: d}
+		if i%250 == 0 {
+			r.Err = errors.New("injected")
+		} else {
+			lats = append(lats, d.Micros())
+		}
+		m.Observe(r)
+	}
+	sort.Float64s(lats)
+	x := lats[int(math.Ceil(0.95*float64(len(lats))))-1]
+
+	got := make(map[string]float64)
+	for _, p := range reg.Snapshot() {
+		got[p.Name] = p.Value
+	}
+	if p95 := got["hdd.lat_hist.p95_us"]; p95 < x || p95 > x*math.Pow(2, 1.0/8) {
+		t.Errorf("lat_hist.p95_us = %v, want within [%v, %v]", p95, x, x*math.Pow(2, 1.0/8))
+	}
+	if got["hdd.lat_hist.mean_us"] != got["hdd.lat_mean_us"] {
+		t.Errorf("lat_hist.mean_us = %v, want lat_mean_us %v bit for bit",
+			got["hdd.lat_hist.mean_us"], got["hdd.lat_mean_us"])
+	}
+	if n := got["hdd.lat_hist.count"]; n != float64(len(lats)) {
+		t.Errorf("lat_hist.count = %v, want %d successful completions", n, len(lats))
+	}
+	if got["hdd.errors"] != 8 {
+		t.Errorf("errors = %v, want 8", got["hdd.errors"])
 	}
 }

@@ -1,6 +1,8 @@
 // Package stats provides the small numeric toolkit shared by the device
 // models, the performance model, and the experiment harness: streaming
-// summaries, percentiles, histograms, and simple series utilities.
+// summaries, percentiles, and simple series utilities. Latency
+// distributions live in telemetry.TailHist; this package keeps only
+// moments (Summary) and exact small-slice statistics.
 package stats
 
 import (
@@ -40,10 +42,11 @@ func (s *Summary) Add(x float64) {
 	s.m2 += d * (x - s.mean)
 }
 
-// Empty-sample contract: every accessor on Summary, Sample, and Histogram
-// returns exactly 0 (never NaN, never garbage) when no observations have
-// been recorded. Telemetry snapshots of idle devices rely on this — a
-// gauge reading an empty collector must produce a plottable zero.
+// Empty-sample contract: every Summary accessor, and Mean and Percentile
+// over an empty slice, return exactly 0 (never NaN, never garbage) when no
+// observations have been recorded. Telemetry snapshots of idle devices
+// rely on this — a gauge reading an empty collector must produce a
+// plottable zero.
 
 // N returns the number of observations.
 func (s *Summary) N() uint64 { return s.n }
@@ -71,34 +74,6 @@ func (s *Summary) Variance() float64 {
 // StdDev returns the sample standard deviation.
 func (s *Summary) StdDev() float64 { return math.Sqrt(s.Variance()) }
 
-// Merge folds other into s using the parallel Welford combination, as if
-// every observation of other had been Added to s. Merging an empty
-// summary is a no-op; merging into an empty summary copies other. The
-// combination is deterministic for a fixed pair of inputs, so merges
-// performed in a fixed order (the telemetry fork-tree rule) produce
-// byte-identical results run over run.
-func (s *Summary) Merge(other *Summary) {
-	if other == nil || other.n == 0 {
-		return
-	}
-	if s.n == 0 {
-		*s = *other
-		return
-	}
-	if other.min < s.min {
-		s.min = other.min
-	}
-	if other.max > s.max {
-		s.max = other.max
-	}
-	n1, n2 := float64(s.n), float64(other.n)
-	d := other.mean - s.mean
-	s.m2 += other.m2 + d*d*n1*n2/(n1+n2)
-	s.mean += d * n2 / (n1 + n2)
-	s.sum += other.sum
-	s.n += other.n
-}
-
 // Reset clears the summary.
 func (s *Summary) Reset() { *s = Summary{} }
 
@@ -107,75 +82,6 @@ func (s *Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.3f std=%.3f min=%.3f max=%.3f",
 		s.n, s.Mean(), s.StdDev(), s.min, s.max)
 }
-
-// Sample retains all observations for exact percentile queries. Appropriate
-// for per-window latency sets, not unbounded streams.
-type Sample struct {
-	xs     []float64
-	sorted bool
-}
-
-// Add records one observation.
-func (s *Sample) Add(x float64) {
-	s.xs = append(s.xs, x)
-	s.sorted = false
-}
-
-// N returns the number of observations.
-func (s *Sample) N() int { return len(s.xs) }
-
-// Values returns the raw observations (not a copy; callers must not mutate).
-func (s *Sample) Values() []float64 { return s.xs }
-
-// Mean returns the arithmetic mean (0 if empty).
-func (s *Sample) Mean() float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range s.xs {
-		sum += x
-	}
-	return sum / float64(len(s.xs))
-}
-
-// Percentile returns the p-th percentile (p in [0,100]) using linear
-// interpolation between closest ranks. An empty sample returns exactly 0
-// (the documented empty-sample contract, not NaN); p outside [0,100] or
-// NaN clamps to the nearest rank.
-func (s *Sample) Percentile(p float64) float64 {
-	n := len(s.xs)
-	if n == 0 {
-		return 0
-	}
-	if math.IsNaN(p) {
-		p = 0
-	}
-	if !s.sorted {
-		sort.Float64s(s.xs)
-		s.sorted = true
-	}
-	if p <= 0 {
-		return s.xs[0]
-	}
-	if p >= 100 {
-		return s.xs[n-1]
-	}
-	rank := p / 100 * float64(n-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return s.xs[lo]
-	}
-	frac := rank - float64(lo)
-	return s.xs[lo]*(1-frac) + s.xs[hi]*frac
-}
-
-// Median returns the 50th percentile.
-func (s *Sample) Median() float64 { return s.Percentile(50) }
-
-// Reset clears the sample.
-func (s *Sample) Reset() { s.xs = s.xs[:0]; s.sorted = false }
 
 // Mean returns the arithmetic mean of xs (0 if empty).
 func Mean(xs []float64) float64 {
@@ -187,6 +93,36 @@ func Mean(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
+}
+
+// Percentile returns the p-th percentile (p in [0,100]) of xs using
+// linear interpolation between closest ranks. It sorts a copy, so xs keeps
+// its order. An empty slice returns exactly 0 (the empty-sample contract,
+// not NaN); p outside [0,100] or NaN clamps to the nearest rank.
+func Percentile(xs []float64, p float64) float64 {
+	n := len(xs)
+	if n == 0 {
+		return 0
+	}
+	if math.IsNaN(p) {
+		p = 0
+	}
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	if p <= 0 {
+		return s[0]
+	}
+	if p >= 100 {
+		return s[n-1]
+	}
+	rank := p / 100 * float64(n-1)
+	lo := int(math.Floor(rank))
+	hi := int(math.Ceil(rank))
+	if lo == hi {
+		return s[lo]
+	}
+	frac := rank - float64(lo)
+	return s[lo]*(1-frac) + s[hi]*frac
 }
 
 // RMSD returns the root-mean-square deviation of xs from their mean. This
@@ -278,110 +214,4 @@ func Correlation(a, b []float64) float64 {
 		return 0
 	}
 	return num / math.Sqrt(da*db)
-}
-
-// Histogram is a fixed-width-bucket histogram over [lo, hi); values outside
-// the range are clamped into the edge buckets. Out-of-range observations
-// are never dropped: they land in the nearest edge bucket, count toward
-// Total, and are tallied separately by OutOfRange so callers can detect a
-// mis-sized range.
-type Histogram struct {
-	lo, hi     float64
-	width      float64
-	counts     []uint64
-	total      uint64
-	outOfRange uint64
-	summary    Summary
-}
-
-// NewHistogram creates a histogram with n buckets over [lo, hi). It panics
-// on invalid bounds or bucket counts.
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 || hi <= lo {
-		panic("stats: invalid histogram parameters")
-	}
-	return &Histogram{lo: lo, hi: hi, width: (hi - lo) / float64(n), counts: make([]uint64, n)}
-}
-
-// Add records one observation. Values below lo clamp into bucket 0,
-// values at or above hi clamp into the last bucket; both still count
-// toward Total and the out-of-range tally.
-func (h *Histogram) Add(x float64) {
-	h.total++
-	h.summary.Add(x)
-	i := int((x - h.lo) / h.width)
-	if i < 0 || x < h.lo {
-		i = 0
-		h.outOfRange++
-	} else if i >= len(h.counts) {
-		i = len(h.counts) - 1
-		h.outOfRange++
-	}
-	h.counts[i]++
-}
-
-// Total returns the number of observations.
-func (h *Histogram) Total() uint64 { return h.total }
-
-// OutOfRange returns how many observations fell outside [lo, hi) and were
-// clamped into an edge bucket.
-func (h *Histogram) OutOfRange() uint64 { return h.outOfRange }
-
-// Merge folds other's observations into h. The two histograms must share
-// an identical bucket layout (same lo, hi, and bucket count); a mismatch
-// returns an explicit error and leaves h untouched, never a silently
-// corrupted distribution. A nil or empty other is a no-op.
-func (h *Histogram) Merge(other *Histogram) error {
-	if other == nil {
-		return nil
-	}
-	if h.lo != other.lo || h.hi != other.hi || len(h.counts) != len(other.counts) {
-		return fmt.Errorf("stats: histogram layout mismatch: [%g,%g)/%d vs [%g,%g)/%d",
-			h.lo, h.hi, len(h.counts), other.lo, other.hi, len(other.counts))
-	}
-	if other.total == 0 {
-		return nil
-	}
-	for i, c := range other.counts {
-		h.counts[i] += c
-	}
-	h.total += other.total
-	h.outOfRange += other.outOfRange
-	h.summary.Merge(&other.summary)
-	return nil
-}
-
-// Count returns the count in bucket i.
-func (h *Histogram) Count(i int) uint64 { return h.counts[i] }
-
-// Buckets returns the number of buckets.
-func (h *Histogram) Buckets() int { return len(h.counts) }
-
-// BucketLow returns the lower bound of bucket i.
-func (h *Histogram) BucketLow(i int) float64 { return h.lo + float64(i)*h.width }
-
-// Mean returns the mean of all observations added.
-func (h *Histogram) Mean() float64 { return h.summary.Mean() }
-
-// Quantile approximates the q-th quantile (q in [0,1]) from bucket counts.
-// An empty histogram returns exactly 0; q outside [0,1] or NaN clamps.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	if math.IsNaN(q) || q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	target := uint64(q * float64(h.total))
-	var cum uint64
-	for i, c := range h.counts {
-		cum += c
-		if cum > target {
-			return h.BucketLow(i) + h.width/2
-		}
-	}
-	return h.hi
 }

@@ -53,40 +53,37 @@ func TestSummaryReset(t *testing.T) {
 	}
 }
 
-func TestSamplePercentiles(t *testing.T) {
-	var s Sample
+func TestPercentileValues(t *testing.T) {
+	var xs []float64
 	for i := 1; i <= 100; i++ {
-		s.Add(float64(i))
+		xs = append(xs, float64(i))
 	}
-	if !almostEqual(s.Median(), 50.5, 1e-9) {
-		t.Fatalf("median = %v", s.Median())
+	if got := Percentile(xs, 50); !almostEqual(got, 50.5, 1e-9) {
+		t.Fatalf("p50 = %v", got)
 	}
-	if !almostEqual(s.Percentile(0), 1, 1e-9) {
-		t.Fatalf("p0 = %v", s.Percentile(0))
+	if got := Percentile(xs, 0); !almostEqual(got, 1, 1e-9) {
+		t.Fatalf("p0 = %v", got)
 	}
-	if !almostEqual(s.Percentile(100), 100, 1e-9) {
-		t.Fatalf("p100 = %v", s.Percentile(100))
+	if got := Percentile(xs, 100); !almostEqual(got, 100, 1e-9) {
+		t.Fatalf("p100 = %v", got)
 	}
-	if s.Percentile(99) < 98 || s.Percentile(99) > 100 {
-		t.Fatalf("p99 = %v", s.Percentile(99))
-	}
-}
-
-func TestSampleAddAfterPercentile(t *testing.T) {
-	var s Sample
-	s.Add(10)
-	s.Add(20)
-	_ = s.Median()
-	s.Add(1) // must re-sort internally
-	if got := s.Percentile(0); got != 1 {
-		t.Fatalf("p0 after re-add = %v, want 1", got)
+	if got := Percentile(xs, 99); got < 98 || got > 100 {
+		t.Fatalf("p99 = %v", got)
 	}
 }
 
-func TestSampleEmpty(t *testing.T) {
-	var s Sample
-	if s.Mean() != 0 || s.Median() != 0 {
-		t.Fatal("empty sample not zero")
+// TestPercentileLeavesInputOrder: Percentile sorts a copy, so a caller
+// that also sums xs in arrival order (Mean) sees the order it appended.
+func TestPercentileLeavesInputOrder(t *testing.T) {
+	xs := []float64{20, 10, 30, 1}
+	want := append([]float64(nil), xs...)
+	if got := Percentile(xs, 0); got != 1 {
+		t.Fatalf("p0 = %v, want 1", got)
+	}
+	for i := range xs {
+		if xs[i] != want[i] {
+			t.Fatalf("input reordered: %v, want %v", xs, want)
+		}
 	}
 }
 
@@ -166,56 +163,6 @@ func TestCorrelation(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 100, 10)
-	for i := 0; i < 100; i++ {
-		h.Add(float64(i))
-	}
-	if h.Total() != 100 {
-		t.Fatalf("total = %d", h.Total())
-	}
-	for i := 0; i < 10; i++ {
-		if h.Count(i) != 10 {
-			t.Fatalf("bucket %d count = %d, want 10", i, h.Count(i))
-		}
-	}
-	// Out-of-range values clamp to edge buckets.
-	h.Add(-5)
-	h.Add(500)
-	if h.Count(0) != 11 || h.Count(9) != 11 {
-		t.Fatal("clamping failed")
-	}
-	if h.Buckets() != 10 {
-		t.Fatalf("buckets = %d", h.Buckets())
-	}
-	if h.BucketLow(3) != 30 {
-		t.Fatalf("BucketLow(3) = %v", h.BucketLow(3))
-	}
-}
-
-func TestHistogramQuantile(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	med := h.Quantile(0.5)
-	if med < 4 || med > 7 {
-		t.Fatalf("median approx = %v", med)
-	}
-	if NewHistogram(0, 1, 1).Quantile(0.5) != 0 {
-		t.Fatal("empty histogram quantile != 0")
-	}
-}
-
-func TestHistogramPanicsOnBadParams(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on hi <= lo")
-		}
-	}()
-	NewHistogram(5, 5, 10)
-}
-
 // Property: Summary mean/min/max agree with direct computation.
 func TestSummaryMatchesDirectProperty(t *testing.T) {
 	f := func(xs []float64) bool {
@@ -252,14 +199,14 @@ func TestSummaryMatchesDirectProperty(t *testing.T) {
 // Property: Percentile is monotone in p.
 func TestPercentileMonotoneProperty(t *testing.T) {
 	f := func(xs []float64, p1, p2 float64) bool {
-		var s Sample
+		var clean []float64
 		for _, x := range xs {
 			if math.IsNaN(x) || math.IsInf(x, 0) {
 				continue
 			}
-			s.Add(x)
+			clean = append(clean, x)
 		}
-		if s.N() == 0 {
+		if len(clean) == 0 {
 			return true
 		}
 		p1 = math.Mod(math.Abs(p1), 100)
@@ -267,7 +214,7 @@ func TestPercentileMonotoneProperty(t *testing.T) {
 		if p1 > p2 {
 			p1, p2 = p2, p1
 		}
-		return s.Percentile(p1) <= s.Percentile(p2)
+		return Percentile(clean, p1) <= Percentile(clean, p2)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
@@ -287,215 +234,20 @@ func TestEmptySampleContract(t *testing.T) {
 		}
 	}
 
-	var s Sample
 	for name, got := range map[string]float64{
-		"Mean": s.Mean(), "Percentile(50)": s.Percentile(50),
-		"Percentile(NaN)": s.Percentile(math.NaN()), "Median": s.Median(),
+		"Mean": Mean(nil), "Percentile(50)": Percentile(nil, 50),
+		"Percentile(NaN)": Percentile(nil, math.NaN()),
 	} {
 		if got != 0 || math.IsNaN(got) {
-			t.Errorf("empty Sample.%s = %v, want 0", name, got)
+			t.Errorf("empty %s = %v, want 0", name, got)
 		}
-	}
-
-	h := NewHistogram(0, 100, 10)
-	for name, got := range map[string]float64{
-		"Mean": h.Mean(), "Quantile(0.5)": h.Quantile(0.5),
-		"Quantile(NaN)": h.Quantile(math.NaN()),
-	} {
-		if got != 0 || math.IsNaN(got) {
-			t.Errorf("empty Histogram.%s = %v, want 0", name, got)
-		}
-	}
-	if h.Total() != 0 {
-		t.Errorf("empty Histogram.Total = %d, want 0", h.Total())
 	}
 }
 
 // TestPercentileNaNClamp: a NaN percentile on a non-empty sample clamps to
 // the lowest rank instead of producing garbage.
 func TestPercentileNaNClamp(t *testing.T) {
-	var s Sample
-	s.Add(5)
-	s.Add(1)
-	s.Add(9)
-	if got := s.Percentile(math.NaN()); got != 1 {
+	if got := Percentile([]float64{5, 1, 9}, math.NaN()); got != 1 {
 		t.Errorf("Percentile(NaN) = %v, want 1 (lowest rank)", got)
-	}
-}
-
-// TestHistogramQuantileClamps: NaN and out-of-range q clamp into [0,1].
-func TestHistogramQuantileClamps(t *testing.T) {
-	h := NewHistogram(0, 100, 10)
-	for _, v := range []float64{5, 15, 25, 95} {
-		h.Add(v)
-	}
-	lo := h.Quantile(0)
-	if got := h.Quantile(math.NaN()); got != lo {
-		t.Errorf("Quantile(NaN) = %v, want %v", got, lo)
-	}
-	if got := h.Quantile(-3); got != lo {
-		t.Errorf("Quantile(-3) = %v, want %v", got, lo)
-	}
-	hi := h.Quantile(1)
-	if got := h.Quantile(7); got != hi {
-		t.Errorf("Quantile(7) = %v, want %v", got, hi)
-	}
-	if math.IsNaN(lo) || math.IsNaN(hi) {
-		t.Error("quantile bounds are NaN")
-	}
-}
-
-// TestSummaryMerge: the parallel Welford combination must agree with a
-// single-stream summary over the concatenated observations.
-func TestSummaryMerge(t *testing.T) {
-	xs := []float64{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7}
-	split := 5
-	var a, b, whole Summary
-	for _, x := range xs[:split] {
-		a.Add(x)
-		whole.Add(x)
-	}
-	for _, x := range xs[split:] {
-		b.Add(x)
-		whole.Add(x)
-	}
-	a.Merge(&b)
-	if a.N() != whole.N() || a.Min() != whole.Min() || a.Max() != whole.Max() {
-		t.Fatalf("merged n/min/max = %d/%v/%v, want %d/%v/%v",
-			a.N(), a.Min(), a.Max(), whole.N(), whole.Min(), whole.Max())
-	}
-	if math.Abs(a.Mean()-whole.Mean()) > 1e-12 {
-		t.Errorf("merged mean = %v, want %v", a.Mean(), whole.Mean())
-	}
-	if math.Abs(a.Variance()-whole.Variance()) > 1e-9 {
-		t.Errorf("merged variance = %v, want %v", a.Variance(), whole.Variance())
-	}
-	if math.Abs(a.Sum()-whole.Sum()) > 1e-12 {
-		t.Errorf("merged sum = %v, want %v", a.Sum(), whole.Sum())
-	}
-}
-
-// TestSummaryMergeEmptySides: merging an empty summary is a no-op, and
-// merging into an empty summary adopts the donor wholesale.
-func TestSummaryMergeEmptySides(t *testing.T) {
-	var empty, filled Summary
-	filled.Add(2)
-	filled.Add(4)
-	before := filled
-	filled.Merge(&empty)
-	if filled != before {
-		t.Error("merging an empty summary changed the receiver")
-	}
-	filled.Merge(nil)
-	if filled != before {
-		t.Error("merging nil changed the receiver")
-	}
-	var dst Summary
-	dst.Merge(&filled)
-	if dst != filled {
-		t.Errorf("empty.Merge(filled) = %+v, want %+v", dst, filled)
-	}
-}
-
-// TestHistogramOutOfRange: values outside [lo, hi) clamp into the edge
-// buckets, still count toward Total, and are tallied by OutOfRange.
-func TestHistogramOutOfRange(t *testing.T) {
-	h := NewHistogram(10, 110, 10)
-	h.Add(-50)  // below lo → bucket 0
-	h.Add(9.99) // just below lo → bucket 0
-	h.Add(110)  // == hi → last bucket ([lo,hi) is half-open)
-	h.Add(1e9)  // far above → last bucket
-	h.Add(55)   // in range
-	if h.Total() != 5 {
-		t.Fatalf("Total = %d, want 5 (clamped values must still count)", h.Total())
-	}
-	if h.OutOfRange() != 4 {
-		t.Errorf("OutOfRange = %d, want 4", h.OutOfRange())
-	}
-	if h.Count(0) != 2 {
-		t.Errorf("edge bucket 0 count = %d, want 2", h.Count(0))
-	}
-	if h.Count(h.Buckets()-1) != 2 {
-		t.Errorf("last bucket count = %d, want 2", h.Count(h.Buckets()-1))
-	}
-}
-
-// TestHistogramSingleSample: every quantile of a one-observation histogram
-// answers from the single occupied bucket, never 0 or the far range edge.
-func TestHistogramSingleSample(t *testing.T) {
-	h := NewHistogram(0, 100, 10)
-	h.Add(42)
-	want := h.BucketLow(4) + 5 // mid of the occupied [40,50) bucket
-	for _, q := range []float64{0, 0.5, 0.95, 0.99} {
-		if got := h.Quantile(q); got != want {
-			t.Errorf("Quantile(%v) = %v, want %v", q, got, want)
-		}
-	}
-}
-
-// TestHistogramMerge: merging equal layouts concatenates distributions;
-// counts, totals, out-of-range tallies, and summary moments all add up.
-func TestHistogramMerge(t *testing.T) {
-	a := NewHistogram(0, 100, 10)
-	b := NewHistogram(0, 100, 10)
-	whole := NewHistogram(0, 100, 10)
-	for _, x := range []float64{5, 15, 200} {
-		a.Add(x)
-		whole.Add(x)
-	}
-	for _, x := range []float64{-3, 55, 95} {
-		b.Add(x)
-		whole.Add(x)
-	}
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.Total() != whole.Total() || a.OutOfRange() != whole.OutOfRange() {
-		t.Fatalf("merged total/oor = %d/%d, want %d/%d",
-			a.Total(), a.OutOfRange(), whole.Total(), whole.OutOfRange())
-	}
-	for i := 0; i < whole.Buckets(); i++ {
-		if a.Count(i) != whole.Count(i) {
-			t.Errorf("bucket %d: merged %d, want %d", i, a.Count(i), whole.Count(i))
-		}
-	}
-	if a.Mean() != whole.Mean() {
-		t.Errorf("merged mean = %v, want %v", a.Mean(), whole.Mean())
-	}
-	for _, q := range []float64{0.5, 0.95, 0.99} {
-		if a.Quantile(q) != whole.Quantile(q) {
-			t.Errorf("Quantile(%v): merged %v, want %v", q, a.Quantile(q), whole.Quantile(q))
-		}
-	}
-}
-
-// TestHistogramMergeMismatch: layout mismatches are an explicit error and
-// leave the receiver untouched — never a silently corrupted merge.
-func TestHistogramMergeMismatch(t *testing.T) {
-	base := NewHistogram(0, 100, 10)
-	base.Add(50)
-	for _, bad := range []*Histogram{
-		NewHistogram(0, 200, 10), // different hi
-		NewHistogram(10, 100, 9), // different lo and bucket count
-		NewHistogram(0, 100, 20), // different bucket count
-	} {
-		bad.Add(60)
-		if err := base.Merge(bad); err == nil {
-			t.Errorf("Merge of mismatched layout %v..%v/%d: want error, got nil",
-				bad.lo, bad.hi, bad.Buckets())
-		}
-	}
-	if base.Total() != 1 || base.Count(5) != 1 {
-		t.Error("failed merge mutated the receiver")
-	}
-	if err := base.Merge(nil); err != nil {
-		t.Errorf("Merge(nil) = %v, want no-op", err)
-	}
-	// Merging an empty same-layout histogram is also a no-op.
-	if err := base.Merge(NewHistogram(0, 100, 10)); err != nil {
-		t.Fatal(err)
-	}
-	if base.Total() != 1 {
-		t.Error("merging an empty histogram changed the total")
 	}
 }

@@ -1,8 +1,9 @@
 // Package telemetry is the simulator's unified observability layer: a
-// metrics registry of hierarchically named counters, gauges, and latency
-// histograms; a deterministic span tracer with Chrome trace_event and
-// JSONL exporters; and a sim-time-driven windowed sampler that turns the
-// registry into a plottable time series.
+// metrics registry of hierarchically named counters and gauges; the
+// log-spaced TailHist, the one latency-distribution type; a deterministic
+// span tracer with Chrome trace_event and JSONL exporters; and a
+// sim-time-driven windowed sampler that turns the registry into a
+// plottable time series.
 //
 // Design constraints, in order:
 //
@@ -41,9 +42,6 @@ package telemetry
 import (
 	"fmt"
 	"sort"
-
-	"repro/internal/sim"
-	"repro/internal/stats"
 )
 
 // Kind identifies an instrument type.
@@ -54,8 +52,6 @@ const (
 	KindCounter Kind = iota
 	// KindGauge is a read-callback sampled at snapshot time.
 	KindGauge
-	// KindHistogram is a bucketed latency distribution.
-	KindHistogram
 )
 
 // String names the kind.
@@ -65,8 +61,6 @@ func (k Kind) String() string {
 		return "counter"
 	case KindGauge:
 		return "gauge"
-	case KindHistogram:
-		return "histogram"
 	default:
 		return fmt.Sprintf("kind(%d)", uint8(k))
 	}
@@ -90,32 +84,11 @@ type Gauge struct{ fn func() float64 }
 // Value evaluates the gauge.
 func (g *Gauge) Value() float64 { return g.fn() }
 
-// Histogram is a sim-time-aware latency histogram built on
-// stats.Histogram: observations are microseconds, and ObserveTime converts
-// a sim.Time duration directly.
-type Histogram struct{ h *stats.Histogram }
-
-// Observe records one observation (µs by convention).
-func (h *Histogram) Observe(v float64) { h.h.Add(v) }
-
-// ObserveTime records a simulated duration as microseconds.
-func (h *Histogram) ObserveTime(d sim.Time) { h.h.Add(d.Micros()) }
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.h.Total() }
-
-// Mean returns the mean observation (0 if empty).
-func (h *Histogram) Mean() float64 { return h.h.Mean() }
-
-// Quantile approximates the q-th quantile (q in [0,1]; 0 if empty).
-func (h *Histogram) Quantile(q float64) float64 { return h.h.Quantile(q) }
-
 // entry is one registered instrument.
 type entry struct {
 	kind    Kind
 	counter *Counter
 	gauge   *Gauge
-	hist    *Histogram
 }
 
 // Registry holds named instruments. Names are hierarchical by dotted
@@ -159,31 +132,14 @@ func (r *Registry) Gauge(name string, fn func() float64) {
 	r.entries[name] = &entry{kind: KindGauge, gauge: &Gauge{fn: fn}}
 }
 
-// Histogram returns the histogram registered under name, creating it with
-// buckets over [lo, hi) on first use. Re-registering the same name as a
-// histogram returns the existing instance (the original bounds win); it
-// panics if the name is held by a different kind.
-func (r *Registry) Histogram(name string, lo, hi float64, buckets int) *Histogram {
-	if e, ok := r.entries[name]; ok {
-		if e.kind != KindHistogram {
-			panic(fmt.Sprintf("telemetry: %q already registered as %v", name, e.kind))
-		}
-		return e.hist
-	}
-	h := &Histogram{h: stats.NewHistogram(lo, hi, buckets)}
-	r.entries[name] = &entry{kind: KindHistogram, hist: h}
-	return h
-}
-
 // Point is one named value in a snapshot.
 type Point struct {
 	Name  string
 	Value float64
 }
 
-// Snapshot evaluates every instrument and returns the points sorted by
-// name. Counters and gauges yield one point; histograms expand to
-// <name>.count, <name>.mean_us, and <name>.p95_us.
+// Snapshot evaluates every instrument and returns one point per
+// instrument, sorted by name.
 func (r *Registry) Snapshot() []Point {
 	names := make([]string, 0, len(r.entries))
 	for n := range r.entries {
@@ -198,15 +154,7 @@ func (r *Registry) Snapshot() []Point {
 			out = append(out, Point{Name: n, Value: float64(e.counter.v)})
 		case KindGauge:
 			out = append(out, Point{Name: n, Value: e.gauge.Value()})
-		case KindHistogram:
-			out = append(out,
-				Point{Name: n + ".count", Value: float64(e.hist.Count())},
-				Point{Name: n + ".mean_us", Value: e.hist.Mean()},
-				Point{Name: n + ".p95_us", Value: e.hist.Quantile(0.95)},
-			)
 		}
 	}
-	// Histogram expansion can interleave out of global order; restore it.
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }

@@ -22,19 +22,6 @@ func TestCounterIdempotentRegistration(t *testing.T) {
 	}
 }
 
-func TestHistogramIdempotentRegistration(t *testing.T) {
-	r := NewRegistry()
-	a := r.Histogram("x.lat", 0, 100, 10)
-	a.Observe(5)
-	b := r.Histogram("x.lat", 0, 999, 3) // original bounds win
-	if a != b {
-		t.Fatal("re-registering a histogram must return the same instance")
-	}
-	if b.Count() != 1 {
-		t.Fatalf("count = %d, want 1", b.Count())
-	}
-}
-
 func TestKindCollisionPanics(t *testing.T) {
 	cases := []struct {
 		name string
@@ -44,10 +31,6 @@ func TestKindCollisionPanics(t *testing.T) {
 			r.Counter("n")
 			r.Gauge("n", func() float64 { return 0 })
 		}},
-		{"counter-then-histogram", func(r *Registry) {
-			r.Counter("n")
-			r.Histogram("n", 0, 1, 1)
-		}},
 		{"gauge-then-counter", func(r *Registry) {
 			r.Gauge("n", func() float64 { return 0 })
 			r.Counter("n")
@@ -55,10 +38,6 @@ func TestKindCollisionPanics(t *testing.T) {
 		{"gauge-then-gauge", func(r *Registry) {
 			r.Gauge("n", func() float64 { return 0 })
 			r.Gauge("n", func() float64 { return 1 })
-		}},
-		{"histogram-then-counter", func(r *Registry) {
-			r.Histogram("n", 0, 1, 1)
-			r.Counter("n")
 		}},
 	}
 	for _, tc := range cases {
@@ -73,13 +52,13 @@ func TestKindCollisionPanics(t *testing.T) {
 	}
 }
 
+// TestSnapshotSortedAndExpanded: Snapshot expands every instrument to
+// exactly one point and returns the points sorted by name.
 func TestSnapshotSortedAndExpanded(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("z.count").Add(7)
+	r.Gauge("m.lat.p95_us", func() float64 { return 20 })
 	r.Gauge("a.util", func() float64 { return 0.5 })
-	h := r.Histogram("m.lat", 0, 100, 10)
-	h.Observe(10)
-	h.Observe(20)
 
 	pts := r.Snapshot()
 	names := make([]string, len(pts))
@@ -90,24 +69,16 @@ func TestSnapshotSortedAndExpanded(t *testing.T) {
 		t.Fatalf("snapshot not sorted: %v", names)
 	}
 	want := map[string]float64{
-		"a.util":        0.5,
-		"m.lat.count":   2,
-		"m.lat.mean_us": 15,
-		"z.count":       7,
+		"a.util":       0.5,
+		"m.lat.p95_us": 20,
+		"z.count":      7,
 	}
-	got := make(map[string]float64, len(pts))
+	if len(pts) != len(want) {
+		t.Fatalf("snapshot has %d points, want %d (one per instrument)", len(pts), len(want))
+	}
 	for _, p := range pts {
-		got[p.Name] = p.Value
-	}
-	for k, v := range want {
-		if got[k] != v {
-			t.Errorf("%s = %v, want %v", k, got[k], v)
+		if want[p.Name] != p.Value {
+			t.Errorf("%s = %v, want %v", p.Name, p.Value, want[p.Name])
 		}
-	}
-	if _, ok := got["m.lat.p95_us"]; !ok {
-		t.Error("missing histogram p95 expansion")
-	}
-	if len(pts) != 5 {
-		t.Fatalf("snapshot has %d points, want 5", len(pts))
 	}
 }

@@ -1,6 +1,9 @@
 package telemetry
 
 import (
+	"math"
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
@@ -30,36 +33,104 @@ func TestTailHistSingleSample(t *testing.T) {
 	}
 }
 
+// tailOracle returns the range TailHist.Quantile(q) must land in for the
+// stream xs: above the nearest-rank value x (the ceil(q·n)-th smallest),
+// since bucket bounds are exclusive uppers, and at most one 1/8 octave
+// above it (values below 1µs share bucket 0). q = 1 and the top bucket
+// answer the exact max, so there lo == hi.
+func tailOracle(xs []float64, q float64) (lo, hi float64) {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	max := s[len(s)-1]
+	if q >= 1 {
+		return max, max
+	}
+	rank := int(math.Ceil(q * float64(len(s))))
+	if rank < 1 {
+		rank = 1
+	}
+	x := s[rank-1]
+	if x >= tailBounds[tailBuckets-2] {
+		return max, max
+	}
+	// A 1e-12 relative slack absorbs the last-bit rounding of
+	// math.Pow between neighbouring bounds.
+	return x, math.Max(x, 1) * math.Pow(2, 1.0/tailBucketsPerOctave) * (1 + 1e-12)
+}
+
 func TestTailHistQuantileBounds(t *testing.T) {
-	var h TailHist
+	rng := rand.New(rand.NewSource(11))
+	var uniform, logUniform, onBounds, aboveTop []float64
 	for i := 1; i <= 1000; i++ {
-		h.Observe(float64(i))
+		uniform = append(uniform, float64(i))
 	}
-	p50, p99 := h.Quantile(0.50), h.Quantile(0.99)
-	if p50 < 500 || p50 > 500*1.1 {
-		t.Fatalf("p50 = %g, want 500..550", p50)
+	for i := 0; i < 5000; i++ {
+		// 1µs .. 10s, uniform in log space.
+		logUniform = append(logUniform, math.Exp(rng.Float64()*math.Log(1e7)))
 	}
-	if p99 < 990 || p99 > 990*1.1 {
-		t.Fatalf("p99 = %g, want 990..1089", p99)
+	for i := 0; i < tailBuckets-2; i += 3 {
+		onBounds = append(onBounds, tailBounds[i])
 	}
-	if got := h.Quantile(1); got != 1000 {
-		t.Fatalf("p100 = %g, want exact max 1000", got)
+	for i := 0; i < 100; i++ {
+		v := float64(i + 1)
+		if i >= 90 {
+			v = tailBounds[tailBuckets-1] * float64(i-88) // 2×..11× the top bound
+		}
+		aboveTop = append(aboveTop, v)
+	}
+	qs := []float64{0, 0.01, 0.25, 0.5, 0.9, 0.95, 0.99, 0.999, 1}
+	for _, tc := range []struct {
+		name string
+		xs   []float64
+	}{
+		{"uniform-1..1000", uniform},
+		{"log-uniform-1us..10s", logUniform},
+		{"on-bucket-bounds", onBounds},
+		{"above-top-bound", aboveTop},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var h TailHist
+			for _, x := range tc.xs {
+				h.Observe(x)
+			}
+			for _, q := range qs {
+				lo, hi := tailOracle(tc.xs, q)
+				got := h.Quantile(q)
+				if got < lo || got > hi || (lo < hi && got == lo) {
+					t.Errorf("Quantile(%g) = %g, want within (%g, %g]", q, got, lo, hi)
+				}
+			}
+			// NaN and out-of-range q clamp into [0, 1].
+			if got, want := h.Quantile(math.NaN()), h.Quantile(0); got != want {
+				t.Errorf("Quantile(NaN) = %g, want Quantile(0) = %g", got, want)
+			}
+			if got, want := h.Quantile(-0.5), h.Quantile(0); got != want {
+				t.Errorf("Quantile(-0.5) = %g, want Quantile(0) = %g", got, want)
+			}
+			if got, want := h.Quantile(1.5), h.Max(); got != want {
+				t.Errorf("Quantile(1.5) = %g, want exact max %g", got, want)
+			}
+		})
 	}
 }
 
 func TestTailHistClamping(t *testing.T) {
 	var h TailHist
-	h.Observe(-5)  // negative → 0 → bucket 0
-	h.Observe(0.1) // below 1µs → bucket 0
-	h.Observe(1e9) // beyond top bound → clamped into last bucket
-	if h.Count() != 3 {
-		t.Fatalf("Count = %d, want 3 (clamped values never dropped)", h.Count())
+	h.Observe(-5)         // negative → 0 → bucket 0
+	h.Observe(0.1)        // below 1µs → bucket 0
+	h.Observe(math.NaN()) // NaN → 0 → bucket 0
+	h.Observe(1e9)        // beyond top bound → clamped into last bucket
+	if h.Count() != 4 {
+		t.Fatalf("Count = %d, want 4 (clamped values never dropped)", h.Count())
 	}
 	if h.Max() != 1e9 {
 		t.Fatalf("Max = %g, want exact 1e9", h.Max())
 	}
 	if got := h.Quantile(1); got != 1e9 {
 		t.Fatalf("top-bucket quantile = %g, want exact max", got)
+	}
+	if got := h.Quantile(0.75); got != tailBounds[0] {
+		t.Fatalf("Quantile(0.75) = %g, want bucket-0 bound %g (NaN and negatives land there)", got, tailBounds[0])
 	}
 }
 
