@@ -87,6 +87,14 @@ func TestPercentileLeavesInputOrder(t *testing.T) {
 	}
 }
 
+func TestSampleEmpty(t *testing.T) {
+	for _, xs := range [][]float64{nil, {}} {
+		if Mean(xs) != 0 || Percentile(xs, 50) != 0 || Percentile(xs, 100) != 0 {
+			t.Fatalf("empty sample %#v not zero", xs)
+		}
+	}
+}
+
 func TestMeanAndRMSD(t *testing.T) {
 	xs := []float64{1, 2, 3, 4}
 	if Mean(xs) != 2.5 {
