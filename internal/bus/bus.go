@@ -57,19 +57,60 @@ type grant struct {
 	granted func(start sim.Time)
 }
 
+// grantQueue is a FIFO ring of waiters held by value, so Acquire and
+// dispatch allocate nothing once the ring has grown to the peak queue
+// depth. The capacity is zero or a power of two.
+type grantQueue struct {
+	buf  []grant
+	head int
+	n    int
+}
+
+// push appends g at the tail, doubling the ring when it is full.
+func (q *grantQueue) push(g grant) {
+	if q.n == len(q.buf) {
+		q.grow()
+	}
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = g
+	q.n++
+}
+
+// pop removes and returns the head waiter; the queue must be non-empty.
+func (q *grantQueue) pop() grant {
+	g := q.buf[q.head]
+	q.buf[q.head] = grant{} // drop the callback reference
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
+	return g
+}
+
+// grow doubles the ring (minimum 8 slots), unwrapping it to start at 0.
+func (q *grantQueue) grow() {
+	size := 2 * len(q.buf)
+	if size == 0 {
+		size = 8
+	}
+	buf := make([]grant, size)
+	for i := 0; i < q.n; i++ {
+		buf[i] = q.buf[(q.head+i)&(len(q.buf)-1)]
+	}
+	q.buf = buf
+	q.head = 0
+}
+
 // Channel is one DDR channel shared by a DRAM DIMM and an NVDIMM. Acquire
 // requests channel time; grants are strict-priority, FIFO within a
 // priority. Wait time by class is recorded so experiments can report the
 // contention NVDIMM traffic experienced.
 type Channel struct {
-	eng      *sim.Engine
-	id       int
-	busy     bool
-	queues   [numPriorities][]*grant
-	waitUS   [numPriorities]stats.Summary
-	busyTime sim.Time
-	lastFree sim.Time
-	grants   [numPriorities]uint64
+	eng       *sim.Engine
+	id        int
+	busy      bool
+	queues    [numPriorities]grantQueue
+	onRelease func() // bound once: frees the channel after a hold
+	waitUS    [numPriorities]stats.Summary
+	busyTime  sim.Time
+	grants    [numPriorities]uint64
 
 	// tr, when set, records each granted I/O-class acquisition as a span
 	// covering queue wait + transfer (DRAM demand grants are too numerous
@@ -80,7 +121,12 @@ type Channel struct {
 
 // NewChannel creates a channel bound to the engine.
 func NewChannel(eng *sim.Engine, id int) *Channel {
-	return &Channel{eng: eng, id: id}
+	c := &Channel{eng: eng, id: id}
+	c.onRelease = func() {
+		c.busy = false
+		c.dispatch()
+	}
+	return c
 }
 
 // ID returns the channel index.
@@ -94,8 +140,7 @@ func (c *Channel) Acquire(pri Priority, hold sim.Time, granted func(start sim.Ti
 	if hold < 0 {
 		hold = 0
 	}
-	g := &grant{hold: hold, queued: c.eng.Now(), granted: granted}
-	c.queues[pri] = append(c.queues[pri], g)
+	c.queues[pri].push(grant{hold: hold, queued: c.eng.Now(), granted: granted})
 	if !c.busy {
 		c.dispatch()
 	}
@@ -103,37 +148,29 @@ func (c *Channel) Acquire(pri Priority, hold sim.Time, granted func(start sim.Ti
 
 // dispatch grants the channel to the highest-priority waiter.
 func (c *Channel) dispatch() {
-	var g *grant
-	for p := Priority(0); p < numPriorities; p++ {
-		if len(c.queues[p]) > 0 {
-			g = c.queues[p][0]
-			copy(c.queues[p], c.queues[p][1:])
-			c.queues[p][len(c.queues[p])-1] = nil
-			c.queues[p] = c.queues[p][:len(c.queues[p])-1]
-			c.waitUS[p].Add((c.eng.Now() - g.queued).Micros())
-			c.grants[p]++
-			if c.tr != nil && p == PriIO {
-				c.tr.Complete(c.track, "xfer", "bus", g.queued, c.eng.Now()+g.hold,
-					telemetry.F("wait_us", (c.eng.Now()-g.queued).Micros()))
-			}
-			break
-		}
+	p := Priority(0)
+	for p < numPriorities && c.queues[p].n == 0 {
+		p++
 	}
-	if g == nil {
+	if p == numPriorities {
 		return
 	}
+	g := c.queues[p].pop()
+	now := c.eng.Now()
+	c.waitUS[p].Add((now - g.queued).Micros())
+	c.grants[p]++
+	if c.tr != nil && p == PriIO {
+		c.tr.Complete(c.track, "xfer", "bus", g.queued, now+g.hold,
+			telemetry.F("wait_us", (now-g.queued).Micros()))
+	}
 	c.busy = true
-	start := c.eng.Now()
 	c.busyTime += g.hold
-	g.granted(start)
-	c.eng.Schedule(g.hold, func() {
-		c.busy = false
-		c.dispatch()
-	})
+	g.granted(now)
+	c.eng.Schedule(g.hold, c.onRelease)
 }
 
 // QueueLen returns the number of waiters at the given priority.
-func (c *Channel) QueueLen(pri Priority) int { return len(c.queues[pri]) }
+func (c *Channel) QueueLen(pri Priority) int { return c.queues[pri].n }
 
 // Busy reports whether a transfer is in flight.
 func (c *Channel) Busy() bool { return c.busy }

@@ -1,6 +1,8 @@
 package bus
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/sim"
@@ -137,6 +139,92 @@ func TestChannelQueueLen(t *testing.T) {
 	eng.Run()
 	if c.QueueLen(PriIO) != 0 {
 		t.Fatal("queue not drained")
+	}
+}
+
+// TestGrantRingOrderAcrossGrowthAndWrap queues more than the ring's
+// initial 8 slots of each class, interleaved, in three waves timed so that
+// both rings grow and both wrap. Grants must stay strictly by priority and
+// FIFO within a class — the order the old slice shift guaranteed — and the
+// counters must match the hand-computed schedule. Every hold is 10 ns.
+//
+//	t=0    blocker io granted; queue m0,i0 … m5,i5
+//	t=35   mem ring holds m3..m5 at head 3: m6..m10 wrap, m11 grows it;
+//	       queue m6,i6 … m11,i11 (the io ring grows at i8)
+//	t=215  io ring holds i9..i11 at head 9: i12..i19 wrap (no growth);
+//	       queue m12,i12 … m19,i19 (the mem ring, empty at head 9, wraps)
+func TestGrantRingOrderAcrossGrowthAndWrap(t *testing.T) {
+	eng := sim.NewEngine()
+	c := NewChannel(eng, 0)
+	const hold = 10
+	type rec struct {
+		name  string
+		start sim.Time
+	}
+	var got []rec
+	acquire := func(pri Priority, name string) {
+		c.Acquire(pri, hold, func(start sim.Time) { got = append(got, rec{name, start}) })
+	}
+	wave := func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			acquire(PriMem, fmt.Sprintf("m%d", i))
+			acquire(PriIO, fmt.Sprintf("i%d", i))
+		}
+	}
+	acquire(PriIO, "blocker")
+	wave(0, 6)
+	eng.At(35, func() {
+		wave(6, 12)
+		if c.QueueLen(PriMem) != 9 || c.QueueLen(PriIO) != 12 {
+			t.Errorf("t=35 queue lens = %d/%d, want 9/12", c.QueueLen(PriMem), c.QueueLen(PriIO))
+		}
+	})
+	eng.At(215, func() {
+		wave(12, 20)
+		if c.QueueLen(PriMem) != 8 || c.QueueLen(PriIO) != 11 {
+			t.Errorf("t=215 queue lens = %d/%d, want 8/11", c.QueueLen(PriMem), c.QueueLen(PriIO))
+		}
+		for p := range c.queues {
+			if q := &c.queues[p]; len(q.buf) != 16 || q.head+q.n <= len(q.buf) {
+				t.Errorf("class %d ring: %d slots, head %d, %d queued; want 16 slots, wrapped", p, len(q.buf), q.head, q.n)
+			}
+		}
+	})
+	eng.Run()
+
+	// Expected grant order: one grant every 10 ns from t=0.
+	var want []string
+	add := func(prefix string, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			want = append(want, fmt.Sprintf("%s%d", prefix, i))
+		}
+	}
+	want = append(want, "blocker")
+	add("m", 0, 12)  // t=10..120: every mem waiter of waves 1 and 2
+	add("i", 0, 9)   // t=130..210: io runs while mem is empty
+	add("m", 12, 20) // t=220..290: wave 3 mem overtakes the queued io
+	add("i", 9, 20)  // t=300..400
+	if len(got) != len(want) {
+		t.Fatalf("granted %d waiters, want %d", len(got), len(want))
+	}
+	for k, r := range got {
+		if r.name != want[k] || r.start != sim.Time(k*hold) {
+			t.Fatalf("grant %d = %s at %v, want %s at %v", k, r.name, r.start, want[k], sim.Time(k*hold))
+		}
+	}
+	if c.QueueLen(PriMem) != 0 || c.QueueLen(PriIO) != 0 {
+		t.Fatalf("queues not drained: %d/%d", c.QueueLen(PriMem), c.QueueLen(PriIO))
+	}
+	if c.Grants(PriMem) != 20 || c.Grants(PriIO) != 21 {
+		t.Fatalf("grants = %d/%d, want 20/21", c.Grants(PriMem), c.Grants(PriIO))
+	}
+	// Hand-summed waits: mem 60+150+360+320 = 890 ns over 20 grants;
+	// io 0+930+495+825+1200 = 3450 ns over 21 grants.
+	if got, want := c.MeanWaitUS(PriMem), 0.890/20; math.Abs(got-want) > 1e-12 {
+		t.Fatalf("mem mean wait = %v µs, want %v", got, want)
+	}
+	if got, want := c.MeanWaitUS(PriIO), 3.450/21; math.Abs(got-want) > 1e-12 {
+		t.Fatalf("io mean wait = %v µs, want %v", got, want)
 	}
 }
 

@@ -72,6 +72,78 @@ type DIMM struct {
 	latency   stats.Summary
 	intensity trace.MemIntensity
 	served    uint64
+	free      *burst // recycled burst records
+}
+
+// burst is one in-flight AccessBurst. Records are pooled per DIMM and
+// their three callbacks are bound once, when the record is created, so a
+// steady stream of bursts allocates nothing.
+type burst struct {
+	d     *DIMM
+	bk    *bank
+	issue sim.Time // latency origin: the request's At, or the call time
+	hold  sim.Time // channel occupancy of the n data bursts
+	n     int
+	lat   sim.Time
+	done  func(lat sim.Time)
+	next  *burst // free-list link
+
+	onReady  func()               // column ready: contend for the channel
+	onGrant  func(start sim.Time) // channel granted: account, schedule finish
+	onFinish func()               // data returned: run done
+}
+
+// getBurst pops a recycled record or creates (and binds) a new one.
+func (d *DIMM) getBurst() *burst {
+	b := d.free
+	if b == nil {
+		b = &burst{d: d}
+		b.onReady = b.ready
+		b.onGrant = b.grant
+		b.onFinish = b.finish
+		return b
+	}
+	d.free = b.next
+	b.next = nil
+	return b
+}
+
+// putBurst returns a record to the free list.
+func (d *DIMM) putBurst(b *burst) {
+	b.bk = nil
+	b.done = nil
+	b.next = d.free
+	d.free = b
+}
+
+// ready runs when the bank has the column open; the data burst then
+// occupies the shared channel, so it contends for it.
+func (b *burst) ready() {
+	b.d.channel.Acquire(bus.PriMem, b.hold, b.onGrant)
+}
+
+// grant runs when the channel is granted. A burst nobody waits for is
+// recycled here; otherwise finish recycles it.
+func (b *burst) grant(burstStart sim.Time) {
+	d := b.d
+	finish := burstStart + TCL + b.hold
+	b.bk.readyAt = finish
+	b.lat = finish - b.issue
+	d.latency.Add(float64(b.lat))
+	d.served += uint64(b.n)
+	if b.done == nil {
+		d.putBurst(b)
+		return
+	}
+	d.eng.At(finish, b.onFinish)
+}
+
+// finish recycles the record before running done, so a done that issues
+// the next AccessBurst may reuse it.
+func (b *burst) finish() {
+	done, lat := b.done, b.lat
+	b.d.putBurst(b)
+	done(lat)
 }
 
 // New creates a DIMM attached to the given channel.
@@ -119,11 +191,9 @@ func (d *DIMM) AccessBurst(req trace.MemRequest, n int, done func(lat sim.Time))
 	if n < 1 {
 		n = 1
 	}
-	for i := 0; i < n; i++ {
-		d.intensity.Observe(req)
-	}
-	rank, b, row := mapAddr(req.Addr)
-	bk := &d.banks[rank][b]
+	d.intensity.ObserveN(req, n)
+	rank, bi, row := mapAddr(req.Addr)
+	bk := &d.banks[rank][bi]
 
 	now := d.eng.Now()
 	start := now
@@ -146,26 +216,17 @@ func (d *DIMM) AccessBurst(req trace.MemRequest, n int, done func(lat sim.Time))
 		bk.rowMisses++
 	}
 	bk.openRow = row
-	colReady := start + prep
 
-	// The data burst occupies the shared channel; contend for it.
-	hold := sim.Time(n) * BurstTime
-	d.eng.At(colReady, func() {
-		d.channel.Acquire(bus.PriMem, hold, func(burstStart sim.Time) {
-			finish := burstStart + TCL + hold
-			bk.readyAt = finish
-			issueAt := req.At
-			if issueAt == 0 {
-				issueAt = now
-			}
-			lat := finish - issueAt
-			d.latency.Add(float64(lat))
-			d.served += uint64(n)
-			if done != nil {
-				d.eng.At(finish, func() { done(lat) })
-			}
-		})
-	})
+	b := d.getBurst()
+	b.bk = bk
+	b.issue = req.At
+	if b.issue == 0 {
+		b.issue = now
+	}
+	b.hold = sim.Time(n) * BurstTime
+	b.n = n
+	b.done = done
+	d.eng.At(start+prep, b.onReady)
 }
 
 // Served returns the number of requests completed.

@@ -171,3 +171,153 @@ func TestChannelContentionSlowsDRAM(t *testing.T) {
 		t.Fatalf("DRAM access latency %v should include waiting for the 10us IO hold", lat)
 	}
 }
+
+// freeBursts counts the DIMM's recycled burst records.
+func freeBursts(d *DIMM) int {
+	n := 0
+	for b := d.free; b != nil; b = b.next {
+		n++
+	}
+	return n
+}
+
+// TestBurstPool checks the pooled burst records against hand-computed
+// schedules: every latency, Served, RowHitRate, Intensity and the mean
+// latency. All times stay clear of the refresh blackouts at multiples of
+// tREFI (7812 ns), so latency is bank preparation + channel wait + tCL +
+// n×5 ns of data.
+func TestBurstPool(t *testing.T) {
+	t.Run("done issues the next burst", func(t *testing.T) {
+		// MemGen's saturated path: the completion callback issues the
+		// next burst, which must not clobber the record being finished.
+		eng, d := newDIMM()
+		eng.RunUntil(200)
+		const base = uint64(0x10000) // rank 0, bank 0, row 8
+		steps := []struct {
+			op   trace.MemOp
+			addr uint64
+			n    int
+		}{
+			{trace.MemRead, base, 4},         // closed bank: tRCD
+			{trace.MemWrite, base + 64, 2},   // same row: hit
+			{trace.MemRead, base + 1<<20, 1}, // same bank, new row: conflict
+		}
+		var lats, ends []sim.Time
+		var issue func(k int)
+		issue = func(k int) {
+			s := steps[k]
+			d.AccessBurst(trace.MemRequest{Op: s.op, Addr: s.addr, At: eng.Now()}, s.n, func(l sim.Time) {
+				lats = append(lats, l)
+				ends = append(ends, eng.Now())
+				if k+1 < len(steps) {
+					issue(k + 1)
+				}
+			})
+		}
+		issue(0)
+		eng.Run()
+		// 200 +14 prep → grant 214, finish 214+14+20 = 248.
+		// 248 +0 (hit) → grant 248, finish 248+14+10 = 272.
+		// 272 +47 (19+14+14) → grant 319, finish 319+14+5 = 338.
+		wantLat := []sim.Time{48, 24, 66}
+		wantEnd := []sim.Time{248, 272, 338}
+		for k := range wantLat {
+			if k >= len(lats) || lats[k] != wantLat[k] || ends[k] != wantEnd[k] {
+				t.Fatalf("latencies %v ending %v, want %v ending %v", lats, ends, wantLat, wantEnd)
+			}
+		}
+		if d.Served() != 7 {
+			t.Fatalf("served = %d, want 7", d.Served())
+		}
+		if got := d.RowHitRate(); got != 1.0/3 {
+			t.Fatalf("row hit rate = %v, want 1/3", got)
+		}
+		if r, w := d.Intensity().Reads(), d.Intensity().Writes(); r != 5 || w != 2 {
+			t.Fatalf("intensity = %d reads / %d writes, want 5/2", r, w)
+		}
+		if got := d.MeanLatencyNS(); got != 46 {
+			t.Fatalf("mean latency = %v ns, want 46", got)
+		}
+		// Each done ran after its record was recycled, so the chain
+		// reused one record throughout.
+		if n := freeBursts(d); n != 1 {
+			t.Fatalf("%d pooled records after the chain, want 1", n)
+		}
+	})
+
+	t.Run("nil done", func(t *testing.T) {
+		eng, d := newDIMM()
+		eng.RunUntil(200)
+		var lat sim.Time = -1
+		// Bank 0 with no callback: recycled at its grant (214).
+		d.AccessBurst(trace.MemRequest{Op: trace.MemRead, Addr: 0x10000, At: 200}, 8, nil)
+		// Bank 1, ready at 214 too but queued behind the 40 ns hold.
+		d.Access(trace.MemRequest{Op: trace.MemWrite, Addr: 0x10100, At: 200}, func(l sim.Time) { lat = l })
+		eng.Run()
+		if lat != 73 { // grant 254, finish 254+14+5
+			t.Fatalf("queued access latency = %v, want 73", lat)
+		}
+		if got := d.MeanLatencyNS(); got != (68+73)/2.0 { // 214+14+40-200, 73
+			t.Fatalf("mean latency = %v ns, want 70.5", got)
+		}
+		if d.Served() != 9 {
+			t.Fatalf("served = %d, want 9", d.Served())
+		}
+		if got := d.RowHitRate(); got != 0 {
+			t.Fatalf("row hit rate = %v, want 0", got)
+		}
+		if r, w := d.Intensity().Reads(), d.Intensity().Writes(); r != 8 || w != 1 {
+			t.Fatalf("intensity = %d reads / %d writes, want 8/1", r, w)
+		}
+		if n := freeBursts(d); n != 2 {
+			t.Fatalf("%d pooled records, want 2", n)
+		}
+		// A later burst reuses a pooled record rather than a new one.
+		d.AccessBurst(trace.MemRequest{Op: trace.MemRead, Addr: 0x10000, At: eng.Now()}, 1, nil)
+		eng.Run()
+		if n := freeBursts(d); n != 2 {
+			t.Fatalf("%d pooled records after reuse, want 2", n)
+		}
+	})
+
+	t.Run("mixed Access and AccessBurst", func(t *testing.T) {
+		eng, d := newDIMM()
+		eng.RunUntil(300)
+		var order []string
+		var lats []sim.Time
+		record := func(name string) func(sim.Time) {
+			return func(l sim.Time) {
+				order = append(order, name)
+				lats = append(lats, l)
+			}
+		}
+		// a: bank 2 row 0, closed → ready 314.
+		d.Access(trace.MemRequest{Op: trace.MemRead, Addr: 0x200, At: 300}, record("a"))
+		// b: bank 3, closed → ready 314, queued behind a.
+		d.AccessBurst(trace.MemRequest{Op: trace.MemWrite, Addr: 0x300, At: 300}, 4, record("b"))
+		// c: bank 2 row 0 again, a hit on the row a opened → ready 300.
+		d.Access(trace.MemRequest{Op: trace.MemWrite, Addr: 0x240, At: 300}, record("c"))
+		eng.Run()
+		// c: grant 300, finish 319. a: grant 314, finish 333.
+		// b: grant 319 (after a's 5 ns hold), finish 319+14+20 = 353.
+		wantOrder := []string{"c", "a", "b"}
+		wantLat := []sim.Time{19, 33, 53}
+		for k := range wantOrder {
+			if k >= len(order) || order[k] != wantOrder[k] || lats[k] != wantLat[k] {
+				t.Fatalf("completions %v with latencies %v, want %v with %v", order, lats, wantOrder, wantLat)
+			}
+		}
+		if d.Served() != 6 {
+			t.Fatalf("served = %d, want 6", d.Served())
+		}
+		if got := d.RowHitRate(); got != 1.0/3 {
+			t.Fatalf("row hit rate = %v, want 1/3", got)
+		}
+		if r, w := d.Intensity().Reads(), d.Intensity().Writes(); r != 1 || w != 5 {
+			t.Fatalf("intensity = %d reads / %d writes, want 1/5", r, w)
+		}
+		if got := d.MeanLatencyNS(); got != 35 {
+			t.Fatalf("mean latency = %v ns, want 35", got)
+		}
+	})
+}

@@ -173,11 +173,18 @@ type MemIntensity struct {
 }
 
 // Observe records one memory request.
-func (m *MemIntensity) Observe(r MemRequest) {
+func (m *MemIntensity) Observe(r MemRequest) { m.ObserveN(r, 1) }
+
+// ObserveN records n memory requests of r's kind at once — a burst of n
+// cachelines counts as n accesses. Non-positive n records nothing.
+func (m *MemIntensity) ObserveN(r MemRequest, n int) {
+	if n <= 0 {
+		return
+	}
 	if r.Op == MemRead {
-		m.reads++
+		m.reads += uint64(n)
 	} else {
-		m.writes++
+		m.writes += uint64(n)
 	}
 }
 

@@ -243,6 +243,13 @@ func TestMemIntensity(t *testing.T) {
 	if m.Reads() != 2 || m.Writes() != 1 || m.Total() != 3 {
 		t.Fatalf("counts = %d/%d/%d", m.Reads(), m.Writes(), m.Total())
 	}
+	m.ObserveN(MemRequest{Op: MemRead}, 16)
+	m.ObserveN(MemRequest{Op: MemWrite}, 4)
+	m.ObserveN(MemRequest{Op: MemWrite}, 0)
+	m.ObserveN(MemRequest{Op: MemRead}, -3)
+	if m.Reads() != 18 || m.Writes() != 5 || m.Total() != 23 {
+		t.Fatalf("counts after ObserveN = %d/%d/%d, want 18/5/23", m.Reads(), m.Writes(), m.Total())
+	}
 	m.Reset()
 	if m.Total() != 0 {
 		t.Fatal("reset failed")

@@ -23,7 +23,8 @@ type MemGen struct {
 	Scale float64
 
 	running     bool
-	next        *sim.Timer // pending tick; Stop cancels it
+	next        *sim.Timer     // the one tick timer, re-armed with Reset
+	onDone      func(sim.Time) // g.burstDone, bound once
 	issued      uint64
 	addr        uint64
 	outstanding int
@@ -38,7 +39,9 @@ type MemGen struct {
 
 // NewMemGen builds a generator for the DIMM.
 func NewMemGen(eng *sim.Engine, rng *sim.RNG, dimm *dram.DIMM, p MemProfile) *MemGen {
-	return &MemGen{eng: eng, rng: rng, dimm: dimm, profile: p, Aggregation: 16, Scale: 1, MaxOutstanding: 64}
+	g := &MemGen{eng: eng, rng: rng, dimm: dimm, profile: p, Aggregation: 16, Scale: 1, MaxOutstanding: 64}
+	g.onDone = g.burstDone
+	return g
 }
 
 // Profile returns the generator's profile.
@@ -84,7 +87,26 @@ func (g *MemGen) Stop() {
 	g.running = false
 	if g.next != nil {
 		g.next.Stop()
-		g.next = nil
+	}
+}
+
+// arm schedules the next tick after delay. The first call creates the
+// timer; later calls re-arm it, which cancels any tick still pending and,
+// like After, takes exactly one fresh sequence number.
+func (g *MemGen) arm(delay sim.Time) {
+	if g.next == nil {
+		g.next = g.eng.After(delay, g.tick)
+		return
+	}
+	g.next.Reset(delay)
+}
+
+// burstDone retires one burst and, if generation was saturated, resumes it.
+func (g *MemGen) burstDone(sim.Time) {
+	g.outstanding--
+	if g.waiting {
+		g.waiting = false
+		g.tick()
 	}
 }
 
@@ -102,7 +124,7 @@ func (g *MemGen) tick() {
 	rate := g.profile.AccessesPerSecond(g.Scale) * g.phaseFactor(now)
 	if rate <= 0 {
 		// Idle phase: re-check at the next phase boundary.
-		g.next = g.eng.After(g.profile.PhasePeriod/8+sim.Microsecond, g.tick)
+		g.arm(g.profile.PhasePeriod/8 + sim.Microsecond)
 		return
 	}
 	// Inter-burst gap so that Aggregation cachelines per burst hits the
@@ -126,12 +148,6 @@ func (g *MemGen) tick() {
 	}
 	g.issued += uint64(g.Aggregation)
 	g.outstanding++
-	g.dimm.AccessBurst(trace.MemRequest{Op: op, Addr: g.addr, At: now}, g.Aggregation, func(sim.Time) {
-		g.outstanding--
-		if g.waiting {
-			g.waiting = false
-			g.tick()
-		}
-	})
-	g.next = g.eng.After(gap, g.tick)
+	g.dimm.AccessBurst(trace.MemRequest{Op: op, Addr: g.addr, At: now}, g.Aggregation, g.onDone)
+	g.arm(gap)
 }

@@ -384,3 +384,89 @@ func TestZipfOffsetBounds(t *testing.T) {
 		}
 	}
 }
+
+// TestMemGenTimerReuse checks that MemGen drives every tick through one
+// re-armed timer: Stop cancels the pending tick, Start resumes on the
+// same handle, and a saturated generator resumes from a burst completion
+// with no tick pending in between.
+func TestMemGenTimerReuse(t *testing.T) {
+	mcf, _ := SPECProfile("429.mcf")
+	newGen := func() (*sim.Engine, *MemGen) {
+		eng := sim.NewEngine()
+		ch := bus.NewChannel(eng, 0)
+		return eng, NewMemGen(eng, sim.NewRNG(3), dram.New(eng, ch, dram.DefaultConfig()), mcf)
+	}
+
+	t.Run("stop cancels and start resumes", func(t *testing.T) {
+		eng, g := newGen()
+		g.Start()
+		tick := g.next
+		if tick == nil || !tick.Active() {
+			t.Fatal("Start left no tick pending")
+		}
+		for i := 0; i < 2000; i++ {
+			eng.Step()
+			if g.next != tick {
+				t.Fatalf("step %d: tick timer replaced instead of re-armed", i)
+			}
+		}
+		g.Stop()
+		if tick.Active() {
+			t.Fatal("Stop left the tick pending")
+		}
+		issued := g.Issued()
+		// Only in-flight bursts remain, so the queue drains for good.
+		if err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+		processed := eng.Processed()
+		eng.RunFor(10 * sim.Millisecond)
+		if eng.Pending() != 0 || eng.Processed() != processed || g.Issued() != issued {
+			t.Fatalf("after Stop: pending %d, processed %d→%d, issued %d→%d; want nothing new",
+				eng.Pending(), processed, eng.Processed(), issued, g.Issued())
+		}
+		g.Start()
+		if g.next != tick || !tick.Active() {
+			t.Fatal("Start did not re-arm the same tick timer")
+		}
+		if g.Issued() != issued+uint64(g.Aggregation) {
+			t.Fatalf("Start issued %d cachelines, want one burst of %d", g.Issued()-issued, g.Aggregation)
+		}
+		eng.RunFor(sim.Millisecond)
+		if g.Issued() <= issued+uint64(g.Aggregation) {
+			t.Fatal("generation did not resume after Start")
+		}
+		g.Stop()
+	})
+
+	t.Run("saturated generation resumes from the burst completion", func(t *testing.T) {
+		eng, g := newGen()
+		g.MaxOutstanding = 1
+		g.Scale = 4
+		g.Start()
+		resumes := 0
+		for i := 0; i < 20000; i++ {
+			waiting, issued := g.waiting, g.Issued()
+			eng.Step()
+			if g.outstanding > 1 {
+				t.Fatalf("step %d: %d bursts in flight, want at most 1", i, g.outstanding)
+			}
+			if g.waiting && g.next.Active() {
+				t.Fatalf("step %d: a tick is pending while generation waits for a completion", i)
+			}
+			if waiting && !g.waiting {
+				// The completion that cleared waiting issued the next
+				// burst and re-armed the one timer.
+				resumes++
+				if g.Issued() != issued+uint64(g.Aggregation) || g.outstanding != 1 || !g.next.Active() {
+					t.Fatalf("step %d: resume issued %d cachelines (outstanding %d, tick active %v)",
+						i, g.Issued()-issued, g.outstanding, g.next.Active())
+				}
+			}
+		}
+		if resumes < 100 {
+			t.Fatalf("only %d resumes from a completion; the generator is not saturated", resumes)
+		}
+		g.Stop()
+	})
+}
