@@ -5,7 +5,7 @@
 // Usage:
 //
 //	hsmsim [-scheme basil|pesto|lightsrm|bca|bca-lazy|full]
-//	       [-policy SPEC] [-stage-spans]
+//	       [-policy SPEC]
 //	       [-mem 429.mcf|470.lbm|433.milc] [-memscale F]
 //	       [-nodes N] [-duration MS] [-apps a,b,c] [-tau F] [-seed N]
 //	       [-bypass] [-sched baseline|p1|p2|both]
@@ -16,12 +16,9 @@
 //	       [-invariants] [-footprint-div N]
 //
 // With -policy the management scheme is given as a policy spec instead
-// of a name: either a canonical scheme name or a comma-separated stage
-// composition such as "est=predicted,exec=redirect,gate=copy,tag=on"
-// (see the internal/mgmt/policy package for the grammar). -stage-spans
-// adds per-pipeline-stage instants ("mgmt.observe"/".plan"/".execute")
-// and stage tags to the recorded trace; it is off by default because it
-// changes trace output.
+// of a name: either a canonical scheme name or a comma-separated policy
+// spec such as "est=predicted,exec=redirect,gate=copy,tag=on" (see the
+// internal/mgmt/policy package for the grammar).
 //
 // With -replicas N the same configuration runs N times under different
 // seeds (default seed, seed+1, ...; override with -replica-seeds), the
@@ -98,8 +95,7 @@ func policyByName(name string) (memsched.Policy, error) {
 
 func main() {
 	schemeName := flag.String("scheme", "bca-lazy", "management scheme name")
-	policySpec := flag.String("policy", "", "management policy spec (overrides -scheme): a scheme name or a stage composition like \"est=predicted,exec=redirect,gate=copy,tag=on\"")
-	stageSpans := flag.Bool("stage-spans", false, "emit per-pipeline-stage trace events and stage-tagged decisions (changes trace output)")
+	policySpec := flag.String("policy", "", "management policy spec (overrides -scheme): a scheme name or a policy spec like \"est=predicted,exec=redirect,gate=copy,tag=on\"")
 	mem := flag.String("mem", "429.mcf", "memory co-runner profile (empty = none)")
 	memScale := flag.Float64("memscale", 1, "co-runner intensity multiplier")
 	nodes := flag.Int("nodes", 1, "server nodes")
@@ -145,7 +141,6 @@ func main() {
 	cfg.Window = 10 * sim.Millisecond
 	cfg.MinWindowRequests = 3
 	cfg.DecisionLogCap = *decLog
-	cfg.StageSpans = *stageSpans
 
 	if *tailMS <= 0 {
 		*tailMS = 10

@@ -49,7 +49,7 @@ func main() {
 	}
 
 	// The BCA arm is built from a policy spec rather than the canonical
-	// constructor — same composition, demonstrating the textual surface.
+	// constructor — same policy, demonstrating the textual surface.
 	bcaScheme, err := repro.ParsePolicy("name=BCA,est=predicted")
 	if err != nil {
 		log.Fatal(err)

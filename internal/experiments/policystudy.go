@@ -13,7 +13,7 @@ import (
 // PolicyStudyRow is one scheme's outcome in a policy study.
 type PolicyStudyRow struct {
 	Scheme string
-	// Composition is the scheme's stage composition (Scheme.Describe).
+	// Composition is the scheme's name-less policy spec (Scheme.Describe).
 	Composition string
 	// Custom marks the row coming from the user's spec rather than the
 	// canonical lineup.
@@ -22,10 +22,10 @@ type PolicyStudyRow struct {
 	Migration     mgmt.Stats
 }
 
-// PolicyStudyResult compares a custom policy composition against the
-// canonical scheme lineup on the Fig. 12 single-node interference mix
-// (big data + 429.mcf, MemScale 4) — the scenario where the estimate,
-// gate, and execute stages all visibly matter. It is not part of the
+// PolicyStudyResult compares a custom policy spec against the canonical
+// scheme lineup on the Fig. 12 single-node interference mix (big data +
+// 429.mcf, MemScale 4) — the scenario where the estimate, gate, and
+// exec choices all visibly matter. It is not part of the
 // experiment matrix, so the matrix's golden digests are unaffected.
 type PolicyStudyResult struct {
 	Spec string

@@ -2,39 +2,77 @@ package mgmt
 
 import (
 	"repro/internal/device"
+	"repro/internal/perfmodel"
 	"repro/internal/trace"
 )
 
-// MeasuredEstimator is the baseline estimate stage: the decision latency
-// is the measured window mean (BASIL/Pesto/LightSRM), and placement uses
-// the store's current decision latency unchanged. Under bus contention
-// the measurement wrongly attributes interconnect queuing to the device —
-// exactly the phantom the paper's contention-aware estimator strips.
-type MeasuredEstimator struct{}
-
-// EstimateUS returns the measured window latency unchanged (P_d = MP).
-func (MeasuredEstimator) EstimateUS(_ *Manager, _ *Datastore, _ trace.WC, measuredUS float64, _ int) float64 {
-	return measuredUS
+// observe builds the epoch's per-store performance vector, in store
+// order: it reads each store's window monitor, takes the Eq. 5 decision
+// latency from estimateUS, substitutes the technology idle estimate when
+// the window has too little signal, and EWMA-smooths the result across
+// epochs (Config.SmoothingAlpha). The idle estimate is computed once per
+// store and reused for both the low-signal fallback and the Norm load
+// index.
+//
+// Every epoch sweeps every store (DESIGN.md §14): one window read and
+// at most one model prediction per store.
+func (m *Manager) observe() []StorePerf {
+	perfs := make([]StorePerf, 0, len(m.stores))
+	for _, ds := range m.stores {
+		wc, mp, n := ds.Mon.Window()
+		idle := idleEstimateUS(ds.Dev.Kind())
+		var p float64
+		if n >= m.cfg.MinWindowRequests {
+			p = m.estimateUS(ds, wc, mp, n)
+		} else {
+			// Too little signal: estimate from the device technology so
+			// an idle HDD is never mistaken for a fast destination.
+			p = idle
+		}
+		// EWMA-smooth the decision latency across epochs.
+		if prev, ok := m.smoothed[ds]; ok {
+			p = m.cfg.SmoothingAlpha*p + (1-m.cfg.SmoothingAlpha)*prev
+		}
+		m.smoothed[ds] = p
+		perfs = append(perfs, StorePerf{
+			Store: ds, WC: wc, MeasuredUS: mp, PerfUS: p,
+			Norm: p / idle, Requests: n,
+		})
+	}
+	return perfs
 }
 
-// PlacementUS returns the store's current decision latency: without a
-// model there is no way to predict the effect of the new VMDK.
-func (MeasuredEstimator) PlacementUS(_ *Manager, _ *Datastore, currentUS float64, _ trace.WC) float64 {
-	return currentUS
+// idleEstimateUS is the decision latency assumed for a store with too
+// little window traffic to measure: the characteristic lightly-loaded
+// latency of the technology (Table 1 shapes).
+func idleEstimateUS(k device.Kind) float64 {
+	switch k {
+	case device.KindNVDIMM:
+		return 100
+	case device.KindSSD:
+		return 350
+	default: // HDD
+		return 8000
+	}
 }
 
-// NeedsModel reports false: no trained model is consulted.
-func (MeasuredEstimator) NeedsModel() bool { return false }
+// predictor returns the NVDIMM performance model the scheme's estimate
+// consults for ds, or nil when the decision latency is the measurement:
+// a measured-estimate scheme, a conventional device, or no model
+// installed yet.
+func (m *Manager) predictor(ds *Datastore) perfmodel.Predictor {
+	if !m.scheme.Predicted || ds.Dev.Kind() != device.KindNVDIMM {
+		return nil
+	}
+	return m.models[device.KindNVDIMM]
+}
 
-// ContentionAwareEstimator is the §5.1 estimate stage: for NVDIMM stores
-// it returns the model-predicted contention-free performance PP instead
-// of the measured MP (Eq. 5), so bus contention is never mistaken for
-// device load. Conventional devices — and NVDIMMs before a model is
-// installed — fall back to the measurement.
-type ContentionAwareEstimator struct{}
-
-// EstimateUS returns the predicted contention-free latency for NVDIMM
-// stores when a model is installed, the measurement otherwise.
+// estimateUS computes the decision latency P_d of Eq. 5 for a store
+// given its window characterization, measured mean latency, and request
+// count. Measured schemes (BASIL/Pesto/LightSRM) use the window mean
+// unchanged (P_d = MP); under bus contention that wrongly attributes
+// interconnect queuing to the device — exactly the phantom the §5.1
+// predicted estimate strips by returning the contention-free PP.
 //
 // The measured OIO feature is itself contention-polluted: bus queuing
 // inflates occupancy, and feeding the inflated value to the model makes
@@ -42,12 +80,9 @@ type ContentionAwareEstimator struct{}
 // de-confounded queue depth comes from a Little's-law fixed point: the
 // arrival rate λ is demand-driven, so the quiet-equivalent occupancy is
 // λ·PP, iterated to consistency and never above the measurement.
-func (ContentionAwareEstimator) EstimateUS(m *Manager, ds *Datastore, wc trace.WC, measuredUS float64, requests int) float64 {
-	if ds.Dev.Kind() != device.KindNVDIMM {
-		return measuredUS
-	}
-	model, ok := m.models[device.KindNVDIMM]
-	if !ok {
+func (m *Manager) estimateUS(ds *Datastore, wc trace.WC, measuredUS float64, requests int) float64 {
+	model := m.predictor(ds)
+	if model == nil {
 		return measuredUS
 	}
 	lambdaPerUS := float64(requests) / m.cfg.Window.Micros()
@@ -75,15 +110,14 @@ func (ContentionAwareEstimator) EstimateUS(m *Manager, ds *Datastore, wc trace.W
 	return pp
 }
 
-// PlacementUS predicts the NVDIMM store's latency with the new VMDK's
-// estimated characterization merged into the current window (Eq. 4);
-// non-NVDIMM stores and model-less managers use the current latency.
-func (ContentionAwareEstimator) PlacementUS(m *Manager, ds *Datastore, currentUS float64, est trace.WC) float64 {
-	if ds.Dev.Kind() != device.KindNVDIMM {
-		return currentUS
-	}
-	model, ok := m.models[device.KindNVDIMM]
-	if !ok {
+// placementUS predicts the store's latency with a new VMDK of the given
+// estimated characterization added (Eq. 4); currentUS is the store's
+// present decision latency. With a model, the new VMDK's
+// characterization is merged into the current window; without one there
+// is no way to predict its effect, so the current latency stands.
+func (m *Manager) placementUS(ds *Datastore, currentUS float64, est trace.WC) float64 {
+	model := m.predictor(ds)
+	if model == nil {
 		return currentUS
 	}
 	merged := est
@@ -92,13 +126,4 @@ func (ContentionAwareEstimator) PlacementUS(m *Manager, ds *Datastore, currentUS
 		merged.OIOs += cur.OIOs
 	}
 	return model.PredictUS(merged)
-}
-
-// NeedsModel reports true: predictions require a trained model.
-func (ContentionAwareEstimator) NeedsModel() bool { return true }
-
-// perfOf computes P_d per Eq. 5 by delegating to the scheme's estimate
-// stage — a convenience for the observe stage and initial placement.
-func (m *Manager) perfOf(ds *Datastore, wc trace.WC, measuredUS float64, requests int) float64 {
-	return m.scheme.Estimator.EstimateUS(m, ds, wc, measuredUS, requests)
 }

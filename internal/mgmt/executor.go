@@ -4,79 +4,26 @@ import (
 	"fmt"
 
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
 
-// CopyExecutor is the eager execute stage used by the full-copy schemes:
-// every block is background-copied to the destination, the copy never
-// pauses once launched, and reads/writes keep routing to the source
-// until the move commits.
-type CopyExecutor struct {
-	// Tagged marks migration traffic ClassMigrated so destination
-	// scheduling policies and source cache bypassing can see it (§5.3).
-	// Baselines leave migration traffic untagged.
-	Tagged bool
-}
-
-// Redirect reports false: every block is copied eagerly.
-func (CopyExecutor) Redirect() bool { return false }
-
-// GateCopies reports false: the copy never pauses once launched.
-func (CopyExecutor) GateCopies() bool { return false }
-
-// Class returns the request class migration traffic carries.
-func (e CopyExecutor) Class() trace.Class {
-	if e.Tagged {
-		return trace.ClassMigrated
-	}
-	return trace.ClassNormal
-}
-
-// RedirectExecutor is the §5.2 lazy execute stage (LightSRM's I/O
-// redirection, reused by the paper): upcoming writes land directly on
-// the destination instead of being copied, and the background copy
-// re-runs the Eq. 6–7 gate every epoch unless Ungated.
-type RedirectExecutor struct {
-	// Ungated disables the per-epoch copy re-gating, leaving pure write
-	// redirection with an always-running background copy.
-	Ungated bool
-	// Tagged marks migration traffic ClassMigrated (§5.3), as for
-	// CopyExecutor.
-	Tagged bool
-}
-
-// Redirect reports true: upcoming writes go straight to the destination.
-func (RedirectExecutor) Redirect() bool { return true }
-
-// GateCopies reports whether the background copy re-runs the Eq. 6–7
-// gate each epoch (true unless Ungated).
-func (e RedirectExecutor) GateCopies() bool { return !e.Ungated }
-
-// Class returns the request class migration traffic carries.
-func (e RedirectExecutor) Class() trace.Class {
-	if e.Tagged {
-		return trace.ClassMigrated
-	}
-	return trace.ClassNormal
-}
-
-// startMigration allocates the destination extent and begins copying
-// under the scheme's execute stage. The started counter lives here — not
-// with the planners — so budget conservation holds for every launch path
-// (balancing, evacuation, direct test harnesses). When the journal is
-// armed, the intent record persists before the first block moves.
+// startMigration allocates the destination extent and begins copying,
+// redirecting upcoming writes when the scheme says so. The started
+// counter lives here — not in balance or evacuate — so budget
+// conservation holds for every launch path (balancing, evacuation,
+// direct test harnesses). When the journal is armed, the intent record
+// persists before the first block moves.
 func (m *Manager) startMigration(v *VMDK, dst *Datastore) error {
 	base, err := dst.allocExtent(v.Size)
 	if err != nil {
 		return err
 	}
-	v.beginMigration(dst, base, m.scheme.Executor.Redirect())
+	v.beginMigration(dst, base, m.scheme.Redirect)
 	m.stats.MigrationsStarted++
 	if m.journal != nil {
 		v.jn = m.journal
 		m.journal.appendSync(JournalRecord{Kind: JournalIntent, VMDK: v.ID,
 			Src: v.src.Dev.Name(), Dst: dst.Dev.Name(),
-			DstBase: base, Redirect: m.scheme.Executor.Redirect()})
+			DstBase: base, Redirect: m.scheme.Redirect})
 	}
 	mig := newMigration(m, v, v.src, dst)
 	m.active = append(m.active, mig)

@@ -35,7 +35,7 @@ const (
 	DecisionReadmit
 	// DecisionSLO records a tail-latency SLO violation window reported by
 	// the observability layer (internal/mgmt/slo) — the signal a future
-	// tail-aware Planner stage will consume.
+	// tail-aware balancing policy will consume.
 	DecisionSLO
 	// DecisionCrash records a power-loss event reaching the manager:
 	// volatile migration state for the affected scope is torn down and
@@ -79,13 +79,44 @@ func (k DecisionKind) String() string {
 	}
 }
 
+// Stage identifies the management step that recorded a decision; the
+// decision log prefixes the kind with it (e.g. "plan/migrate").
+type Stage uint8
+
+const (
+	// StageNone marks a decision recorded outside the epoch loop; it
+	// renders as the bare decision kind.
+	StageNone Stage = iota
+	// StageObserve is the window-collection step.
+	StageObserve
+	// StagePlan is the decision step (failure pre-pass, copy re-gating,
+	// balancing, and initial placement).
+	StagePlan
+	// StageExecute is the migration copy engine.
+	StageExecute
+)
+
+// String names the stage ("" for StageNone).
+func (s Stage) String() string {
+	switch s {
+	case StageObserve:
+		return "observe"
+	case StagePlan:
+		return "plan"
+	case StageExecute:
+		return "execute"
+	default:
+		return ""
+	}
+}
+
 // Decision is one entry in the manager's decision log — the audit trail
 // experiments and operators use to explain *why* data moved.
 type Decision struct {
 	At   sim.Time
 	Kind DecisionKind
-	// Stage attributes the decision to the pipeline stage that produced
-	// it (StageNone for entries recorded outside the pipeline; those
+	// Stage attributes the decision to the step that produced it
+	// (StageNone for entries recorded outside the epoch loop; those
 	// render as the bare kind).
 	Stage Stage
 	// VMDK is the subject disk (-1 for epoch entries).
@@ -96,8 +127,8 @@ type Decision struct {
 	Detail string
 }
 
-// String renders one entry, prefixing the kind with its pipeline stage
-// when attributed (e.g. "plan/migrate").
+// String renders one entry, prefixing the kind with its stage when
+// attributed (e.g. "plan/migrate").
 func (d Decision) String() string {
 	loc := ""
 	if d.Src != "" || d.Dst != "" {
@@ -206,7 +237,7 @@ func (m *Manager) Log() *DecisionLog { return &m.log }
 // bridge from the observability layer's per-window evaluation into the
 // manager's audit trail. Src carries the violating key (a store name or
 // "vmdk<id>"); the entry is attributed to the observe stage since that
-// is where a tail-aware pipeline would act on it.
+// is where a tail-aware policy would act on it.
 func (m *Manager) NoteSLOViolation(at sim.Time, key, detail string) {
 	m.logDecision(Decision{At: at, Kind: DecisionSLO, Stage: StageObserve, VMDK: -1, Src: key, Detail: detail})
 }

@@ -49,12 +49,6 @@ type Config struct {
 	// recording. Default 1024 — enough to audit recent behaviour without
 	// unbounded growth on production-length runs.
 	DecisionLogCap int
-	// StageSpans, when true, emits one instant event per pipeline stage
-	// per epoch on "<track>.observe"/".plan"/".execute" and tags decision
-	// instants with their originating stage. Off by default: the extra
-	// events would break byte-for-byte comparability of traces with
-	// artifacts recorded before the pipeline decomposition.
-	StageSpans bool
 
 	// CopyRetryLimit is how many attempts each migration copy chunk gets
 	// before the whole migration aborts and unwinds. Default 4.
@@ -140,10 +134,9 @@ type Stats struct {
 	RecoveryRollbacks uint64 // migrations rolled back to source after replay
 }
 
-// Manager drives the management pipeline over a set of datastores: each
-// epoch it runs the scheme's Observer and Planner stages, while the
-// migration engine (parameterized by the Executor stage) runs
-// continuously in between.
+// Manager drives management over a set of datastores: each epoch it
+// observes every store and plans migrations under its Scheme, while the
+// migration engine runs continuously in between.
 type Manager struct {
 	eng    *sim.Engine
 	cfg    Config
@@ -186,9 +179,11 @@ type StorePerf struct {
 }
 
 // NewManager builds a manager. Models may be nil for schemes that never
-// consult them. The scheme is normalized: nil stages get the BASIL
-// defaults, so a zero Scheme is usable.
+// consult them. It panics on a scheme that fails Scheme.Validate.
 func NewManager(eng *sim.Engine, cfg Config, scheme Scheme, stores []*Datastore) *Manager {
+	if err := scheme.Validate(); err != nil {
+		panic("mgmt: " + err.Error())
+	}
 	if cfg.Tau <= 0 {
 		cfg.Tau = 0.5
 	}
@@ -234,7 +229,7 @@ func NewManager(eng *sim.Engine, cfg Config, scheme Scheme, stores []*Datastore)
 	m := &Manager{
 		eng:      eng,
 		cfg:      cfg,
-		scheme:   scheme.normalized(),
+		scheme:   scheme,
 		stores:   stores,
 		models:   make(map[device.Kind]perfmodel.Predictor),
 		history:  make(map[int][]string),
@@ -260,9 +255,7 @@ func (m *Manager) SetTracer(tr *telemetry.Tracer, track string) {
 	m.track = track
 }
 
-// logDecision records d in the ring and mirrors it to the tracer. The
-// stage tag rides along only under Config.StageSpans — the default
-// event shape predates the pipeline decomposition and stays stable.
+// logDecision records d in the ring and mirrors it to the tracer.
 func (m *Manager) logDecision(d Decision) {
 	m.log.add(d)
 	if m.tr != nil {
@@ -275,9 +268,6 @@ func (m *Manager) logDecision(d Decision) {
 		}
 		if d.Dst != "" {
 			args = append(args, telemetry.S("dst", d.Dst))
-		}
-		if m.cfg.StageSpans && d.Stage != StageNone {
-			args = append(args, telemetry.S("stage", d.Stage.String()))
 		}
 		m.tr.Instant(m.track, d.Kind.String(), "mgmt", d.At, args...)
 	}
@@ -314,7 +304,7 @@ func (m *Manager) RegisterTelemetry(reg *telemetry.Registry, prefix string) {
 }
 
 // SetModel installs the trained performance model for a device kind
-// (required for schemes whose estimate stage reports NeedsModel).
+// (required for schemes whose estimate reports NeedsModel).
 func (m *Manager) SetModel(kind device.Kind, p perfmodel.Predictor) {
 	m.models[kind] = p
 }
@@ -390,43 +380,17 @@ func (m *Manager) Stop() {
 	m.epochTimer.Stop()
 }
 
-// epoch runs one management round through the pipeline: the observe
-// stage builds the per-store performance vector, the plan stage turns it
-// into decisions, and the execute stage — the migration engine those
-// decisions feed — runs continuously in between epochs, so its instant
-// here is a per-epoch snapshot rather than a discrete step.
+// epoch runs one management round: observe builds the per-store
+// performance vector and plan turns it into decisions; the migration
+// engine those decisions feed runs continuously in between epochs.
 func (m *Manager) epoch() {
 	m.stats.Epochs++
 
-	perfs := m.scheme.Observer.Observe(m)
-	if m.stageSpans() {
-		reqs := 0
-		for i := range perfs {
-			reqs += perfs[i].Requests
-		}
-		m.stageInstant(StageObserve,
-			telemetry.I("stores", int64(len(perfs))),
-			telemetry.I("requests", int64(reqs)))
-	}
+	perfs := m.observe()
 	if m.OnEpoch != nil {
 		m.OnEpoch(perfs)
 	}
-
-	started, skipped := m.stats.MigrationsStarted, m.stats.MigrationsSkipped
-	m.scheme.Planner.Plan(m, perfs)
-	if m.stageSpans() {
-		m.stageInstant(StagePlan,
-			telemetry.I("launched", int64(m.stats.MigrationsStarted-started)),
-			telemetry.I("skipped", int64(m.stats.MigrationsSkipped-skipped)))
-		inflight := 0
-		for _, mig := range m.active {
-			inflight += mig.inflight
-		}
-		m.stageInstant(StageExecute,
-			telemetry.I("active", int64(len(m.active))),
-			telemetry.I("inflight_chunks", int64(inflight)),
-			telemetry.I("bytes_copied", m.stats.BytesCopied))
-	}
+	m.plan(perfs)
 
 	for _, ds := range m.stores {
 		ds.resetWindow()
@@ -472,7 +436,7 @@ func (m *Manager) PlaceVMDK(size int64, est trace.WC) (*VMDK, error) {
 	for i, ds := range m.stores {
 		wc, mp, n := ds.Mon.Window()
 		if n >= m.cfg.MinWindowRequests {
-			perfs[i] = m.perfOf(ds, wc, mp, n)
+			perfs[i] = m.estimateUS(ds, wc, mp, n)
 		} else {
 			perfs[i] = idleEstimateUS(ds.Dev.Kind())
 		}
@@ -486,10 +450,10 @@ func (m *Manager) PlaceVMDK(size int64, est trace.WC) (*VMDK, error) {
 			continue
 		}
 		// Predicted performance of ds with the new VMDK folded in: the
-		// scheme's estimate stage decides whether a model prediction or
-		// the store's current decision latency is used (idle stores
-		// already carry the technology estimate).
-		withNew := m.scheme.Estimator.PlacementUS(m, ds, perfs[i], est)
+		// scheme's estimate decides whether a model prediction or the
+		// store's current decision latency is used (idle stores already
+		// carry the technology estimate).
+		withNew := m.placementUS(ds, perfs[i], est)
 		// Eq. 4: average across devices with candidate i replaced.
 		sum := 0.0
 		for j := range perfs {

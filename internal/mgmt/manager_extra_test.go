@@ -23,30 +23,36 @@ func TestIdleEstimateOrdering(t *testing.T) {
 	}
 }
 
-func TestPerfOfClampsToMeasured(t *testing.T) {
+func TestEstimateClampsToMeasured(t *testing.T) {
 	n := newNode(t)
 	mgr := NewManager(n.eng, quickCfg(), BCA(), n.dss)
 	// A predictor that wildly over-predicts must be clamped to MP.
 	mgr.SetModel(device.KindNVDIMM, constPredictor(1e9))
 	wc := trace.WC{OIOs: 4, IOSize: 4096}
-	if got := mgr.perfOf(n.dss[0], wc, 500, 50); got != 500 {
+	if got := mgr.estimateUS(n.dss[0], wc, 500, 50); got != 500 {
 		t.Fatalf("over-prediction not clamped: %v", got)
 	}
 	// An under-predicting model passes through (contention stripped).
 	mgr.SetModel(device.KindNVDIMM, constPredictor(10))
-	if got := mgr.perfOf(n.dss[0], wc, 500, 50); got != 10 {
+	if got := mgr.estimateUS(n.dss[0], wc, 500, 50); got != 10 {
 		t.Fatalf("prediction not used: %v", got)
 	}
 	// Non-NVDIMM stores always use the measurement.
-	if got := mgr.perfOf(n.dss[1], wc, 500, 50); got != 500 {
+	if got := mgr.estimateUS(n.dss[1], wc, 500, 50); got != 500 {
 		t.Fatalf("SSD should use measured: %v", got)
+	}
+	// A measured-estimate scheme ignores an installed model.
+	basil := NewManager(n.eng, quickCfg(), BASIL(), n.dss)
+	basil.SetModel(device.KindNVDIMM, constPredictor(10))
+	if got := basil.estimateUS(n.dss[0], wc, 500, 50); got != 500 {
+		t.Fatalf("measured scheme consulted the model: %v", got)
 	}
 }
 
-func TestPerfOfWithoutModelFallsBack(t *testing.T) {
+func TestEstimateWithoutModelFallsBack(t *testing.T) {
 	n := newNode(t)
 	mgr := NewManager(n.eng, quickCfg(), BCA(), n.dss)
-	if got := mgr.perfOf(n.dss[0], trace.WC{}, 123, 10); got != 123 {
+	if got := mgr.estimateUS(n.dss[0], trace.WC{}, 123, 10); got != 123 {
 		t.Fatalf("no model installed: got %v, want measured", got)
 	}
 }
@@ -87,7 +93,7 @@ func TestSmoothingDampsSpikes(t *testing.T) {
 	cfg.SmoothingAlpha = 0.5
 	mgr := NewManager(n.eng, cfg, BASIL(), n.dss)
 	ds := n.dss[0]
-	// Feed the smoother directly through two epochs' worth of perfOf
+	// Feed the smoother directly through two epochs' worth of estimate
 	// bookkeeping by simulating the epoch path: first window 1000µs.
 	mgr.smoothed[ds] = 1000
 	// EWMA with α=0.5: a 0-latency window halves the estimate.
@@ -142,7 +148,7 @@ func TestHysteresisBlocksRecentMover(t *testing.T) {
 		{Store: n.dss[2], PerfUS: 9000, Norm: 10, Requests: 10},
 	}
 	mgr.cfg.DebounceWindows = 1
-	BalancePlanner{}.Plan(mgr, perfs)
+	mgr.balance(perfs)
 	if mgr.Stats().MigrationsStarted != 0 {
 		t.Fatal("hysteresis ignored: recent mover re-migrated")
 	}

@@ -1,7 +1,6 @@
 package mgmt
 
 import (
-	"reflect"
 	"testing"
 
 	"repro/internal/bus"
@@ -303,57 +302,60 @@ func TestPestoCostBenefitSkips(t *testing.T) {
 }
 
 func TestSchemeDefinitions(t *testing.T) {
+	cases := []struct {
+		name     string
+		describe string
+		model    bool
+		class    trace.Class
+	}{
+		{"BASIL", "est=measured,gate=none,exec=copy,tag=off", false, trace.ClassNormal},
+		{"Pesto", "est=measured,gate=proposal,exec=copy,tag=off", false, trace.ClassNormal},
+		{"LightSRM", "est=measured,gate=copy,exec=redirect,tag=off", false, trace.ClassNormal},
+		{"BCA", "est=predicted,gate=none,exec=copy,tag=off", true, trace.ClassNormal},
+		{"BCA+Lazy", "est=predicted,gate=copy,exec=redirect,tag=off", true, trace.ClassNormal},
+		{"BCA+Lazy+Arch", "est=predicted,gate=copy,exec=redirect,tag=on", true, trace.ClassMigrated},
+	}
 	all := AllSchemes()
-	if len(all) != 6 {
-		t.Fatalf("schemes = %d", len(all))
+	if len(all) != len(cases) {
+		t.Fatalf("schemes = %d, want %d", len(all), len(cases))
 	}
-	full := Full()
-	if !full.NeedsModel() || !full.Executor.Redirect() || !full.Executor.GateCopies() ||
-		full.Executor.Class() != trace.ClassMigrated {
-		t.Fatal("Full scheme incomplete")
-	}
-	basil := BASIL()
-	if basil.NeedsModel() || basil.Executor.Redirect() || basil.Executor.GateCopies() ||
-		basil.Executor.Class() != trace.ClassNormal {
-		t.Fatal("BASIL should be bare")
-	}
-	if !reflect.DeepEqual(basil.Planner, DefaultPlanners(false)) {
-		t.Fatal("BASIL should not gate proposals")
-	}
-	pesto := Pesto()
-	if pesto.Executor.Redirect() || !reflect.DeepEqual(pesto.Planner, DefaultPlanners(true)) {
-		t.Fatal("Pesto misdefined")
-	}
-	lsrm := LightSRM()
-	if !lsrm.Executor.Redirect() || !lsrm.Executor.GateCopies() || lsrm.NeedsModel() {
-		t.Fatal("LightSRM misdefined")
-	}
-	if !BCA().NeedsModel() || BCA().Executor.Redirect() {
-		t.Fatal("BCA misdefined")
-	}
-	if !BCALazy().NeedsModel() || !BCALazy().Executor.Redirect() ||
-		BCALazy().Executor.Class() != trace.ClassNormal {
-		t.Fatal("BCA+Lazy misdefined")
+	for i, c := range cases {
+		s := all[i]
+		if s.Name != c.name {
+			t.Fatalf("scheme %d = %q, want %q", i, s.Name, c.name)
+		}
+		if got := s.Describe(); got != c.describe {
+			t.Errorf("%s.Describe() = %q, want %q", c.name, got, c.describe)
+		}
+		if s.NeedsModel() != c.model {
+			t.Errorf("%s.NeedsModel() = %v, want %v", c.name, s.NeedsModel(), c.model)
+		}
+		if s.MigratedClass() != c.class {
+			t.Errorf("%s.MigratedClass() = %v, want %v", c.name, s.MigratedClass(), c.class)
+		}
+		if err := s.Validate(); err != nil {
+			t.Errorf("%s.Validate() = %v", c.name, err)
+		}
 	}
 }
 
-func TestSchemeNormalizedAndDescribe(t *testing.T) {
-	var zero Scheme
-	if !reflect.DeepEqual(zero.normalized().Named("BASIL"), BASIL()) {
-		t.Fatal("zero scheme should normalize to the BASIL composition")
-	}
-	if got := Full().Describe(); got != "observe=ewma est=contention-aware plan=failure,regate,balance exec=redirect+gate+tag" {
-		t.Fatalf("Full().Describe() = %q", got)
-	}
-	if got := Pesto().Describe(); got != "observe=ewma est=measured plan=failure,regate,balance(gated) exec=copy" {
-		t.Fatalf("Pesto().Describe() = %q", got)
+func TestZeroSchemeIsBASIL(t *testing.T) {
+	if (Scheme{}).Named("BASIL") != BASIL() {
+		t.Fatal("zero scheme should be the BASIL policy")
 	}
 	if BASIL().Named("x").Name != "x" {
 		t.Fatal("Named should relabel")
 	}
-	if Full().MigratedClass() != trace.ClassMigrated || BASIL().MigratedClass() != trace.ClassNormal {
-		t.Fatal("MigratedClass mismatch")
-	}
+}
+
+func TestNewManagerPanicsOnCopyGateWithoutRedirect(t *testing.T) {
+	n := newNode(t)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewManager accepted gate=copy without exec=redirect")
+		}
+	}()
+	NewManager(n.eng, quickCfg(), Scheme{Gate: GateCopy}, n.dss)
 }
 
 func TestArchTaggingClassifiesMigrationTraffic(t *testing.T) {

@@ -7,11 +7,11 @@ import (
 	"repro/internal/trace"
 )
 
-// Migration is one in-flight VMDK move — the pipeline's execute stage at
-// work: a background copy engine that walks the bitmap, skipping blocks
-// already satisfied by write redirection, with optional per-epoch
-// cost/benefit gating (§5.2). Which of those mechanisms engage is
-// decided by the scheme's Executor (executor.go).
+// Migration is one in-flight VMDK move: a background copy engine that
+// walks the bitmap, skipping blocks already satisfied by write
+// redirection, with optional per-epoch cost/benefit gating (§5.2). Which
+// of those mechanisms engage is decided by the scheme's Redirect and
+// Gate choices.
 //
 // Every copy stage (source read, cross-node transfer, destination write)
 // can fail under fault injection. A failed chunk retries with exponential
@@ -52,9 +52,9 @@ func (g *Migration) mirroredBytes() int64 {
 }
 
 // class returns the request class migration traffic carries, per the
-// scheme's execute stage (§5.3 arch tagging).
+// scheme's §5.3 tagging choice.
 func (g *Migration) class() trace.Class {
-	return g.mgr.scheme.Executor.Class()
+	return g.mgr.scheme.MigratedClass()
 }
 
 // Evacuation reports whether this migration is a quarantine evacuation.
@@ -65,11 +65,10 @@ func (g *Migration) Aborting() bool { return g.aborting }
 
 // regate re-evaluates the cost/benefit gate with fresh epoch data (lazy
 // migration only pauses the *copy*; write redirection continues always).
-// Schemes whose execute stage does not gate copies skip this entirely.
-// Evacuations and aborts are never gated: both are safety unwinds, not
-// optimizations.
+// Manager.plan calls it only under GateCopy. Evacuations and aborts are
+// never gated: both are safety unwinds, not optimizations.
 func (g *Migration) regate(perfs []StorePerf) {
-	if g.completed || g.aborting || g.evac || !g.mgr.scheme.Executor.GateCopies() {
+	if g.completed || g.aborting || g.evac {
 		return
 	}
 	var srcP, dstP *StorePerf

@@ -6,38 +6,29 @@ import (
 	"repro/internal/device"
 )
 
-// Planners chains sub-planners into one plan stage; each runs in order
-// every epoch. Order matters for determinism and correctness: the
-// canonical chain runs the failure pre-pass first (so a failing store is
-// never chosen as a destination this epoch), then re-gates in-flight
-// copies with fresh window data, then balances — launches from the
-// balancing pass are deliberately not re-gated until the next epoch.
-type Planners []Planner
-
-// Plan runs each sub-planner in order.
-func (ps Planners) Plan(m *Manager, perfs []StorePerf) {
-	for _, p := range ps {
-		p.Plan(m, perfs)
+// plan runs one epoch's decisions over the performance vector. Order
+// matters for determinism and correctness: the failure pre-pass runs
+// first (so a failing store is never chosen as a destination this
+// epoch), then in-flight copies are re-gated with fresh window data
+// (GateCopy only), then balancing — launches from the balancing pass are
+// deliberately not re-gated until the next epoch.
+func (m *Manager) plan(perfs []StorePerf) {
+	m.planFailures(perfs)
+	if m.scheme.Gate == GateCopy {
+		for _, mig := range m.active {
+			mig.regate(perfs)
+		}
 	}
+	m.balance(perfs)
 }
 
-// DefaultPlanners is the canonical epoch decision chain: failure
-// pre-pass, in-flight copy re-gating, then τ-imbalance balancing with
-// the proposal-time Eq. 6–7 gate armed or not.
-func DefaultPlanners(gateProposals bool) Planners {
-	return Planners{FailurePlanner{}, GatePlanner{}, BalancePlanner{GateProposals: gateProposals}}
-}
-
-// FailurePlanner is the composable failure pre-pass: per-epoch
-// error-rate thresholding into quarantine, evacuation of quarantined
-// stores, and probation-based readmission (graceful degradation). It
-// also aborts operator-paused copies whose destination was quarantined —
-// a paused copy cannot make progress off a failing device, and leaving
-// it active would pin the balancing budget forever.
-type FailurePlanner struct{}
-
-// Plan scans every store's window error rate and acts on transitions.
-func (FailurePlanner) Plan(m *Manager, perfs []StorePerf) {
+// planFailures is the failure pre-pass: per-epoch error-rate
+// thresholding into quarantine, evacuation of quarantined stores, and
+// probation-based readmission (graceful degradation). It also aborts
+// operator-paused copies whose destination was quarantined — a paused
+// copy cannot make progress off a failing device, and leaving it active
+// would pin the balancing budget forever.
+func (m *Manager) planFailures(perfs []StorePerf) {
 	for i := range perfs {
 		ds := perfs[i].Store
 		errs := ds.Mon.WindowErrors()
@@ -132,35 +123,14 @@ func (m *Manager) evacuate(ds *Datastore, perfs []StorePerf) {
 	}
 }
 
-// GatePlanner re-evaluates the Eq. 6–7 gate for in-flight copies with
-// fresh window data (§5.2 lazy migration pauses only the background
-// copy; write redirection continues regardless). Schemes whose executor
-// does not gate copies make this a no-op.
-type GatePlanner struct{}
-
-// Plan re-gates every active migration.
-func (GatePlanner) Plan(m *Manager, perfs []StorePerf) {
-	for _, mig := range m.active {
-		mig.regate(perfs)
-	}
-}
-
-// BalancePlanner implements §5.1.2 load balancing: find the max/min
+// balance implements §5.1.2 load balancing: find the max/min
 // stores, check the imbalance threshold τ with debouncing, pick the
 // busiest candidate VMDK under the hysteresis rules, and launch the
 // migration. The overloaded side only considers stores that actually
 // hold active VMDKs; the destination side considers every store (idle
-// ones use the technology estimate).
-type BalancePlanner struct {
-	// GateProposals applies the Eq. 6–7 Benefit > Cost test when the
-	// migration is proposed (the Pesto baseline): without write
-	// redirection the whole copy either starts or it does not.
-	GateProposals bool
-}
-
-// Plan runs one balancing pass, launching at most one migration and
-// respecting MaxConcurrentMigrations.
-func (p BalancePlanner) Plan(m *Manager, perfs []StorePerf) {
+// ones use the technology estimate). It launches at most one migration
+// per epoch and respects MaxConcurrentMigrations.
+func (m *Manager) balance(perfs []StorePerf) {
 	if m.balancingMigrations() >= m.cfg.MaxConcurrentMigrations {
 		return
 	}
@@ -197,9 +167,9 @@ func (p BalancePlanner) Plan(m *Manager, perfs []StorePerf) {
 		return
 	}
 
-	// Proposal-time gate: without write redirection, cost/benefit
-	// decides whether the migration is worth starting at all.
-	if p.GateProposals {
+	// Proposal-time gate (GateProposal): cost/benefit decides whether
+	// the migration is worth starting at all.
+	if m.scheme.Gate == GateProposal {
 		cost, benefit := m.costBenefit(cand, maxP, minP, cand.Size)
 		if benefit <= cost {
 			m.stats.MigrationsSkipped++

@@ -1,7 +1,7 @@
-// Package policy parses textual management-policy specs into mgmt.Scheme
-// stage compositions. A spec is either a canonical scheme name (the
-// lineup the paper evaluates) or a comma-separated key=value composition
-// assembling the pipeline stages directly:
+// Package policy parses textual management-policy specs into
+// mgmt.Scheme values. A spec is either a canonical scheme name (the
+// lineup the paper evaluates) or a comma-separated key=value list, one
+// key per Scheme field:
 //
 //	name=LABEL           display name (default: the spec itself)
 //	est=measured|predicted
@@ -9,14 +9,14 @@
 //	exec=copy|redirect
 //	tag=off|on
 //
-// est selects the Eq. 5 estimate stage (measured window latency versus
+// est selects the Eq. 5 estimate (measured window latency versus
 // the contention-stripping model prediction). gate places the Eq. 6–7
 // cost/benefit test: nowhere, at migration proposal time (Pesto), or on
 // the background copy each epoch (lazy migration — requires
 // exec=redirect, since pausing an eager copy would stall writes that
 // redirection is supposed to absorb). exec selects the migration
 // mechanism, and tag marks migration traffic ClassMigrated so the §5.3
-// architectural optimizations engage.
+// architectural optimizations engage. Each key may appear at most once.
 //
 // Examples: "bca-lazy"; "est=predicted,exec=redirect,gate=copy,tag=on"
 // (the full proposal); "est=measured,gate=proposal" (Pesto).
@@ -36,7 +36,7 @@ func Names() []string {
 }
 
 // Parse resolves a policy spec — a canonical scheme name or a k=v
-// composition — into a Scheme.
+// list — into a Scheme.
 func Parse(spec string) (mgmt.Scheme, error) {
 	trimmed := strings.TrimSpace(spec)
 	switch strings.ToLower(trimmed) {
@@ -56,16 +56,17 @@ func Parse(spec string) (mgmt.Scheme, error) {
 		return mgmt.Scheme{}, fmt.Errorf("policy: empty spec")
 	}
 	if !strings.Contains(trimmed, "=") {
-		return mgmt.Scheme{}, fmt.Errorf("policy: unknown scheme %q (known: %s; or a k=v composition)",
+		return mgmt.Scheme{}, fmt.Errorf("policy: unknown scheme %q (known: %s; or a k=v policy spec)",
 			trimmed, strings.Join(Names(), "|"))
 	}
-	return parseComposition(trimmed)
+	return parseSpec(trimmed)
 }
 
-// parseComposition assembles a Scheme from a k=v list.
-func parseComposition(spec string) (mgmt.Scheme, error) {
-	name := spec
-	est, gate, exec, tag := "measured", "none", "copy", "off"
+// parseSpec assembles a Scheme from a k=v list; unset keys keep the
+// zero Scheme's (BASIL's) choices.
+func parseSpec(spec string) (mgmt.Scheme, error) {
+	s := mgmt.Scheme{Name: spec}
+	seen := make(map[string]bool)
 	for _, part := range strings.Split(spec, ",") {
 		part = strings.TrimSpace(part)
 		if part == "" {
@@ -77,52 +78,48 @@ func parseComposition(spec string) (mgmt.Scheme, error) {
 		}
 		k = strings.TrimSpace(k)
 		v = strings.TrimSpace(v)
+		if seen[k] {
+			return mgmt.Scheme{}, fmt.Errorf("policy: key %q given twice", k)
+		}
+		seen[k] = true
 		switch k {
 		case "name":
 			if v == "" {
 				return mgmt.Scheme{}, fmt.Errorf("policy: empty name")
 			}
-			name = v
+			s.Name = v
 		case "est":
 			if v != "measured" && v != "predicted" {
 				return mgmt.Scheme{}, fmt.Errorf("policy: est=%q (want measured|predicted)", v)
 			}
-			est = v
+			s.Predicted = v == "predicted"
 		case "gate":
-			if v != "none" && v != "proposal" && v != "copy" {
+			switch v {
+			case "none":
+				s.Gate = mgmt.GateNone
+			case "proposal":
+				s.Gate = mgmt.GateProposal
+			case "copy":
+				s.Gate = mgmt.GateCopy
+			default:
 				return mgmt.Scheme{}, fmt.Errorf("policy: gate=%q (want none|proposal|copy)", v)
 			}
-			gate = v
 		case "exec":
 			if v != "copy" && v != "redirect" {
 				return mgmt.Scheme{}, fmt.Errorf("policy: exec=%q (want copy|redirect)", v)
 			}
-			exec = v
+			s.Redirect = v == "redirect"
 		case "tag":
 			if v != "off" && v != "on" {
 				return mgmt.Scheme{}, fmt.Errorf("policy: tag=%q (want off|on)", v)
 			}
-			tag = v
+			s.Tagged = v == "on"
 		default:
 			return mgmt.Scheme{}, fmt.Errorf("policy: unknown key %q (want name|est|gate|exec|tag)", k)
 		}
 	}
-	if gate == "copy" && exec != "redirect" {
-		return mgmt.Scheme{}, fmt.Errorf("policy: gate=copy requires exec=redirect (pausing an eager copy would strand writes the redirection path is meant to absorb)")
-	}
-
-	s := mgmt.Scheme{Name: name, Observer: mgmt.SmoothingObserver{}}
-	if est == "predicted" {
-		s.Estimator = mgmt.ContentionAwareEstimator{}
-	} else {
-		s.Estimator = mgmt.MeasuredEstimator{}
-	}
-	s.Planner = mgmt.DefaultPlanners(gate == "proposal")
-	tagged := tag == "on"
-	if exec == "redirect" {
-		s.Executor = mgmt.RedirectExecutor{Ungated: gate != "copy", Tagged: tagged}
-	} else {
-		s.Executor = mgmt.CopyExecutor{Tagged: tagged}
+	if err := s.Validate(); err != nil {
+		return mgmt.Scheme{}, fmt.Errorf("policy: %w", err)
 	}
 	return s, nil
 }

@@ -122,7 +122,7 @@ func (m *Manager) recoverMigration(old *Migration, scope CrashScope) {
 	// stands. Redirection restarts per the scheme and the copy cursor
 	// rescans from zero — blocks the journal proved migrated are skipped.
 	v.aborting = false
-	v.mirroring = m.scheme.Executor.Redirect()
+	v.mirroring = m.scheme.Redirect
 	m.stats.RecoveryResumes++
 	m.logDecision(Decision{At: m.eng.Now(), Kind: DecisionRecover, Stage: StageExecute, VMDK: v.ID,
 		Src: old.src.Dev.Name(), Dst: old.dst.Dev.Name(),

@@ -15,8 +15,8 @@
 //
 // The Tracker consumes windows via TailTracker.OnWindow, emits one span
 // tracer instant per violated objective, and counts violation windows
-// per key — the per-tenant signal a future tail-aware Planner stage will
-// steer by. Like every telemetry type it is unsynchronized, single-owner,
+// per key — the per-tenant signal a future tail-aware balancing policy
+// will steer by. Like every telemetry type it is unsynchronized, single-owner,
 // and deterministic: keys arrive in sorted order from the tail flush and
 // all accessors sort before iterating.
 package slo

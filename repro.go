@@ -74,12 +74,12 @@ type WindowSample = core.WindowSample
 // performance model when the scheme requires one and none was injected.
 func NewSystem(opts Options) (*System, error) { return core.NewSystem(opts) }
 
-// Scheme is a named composition of management-pipeline stages (observe,
-// estimate, plan, execute) selecting which techniques are active.
+// Scheme is a named management policy: the estimate, gate, exec and tag
+// choices selecting which techniques are active.
 type Scheme = mgmt.Scheme
 
 // ParsePolicy resolves a policy spec — a canonical scheme name such as
-// "bca-lazy", or a stage composition such as
+// "bca-lazy", or a policy spec such as
 // "est=predicted,exec=redirect,gate=copy,tag=on" — into a Scheme. See
 // the internal/mgmt/policy package for the grammar.
 func ParsePolicy(spec string) (Scheme, error) { return policy.Parse(spec) }
