@@ -6,7 +6,6 @@
 package cache
 
 import (
-	"container/heap"
 	"math"
 
 	"repro/internal/telemetry"
@@ -23,9 +22,10 @@ type Cache interface {
 	// Lookup reports whether block is cached, updating recency state on a
 	// hit and recording hit/miss statistics.
 	Lookup(block int64) bool
-	// Insert caches block, evicting as needed; evicted victims are
-	// returned so the device can schedule write-backs for dirty ones.
-	Insert(block int64, dirty bool) []Victim
+	// Insert caches block. A full cache evicts exactly one block to make
+	// room, reported with evicted = true so the device can schedule a
+	// write-back when it is dirty.
+	Insert(block int64, dirty bool) (v Victim, evicted bool)
 	// MarkDirty marks a resident block dirty; it reports whether the
 	// block was resident.
 	MarkDirty(block int64) bool
@@ -86,57 +86,34 @@ func (s *Stats) RegisterTelemetry(reg *telemetry.Registry, prefix string) {
 // ---------------------------------------------------------------------------
 // LRFU
 
-// lrfuEntry is one resident block in the LRFU heap. Keys are kept in log
-// space: key = log2(crf) + λ·clock, which orders identically to CRF
-// projected to a common reference time and never overflows.
+// lrfuEntry is one resident block. Entries live by value in the cache's
+// slab and are named by their int32 slab index. The heap key is kept in
+// log space, key = log2(crf) + λ·last, which orders identically to CRF
+// projected to a common reference time and never overflows; it is
+// computed once per insert or touch rather than on every comparison.
 type lrfuEntry struct {
-	owner *LRFU
 	block int64
 	crf   float64
+	key   float64
 	last  uint64 // access-count clock at last touch
+	index int32  // heap position
 	dirty bool
-	index int // heap index
-}
-
-type lrfuHeap []*lrfuEntry
-
-func (h lrfuHeap) Len() int { return len(h) }
-func (h lrfuHeap) Less(i, j int) bool {
-	// Compare projected CRF at a common time; both decayed from their own
-	// last-touch. log2(crf_i) + λ·last_i orders equivalently.
-	return h[i].key() < h[j].key()
-}
-func (h lrfuHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *lrfuHeap) Push(x interface{}) {
-	e := x.(*lrfuEntry)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
-func (h *lrfuHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
-}
-
-func (e *lrfuEntry) key() float64 {
-	return math.Log2(e.crf) + e.owner.lambda*float64(e.last)
 }
 
 // LRFU is a Combined-Recency-and-Frequency cache. Lambda in (0,1]:
 // λ → 0 behaves like LFU, λ = 1 like LRU. The clock is the access count.
+//
+// A block leaves only by eviction, whose slab slot the incoming block
+// takes over, or by Invalidate, which truncates the slab; the slab is
+// therefore always dense and needs no free list. It grows on demand, so
+// a large, mostly empty cache costs no memory up front.
 type LRFU struct {
 	capacity int
 	lambda   float64
 	clock    uint64
-	entries  map[int64]*lrfuEntry
-	heap     lrfuHeap
+	entries  map[int64]int32 // block → slab index
+	slab     []lrfuEntry
+	heap     []int32 // slab indices, a min-heap on key
 	stats    Stats
 }
 
@@ -155,8 +132,84 @@ func NewLRFU(capacity int, lambda float64) *LRFU {
 	return &LRFU{
 		capacity: capacity,
 		lambda:   lambda,
-		entries:  make(map[int64]*lrfuEntry, capacity),
+		entries:  make(map[int64]int32, capacity),
 	}
+}
+
+// setKey refreshes e's cached heap key after its crf or last changed.
+func (c *LRFU) setKey(e *lrfuEntry) {
+	e.key = math.Log2(e.crf) + c.lambda*float64(e.last)
+}
+
+// The heap below is container/heap's algorithm over slab indices, step
+// for step (same parent/child arithmetic, same comparisons, same swaps),
+// so equal keys break exactly as they did with container/heap.
+
+func (c *LRFU) less(i, j int) bool {
+	return c.slab[c.heap[i]].key < c.slab[c.heap[j]].key
+}
+
+func (c *LRFU) swap(i, j int) {
+	h := c.heap
+	h[i], h[j] = h[j], h[i]
+	c.slab[h[i]].index = int32(i)
+	c.slab[h[j]].index = int32(j)
+}
+
+func (c *LRFU) up(j int) {
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !c.less(j, i) {
+			break
+		}
+		c.swap(i, j)
+		j = i
+	}
+}
+
+func (c *LRFU) down(i0, n int) bool {
+	i := i0
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && c.less(j2, j1) {
+			j = j2 // right child
+		}
+		if !c.less(j, i) {
+			break
+		}
+		c.swap(i, j)
+		i = j
+	}
+	return i > i0
+}
+
+// fix restores heap order after the key at heap position i changed.
+func (c *LRFU) fix(i int) {
+	if !c.down(i, len(c.heap)) {
+		c.up(i)
+	}
+}
+
+// push adds slab entry slot to the heap.
+func (c *LRFU) push(slot int32) {
+	c.slab[slot].index = int32(len(c.heap))
+	c.heap = append(c.heap, slot)
+	c.up(len(c.heap) - 1)
+}
+
+// popMin removes the minimum-key entry from the heap and returns its slab
+// index: move it to the end, sift the moved element down, drop the end.
+func (c *LRFU) popMin() int32 {
+	n := len(c.heap) - 1
+	c.swap(0, n)
+	c.down(0, n)
+	slot := c.heap[n]
+	c.heap = c.heap[:n]
+	return slot
 }
 
 // decayFactor returns 2^(-λ·dt).
@@ -167,49 +220,62 @@ func (c *LRFU) decayFactor(dt uint64) float64 {
 // Lookup implements Cache.
 func (c *LRFU) Lookup(block int64) bool {
 	c.clock++
-	e, ok := c.entries[block]
+	i, ok := c.entries[block]
 	if !ok {
 		c.stats.miss()
 		return false
 	}
 	c.stats.hit()
-	c.touch(e)
+	c.touch(&c.slab[i])
 	return true
 }
 
 func (c *LRFU) touch(e *lrfuEntry) {
 	e.crf = 1 + e.crf*c.decayFactor(c.clock-e.last)
 	e.last = c.clock
-	heap.Fix(&c.heap, e.index)
+	c.setKey(e)
+	c.fix(int(e.index))
 }
 
 // Insert implements Cache.
-func (c *LRFU) Insert(block int64, dirty bool) []Victim {
+func (c *LRFU) Insert(block int64, dirty bool) (Victim, bool) {
 	c.clock++
-	if e, ok := c.entries[block]; ok {
+	if i, ok := c.entries[block]; ok {
+		e := &c.slab[i]
 		if dirty {
 			e.dirty = true
 		}
 		c.touch(e)
-		return nil
+		return Victim{}, false
 	}
-	var victims []Victim
-	for len(c.entries) >= c.capacity {
-		v := heap.Pop(&c.heap).(*lrfuEntry)
-		delete(c.entries, v.block)
-		victims = append(victims, Victim{Block: v.block, Dirty: v.dirty})
+	var (
+		v       Victim
+		evicted bool
+		slot    int32
+	)
+	if len(c.heap) >= c.capacity {
+		// The victim's slot goes to the incoming block.
+		slot = c.popMin()
+		old := &c.slab[slot]
+		delete(c.entries, old.block)
+		v, evicted = Victim{Block: old.block, Dirty: old.dirty}, true
+	} else {
+		slot = int32(len(c.slab))
+		c.slab = append(c.slab, lrfuEntry{})
 	}
-	e := &lrfuEntry{owner: c, block: block, crf: 1, last: c.clock, dirty: dirty}
-	c.entries[block] = e
-	heap.Push(&c.heap, e)
-	return victims
+	e := &c.slab[slot]
+	*e = lrfuEntry{block: block, crf: 1, last: c.clock, dirty: dirty}
+	c.setKey(e)
+	c.entries[block] = slot
+	c.push(slot)
+	return v, evicted
 }
 
 // MarkDirty implements Cache.
 func (c *LRFU) MarkDirty(block int64) bool {
-	e, ok := c.entries[block]
+	i, ok := c.entries[block]
 	if ok {
-		e.dirty = true
+		c.slab[i].dirty = true
 	}
 	return ok
 }
@@ -220,10 +286,12 @@ func (c *LRFU) Contains(block int64) bool {
 	return ok
 }
 
-// Invalidate implements Cache.
+// Invalidate implements Cache. The map, slab and heap keep their backing
+// storage, so a power loss costs no allocation.
 func (c *LRFU) Invalidate() {
-	c.entries = make(map[int64]*lrfuEntry, c.capacity)
-	c.heap = nil
+	clear(c.entries)
+	c.slab = c.slab[:0]
+	c.heap = c.heap[:0]
 }
 
 // Len implements Cache.
@@ -299,27 +367,34 @@ func (c *LRU) Lookup(block int64) bool {
 	return true
 }
 
-// Insert implements Cache.
-func (c *LRU) Insert(block int64, dirty bool) []Victim {
+// Insert implements Cache. When full, the evicted node is reused for the
+// incoming block.
+func (c *LRU) Insert(block int64, dirty bool) (Victim, bool) {
 	if n, ok := c.entries[block]; ok {
 		if dirty {
 			n.dirty = true
 		}
 		c.unlink(n)
 		c.pushFront(n)
-		return nil
+		return Victim{}, false
 	}
-	var victims []Victim
-	for len(c.entries) >= c.capacity {
-		v := c.tail
-		c.unlink(v)
-		delete(c.entries, v.block)
-		victims = append(victims, Victim{Block: v.block, Dirty: v.dirty})
+	var (
+		v       Victim
+		evicted bool
+		n       *lruNode
+	)
+	if len(c.entries) >= c.capacity {
+		n = c.tail
+		c.unlink(n)
+		delete(c.entries, n.block)
+		v, evicted = Victim{Block: n.block, Dirty: n.dirty}, true
+	} else {
+		n = &lruNode{}
 	}
-	n := &lruNode{block: block, dirty: dirty}
+	n.block, n.dirty = block, dirty
 	c.entries[block] = n
 	c.pushFront(n)
-	return victims
+	return v, evicted
 }
 
 // MarkDirty implements Cache.
@@ -337,9 +412,9 @@ func (c *LRU) Contains(block int64) bool {
 	return ok
 }
 
-// Invalidate implements Cache.
+// Invalidate implements Cache. The map keeps its backing storage.
 func (c *LRU) Invalidate() {
-	c.entries = make(map[int64]*lruNode, c.capacity)
+	clear(c.entries)
 	c.head, c.tail = nil, nil
 }
 

@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"container/heap"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -68,12 +70,12 @@ func TestEvictionReturnsVictims(t *testing.T) {
 	for name, c := range caches(2) {
 		c.Insert(1, true)
 		c.Insert(2, false)
-		victims := c.Insert(3, false)
-		if len(victims) != 1 {
-			t.Fatalf("%s: %d victims, want 1", name, len(victims))
+		v, evicted := c.Insert(3, false)
+		if !evicted {
+			t.Fatalf("%s: no victim, want 1", name)
 		}
-		if victims[0].Block != 1 && victims[0].Block != 2 {
-			t.Fatalf("%s: unexpected victim %d", name, victims[0].Block)
+		if v.Block != 1 && v.Block != 2 {
+			t.Fatalf("%s: unexpected victim %d", name, v.Block)
 		}
 	}
 }
@@ -81,13 +83,13 @@ func TestEvictionReturnsVictims(t *testing.T) {
 func TestDirtyVictimFlag(t *testing.T) {
 	for name, c := range caches(1) {
 		c.Insert(1, true)
-		v := c.Insert(2, false)
-		if len(v) != 1 || !v[0].Dirty {
-			t.Fatalf("%s: dirty flag lost on eviction: %+v", name, v)
+		v, evicted := c.Insert(2, false)
+		if !evicted || !v.Dirty {
+			t.Fatalf("%s: dirty flag lost on eviction: %+v %v", name, v, evicted)
 		}
-		v = c.Insert(3, false)
-		if len(v) != 1 || v[0].Dirty {
-			t.Fatalf("%s: clean block evicted dirty: %+v", name, v)
+		v, evicted = c.Insert(3, false)
+		if !evicted || v.Dirty {
+			t.Fatalf("%s: clean block evicted dirty: %+v %v", name, v, evicted)
 		}
 	}
 }
@@ -101,8 +103,7 @@ func TestMarkDirty(t *testing.T) {
 		if c.MarkDirty(99) {
 			t.Fatalf("%s: MarkDirty on absent succeeded", name)
 		}
-		v := c.Insert(6, false)
-		if len(v) != 1 || !v[0].Dirty {
+		if v, evicted := c.Insert(6, false); !evicted || !v.Dirty {
 			t.Fatalf("%s: marked-dirty block evicted clean", name)
 		}
 	}
@@ -128,25 +129,14 @@ func TestReinsertUpdatesDirty(t *testing.T) {
 		if c.Len() != 1 {
 			t.Fatalf("%s: duplicate insert grew cache", name)
 		}
-		v := c.Insert(2, false)
-		if len(v) != 0 {
+		if _, evicted := c.Insert(2, false); evicted {
 			t.Fatalf("%s: eviction with free space", name)
-		}
-		v = c.Insert(3, false)
-		foundDirty := false
-		for _, x := range v {
-			if x.Block == 1 && x.Dirty {
-				foundDirty = true
-			}
 		}
 		// Block 1 may or may not be the victim depending on policy, but if
 		// it is, it must be dirty.
-		for _, x := range v {
-			if x.Block == 1 && !x.Dirty {
-				t.Fatalf("%s: re-insert lost dirty bit", name)
-			}
+		if v, evicted := c.Insert(3, false); evicted && v.Block == 1 && !v.Dirty {
+			t.Fatalf("%s: re-insert lost dirty bit", name)
 		}
-		_ = foundDirty
 	}
 }
 
@@ -155,9 +145,8 @@ func TestLRUEvictsLeastRecent(t *testing.T) {
 	c.Insert(1, false)
 	c.Insert(2, false)
 	c.Lookup(1) // 1 becomes most recent
-	v := c.Insert(3, false)
-	if len(v) != 1 || v[0].Block != 2 {
-		t.Fatalf("LRU evicted %+v, want block 2", v)
+	if v, evicted := c.Insert(3, false); !evicted || v.Block != 2 {
+		t.Fatalf("LRU evicted %+v (%v), want block 2", v, evicted)
 	}
 }
 
@@ -186,9 +175,8 @@ func TestLRFUHighLambdaActsLikeLRU(t *testing.T) {
 	c.Insert(1, false)
 	c.Insert(2, false)
 	c.Lookup(1)
-	v := c.Insert(3, false)
-	if len(v) != 1 || v[0].Block != 2 {
-		t.Fatalf("λ=1 LRFU evicted %+v, want block 2", v)
+	if v, evicted := c.Insert(3, false); !evicted || v.Block != 2 {
+		t.Fatalf("λ=1 LRFU evicted %+v (%v), want block 2", v, evicted)
 	}
 }
 
@@ -237,10 +225,8 @@ func TestCacheInvariantsProperty(t *testing.T) {
 				case 0:
 					c.Lookup(b)
 				case 1:
-					for _, v := range c.Insert(b, ops[i]%2 == 0) {
-						if c.Contains(v.Block) {
-							return false
-						}
+					if v, evicted := c.Insert(b, ops[i]%2 == 0); evicted && c.Contains(v.Block) {
+						return false
 					}
 				case 2:
 					c.MarkDirty(b)
@@ -294,5 +280,173 @@ func TestMigrationScanPollutesLRU(t *testing.T) {
 	if pollutedRatio >= bypassedRatio {
 		t.Fatalf("pollution (%v) should lower hit ratio vs bypass (%v)",
 			pollutedRatio, bypassedRatio)
+	}
+}
+
+// TestLRFUMatchesReference drives the slab LRFU and the container/heap
+// reference (lrfu_ref_test.go) with the same seeded operation streams and
+// requires identical observable behaviour after every operation. The
+// block range is a little over twice the capacity, so re-touches,
+// evictions of recently touched blocks and dirty victims are common.
+// Capacity 2500 takes the slab through several reallocations.
+func TestLRFUMatchesReference(t *testing.T) {
+	var capacities []int
+	for capacity := 1; capacity <= 64; capacity++ {
+		capacities = append(capacities, capacity)
+	}
+	capacities = append(capacities, 2500)
+	for _, lambda := range []float64{DefaultLambda, 0.5, 1} {
+		for _, capacity := range capacities {
+			rng := rand.New(rand.NewSource(int64(capacity)*7919 + int64(lambda*1e6)))
+			got, want := NewLRFU(capacity, lambda), newRefLRFU(capacity, lambda)
+			blocks := int64(2*capacity + 3)
+			full := 0
+			for op := 0; op < max(3000, 20*capacity); op++ {
+				b := rng.Int63n(blocks)
+				fail := func(what string, g, w interface{}) {
+					t.Fatalf("λ=%v cap=%d op %d: %s(%d) = %v, reference %v", lambda, capacity, op, what, b, g, w)
+				}
+				switch k := rng.Intn(100); {
+				case k < 40:
+					if g, w := got.Lookup(b), want.Lookup(b); g != w {
+						fail("Lookup", g, w)
+					}
+				case k < 80:
+					dirty := rng.Intn(2) == 0
+					v, evicted := got.Insert(b, dirty)
+					ref := want.Insert(b, dirty)
+					if evicted != (len(ref) == 1) || len(ref) > 1 || (evicted && v != ref[0]) {
+						fail("Insert", fmt.Sprintf("%+v %v", v, evicted), ref)
+					}
+				case k < 90:
+					if g, w := got.MarkDirty(b), want.MarkDirty(b); g != w {
+						fail("MarkDirty", g, w)
+					}
+				case k < 99:
+					if g, w := got.Contains(b), want.Contains(b); g != w {
+						fail("Contains", g, w)
+					}
+				default:
+					// Rarer for large caches, so they still fill up.
+					if rng.Intn(max(1, capacity/16)) == 0 {
+						got.Invalidate()
+						want.Invalidate()
+					}
+				}
+				if got.Len() != want.Len() {
+					fail("Len", got.Len(), want.Len())
+				}
+				if *got.Stats() != want.stats {
+					fail("Stats", *got.Stats(), want.stats)
+				}
+				full = max(full, got.Len())
+			}
+			if full != capacity {
+				t.Fatalf("λ=%v cap=%d: the stream never filled the cache (peak %d)", lambda, capacity, full)
+			}
+		}
+	}
+}
+
+// TestInvalidateBehavesLikeFresh checks that a warmed cache, once
+// invalidated, is empty, keeps its hit/miss counters, and from then on
+// answers every operation exactly as a newly built cache does.
+func TestInvalidateBehavesLikeFresh(t *testing.T) {
+	builds := map[string]func() Cache{
+		"lrfu":     func() Cache { return NewLRFU(16, DefaultLambda) },
+		"lrfu-λ=1": func() Cache { return NewLRFU(16, 1) },
+		"lru":      func() Cache { return NewLRU(16) },
+	}
+	for name, mk := range builds {
+		rng := rand.New(rand.NewSource(11))
+		used := mk()
+		for i := 0; i < 500; i++ {
+			b := rng.Int63n(40)
+			if !used.Lookup(b) {
+				used.Insert(b, i%3 == 0)
+			}
+		}
+		kept := *used.Stats()
+		used.Invalidate()
+		if used.Len() != 0 || used.Contains(0) {
+			t.Fatalf("%s: invalidated cache still holds blocks (len %d)", name, used.Len())
+		}
+		if *used.Stats() != kept {
+			t.Fatalf("%s: Invalidate changed stats %+v → %+v", name, kept, *used.Stats())
+		}
+		fresh := mk()
+		for i := 0; i < 2000; i++ {
+			b := rng.Int63n(40)
+			switch i % 4 {
+			case 0, 1:
+				if g, w := used.Lookup(b), fresh.Lookup(b); g != w {
+					t.Fatalf("%s: op %d Lookup(%d) = %v, fresh %v", name, i, b, g, w)
+				}
+			case 2:
+				gv, ge := used.Insert(b, i%3 == 0)
+				wv, we := fresh.Insert(b, i%3 == 0)
+				if gv != wv || ge != we {
+					t.Fatalf("%s: op %d Insert(%d) = %+v %v, fresh %+v %v", name, i, b, gv, ge, wv, we)
+				}
+			case 3:
+				if g, w := used.MarkDirty(b), fresh.MarkDirty(b); g != w {
+					t.Fatalf("%s: op %d MarkDirty(%d) = %v, fresh %v", name, i, b, g, w)
+				}
+			}
+			if used.Len() != fresh.Len() {
+				t.Fatalf("%s: op %d Len = %d, fresh %d", name, i, used.Len(), fresh.Len())
+			}
+		}
+		st, fs := used.Stats(), fresh.Stats()
+		if st.Hits != kept.Hits+fs.Hits || st.Misses != kept.Misses+fs.Misses {
+			t.Fatalf("%s: stats %+v, want kept %+v plus fresh %+v", name, *st, kept, *fs)
+		}
+	}
+}
+
+// TestLRFUHeapMatchesContainerHeap checks the hand-written heap against
+// container/heap on keys drawn from a handful of values, so most
+// comparisons tie: after every push, pop and key change, both must hold
+// the same slab indices in the same positions. LRFU keys seldom tie
+// exactly, so TestLRFUMatchesReference alone would not notice a
+// different tie-break.
+func TestLRFUHeapMatchesContainerHeap(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	c := NewLRFU(64, DefaultLambda)
+	ref := &refKeyHeap{}
+	for op := 0; op < 20000; op++ {
+		switch k := rng.Intn(10); {
+		case k < 4 || len(c.heap) == 0:
+			if len(c.slab) == 64 {
+				continue
+			}
+			key := float64(rng.Intn(4))
+			slot := int32(len(c.slab))
+			c.slab = append(c.slab, lrfuEntry{key: key})
+			ref.keys = append(ref.keys, key)
+			c.push(slot)
+			heap.Push(ref, slot)
+		case k < 6:
+			got, want := c.popMin(), heap.Pop(ref).(int32)
+			if got != want {
+				t.Fatalf("op %d: popMin = slot %d, container/heap pops %d", op, got, want)
+			}
+			// Put the popped entry back so the slab stays dense.
+			c.push(got)
+			heap.Push(ref, want)
+		default:
+			i := rng.Intn(len(c.heap))
+			slot := c.heap[i]
+			key := float64(rng.Intn(4))
+			c.slab[slot].key, ref.keys[slot] = key, key
+			c.fix(i)
+			heap.Fix(ref, i)
+		}
+		for i, slot := range c.heap {
+			if slot != ref.ids[i] || c.slab[slot].index != int32(i) {
+				t.Fatalf("op %d: heap[%d] = slot %d (index %d), container/heap has %d",
+					op, i, slot, c.slab[slot].index, ref.ids[i])
+			}
+		}
 	}
 }

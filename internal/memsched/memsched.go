@@ -64,7 +64,9 @@ const (
 	stateDone
 )
 
-// entry is one queued write.
+// entry is one queued write. Entries are pooled per scheduler: an entry
+// is recycled only when compact drops it from the queue head, and its
+// finish callback is bound once, when the entry is created.
 type entry struct {
 	seq      uint64
 	lpn      int64
@@ -74,6 +76,9 @@ type entry struct {
 	run      func(done func())
 	done     func()
 	state    entryState
+
+	onFinish func() // bound: the operation completed
+	next     *entry // free-list link
 }
 
 // barrierBound reports whether the entry must respect persistence
@@ -106,6 +111,7 @@ type Scheduler struct {
 
 	queue []*entry
 	seq   uint64
+	free  *entry // recycled entries
 
 	curEpoch          int
 	epochOpen         map[int]int      // epoch → outstanding barrier-bound entries
@@ -145,15 +151,15 @@ func (s *Scheduler) Policy() Policy { return s.policy }
 // done (optional) fires after the scheduler records completion.
 func (s *Scheduler) EnqueueWrite(lpn int64, class trace.Class, run func(done func()), done func()) {
 	s.seq++
-	e := &entry{
-		seq:      s.seq,
-		lpn:      lpn,
-		class:    class,
-		epoch:    s.curEpoch,
-		enqueued: s.eng.Now(),
-		run:      run,
-		done:     done,
-	}
+	e := s.getEntry()
+	e.seq = s.seq
+	e.lpn = lpn
+	e.class = class
+	e.epoch = s.curEpoch
+	e.enqueued = s.eng.Now()
+	e.run = run
+	e.done = done
+	e.state = stateQueued
 	if e.barrierBound(s.policy) {
 		s.epochOpen[e.epoch]++
 	}
@@ -253,9 +259,10 @@ func (s *Scheduler) dispatch() {
 				// this, a barrier-bound migrated entry would wedge its
 				// epoch open forever (deadlock).
 				s.retireEpochMember(e)
+				done := e.done // compact may recycle e
 				s.compact()
-				if e.done != nil {
-					e.done()
+				if done != nil {
+					done()
 				}
 				continue
 			}
@@ -276,7 +283,7 @@ func (s *Scheduler) start(e *entry) {
 	} else {
 		s.waitPer.Add(wait)
 	}
-	e.run(func() { s.finish(e) })
+	e.run(e.onFinish)
 }
 
 // finish records completion of e and re-dispatches.
@@ -296,9 +303,10 @@ func (s *Scheduler) finish(e *entry) {
 			telemetry.I("lpn", e.lpn))
 	}
 	s.retireEpochMember(e)
+	done := e.done // compact may recycle e
 	s.compact()
-	if e.done != nil {
-		e.done()
+	if done != nil {
+		done()
 	}
 	s.dispatch()
 }
@@ -329,15 +337,37 @@ func (s *Scheduler) advanceMinEpoch() {
 	}
 }
 
-// compact drops completed entries from the queue head to bound memory.
+// compact drops completed entries from the queue head to bound memory
+// and recycles them.
 func (s *Scheduler) compact() {
 	i := 0
 	for i < len(s.queue) && s.queue[i].state == stateDone {
+		s.putEntry(s.queue[i])
 		i++
 	}
 	if i > 0 {
 		s.queue = append(s.queue[:0], s.queue[i:]...)
 	}
+}
+
+// getEntry pops a recycled entry or creates (and binds) a new one.
+func (s *Scheduler) getEntry() *entry {
+	e := s.free
+	if e == nil {
+		e = &entry{}
+		e.onFinish = func() { s.finish(e) }
+		return e
+	}
+	s.free = e.next
+	e.next = nil
+	return e
+}
+
+// putEntry returns a dropped entry to the free list.
+func (s *Scheduler) putEntry(e *entry) {
+	e.run, e.done = nil, nil
+	e.next = s.free
+	s.free = e
 }
 
 // Stats returns a snapshot of scheduler statistics.

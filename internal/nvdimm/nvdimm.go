@@ -93,12 +93,6 @@ func DefaultConfig(name string, capacity int64, numBlocks int) Config {
 	}
 }
 
-// stalledWrite is a buffered write waiting out flush backpressure.
-type stalledWrite struct {
-	r    *trace.IORequest
-	done device.Completion
-}
-
 // NVDIMM is the device.
 type NVDIMM struct {
 	device.Base
@@ -111,8 +105,14 @@ type NVDIMM struct {
 	cfg     Config
 
 	pendingFlush int
-	stalls       []stalledWrite
+	stalls       []*request // buffered writes waiting out flush backpressure
 	outstanding  int
+
+	// Free lists of the records in records.go. Each device owns its own,
+	// so parallel runs share no pool.
+	freeRequests  *request
+	freePages     *page
+	freeCrossings *crossing
 
 	// Counters for experiments.
 	bypassedReads  uint64
@@ -232,82 +232,52 @@ func (n *NVDIMM) FreeSpaceRatio() float64 {
 // pageSize returns the FTL page size.
 func (n *NVDIMM) pageSize() int64 { return n.ftl.PageSize() }
 
-// pagesOf splits a request into logical page numbers.
-func (n *NVDIMM) pagesOf(r *trace.IORequest) []int64 {
+// pagesOf returns the first logical page a request touches and how many
+// consecutive pages it spans (at least one).
+func (n *NVDIMM) pagesOf(r *trace.IORequest) (first int64, count int) {
 	ps := n.pageSize()
-	first := r.Offset / ps
-	last := (r.Offset + r.Size - 1) / ps
+	first = r.Offset / ps
 	if r.Size <= 0 {
-		last = first
+		return first, 1
 	}
-	lpns := make([]int64, 0, last-first+1)
-	for p := first; p <= last; p++ {
-		lpns = append(lpns, p)
-	}
-	return lpns
+	return first, int((r.Offset+r.Size-1)/ps-first) + 1
 }
 
 // Submit implements device.Device.
 func (n *NVDIMM) Submit(r *trace.IORequest, done device.Completion) {
 	r.Issue = n.eng.Now()
 	n.outstanding++
-	wrapped := func(req *trace.IORequest) {
-		n.outstanding--
-		n.Metrics().Observe(req)
-		if done != nil {
-			done(req)
-		}
-	}
+	q := n.newRequest(r, done)
 	if r.Err != nil {
 		// Pre-marked failure (fault injection): the request pays its channel
 		// crossings — the device spent that long before reporting the error —
 		// but commits nothing to the cache, FTL, or flash.
-		n.requestCrossings(r, len(n.pagesOf(r)), func() { n.complete(r, wrapped) })
+		n.crossPages(q)
 		return
 	}
 	if r.Op == trace.OpRead {
-		n.read(r, wrapped)
+		n.read(q)
 		return
 	}
-	if r.Class == trace.ClassMigrated {
-		n.migratedWrite(r, wrapped)
+	if r.Class == trace.ClassMigrated || n.cfg.WriteThrough {
+		n.scheduledWrite(q)
 		return
 	}
-	if n.cfg.WriteThrough {
-		n.writeThrough(r, wrapped)
-		return
-	}
-	n.bufferedWrite(r, wrapped)
+	n.bufferedWrite(q)
 }
 
-// writeThrough is the persistent-store write path: each page enters the
-// transaction queue immediately (so a barrier issued right after this
-// request delimits it correctly), and the scheduled operation moves the
-// page over the shared channel before programming it. The request
-// completes when every page is durable; a clean copy lands in the buffer
-// cache so subsequent reads hit.
-func (n *NVDIMM) writeThrough(r *trace.IORequest, done device.Completion) {
-	lpns := n.pagesOf(r)
-	per := r.Size / int64(len(lpns))
-	if per <= 0 {
-		per = 64
+// newRequest takes a request record for r from the free list.
+func (n *NVDIMM) newRequest(r *trace.IORequest, done device.Completion) *request {
+	q := n.getRequest()
+	q.r, q.done = r, done
+	q.first, q.pages = n.pagesOf(r)
+	q.remaining = q.pages
+	q.per = r.Size / int64(q.pages)
+	if q.per <= 0 {
+		q.per = 64
 	}
-	remaining := len(lpns)
-	for _, lpn := range lpns {
-		lpn := lpn
-		n.sched.EnqueueWrite(lpn, trace.ClassPersistent,
-			func(opDone func()) {
-				n.pageCrossing(per, func() { n.ftl.Write(lpn, opDone) })
-			},
-			func() {
-				victims := n.cache.Insert(lpn, false)
-				n.flushVictims(victims)
-				remaining--
-				if remaining == 0 {
-					n.complete(r, done)
-				}
-			})
-	}
+	q.buffered = false
+	return q
 }
 
 // pageCrossing reserves the shared channel for one page-sized data
@@ -325,38 +295,33 @@ func (n *NVDIMM) pageCrossing(bytes int64, fn func()) {
 		}
 		hold += bus.SyncBufferLatency
 	}
-	issued := n.eng.Now()
-	n.channel.Acquire(bus.PriIO, hold, func(start sim.Time) {
-		n.Metrics().AddContention((start - issued).Micros())
-		n.eng.Schedule(hold, fn)
-	})
+	c := n.getCrossing()
+	c.issued = n.eng.Now()
+	c.hold = hold
+	c.fn = fn
+	n.channel.Acquire(bus.PriIO, hold, c.onGrant)
 }
 
-// requestCrossings splits a request's data movement into per-page channel
-// crossings and calls fn when all of them have completed.
-func (n *NVDIMM) requestCrossings(r *trace.IORequest, pages int, fn func()) {
-	if pages <= 0 {
-		pages = 1
-	}
-	per := r.Size / int64(pages)
-	if per <= 0 {
-		per = 64
-	}
-	remaining := pages
-	for i := 0; i < pages; i++ {
-		n.pageCrossing(per, func() {
-			remaining--
-			if remaining == 0 {
-				fn()
-			}
-		})
+// crossPages moves each of the request's pages over the channel; the last
+// crossing to finish completes the request (or, for a buffered write,
+// lands it in the buffer cache).
+func (n *NVDIMM) crossPages(q *request) {
+	for i, pages := 0, q.pages; i < pages; i++ {
+		n.pageCrossing(q.per, q.onPage)
 	}
 }
 
-// complete stamps and reports the request.
-func (n *NVDIMM) complete(r *trace.IORequest, done device.Completion) {
+// complete stamps and reports the request. The record is recycled before
+// done runs, so a done that submits the next request may reuse it.
+func (n *NVDIMM) complete(q *request) {
+	r, done := q.r, q.done
+	n.putRequest(q)
 	r.Complete = n.eng.Now()
-	done(r)
+	n.outstanding--
+	n.Metrics().Observe(r)
+	if done != nil {
+		done(r)
+	}
 }
 
 // --- write paths ---
@@ -365,124 +330,101 @@ func (n *NVDIMM) complete(r *trace.IORequest, done device.Completion) {
 // into the buffer cache; the write completes on insertion. Dirty victims
 // (and eventually the written pages themselves, on later eviction) flush
 // to flash through the scheduler.
-func (n *NVDIMM) bufferedWrite(r *trace.IORequest, done device.Completion) {
-	n.requestCrossings(r, len(n.pagesOf(r)), func() { n.bufferInsert(r, done) })
+func (n *NVDIMM) bufferedWrite(q *request) {
+	q.buffered = true
+	n.crossPages(q)
 }
 
 // bufferInsert lands transferred write data in the buffer cache, stalling
 // when the dirty write-back backlog is saturated (the write cliff).
-func (n *NVDIMM) bufferInsert(r *trace.IORequest, done device.Completion) {
+func (n *NVDIMM) bufferInsert(q *request) {
 	if n.pendingFlush >= n.cfg.MaxPendingFlush {
 		n.stalledWrites++
-		n.stalls = append(n.stalls, stalledWrite{r: r, done: done})
+		n.stalls = append(n.stalls, q)
 		return
 	}
-	for _, lpn := range n.pagesOf(r) {
-		victims := n.cache.Insert(lpn, true)
-		n.flushVictims(victims)
+	for lpn, end := q.first, q.first+int64(q.pages); lpn < end; lpn++ {
+		n.cacheInsert(lpn, true)
 	}
-	n.complete(r, done)
+	n.complete(q)
 }
 
-// flushVictims schedules write-back of dirty evicted blocks.
-func (n *NVDIMM) flushVictims(victims []cache.Victim) {
-	for _, v := range victims {
-		if !v.Dirty {
-			continue
-		}
-		n.flushedVictims++
-		n.pendingFlush++
-		lpn := v.Block
-		n.sched.EnqueueWrite(lpn, trace.ClassPersistent,
-			func(opDone func()) { n.ftl.Write(lpn, opDone) },
-			func() {
-				n.pendingFlush--
-				n.drainStalls()
-			})
+// cacheInsert caches lpn and schedules the write-back of a dirty victim.
+func (n *NVDIMM) cacheInsert(lpn int64, dirty bool) {
+	v, evicted := n.cache.Insert(lpn, dirty)
+	if !evicted || !v.Dirty {
+		return
 	}
+	n.flushedVictims++
+	n.pendingFlush++
+	p := n.getPage(nil, v.Block)
+	n.sched.EnqueueWrite(v.Block, trace.ClassPersistent, p.onFlush, p.onFlushed)
 }
 
 // drainStalls resumes stalled writes once backpressure clears.
 func (n *NVDIMM) drainStalls() {
 	for len(n.stalls) > 0 && n.pendingFlush < n.cfg.MaxPendingFlush {
-		s := n.stalls[0]
+		q := n.stalls[0]
 		n.stalls = n.stalls[:copy(n.stalls, n.stalls[1:])]
-		n.bufferInsert(s.r, s.done)
+		n.bufferInsert(q)
 	}
 }
 
-// migratedWrite is the destination-side migration path: each page enters
-// the transaction queue immediately tagged ClassMigrated so Policy
-// One/Two apply; the scheduled operation moves the page over the shared
-// channel before programming it. It never touches the buffer cache.
-func (n *NVDIMM) migratedWrite(r *trace.IORequest, done device.Completion) {
-	lpns := n.pagesOf(r)
-	per := r.Size / int64(len(lpns))
-	if per <= 0 {
-		per = 64
+// scheduledWrite serves the two write paths that go through the
+// transaction queue page by page; each scheduled operation moves its page
+// over the shared channel before programming it, and the request
+// completes when every page is done.
+//
+//   - Migrated writes (destination side of a migration) are tagged
+//     ClassMigrated so Policy One/Two apply, and never touch the buffer
+//     cache; Policy Two may discard a stale one without running it.
+//   - Write-through is the persistent-store path: each page enters the
+//     queue immediately (so a barrier issued right after this request
+//     delimits it correctly), completion comes at program time, and a
+//     clean copy lands in the buffer cache so later reads hit.
+//
+// The request cannot complete before its last page is enqueued, and the
+// loop does not touch q after that, so a completion that reuses the
+// record cannot disturb it.
+func (n *NVDIMM) scheduledWrite(q *request) {
+	class := trace.ClassPersistent
+	if q.r.Class == trace.ClassMigrated {
+		class = trace.ClassMigrated
 	}
-	remaining := len(lpns)
-	for _, lpn := range lpns {
-		lpn := lpn
-		n.sched.EnqueueWrite(lpn, trace.ClassMigrated,
-			func(opDone func()) {
-				n.pageCrossing(per, func() { n.ftl.Write(lpn, opDone) })
-			},
-			func() {
-				remaining--
-				if remaining == 0 {
-					n.complete(r, done)
-				}
-			})
+	for lpn, end := q.first, q.first+int64(q.pages); lpn < end; lpn++ {
+		p := n.getPage(q, lpn)
+		n.sched.EnqueueWrite(lpn, class, p.onRun, p.onWritten)
 	}
 }
 
 // --- read path ---
 
 // read serves reads. Cache hits cost only the bus transfer; misses read
-// flash and (for non-bypassed requests) populate the cache.
-func (n *NVDIMM) read(r *trace.IORequest, done device.Completion) {
-	bypass := r.Class == trace.ClassMigrated && n.cfg.BypassMigratedReads
-	lpns := n.pagesOf(r)
-	remaining := len(lpns)
-	perPage := r.Size / int64(len(lpns))
-	if perPage <= 0 {
-		perPage = 64
-	}
-	pageDone := func() {
-		// Each page's data moves to the memory controller over the
-		// shared channel as soon as it is available.
-		n.pageCrossing(perPage, func() {
-			remaining--
-			if remaining == 0 {
-				n.complete(r, done)
-			}
-		})
-	}
-	for _, lpn := range lpns {
-		lpn := lpn
+// flash and (for non-bypassed requests) populate the cache. Every page
+// then moves to the memory controller over the shared channel as soon as
+// its data is available.
+func (n *NVDIMM) read(q *request) {
+	migrated := q.r.Class == trace.ClassMigrated
+	bypass := migrated && n.cfg.BypassMigratedReads
+	for lpn, end := q.first, q.first+int64(q.pages); lpn < end; lpn++ {
 		if bypass {
 			// §5.3.2: serve from cache if resident (no promotion), else
 			// straight from flash with no insertion.
 			n.bypassedReads++
 			if n.cache.Contains(lpn) {
-				pageDone()
+				q.crossPage()
 			} else {
-				n.ftl.Read(lpn, pageDone)
+				n.ftl.Read(lpn, q.onFlash)
 			}
 			continue
 		}
 		if n.cache.Lookup(lpn) {
-			pageDone()
+			q.crossPage()
 			continue
 		}
-		if r.Class == trace.ClassMigrated {
+		if migrated {
 			n.pollutedReads++
 		}
-		n.ftl.Read(lpn, func() {
-			victims := n.cache.Insert(lpn, false)
-			n.flushVictims(victims)
-			pageDone()
-		})
+		n.ftl.Read(lpn, n.getPage(q, lpn).onFill)
 	}
 }

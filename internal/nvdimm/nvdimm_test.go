@@ -87,17 +87,17 @@ func TestMultiPageRequest(t *testing.T) {
 
 func TestPagesOfSplit(t *testing.T) {
 	_, n := newNVDIMM(t, testConfig("nv0"))
-	lpns := n.pagesOf(&trace.IORequest{Offset: 4095, Size: 2})
-	if len(lpns) != 2 || lpns[0] != 0 || lpns[1] != 1 {
-		t.Fatalf("pagesOf straddling = %v", lpns)
+	first, count := n.pagesOf(&trace.IORequest{Offset: 4095, Size: 2})
+	if count != 2 || first != 0 {
+		t.Fatalf("pagesOf straddling = %d pages from %d", count, first)
 	}
-	lpns = n.pagesOf(&trace.IORequest{Offset: 4096, Size: 4096})
-	if len(lpns) != 1 || lpns[0] != 1 {
-		t.Fatalf("pagesOf aligned = %v", lpns)
+	first, count = n.pagesOf(&trace.IORequest{Offset: 4096, Size: 4096})
+	if count != 1 || first != 1 {
+		t.Fatalf("pagesOf aligned = %d pages from %d", count, first)
 	}
-	lpns = n.pagesOf(&trace.IORequest{Offset: 0, Size: 0})
-	if len(lpns) != 1 {
-		t.Fatalf("zero-size request pages = %v", lpns)
+	first, count = n.pagesOf(&trace.IORequest{Offset: 0, Size: 0})
+	if count != 1 || first != 0 {
+		t.Fatalf("zero-size request = %d pages from %d", count, first)
 	}
 }
 
@@ -385,4 +385,119 @@ func TestDAXStillPaysFlashOnMiss(t *testing.T) {
 	if r.Latency() < 50*sim.Microsecond {
 		t.Fatalf("DAX miss = %v, must still include flash sense", r.Latency())
 	}
+}
+
+// TestRecordReuseUnderReentrancy covers the two ways a completion re-enters
+// the device while the path that completed it is still on the stack. In
+// both, the request record is recycled before done runs, so the nested
+// Submit takes that very record; no record still in use may be handed
+// out, which would show as a request completing twice, never, or with
+// another request's pages.
+func TestRecordReuseUnderReentrancy(t *testing.T) {
+	t.Run("completion submits the next request", func(t *testing.T) {
+		cfg := testConfig("nv0")
+		cfg.CacheBlocks = 4
+		cfg.Sched = memsched.Combined(50 * sim.Microsecond)
+		cfg.BypassMigratedReads = true
+		eng, n := newNVDIMM(t, cfg)
+		shapes := []trace.IORequest{
+			{Op: trace.OpRead, Size: 12288},
+			{Op: trace.OpWrite, Size: 8192},
+			{Op: trace.OpWrite, Size: 8192, Class: trace.ClassMigrated},
+			{Op: trace.OpRead, Size: 8192, Class: trace.ClassMigrated},
+			{Op: trace.OpRead, Size: 4096},
+		}
+		const chain = 200
+		reqs := make([]trace.IORequest, chain)
+		completions := make([]int, chain)
+		next := 0
+		var done func(r *trace.IORequest)
+		submitNext := func() {
+			i := next
+			next++
+			reqs[i] = shapes[i%len(shapes)]
+			reqs[i].ID = uint64(i)
+			reqs[i].Offset = int64(i%13) * 4096
+			n.Submit(&reqs[i], done)
+		}
+		done = func(r *trace.IORequest) {
+			i := int(r.ID)
+			if r != &reqs[i] || i != next-1 {
+				t.Fatalf("completion for request %d while %d is the one in flight", i, next-1)
+			}
+			completions[i]++
+			if r.Complete != eng.Now() || r.Complete < r.Issue {
+				t.Fatalf("request %d stamped issue %v complete %v at %v", i, r.Issue, r.Complete, eng.Now())
+			}
+			if n.Outstanding() != 0 {
+				t.Fatalf("outstanding = %d inside the completion of the only request", n.Outstanding())
+			}
+			if next < chain {
+				submitNext()
+			}
+		}
+		submitNext()
+		eng.Run()
+		for i, c := range completions {
+			if c != 1 {
+				t.Fatalf("request %d completed %d times", i, c)
+			}
+		}
+		// Each nested Submit took the record its predecessor had just
+		// released, so the whole chain used one request record.
+		records := 0
+		for q := n.freeRequests; q != nil; q = q.next {
+			records++
+		}
+		if records != 1 {
+			t.Fatalf("chain used %d request records, want 1", records)
+		}
+	})
+
+	t.Run("discarded migrated write enqueues another write", func(t *testing.T) {
+		cfg := testConfig("nv0")
+		cfg.WriteThrough = true
+		cfg.Sched = memsched.PolicyTwo()
+		cfg.SchedSlots = 1
+		eng, n := newNVDIMM(t, cfg)
+		completions := map[*trace.IORequest]int{}
+		count := func(r *trace.IORequest) { completions[r]++ }
+		// hold occupies the one slot; mig queues behind it; per, queued
+		// later for the same two pages, is dispatched first (Policy Two),
+		// which makes both pages of mig stale: they are discarded.
+		hold := &trace.IORequest{Op: trace.OpWrite, Offset: 100 * 4096, Size: 4096, Class: trace.ClassPersistent}
+		mig := &trace.IORequest{Op: trace.OpWrite, Offset: 5 * 4096, Size: 8192, Class: trace.ClassMigrated}
+		per := &trace.IORequest{Op: trace.OpWrite, Offset: 5 * 4096, Size: 8192, Class: trace.ClassPersistent}
+		again := &trace.IORequest{Op: trace.OpWrite, Offset: 5 * 4096, Size: 8192, Class: trace.ClassMigrated}
+		after := &trace.IORequest{Op: trace.OpWrite, Offset: 9 * 4096, Size: 4096, Class: trace.ClassPersistent}
+		n.Submit(hold, count)
+		n.Submit(mig, func(r *trace.IORequest) {
+			count(r)
+			if per.Complete == 0 {
+				t.Error("migrated write discarded before the persistent write that made it stale completed")
+			}
+			// Re-enter the scheduler from inside its discard loop: a
+			// fresh migrated write to the same pages, then a persistent
+			// one behind it.
+			n.Submit(again, count)
+			n.Submit(after, count)
+		})
+		n.Submit(per, count)
+		eng.Run()
+		for _, r := range []*trace.IORequest{hold, mig, per, again, after} {
+			if completions[r] != 1 {
+				t.Fatalf("request at offset %d class %v completed %d times", r.Offset, r.Class, completions[r])
+			}
+		}
+		if d := n.Scheduler().Stats().DiscardedMigrated; d != 2 {
+			t.Fatalf("discarded %d migrated pages, want mig's 2", d)
+		}
+		if n.Outstanding() != 0 || n.Scheduler().QueueLen() != 0 || n.Scheduler().InFlight() != 0 {
+			t.Fatalf("device not drained: outstanding %d, queued %d, in flight %d",
+				n.Outstanding(), n.Scheduler().QueueLen(), n.Scheduler().InFlight())
+		}
+		if again.Latency() < 600*sim.Microsecond {
+			t.Fatalf("re-submitted migrated write = %v, should include a flash program", again.Latency())
+		}
+	})
 }

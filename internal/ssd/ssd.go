@@ -148,19 +148,15 @@ func (s *SSD) acquireLink(bytes int64, fn func()) {
 	s.eng.At(start+hold, fn)
 }
 
-// pagesOf splits a request into LPNs.
-func (s *SSD) pagesOf(r *trace.IORequest) []int64 {
+// pagesOf returns the first LPN a request touches and how many
+// consecutive pages it spans (at least one).
+func (s *SSD) pagesOf(r *trace.IORequest) (first int64, count int) {
 	ps := s.ftl.PageSize()
-	first := r.Offset / ps
-	last := (r.Offset + r.Size - 1) / ps
+	first = r.Offset / ps
 	if r.Size <= 0 {
-		last = first
+		return first, 1
 	}
-	lpns := make([]int64, 0, last-first+1)
-	for p := first; p <= last; p++ {
-		lpns = append(lpns, p)
-	}
-	return lpns
+	return first, int((r.Offset+r.Size-1)/ps-first) + 1
 }
 
 // Submit implements device.Device.
@@ -203,15 +199,15 @@ func (s *SSD) complete(r *trace.IORequest, done device.Completion) {
 // transfer out.
 func (s *SSD) read(r *trace.IORequest, done device.Completion) {
 	s.eng.Schedule(ReadOverhead, func() {
-		lpns := s.pagesOf(r)
-		remaining := len(lpns)
+		first, remaining := s.pagesOf(r)
+		end := first + int64(remaining)
 		pageDone := func() {
 			remaining--
 			if remaining == 0 {
 				s.acquireLink(r.Size, func() { s.complete(r, done) })
 			}
 		}
-		for _, lpn := range lpns {
+		for lpn := first; lpn < end; lpn++ {
 			if s.bufferResident[lpn] > 0 {
 				pageDone()
 				continue
@@ -234,7 +230,8 @@ func (s *SSD) bufferAck(r *trace.IORequest, done device.Completion) {
 		s.stalls = append(s.stalls, func() { s.bufferAck(r, done) })
 		return
 	}
-	for _, lpn := range s.pagesOf(r) {
+	first, count := s.pagesOf(r)
+	for lpn := first; lpn < first+int64(count); lpn++ {
 		lpn := lpn
 		s.bufferResident[lpn]++
 		s.pendingFlush++
