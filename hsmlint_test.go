@@ -47,7 +47,7 @@ func TestLintClean(t *testing.T) {
 	}
 }
 
-// TestLintSuiteRegistry pins the expanded hsmlint v2 suite: all nine
+// TestLintSuiteRegistry pins the expanded hsmlint v2 suite: all ten
 // checks, in registry order, on by default. A check silently dropped
 // from the registry would leave TestLintClean green while the gate it
 // provided disappears — this test turns that into a failure.
@@ -55,7 +55,7 @@ func TestLintSuiteRegistry(t *testing.T) {
 	want := []string{
 		"walltime", "walltimereach", "globalrand", "maporder",
 		"floatorder", "goroutineownership", "indexsync", "journalfence",
-		"docs",
+		"docs", "unreachable",
 	}
 	if got := lint.Checks(); !reflect.DeepEqual(got, want) {
 		t.Errorf("lint.Checks() = %v, want %v", got, want)

@@ -129,9 +129,6 @@ func NewChannel(eng *sim.Engine, id int) *Channel {
 	return c
 }
 
-// ID returns the channel index.
-func (c *Channel) ID() int { return c.id }
-
 // Acquire asks for the channel for hold nanoseconds at the given priority.
 // granted runs at the simulated time the transfer begins; the channel is
 // released automatically after hold. Use the start argument to compute
@@ -169,20 +166,11 @@ func (c *Channel) dispatch() {
 	c.eng.Schedule(g.hold, c.onRelease)
 }
 
-// QueueLen returns the number of waiters at the given priority.
-func (c *Channel) QueueLen(pri Priority) int { return c.queues[pri].n }
-
-// Busy reports whether a transfer is in flight.
-func (c *Channel) Busy() bool { return c.busy }
-
 // MeanWaitUS returns the mean queuing delay (µs) seen by the class.
 func (c *Channel) MeanWaitUS(pri Priority) float64 { return c.waitUS[pri].Mean() }
 
 // Grants returns how many acquisitions of the class have been granted.
 func (c *Channel) Grants(pri Priority) uint64 { return c.grants[pri] }
-
-// BusyTime returns total channel occupancy so far.
-func (c *Channel) BusyTime() sim.Time { return c.busyTime }
 
 // Utilization returns busy-time divided by elapsed simulated time.
 func (c *Channel) Utilization() float64 {
@@ -211,14 +199,6 @@ func (c *Channel) RegisterTelemetry(reg *telemetry.Registry, prefix string) {
 	reg.Gauge(prefix+"mem_grants", func() float64 { return float64(c.grants[PriMem]) })
 }
 
-// ResetStats clears wait/grant statistics (not queue state).
-func (c *Channel) ResetStats() {
-	for p := range c.waitUS {
-		c.waitUS[p].Reset()
-		c.grants[p] = 0
-	}
-}
-
 // Interconnect is the set of memory channels on one server node. Table 4
 // configures 4 channels, each carrying one DRAM DIMM and one NVDIMM.
 type Interconnect struct {
@@ -239,11 +219,6 @@ func (ic *Interconnect) Channel(i int) *Channel { return ic.channels[i] }
 
 // NumChannels returns the channel count.
 func (ic *Interconnect) NumChannels() int { return len(ic.channels) }
-
-// ChannelFor maps an address to a channel by cacheline interleaving.
-func (ic *Interconnect) ChannelFor(addr uint64) *Channel {
-	return ic.channels[(addr>>6)%uint64(len(ic.channels))]
-}
 
 // MeanIOWaitUS returns the average NVDIMM-traffic queuing delay across all
 // channels (µs) — the system-level bus-contention signal.
@@ -276,12 +251,5 @@ func (ic *Interconnect) RegisterTelemetry(reg *telemetry.Registry, prefix string
 func (ic *Interconnect) SetTracer(tr *telemetry.Tracer, trackPrefix string) {
 	for i, c := range ic.channels {
 		c.SetTracer(tr, fmt.Sprintf("%sch%d", trackPrefix, i))
-	}
-}
-
-// ResetStats clears statistics on every channel.
-func (ic *Interconnect) ResetStats() {
-	for _, c := range ic.channels {
-		c.ResetStats()
 	}
 }

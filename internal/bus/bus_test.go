@@ -92,8 +92,8 @@ func TestChannelContentionDelaysIO(t *testing.T) {
 func TestChannelStats(t *testing.T) {
 	eng := sim.NewEngine()
 	c := NewChannel(eng, 3)
-	if c.ID() != 3 {
-		t.Fatalf("ID = %d", c.ID())
+	if c.id != 3 {
+		t.Fatalf("ID = %d", c.id)
 	}
 	c.Acquire(PriMem, 100, func(sim.Time) {})
 	c.Acquire(PriIO, 200, func(sim.Time) {})
@@ -101,15 +101,11 @@ func TestChannelStats(t *testing.T) {
 	if c.Grants(PriMem) != 1 || c.Grants(PriIO) != 1 {
 		t.Fatalf("grants = %d/%d", c.Grants(PriMem), c.Grants(PriIO))
 	}
-	if c.BusyTime() != 300 {
-		t.Fatalf("busy time = %v", c.BusyTime())
+	if c.busyTime != 300 {
+		t.Fatalf("busy time = %v", c.busyTime)
 	}
 	if u := c.Utilization(); u != 1 {
 		t.Fatalf("utilization = %v, want 1 (fully busy)", u)
-	}
-	c.ResetStats()
-	if c.Grants(PriMem) != 0 || c.MeanWaitUS(PriIO) != 0 {
-		t.Fatal("ResetStats did not clear")
 	}
 }
 
@@ -122,7 +118,7 @@ func TestChannelNegativeHoldClamped(t *testing.T) {
 	if !ran {
 		t.Fatal("negative-hold grant never ran")
 	}
-	if c.Busy() {
+	if c.busy {
 		t.Fatal("channel stuck busy")
 	}
 }
@@ -133,11 +129,11 @@ func TestChannelQueueLen(t *testing.T) {
 	c.Acquire(PriMem, 100, func(sim.Time) {})
 	c.Acquire(PriIO, 100, func(sim.Time) {})
 	c.Acquire(PriIO, 100, func(sim.Time) {})
-	if c.QueueLen(PriIO) != 2 {
-		t.Fatalf("queue len = %d, want 2", c.QueueLen(PriIO))
+	if c.queues[PriIO].n != 2 {
+		t.Fatalf("queue len = %d, want 2", c.queues[PriIO].n)
 	}
 	eng.Run()
-	if c.QueueLen(PriIO) != 0 {
+	if c.queues[PriIO].n != 0 {
 		t.Fatal("queue not drained")
 	}
 }
@@ -175,14 +171,14 @@ func TestGrantRingOrderAcrossGrowthAndWrap(t *testing.T) {
 	wave(0, 6)
 	eng.At(35, func() {
 		wave(6, 12)
-		if c.QueueLen(PriMem) != 9 || c.QueueLen(PriIO) != 12 {
-			t.Errorf("t=35 queue lens = %d/%d, want 9/12", c.QueueLen(PriMem), c.QueueLen(PriIO))
+		if c.queues[PriMem].n != 9 || c.queues[PriIO].n != 12 {
+			t.Errorf("t=35 queue lens = %d/%d, want 9/12", c.queues[PriMem].n, c.queues[PriIO].n)
 		}
 	})
 	eng.At(215, func() {
 		wave(12, 20)
-		if c.QueueLen(PriMem) != 8 || c.QueueLen(PriIO) != 11 {
-			t.Errorf("t=215 queue lens = %d/%d, want 8/11", c.QueueLen(PriMem), c.QueueLen(PriIO))
+		if c.queues[PriMem].n != 8 || c.queues[PriIO].n != 11 {
+			t.Errorf("t=215 queue lens = %d/%d, want 8/11", c.queues[PriMem].n, c.queues[PriIO].n)
 		}
 		for p := range c.queues {
 			if q := &c.queues[p]; len(q.buf) != 16 || q.head+q.n <= len(q.buf) {
@@ -212,8 +208,8 @@ func TestGrantRingOrderAcrossGrowthAndWrap(t *testing.T) {
 			t.Fatalf("grant %d = %s at %v, want %s at %v", k, r.name, r.start, want[k], sim.Time(k*hold))
 		}
 	}
-	if c.QueueLen(PriMem) != 0 || c.QueueLen(PriIO) != 0 {
-		t.Fatalf("queues not drained: %d/%d", c.QueueLen(PriMem), c.QueueLen(PriIO))
+	if c.queues[PriMem].n != 0 || c.queues[PriIO].n != 0 {
+		t.Fatalf("queues not drained: %d/%d", c.queues[PriMem].n, c.queues[PriIO].n)
 	}
 	if c.Grants(PriMem) != 20 || c.Grants(PriIO) != 21 {
 		t.Fatalf("grants = %d/%d, want 20/21", c.Grants(PriMem), c.Grants(PriIO))
@@ -234,15 +230,10 @@ func TestInterconnect(t *testing.T) {
 	if ic.NumChannels() != 4 {
 		t.Fatalf("channels = %d", ic.NumChannels())
 	}
-	// Cacheline interleave: addresses 0, 64, 128, 192 map to channels 0..3.
 	for i := 0; i < 4; i++ {
-		if got := ic.ChannelFor(uint64(i * 64)); got != ic.Channel(i) {
-			t.Fatalf("addr %d mapped to channel %d", i*64, got.ID())
+		if got := ic.Channel(i).id; got != i {
+			t.Fatalf("channel %d has id %d", i, got)
 		}
-	}
-	// Same cacheline maps consistently.
-	if ic.ChannelFor(65) != ic.Channel(1) {
-		t.Fatal("within-line addresses must map to the same channel")
 	}
 }
 
@@ -258,9 +249,5 @@ func TestInterconnectMeanIOWait(t *testing.T) {
 	eng.Run()
 	if ic.MeanIOWaitUS() != 1.0 {
 		t.Fatalf("mean IO wait = %v us, want 1.0", ic.MeanIOWaitUS())
-	}
-	ic.ResetStats()
-	if ic.MeanIOWaitUS() != 0 {
-		t.Fatal("ResetStats did not clear interconnect stats")
 	}
 }

@@ -26,20 +26,6 @@ type Cache interface {
 	// room, reported with evicted = true so the device can schedule a
 	// write-back when it is dirty.
 	Insert(block int64, dirty bool) (v Victim, evicted bool)
-	// MarkDirty marks a resident block dirty; it reports whether the
-	// block was resident.
-	MarkDirty(block int64) bool
-	// Contains reports residency without touching recency or stats.
-	Contains(block int64) bool
-	// Invalidate empties the cache without write-backs — the power-loss
-	// path (DRAM cache contents are volatile; dirty lines are covered by
-	// flush-on-fail circuitry, so dropping them loses no data). Hit/miss
-	// statistics survive.
-	Invalidate()
-	// Len returns the number of resident blocks.
-	Len() int
-	// Cap returns the capacity in blocks.
-	Cap() int
 	// Stats returns the hit/miss counters.
 	Stats() *Stats
 }
@@ -271,33 +257,31 @@ func (c *LRFU) Insert(block int64, dirty bool) (Victim, bool) {
 	return v, evicted
 }
 
-// MarkDirty implements Cache.
-func (c *LRFU) MarkDirty(block int64) bool {
-	i, ok := c.entries[block]
-	if ok {
-		c.slab[i].dirty = true
-	}
-	return ok
-}
-
-// Contains implements Cache.
+// Contains reports residency without touching recency or stats.
 func (c *LRFU) Contains(block int64) bool {
 	_, ok := c.entries[block]
 	return ok
 }
 
-// Invalidate implements Cache. The map, slab and heap keep their backing
-// storage, so a power loss costs no allocation.
+// Invalidate empties the cache without write-backs — the power-loss
+// path (DRAM cache contents are volatile; dirty lines are covered by
+// flush-on-fail circuitry, so dropping them loses no data). Hit/miss
+// statistics survive. The map, slab and heap keep their backing storage,
+// so a power loss costs no allocation.
 func (c *LRFU) Invalidate() {
 	clear(c.entries)
 	c.slab = c.slab[:0]
 	c.heap = c.heap[:0]
 }
 
-// Len implements Cache.
+// Len returns the number of resident blocks.
+//
+//lint:ignore unreachable nvdimm TestMigratedWriteBypassesCache, TestBypassPreservesCacheContents
 func (c *LRFU) Len() int { return len(c.entries) }
 
-// Cap implements Cache.
+// Cap returns the capacity in blocks.
+//
+//lint:ignore unreachable core TestSchedulerAndBypassOptionsPropagate
 func (c *LRFU) Cap() int { return c.capacity }
 
 // Stats implements Cache.
@@ -396,33 +380,6 @@ func (c *LRU) Insert(block int64, dirty bool) (Victim, bool) {
 	c.pushFront(n)
 	return v, evicted
 }
-
-// MarkDirty implements Cache.
-func (c *LRU) MarkDirty(block int64) bool {
-	n, ok := c.entries[block]
-	if ok {
-		n.dirty = true
-	}
-	return ok
-}
-
-// Contains implements Cache.
-func (c *LRU) Contains(block int64) bool {
-	_, ok := c.entries[block]
-	return ok
-}
-
-// Invalidate implements Cache. The map keeps its backing storage.
-func (c *LRU) Invalidate() {
-	clear(c.entries)
-	c.head, c.tail = nil, nil
-}
-
-// Len implements Cache.
-func (c *LRU) Len() int { return len(c.entries) }
-
-// Cap implements Cache.
-func (c *LRU) Cap() int { return c.capacity }
 
 // Stats implements Cache.
 func (c *LRU) Stats() *Stats { return &c.stats }

@@ -97,14 +97,6 @@ func (c *refLRFU) Insert(block int64, dirty bool) []Victim {
 	return victims
 }
 
-func (c *refLRFU) MarkDirty(block int64) bool {
-	e, ok := c.entries[block]
-	if ok {
-		e.dirty = true
-	}
-	return ok
-}
-
 func (c *refLRFU) Contains(block int64) bool {
 	_, ok := c.entries[block]
 	return ok

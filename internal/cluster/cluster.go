@@ -79,9 +79,6 @@ func (l *Link) Transfer(bytes int64, done func()) {
 	l.eng.At(start+hold+l.Latency, done)
 }
 
-// BytesSent returns the total traffic carried.
-func (l *Link) BytesSent() int64 { return l.bytesSent }
-
 // Cluster is a set of nodes plus the interconnecting network.
 type Cluster struct {
 	Eng   *sim.Engine

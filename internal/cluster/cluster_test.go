@@ -26,7 +26,7 @@ func smallNodeConfig(name string, withMem bool) NodeConfig {
 		Name:   name,
 		NVDIMM: nvCfg,
 		SSD:    sdCfg,
-		HDD:    hdd.DefaultConfig(name + "-hdd"),
+		HDD:    hdd.Config{Name: name + "-hdd", Capacity: 1 << 40, Seed: 1},
 	}
 	if withMem {
 		mcf, _ := workload.SPECProfile("429.mcf")

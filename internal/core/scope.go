@@ -115,22 +115,6 @@ func (sc *TelemetryScope) adopt() *Telemetry {
 	return t
 }
 
-// Systems returns the number of systems adopted anywhere in the tree.
-func (sc *TelemetryScope) Systems() int {
-	if sc == nil {
-		return 0
-	}
-	n := 0
-	for _, s := range sc.slots {
-		if s.child != nil {
-			n += s.child.Systems()
-		} else {
-			n++
-		}
-	}
-	return n
-}
-
 // Merge flattens the tree into one Telemetry bundle: a depth-first walk
 // assigns the k-th visited system the "sys<k>." prefix and merges its
 // spans and metric rows under it. Call only after every job owning a

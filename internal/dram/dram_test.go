@@ -19,7 +19,7 @@ func TestAccessCompletes(t *testing.T) {
 	// Start past the t=0 refresh blackout so timing is pure bank latency.
 	eng.RunUntil(200)
 	var lat sim.Time = -1
-	d.Access(trace.MemRequest{Op: trace.MemRead, Addr: 0x1000, At: 200}, func(l sim.Time) { lat = l })
+	d.AccessBurst(trace.MemRequest{Op: trace.MemRead, Addr: 0x1000, At: 200}, 1, func(l sim.Time) { lat = l })
 	eng.Run()
 	if lat < 0 {
 		t.Fatal("access never completed")
@@ -37,7 +37,7 @@ func TestAccessCompletes(t *testing.T) {
 func TestAccessAtZeroIncludesRefresh(t *testing.T) {
 	eng, d := newDIMM()
 	var lat sim.Time = -1
-	d.Access(trace.MemRequest{Op: trace.MemRead, Addr: 0x1000, At: 0}, func(l sim.Time) { lat = l })
+	d.AccessBurst(trace.MemRequest{Op: trace.MemRead, Addr: 0x1000, At: 0}, 1, func(l sim.Time) { lat = l })
 	eng.Run()
 	want := RefreshRowTime + TRCD + TCL + BurstTime
 	if lat != want {
@@ -51,17 +51,17 @@ func TestRowHitFasterThanConflict(t *testing.T) {
 	record := func(l sim.Time) { latencies = append(latencies, l) }
 
 	base := uint64(0x10000)
-	d.Access(trace.MemRequest{Op: trace.MemRead, Addr: base, At: 0}, record)
+	d.AccessBurst(trace.MemRequest{Op: trace.MemRead, Addr: base, At: 0}, 1, record)
 	eng.Run()
 
 	// Same row (same upper bits): row hit.
 	at := eng.Now()
-	d.Access(trace.MemRequest{Op: trace.MemRead, Addr: base + 64, At: at}, record)
+	d.AccessBurst(trace.MemRequest{Op: trace.MemRead, Addr: base + 64, At: at}, 1, record)
 	eng.Run()
 
 	// Different row, same bank (flip row bits above bit 13).
 	at = eng.Now()
-	d.Access(trace.MemRequest{Op: trace.MemRead, Addr: base + (1 << 20), At: at}, record)
+	d.AccessBurst(trace.MemRequest{Op: trace.MemRead, Addr: base + (1 << 20), At: at}, 1, record)
 	eng.Run()
 
 	if len(latencies) != 3 {
@@ -71,8 +71,8 @@ func TestRowHitFasterThanConflict(t *testing.T) {
 	if hit >= conflict {
 		t.Fatalf("row hit (%v) not faster than row conflict (%v)", hit, conflict)
 	}
-	if d.RowHitRate() <= 0 || d.RowHitRate() >= 1 {
-		t.Fatalf("row hit rate = %v, want in (0,1)", d.RowHitRate())
+	if rowHitRate(d) <= 0 || rowHitRate(d) >= 1 {
+		t.Fatalf("row hit rate = %v, want in (0,1)", rowHitRate(d))
 	}
 }
 
@@ -82,8 +82,8 @@ func TestBankParallelism(t *testing.T) {
 	run := func(addr2 uint64) sim.Time {
 		eng, d := newDIMM()
 		doneCount := 0
-		d.Access(trace.MemRequest{Op: trace.MemRead, Addr: 0, At: 0}, func(sim.Time) { doneCount++ })
-		d.Access(trace.MemRequest{Op: trace.MemRead, Addr: addr2, At: 0}, func(sim.Time) { doneCount++ })
+		d.AccessBurst(trace.MemRequest{Op: trace.MemRead, Addr: 0, At: 0}, 1, func(sim.Time) { doneCount++ })
+		d.AccessBurst(trace.MemRequest{Op: trace.MemRead, Addr: addr2, At: 0}, 1, func(sim.Time) { doneCount++ })
 		eng.Run()
 		if doneCount != 2 {
 			t.Fatalf("only %d completed", doneCount)
@@ -100,9 +100,9 @@ func TestBankParallelism(t *testing.T) {
 
 func TestIntensityTracking(t *testing.T) {
 	eng, d := newDIMM()
-	d.Access(trace.MemRequest{Op: trace.MemRead, Addr: 0}, nil)
-	d.Access(trace.MemRequest{Op: trace.MemWrite, Addr: 64}, nil)
-	d.Access(trace.MemRequest{Op: trace.MemWrite, Addr: 128}, nil)
+	d.AccessBurst(trace.MemRequest{Op: trace.MemRead, Addr: 0}, 1, nil)
+	d.AccessBurst(trace.MemRequest{Op: trace.MemWrite, Addr: 64}, 1, nil)
+	d.AccessBurst(trace.MemRequest{Op: trace.MemWrite, Addr: 128}, 1, nil)
 	eng.Run()
 	if d.Intensity().Reads() != 1 || d.Intensity().Writes() != 2 {
 		t.Fatalf("intensity = %d reads / %d writes", d.Intensity().Reads(), d.Intensity().Writes())
@@ -146,14 +146,14 @@ func TestRefreshDelay(t *testing.T) {
 func TestMeanLatencyAccumulates(t *testing.T) {
 	eng, d := newDIMM()
 	for i := 0; i < 50; i++ {
-		d.Access(trace.MemRequest{Op: trace.MemRead, Addr: uint64(i) << 13, At: eng.Now()}, nil)
+		d.AccessBurst(trace.MemRequest{Op: trace.MemRead, Addr: uint64(i) << 13, At: eng.Now()}, 1, nil)
 	}
 	eng.Run()
-	if d.MeanLatencyNS() <= 0 {
+	if d.latency.Mean() <= 0 {
 		t.Fatal("mean latency not recorded")
 	}
-	if d.Capacity() != 8<<30 {
-		t.Fatalf("capacity = %d", d.Capacity())
+	if d.cfg.CapacityBytes != 8<<30 {
+		t.Fatalf("capacity = %d", d.cfg.CapacityBytes)
 	}
 }
 
@@ -165,7 +165,7 @@ func TestChannelContentionSlowsDRAM(t *testing.T) {
 	// Hold the channel with a long IO transfer first.
 	ch.Acquire(bus.PriIO, 10*sim.Microsecond, func(sim.Time) {})
 	var lat sim.Time
-	d.Access(trace.MemRequest{Op: trace.MemRead, Addr: 0, At: 0}, func(l sim.Time) { lat = l })
+	d.AccessBurst(trace.MemRequest{Op: trace.MemRead, Addr: 0, At: 0}, 1, func(l sim.Time) { lat = l })
 	eng.Run()
 	if lat < 10*sim.Microsecond {
 		t.Fatalf("DRAM access latency %v should include waiting for the 10us IO hold", lat)
@@ -229,13 +229,13 @@ func TestBurstPool(t *testing.T) {
 		if d.Served() != 7 {
 			t.Fatalf("served = %d, want 7", d.Served())
 		}
-		if got := d.RowHitRate(); got != 1.0/3 {
+		if got := rowHitRate(d); got != 1.0/3 {
 			t.Fatalf("row hit rate = %v, want 1/3", got)
 		}
 		if r, w := d.Intensity().Reads(), d.Intensity().Writes(); r != 5 || w != 2 {
 			t.Fatalf("intensity = %d reads / %d writes, want 5/2", r, w)
 		}
-		if got := d.MeanLatencyNS(); got != 46 {
+		if got := d.latency.Mean(); got != 46 {
 			t.Fatalf("mean latency = %v ns, want 46", got)
 		}
 		// Each done ran after its record was recycled, so the chain
@@ -252,18 +252,18 @@ func TestBurstPool(t *testing.T) {
 		// Bank 0 with no callback: recycled at its grant (214).
 		d.AccessBurst(trace.MemRequest{Op: trace.MemRead, Addr: 0x10000, At: 200}, 8, nil)
 		// Bank 1, ready at 214 too but queued behind the 40 ns hold.
-		d.Access(trace.MemRequest{Op: trace.MemWrite, Addr: 0x10100, At: 200}, func(l sim.Time) { lat = l })
+		d.AccessBurst(trace.MemRequest{Op: trace.MemWrite, Addr: 0x10100, At: 200}, 1, func(l sim.Time) { lat = l })
 		eng.Run()
 		if lat != 73 { // grant 254, finish 254+14+5
 			t.Fatalf("queued access latency = %v, want 73", lat)
 		}
-		if got := d.MeanLatencyNS(); got != (68+73)/2.0 { // 214+14+40-200, 73
+		if got := d.latency.Mean(); got != (68+73)/2.0 { // 214+14+40-200, 73
 			t.Fatalf("mean latency = %v ns, want 70.5", got)
 		}
 		if d.Served() != 9 {
 			t.Fatalf("served = %d, want 9", d.Served())
 		}
-		if got := d.RowHitRate(); got != 0 {
+		if got := rowHitRate(d); got != 0 {
 			t.Fatalf("row hit rate = %v, want 0", got)
 		}
 		if r, w := d.Intensity().Reads(), d.Intensity().Writes(); r != 8 || w != 1 {
@@ -292,11 +292,11 @@ func TestBurstPool(t *testing.T) {
 			}
 		}
 		// a: bank 2 row 0, closed → ready 314.
-		d.Access(trace.MemRequest{Op: trace.MemRead, Addr: 0x200, At: 300}, record("a"))
+		d.AccessBurst(trace.MemRequest{Op: trace.MemRead, Addr: 0x200, At: 300}, 1, record("a"))
 		// b: bank 3, closed → ready 314, queued behind a.
 		d.AccessBurst(trace.MemRequest{Op: trace.MemWrite, Addr: 0x300, At: 300}, 4, record("b"))
 		// c: bank 2 row 0 again, a hit on the row a opened → ready 300.
-		d.Access(trace.MemRequest{Op: trace.MemWrite, Addr: 0x240, At: 300}, record("c"))
+		d.AccessBurst(trace.MemRequest{Op: trace.MemWrite, Addr: 0x240, At: 300}, 1, record("c"))
 		eng.Run()
 		// c: grant 300, finish 319. a: grant 314, finish 333.
 		// b: grant 319 (after a's 5 ns hold), finish 319+14+20 = 353.
@@ -310,14 +310,29 @@ func TestBurstPool(t *testing.T) {
 		if d.Served() != 6 {
 			t.Fatalf("served = %d, want 6", d.Served())
 		}
-		if got := d.RowHitRate(); got != 1.0/3 {
+		if got := rowHitRate(d); got != 1.0/3 {
 			t.Fatalf("row hit rate = %v, want 1/3", got)
 		}
 		if r, w := d.Intensity().Reads(), d.Intensity().Writes(); r != 1 || w != 5 {
 			t.Fatalf("intensity = %d reads / %d writes, want 1/5", r, w)
 		}
-		if got := d.MeanLatencyNS(); got != 35 {
+		if got := d.latency.Mean(); got != 35 {
 			t.Fatalf("mean latency = %v ns, want 35", got)
 		}
 	})
+}
+
+// rowHitRate returns row-buffer hits / (hits+misses) across all banks.
+func rowHitRate(d *DIMM) float64 {
+	var h, m uint64
+	for r := range d.banks {
+		for b := range d.banks[r] {
+			h += d.banks[r][b].rowHits
+			m += d.banks[r][b].rowMisses
+		}
+	}
+	if h+m == 0 {
+		return 0
+	}
+	return float64(h) / float64(h+m)
 }

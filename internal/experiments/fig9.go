@@ -106,17 +106,6 @@ func Fig9(scale Scale) Fig9Result {
 	return Fig9Result{Schedules: scheds}
 }
 
-// Makespan returns the named policy's total schedule length (0 if the
-// policy is not in the result).
-func (r Fig9Result) Makespan(policyPrefix string) sim.Time {
-	for _, s := range r.Schedules {
-		if strings.HasPrefix(s.Policy, policyPrefix) {
-			return s.Makespan
-		}
-	}
-	return 0
-}
-
 // String renders the report-text block printed under the
 // "===== fig9 =====" header; the `fig9` row of EXPERIMENTS.md
 // gives the exact command and a sample of this output.

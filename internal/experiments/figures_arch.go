@@ -203,22 +203,6 @@ func Fig15(scale Scale) Fig15Result {
 	return res
 }
 
-// FinalLRFU returns the last-window hit ratio without bypass.
-func (r Fig15Result) FinalLRFU() float64 {
-	if len(r.WithLRFU) == 0 {
-		return 0
-	}
-	return r.WithLRFU[len(r.WithLRFU)-1]
-}
-
-// FinalBypass returns the last-window hit ratio with bypass.
-func (r Fig15Result) FinalBypass() float64 {
-	if len(r.WithBypass) == 0 {
-		return 0
-	}
-	return r.WithBypass[len(r.WithBypass)-1]
-}
-
 // String renders the report-text block printed under the
 // "===== fig15 =====" header; the `fig15` row of EXPERIMENTS.md
 // gives the exact command and a sample of this output.

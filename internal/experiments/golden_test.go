@@ -1,12 +1,20 @@
 package experiments
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
+
+	"repro/internal/core"
+	"repro/internal/perfmodel"
+	"repro/internal/sim"
 )
 
 var updateGolden = flag.Bool("update-golden", false,
@@ -94,4 +102,86 @@ func TestPipelineGoldenEquivalence(t *testing.T) {
 	if got.CSV != want.CSV {
 		t.Errorf("merged metrics CSV digest %s, want %s (sampled metrics changed)", got.CSV, want.CSV)
 	}
+}
+
+// MatrixDigests pins the canonical experiment matrix's fixed-seed output:
+// one SHA-256 per cell's report text, plus digests of the merged telemetry
+// trace and metrics CSV from every system the matrix builds. The committed
+// copy (internal/experiments/testdata/golden_digests.json) is the
+// behavior-preservation contract for management-layer refactors: any
+// change to decision ordering, floating-point evaluation, or telemetry
+// emission shows up as a digest mismatch long before a reviewer could
+// spot it in a diff.
+type MatrixDigests struct {
+	// Seed is the model-training seed the digests were computed under
+	// (the cmd/experiments default).
+	Seed uint64 `json:"seed"`
+	// SampleMS is the telemetry sampling interval in simulated
+	// milliseconds.
+	SampleMS int `json:"sample_ms"`
+	// Cells maps cell name → sha256(report text).
+	Cells map[string]string `json:"cells"`
+	// Trace is sha256 of the merged Chrome trace JSON.
+	Trace string `json:"trace"`
+	// CSV is sha256 of the merged metrics CSV.
+	CSV string `json:"csv"`
+}
+
+// goldenSeed and goldenSampleMS fix the configuration the committed
+// digests were produced under; they mirror the cmd/experiments defaults.
+const (
+	goldenSeed     = 99
+	goldenSampleMS = 5
+)
+
+// ComputeMatrixDigests runs the full canonical matrix at Quick scale with
+// telemetry enabled and returns its digests. A non-nil model skips the
+// training pass; because training is deterministic in the seed, injecting
+// a model pretrained with the same seed yields identical digests. The
+// jobs value must not affect the result — that is the DESIGN.md §9
+// contract this helper exists to enforce.
+func ComputeMatrixDigests(jobs int, model *perfmodel.Model) (MatrixDigests, error) {
+	// Tail tracking stays off (0): the committed digests predate it, and
+	// keeping new exports out of the default path is what the golden
+	// contract checks.
+	scope := core.NewTelemetryScope(true, true, goldenSampleMS*sim.Millisecond, 0)
+	sc := Quick()
+	sc.Scope = scope
+	sc.Jobs = jobs
+	results, err := RunMatrix(MatrixOptions{
+		Scale: sc,
+		Seed:  goldenSeed,
+		Model: model,
+	})
+	if err != nil {
+		return MatrixDigests{}, err
+	}
+	d := MatrixDigests{
+		Seed:     goldenSeed,
+		SampleMS: goldenSampleMS,
+		Cells:    make(map[string]string, len(results)),
+	}
+	for _, r := range results {
+		if r.Err != nil {
+			return MatrixDigests{}, fmt.Errorf("cell %s: %w", r.Name, r.Err)
+		}
+		d.Cells[r.Name] = digest([]byte(r.Text))
+	}
+	tel := scope.Merge()
+	var tb, cb bytes.Buffer
+	if err := tel.Tracer.WriteChromeTrace(&tb); err != nil {
+		return MatrixDigests{}, err
+	}
+	if err := tel.Series.WriteCSV(&cb); err != nil {
+		return MatrixDigests{}, err
+	}
+	d.Trace = digest(tb.Bytes())
+	d.CSV = digest(cb.Bytes())
+	return d, nil
+}
+
+// digest returns the lowercase hex SHA-256 of b.
+func digest(b []byte) string {
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
 }

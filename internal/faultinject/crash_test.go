@@ -75,7 +75,18 @@ func TestCrashScheduleDeterministic(t *testing.T) {
 	schedule := func(seed uint64) []Crash {
 		eng := sim.NewEngine()
 		in := New(eng, seed, mustParse(t, "dev=d:crash@10ms..90ms;node=1:crash@5ms..50ms"))
-		return in.Crashes()
+		// The resolved schedule in spec order: device-scoped crashes
+		// first, then node-scoped.
+		var out []Crash
+		for _, c := range in.spec.Devices {
+			if f := in.devs[c.Device]; f.crashAt > 0 {
+				out = append(out, Crash{At: f.crashAt, Node: f.node, Device: c.Device})
+			}
+		}
+		for _, c := range in.spec.Nodes {
+			out = append(out, Crash{At: in.nodes[c.Node].crashAt, Node: c.Node})
+		}
+		return out
 	}
 	a, b := schedule(42), schedule(42)
 	if len(a) != 2 || len(b) != 2 {

@@ -145,7 +145,7 @@ func TestWrapDeviceUntargetedIsIdentity(t *testing.T) {
 	eng := sim.NewEngine()
 	in := New(eng, 1, mustParse(t, "dev=other:errate=1"))
 	d := newFakeDevice(eng, "mine", sim.Microsecond)
-	if got := in.WrapDevice(d); got != device.Device(d) {
+	if got := in.WrapDeviceOn(-1, d); got != device.Device(d) {
 		t.Fatal("untargeted device was wrapped")
 	}
 	if missing := in.UnmatchedDevices(); len(missing) != 1 || missing[0] != "other" {
@@ -157,7 +157,7 @@ func TestErrRateInjectsAndDevicePaysLatency(t *testing.T) {
 	eng := sim.NewEngine()
 	in := New(eng, 7, mustParse(t, "dev=d:errate=1"))
 	d := newFakeDevice(eng, "d", 10*sim.Microsecond)
-	w := in.WrapDevice(d)
+	w := in.WrapDeviceOn(-1, d)
 	var failed int
 	var lat sim.Time
 	for i := 0; i < 8; i++ {
@@ -192,7 +192,7 @@ func TestOutageWindowFailsFastWithoutTouchingDevice(t *testing.T) {
 	eng := sim.NewEngine()
 	in := New(eng, 7, mustParse(t, "dev=d:outage@1ms..2ms"))
 	d := newFakeDevice(eng, "d", 10*sim.Microsecond)
-	w := in.WrapDevice(d)
+	w := in.WrapDeviceOn(-1, d)
 	results := make(map[sim.Time]error)
 	submitAt := func(at sim.Time) {
 		eng.At(at, func() {
@@ -222,7 +222,7 @@ func TestDegradeMultipliesLatency(t *testing.T) {
 	eng := sim.NewEngine()
 	in := New(eng, 7, mustParse(t, "dev=d:degrade=3"))
 	d := newFakeDevice(eng, "d", 10*sim.Microsecond)
-	w := in.WrapDevice(d)
+	w := in.WrapDeviceOn(-1, d)
 	var doneAt sim.Time
 	r := &trace.IORequest{Op: trace.OpRead, Size: 4096}
 	w.Submit(r, func(c *trace.IORequest) { doneAt = eng.Now() })
@@ -313,7 +313,7 @@ func TestInjectorDeterminism(t *testing.T) {
 		eng := sim.NewEngine()
 		in := New(eng, 42, mustParse(t, "dev=d:errate=0.3;link=0-1:drop=0.4"))
 		d := newFakeDevice(eng, "d", 5*sim.Microsecond)
-		w := in.WrapDevice(d)
+		w := in.WrapDeviceOn(-1, d)
 		n := in.WrapNetwork(&fakeNet{eng: eng})
 		var outcomes []bool
 		for i := 0; i < 200; i++ {
@@ -362,7 +362,7 @@ func TestInjectorStreamsIndependent(t *testing.T) {
 		eng := sim.NewEngine()
 		in := New(eng, 42, mustParse(t, specStr))
 		d := newFakeDevice(eng, "a", 5*sim.Microsecond)
-		w := in.WrapDevice(d)
+		w := in.WrapDeviceOn(-1, d)
 		var out []bool
 		for i := 0; i < 100; i++ {
 			at := sim.Time(i) * 20 * sim.Microsecond
@@ -390,7 +390,7 @@ func TestStatsString(t *testing.T) {
 	eng := sim.NewEngine()
 	in := New(eng, 1, mustParse(t, "dev=d:errate=1"))
 	d := newFakeDevice(eng, "d", sim.Microsecond)
-	w := in.WrapDevice(d)
+	w := in.WrapDeviceOn(-1, d)
 	w.Submit(&trace.IORequest{Op: trace.OpRead, Size: 4096}, nil)
 	eng.Run()
 	if s := in.Stats().String(); !strings.Contains(s, "1 injected") {

@@ -183,9 +183,6 @@ type Injector struct {
 	links map[[2]int]*linkFaults
 	nodes map[int]*nodeFaults
 	armed bool
-	// crashTimers holds the armed crash handles so Disarm can cancel
-	// crashes that have not fired yet.
-	crashTimers []*sim.Timer
 }
 
 // seedSalt decorrelates the injector stream from the run seed itself.
@@ -239,17 +236,6 @@ func resolveCrash(faults []Fault, rng *sim.RNG) sim.Time {
 		return at
 	}
 	return 0
-}
-
-// Spec returns the armed spec.
-func (in *Injector) Spec() *Spec { return in.spec }
-
-// WrapDevice interposes the injector on a device named in the spec; devices
-// the spec does not target are returned unchanged (zero overhead). Node
-// crash clauses are not applied (the caller did not say which node the
-// device lives on) — use WrapDeviceOn when node scoping matters.
-func (in *Injector) WrapDevice(d device.Device) device.Device {
-	return in.WrapDeviceOn(-1, d)
 }
 
 // WrapDeviceOn interposes the injector on a device that lives on the given
@@ -310,23 +296,6 @@ func (in *Injector) MaxCrashNode() int {
 	return max
 }
 
-// Crashes returns the resolved crash schedule in spec order: device-scoped
-// crashes first, then node-scoped. Available as soon as the injector is
-// built (before Arm), so callers can validate and report the schedule.
-func (in *Injector) Crashes() []Crash {
-	var out []Crash
-	for _, c := range in.spec.Devices {
-		f := in.devs[c.Device]
-		if f.crashAt > 0 {
-			out = append(out, Crash{At: f.crashAt, Node: f.node, Device: c.Device})
-		}
-	}
-	for _, c := range in.spec.Nodes {
-		out = append(out, Crash{At: in.nodes[c.Node].crashAt, Node: c.Node})
-	}
-	return out
-}
-
 // Arm schedules every resolved crash on the engine. At each crash instant
 // the target's power-loss generation is bumped first — so in-flight
 // completions observe the crash — and then onCrash runs to tear down
@@ -342,35 +311,24 @@ func (in *Injector) Arm(onCrash func(Crash)) {
 		if f.crashAt == 0 {
 			continue
 		}
-		in.crashTimers = append(in.crashTimers, in.eng.AtTimer(f.crashAt, func() {
+		in.eng.At(f.crashAt, func() {
 			f.gen++
 			f.stats.Crashes++
 			if onCrash != nil {
 				onCrash(Crash{At: f.crashAt, Node: f.node, Device: f.clause.Device})
 			}
-		}))
+		})
 	}
 	for _, c := range in.spec.Nodes {
 		nf := in.nodes[c.Node]
-		in.crashTimers = append(in.crashTimers, in.eng.AtTimer(nf.crashAt, func() {
+		in.eng.At(nf.crashAt, func() {
 			nf.gen++
 			nf.stats.Crashes++
 			if onCrash != nil {
 				onCrash(Crash{At: nf.crashAt, Node: nf.clause.Node})
 			}
-		}))
+		})
 	}
-}
-
-// Disarm cancels every crash that has not fired yet. Crashes that
-// already happened stay happened; latency and error clauses are
-// unaffected. A later Arm is still a no-op — disarming does not reset
-// the armed latch.
-func (in *Injector) Disarm() {
-	for _, t := range in.crashTimers {
-		t.Stop()
-	}
-	in.crashTimers = nil
 }
 
 // WrapNetwork interposes the injector on cross-node transfers; with no link
@@ -553,10 +511,6 @@ func (fd *faultyDevice) Barrier() {
 		b.Barrier()
 	}
 }
-
-// Unwrap returns the inner device (instrumentation that needs the concrete
-// type reaches through the fault layer with this).
-func (fd *faultyDevice) Unwrap() device.Device { return fd.Device }
 
 // faultyNetwork wraps a Network with per-link drop/stall faults.
 type faultyNetwork struct {

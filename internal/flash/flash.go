@@ -165,35 +165,6 @@ func (a *Array) EraseBlock(ppn int64, done func()) {
 	}
 }
 
-// ChannelBusyUntil returns when channel ch's bus frees (for scheduler
-// lookahead).
-func (a *Array) ChannelBusyUntil(ch int) sim.Time { return a.chs[ch].busyUntil }
-
-// ChipBusyUntil returns when chip (ch, cp) frees.
-func (a *Array) ChipBusyUntil(ch, cp int) sim.Time { return a.chs[ch].chips[cp].busyUntil }
-
-// OpCounts returns total reads, writes, and erases across the array.
-func (a *Array) OpCounts() (reads, writes, erases uint64) {
-	for i := range a.chs {
-		for j := range a.chs[i].chips {
-			c := &a.chs[i].chips[j]
-			reads += c.reads
-			writes += c.writes
-			erases += c.erases
-		}
-	}
-	return
-}
-
-// ChannelUtilization returns bus busy-time / elapsed for channel ch.
-func (a *Array) ChannelUtilization(ch int) float64 {
-	now := a.eng.Now()
-	if now == 0 {
-		return 0
-	}
-	return float64(a.chs[ch].busyTotal) / float64(now)
-}
-
 func maxTime(a, b sim.Time) sim.Time {
 	if a > b {
 		return a

@@ -169,7 +169,13 @@ func TestOpCounts(t *testing.T) {
 	a.WritePage(2, nil)
 	a.EraseBlock(3, nil)
 	eng.Run()
-	r, w, e := a.OpCounts()
+	var r, w, e uint64
+	for i := range a.chs {
+		for j := range a.chs[i].chips {
+			c := &a.chs[i].chips[j]
+			r, w, e = r+c.reads, w+c.writes, e+c.erases
+		}
+	}
 	if r != 2 || w != 1 || e != 1 {
 		t.Fatalf("op counts = %d/%d/%d", r, w, e)
 	}
@@ -178,12 +184,12 @@ func TestOpCounts(t *testing.T) {
 func TestChannelUtilization(t *testing.T) {
 	eng := sim.NewEngine()
 	a := New(eng, smallConfig())
-	if a.ChannelUtilization(0) != 0 {
+	if a.chs[0].busyTotal != 0 {
 		t.Fatal("idle array should have zero utilization")
 	}
 	a.ReadPage(0, func() {})
 	eng.Run()
-	u := a.ChannelUtilization(0)
+	u := float64(a.chs[0].busyTotal) / float64(eng.Now())
 	if u <= 0 || u > 1 {
 		t.Fatalf("utilization = %v", u)
 	}
@@ -193,11 +199,11 @@ func TestBusyUntilAccessors(t *testing.T) {
 	eng := sim.NewEngine()
 	a := New(eng, smallConfig())
 	a.WritePage(0, nil)
-	if a.ChannelBusyUntil(0) != a.cfg.ChannelXfer {
-		t.Fatalf("channel busy until %v", a.ChannelBusyUntil(0))
+	if a.chs[0].busyUntil != a.cfg.ChannelXfer {
+		t.Fatalf("channel busy until %v", a.chs[0].busyUntil)
 	}
-	if a.ChipBusyUntil(0, 0) != a.cfg.ChannelXfer+a.cfg.WriteLatency {
-		t.Fatalf("chip busy until %v", a.ChipBusyUntil(0, 0))
+	if a.chs[0].chips[0].busyUntil != a.cfg.ChannelXfer+a.cfg.WriteLatency {
+		t.Fatalf("chip busy until %v", a.chs[0].chips[0].busyUntil)
 	}
 }
 

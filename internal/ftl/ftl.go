@@ -26,16 +26,6 @@ type Config struct {
 	// GCLowWater triggers GC when the free-block count drops to or below
 	// this value (default 4).
 	GCLowWater int
-	// WearAware biases GC victim selection toward low-erase-count blocks
-	// when invalid counts tie, spreading erases across the device (the
-	// wear-leveling the paper defers to future work, §4.2).
-	WearAware bool
-}
-
-// DefaultConfig sizes the FTL to manage the given number of physical
-// blocks with 7% over-provisioning.
-func DefaultConfig(numBlocks int) Config {
-	return Config{NumBlocks: numBlocks, OverProvision: 0.07, GCLowWater: 4}
 }
 
 // blockState tracks the lifecycle of a physical block.
@@ -52,7 +42,6 @@ type block struct {
 	state    blockState
 	valid    int // currently valid pages
 	writeIdx int // next page slot to program
-	erases   int // lifetime erase count (wear)
 }
 
 // FTL is the translation layer. It is single-goroutine like everything on
@@ -121,9 +110,6 @@ func New(eng *sim.Engine, fl *flash.Array, cfg Config) *FTL {
 	}
 	return f
 }
-
-// LogicalPages returns the logical address space size in pages.
-func (f *FTL) LogicalPages() int64 { return f.logicalPages }
 
 // PageSize returns the flash page size in bytes.
 func (f *FTL) PageSize() int64 { return f.fl.Config().PageSize }
@@ -267,22 +253,16 @@ func (f *FTL) maybeGC() {
 	f.relocate(victim, f.collectValid(victim))
 }
 
-// pickVictim chooses the full block with the fewest valid pages (greedy).
-// With WearAware, erase count breaks ties (and mildly penalizes hot
-// blocks) so wear spreads instead of concentrating on a few blocks.
+// pickVictim chooses the full block with the fewest valid pages (greedy;
+// the first such block on a tie).
 func (f *FTL) pickVictim() int {
-	best := -1
-	bestScore := 1 << 30
+	best, bestValid := -1, 0
 	for i := range f.blocks {
 		if f.blocks[i].state != blockFull {
 			continue
 		}
-		score := f.blocks[i].valid * 1024
-		if f.cfg.WearAware {
-			score += f.blocks[i].erases
-		}
-		if score < bestScore {
-			best, bestScore = i, score
+		if v := f.blocks[i].valid; best < 0 || v < bestValid {
+			best, bestValid = i, v
 		}
 	}
 	return best
@@ -308,7 +288,6 @@ func (f *FTL) relocate(victim int, lpns []int64) {
 	if len(lpns) == 0 {
 		start := int64(victim) * int64(f.pagesPerBlock)
 		f.erases++
-		f.blocks[victim].erases++
 		f.fl.EraseBlock(start, func() {
 			f.blocks[victim].state = blockFree
 			f.blocks[victim].valid = 0
@@ -354,7 +333,7 @@ func (f *FTL) drainPending() {
 	}
 }
 
-// Prefill installs real mappings for the first ratio×LogicalPages LPNs
+// Prefill installs real mappings for the first ratio×logicalPages LPNs
 // without consuming simulated time, modelling a device that already holds
 // data. Used by the free-space experiments (Fig. 7b).
 func (f *FTL) Prefill(ratio float64) {
@@ -397,25 +376,6 @@ func (f *FTL) Stats() Stats {
 		GCRuns:     f.gcRuns,
 		FreeBlocks: len(f.free),
 	}
-}
-
-// WearSpread returns the maximum and minimum per-block erase counts — the
-// wear-leveling quality metric (smaller spread is better).
-func (f *FTL) WearSpread() (maxErases, minErases int) {
-	if len(f.blocks) == 0 {
-		return 0, 0
-	}
-	maxErases, minErases = f.blocks[0].erases, f.blocks[0].erases
-	for i := range f.blocks {
-		e := f.blocks[i].erases
-		if e > maxErases {
-			maxErases = e
-		}
-		if e < minErases {
-			minErases = e
-		}
-	}
-	return
 }
 
 // WriteAmplification returns (user+gc)/user writes, or 1 if no writes yet.

@@ -36,8 +36,8 @@ func TestNewPanicsOnTinyBlockCount(t *testing.T) {
 
 func TestLogicalSmallerThanPhysical(t *testing.T) {
 	_, f := tinyFTL(t)
-	if f.LogicalPages() >= f.totalPages {
-		t.Fatalf("logical %d should be < physical %d", f.LogicalPages(), f.totalPages)
+	if f.logicalPages >= f.totalPages {
+		t.Fatalf("logical %d should be < physical %d", f.logicalPages, f.totalPages)
 	}
 	if f.PageSize() != 4096 {
 		t.Fatalf("page size = %d", f.PageSize())
@@ -134,7 +134,7 @@ func TestWriteAmplificationAboveOneUnderPressure(t *testing.T) {
 	f.Prefill(0.9)
 	// Random-ish overwrites across the full logical space.
 	for i := 0; i < 400; i++ {
-		f.Write(int64((i*37)%int(f.LogicalPages())), nil)
+		f.Write(int64((i*37)%int(f.logicalPages)), nil)
 		eng.Run()
 	}
 	if wa := f.WriteAmplification(); wa <= 1 {
@@ -185,7 +185,7 @@ func TestLowFreeSpaceSlowsWrites(t *testing.T) {
 		f := New(eng, fl, Config{NumBlocks: 32, OverProvision: 0.15, GCLowWater: 2})
 		f.Prefill(prefill)
 		for i := 0; i < 200; i++ {
-			f.Write(int64((i*53)%int(f.LogicalPages())), nil)
+			f.Write(int64((i*53)%int(f.logicalPages)), nil)
 			eng.Run()
 		}
 		return eng.Now()
@@ -251,51 +251,5 @@ func TestFreeSpaceRatioClamped(t *testing.T) {
 	_, f := tinyFTL(t)
 	if fs := f.FreeSpaceRatio(); fs != 1 {
 		t.Fatalf("empty device free space = %v", fs)
-	}
-}
-
-func TestWearSpreadTracked(t *testing.T) {
-	eng, f := tinyFTL(t)
-	for i := 0; i < 300; i++ {
-		f.Write(int64(i%10), nil)
-		eng.Run()
-	}
-	maxE, minE := f.WearSpread()
-	if maxE == 0 {
-		t.Fatal("no erases recorded despite GC activity")
-	}
-	if minE > maxE {
-		t.Fatal("wear spread inverted")
-	}
-}
-
-func TestWearAwareReducesSpread(t *testing.T) {
-	// A skewed overwrite pattern concentrates invalidations; wear-aware
-	// victim selection should spread erases at least as evenly as greedy.
-	run := func(wearAware bool) int {
-		eng := sim.NewEngine()
-		fcfg := flash.DefaultConfig()
-		fcfg.NumChannels = 2
-		fcfg.ChipsPerChannel = 2
-		fcfg.PagesPerBlock = 8
-		fl := flash.New(eng, fcfg)
-		f := New(eng, fl, Config{NumBlocks: 24, OverProvision: 0.25, GCLowWater: 2, WearAware: wearAware})
-		rng := sim.NewRNG(5)
-		for i := 0; i < 1200; i++ {
-			// 80% of writes hit 20% of the space.
-			lpn := int64(rng.Intn(int(f.LogicalPages()) / 5))
-			if rng.Float64() < 0.2 {
-				lpn = rng.Int63n(f.LogicalPages())
-			}
-			f.Write(lpn, nil)
-			eng.Run()
-		}
-		maxE, minE := f.WearSpread()
-		return maxE - minE
-	}
-	greedy := run(false)
-	aware := run(true)
-	if aware > greedy {
-		t.Fatalf("wear-aware spread (%d) should not exceed greedy (%d)", aware, greedy)
 	}
 }

@@ -34,11 +34,6 @@ type Config struct {
 	Seed     uint64 // rotational-phase RNG seed
 }
 
-// DefaultConfig returns the Table 4 HDD.
-func DefaultConfig(name string) Config {
-	return Config{Name: name, Capacity: 1 << 40, Seed: 1}
-}
-
 // HDD is the device.
 type HDD struct {
 	device.Base
@@ -68,14 +63,8 @@ func New(eng *sim.Engine, cfg Config) *HDD {
 	}
 }
 
-// Outstanding returns in-flight request count.
-func (h *HDD) Outstanding() int { return h.outstanding }
-
 // Seeks returns how many requests required a mechanical seek.
 func (h *HDD) Seeks() uint64 { return h.seeks }
-
-// SequentialHits returns how many requests streamed without seeking.
-func (h *HDD) SequentialHits() uint64 { return h.seqHits }
 
 // RegisterTelemetry exposes the HDD under prefix (e.g. "node0.hdd."):
 // device metrics plus mechanical-behaviour counters.

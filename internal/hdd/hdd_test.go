@@ -10,7 +10,7 @@ import (
 func newHDD(t *testing.T) (*sim.Engine, *HDD) {
 	t.Helper()
 	eng := sim.NewEngine()
-	return eng, New(eng, DefaultConfig("hdd0"))
+	return eng, New(eng, Config{Name: "hdd0", Capacity: 1 << 40, Seed: 1})
 }
 
 func run(t *testing.T, eng *sim.Engine, h *HDD, r *trace.IORequest) *trace.IORequest {
@@ -45,7 +45,7 @@ func TestSequentialStreamFast(t *testing.T) {
 	if r.Latency() > 100*sim.Microsecond {
 		t.Fatalf("sequential read = %v, want media-rate only", r.Latency())
 	}
-	if h.SequentialHits() == 0 {
+	if h.seqHits == 0 {
 		t.Fatal("sequential hit not counted")
 	}
 }
@@ -54,7 +54,7 @@ func TestRandomnessRaisesMeanLatency(t *testing.T) {
 	// Fig. 5(c): latency grows with randomness.
 	mean := func(randomFrac float64) float64 {
 		eng := sim.NewEngine()
-		h := New(eng, DefaultConfig("hdd"))
+		h := New(eng, Config{Name: "hdd", Capacity: 1 << 40, Seed: 1})
 		rng := sim.NewRNG(7)
 		off := int64(0)
 		for i := 0; i < 200; i++ {
@@ -87,8 +87,8 @@ func TestFIFOSerialization(t *testing.T) {
 	if len(order) != 3 || order[0] != 0 || order[1] != 1 || order[2] != 2 {
 		t.Fatalf("completion order = %v", order)
 	}
-	if h.Outstanding() != 0 {
-		t.Fatalf("outstanding = %d", h.Outstanding())
+	if h.outstanding != 0 {
+		t.Fatalf("outstanding = %d", h.outstanding)
 	}
 }
 

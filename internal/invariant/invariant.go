@@ -49,9 +49,6 @@ type Checker struct {
 // NewChecker returns an enabled checker.
 func NewChecker() *Checker { return &Checker{} }
 
-// Enabled reports whether checking is on (c non-nil).
-func (c *Checker) Enabled() bool { return c != nil }
-
 // Check runs source and records its violations at sim time at. On a nil
 // receiver the source is never invoked — the checks' cost is only paid
 // when checking is enabled.

@@ -7,9 +7,9 @@ import (
 )
 
 // This file implements the module-wide static call graph behind the
-// interprocedural checks (walltimereach, journalfence). The graph is
-// deliberately conservative and deliberately simple — stdlib-only, no
-// SSA:
+// interprocedural checks (walltimereach, journalfence, unreachable). The
+// graph is deliberately conservative and deliberately simple —
+// stdlib-only, no SSA:
 //
 //   - Nodes are named top-level functions and methods (*types.Func from
 //     FuncDecls). Function literals have no node of their own; calls
@@ -19,6 +19,10 @@ import (
 //     method expressions, and plain references to a function name
 //     (taking a function value counts as reaching it — the value may be
 //     invoked anywhere).
+//   - Package-level var and const initializers get one anonymous node
+//     per package, outside nodes and order: it holds their edges (a
+//     registry table of function values, say) for the unreachable
+//     check's roots, and no other check sees it.
 //   - Interface method calls are resolved with class-hierarchy
 //     analysis: an edge is added to the matching method of every named
 //     non-interface type in the module that implements the interface
@@ -32,7 +36,9 @@ import (
 // Everything downstream is computed once and memoized on the Module:
 // wallFrom (which functions transitively reach a wall-clock read, with a
 // deterministic minimal witness site) and ackFrom (which functions are
-// reachable from a //lint:ack-path root, and from which root).
+// reachable from a //lint:ack-path root, and from which root); the
+// unreachable check adds reached (what its entry points reach) on first
+// use.
 
 // callEdge is one resolved outgoing call/reference from a function node,
 // positioned at the call or reference site.
@@ -87,11 +93,16 @@ type funcNode struct {
 	ack   string // //lint:ack-path reason; "" when not a root
 }
 
-// callGraph is the resolved module-wide graph plus the two reachability
+// callGraph is the resolved module-wide graph plus the reachability
 // indexes the checks consume.
 type callGraph struct {
 	nodes map[*types.Func]*funcNode
 	order []*funcNode // deterministic (package, file, decl) build order
+	// inits holds one anonymous node per package (obj == nil, never in
+	// nodes or order) carrying the edges of its package-level var and
+	// const initializers, e.g. a registry table of function values.
+	inits []*funcNode
+	pkgs  []*Package // every module package, in Dirs order
 
 	// wallFrom maps a function to the minimal witness wall-clock read in
 	// its call cone (including its own body). Absent = provably (up to
@@ -101,6 +112,9 @@ type callGraph struct {
 	// reachable from (the first such root in BFS order). Roots map to
 	// themselves.
 	ackFrom map[*types.Func]*funcNode
+	// reached is the set of functions some entry point reaches, built
+	// on first use by the unreachable check (unreachable.go).
+	reached map[*types.Func]bool
 }
 
 // graph builds (once) and returns the module-wide call graph. Every
@@ -130,7 +144,7 @@ func buildGraph(m *Module) (*callGraph, error) {
 		}
 		pkgs = append(pkgs, p)
 	}
-	g := &callGraph{nodes: make(map[*types.Func]*funcNode)}
+	g := &callGraph{nodes: make(map[*types.Func]*funcNode), pkgs: pkgs}
 
 	// Pass 1: one node per named FuncDecl, plus ack-path roots from the
 	// declaration directives.
@@ -161,19 +175,30 @@ func buildGraph(m *Module) (*callGraph, error) {
 	}
 
 	// Pass 2: scan bodies for edges, interface sites, and wall-clock
-	// reads. Function literals are walked as part of the enclosing decl.
+	// reads. Function literals are walked as part of the enclosing decl;
+	// package-level initializers are walked into the package's init node.
 	for _, p := range pkgs {
+		in := &funcNode{pkg: p}
+		g.inits = append(g.inits, in)
 		for _, f := range p.Files {
 			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
+				switch d := decl.(type) {
+				case *ast.FuncDecl:
+					if d.Body == nil {
+						continue
+					}
+					if obj, ok := p.Info.Defs[d.Name].(*types.Func); ok {
+						scanBody(p, g.nodes[obj], d.Body)
+					}
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						if vs, ok := spec.(*ast.ValueSpec); ok {
+							for _, v := range vs.Values {
+								scanBody(p, in, v)
+							}
+						}
+					}
 				}
-				obj, ok := p.Info.Defs[fd.Name].(*types.Func)
-				if !ok {
-					continue
-				}
-				scanBody(p, g.nodes[obj], fd.Body)
 			}
 		}
 	}
@@ -185,8 +210,8 @@ func buildGraph(m *Module) (*callGraph, error) {
 }
 
 // scanBody records the outgoing edges, interface sites, and wall-clock
-// reads of one function body.
-func scanBody(p *Package, n *funcNode, body *ast.BlockStmt) {
+// reads of one function body or initializer expression.
+func scanBody(p *Package, n *funcNode, body ast.Node) {
 	// Method selections are handled through Info.Selections; their Sel
 	// idents are marked handled so the identifier pass below does not
 	// add a duplicate (or abstract-interface-method) edge for them.
@@ -239,6 +264,23 @@ func scanBody(p *Package, n *funcNode, body *ast.BlockStmt) {
 // interface. Candidate types are enumerated in sorted (package, name)
 // order so the appended edges are deterministic.
 func resolveInterfaces(g *callGraph, pkgs []*Package) {
+	cands := moduleTypes(pkgs)
+	for _, nodes := range [][]*funcNode{g.order, g.inits} {
+		for _, n := range nodes {
+			for _, site := range n.iface {
+				for _, c := range cands {
+					if impl := implMethod(c, site.iface, site.mobj); impl != nil {
+						n.edges = append(n.edges, callEdge{callee: impl, pos: site.pos})
+					}
+				}
+			}
+		}
+	}
+}
+
+// moduleTypes returns every named non-interface type declared at
+// package level in the module, in sorted (package, name) order.
+func moduleTypes(pkgs []*Package) []types.Type {
 	var cands []types.Type
 	for _, p := range pkgs {
 		scope := p.Types.Scope()
@@ -254,21 +296,18 @@ func resolveInterfaces(g *callGraph, pkgs []*Package) {
 			cands = append(cands, named)
 		}
 	}
-	for _, n := range g.order {
-		for _, site := range n.iface {
-			for _, c := range cands {
-				if !types.Implements(c, site.iface) && !types.Implements(types.NewPointer(c), site.iface) {
-					continue
-				}
-				obj, _, _ := types.LookupFieldOrMethod(c, true, site.mobj.Pkg(), site.mobj.Name())
-				impl, ok := obj.(*types.Func)
-				if !ok {
-					continue
-				}
-				n.edges = append(n.edges, callEdge{callee: impl, pos: site.pos})
-			}
-		}
+	return cands
+}
+
+// implMethod returns c's implementation of the interface method m when
+// c (by value or pointer receiver) implements iface, and nil otherwise.
+func implMethod(c types.Type, iface *types.Interface, m *types.Func) *types.Func {
+	if !types.Implements(c, iface) && !types.Implements(types.NewPointer(c), iface) {
+		return nil
 	}
+	obj, _, _ := types.LookupFieldOrMethod(c, true, m.Pkg(), m.Name())
+	impl, _ := obj.(*types.Func)
+	return impl
 }
 
 // computeWallFrom seeds each node with its own minimal wall-clock read

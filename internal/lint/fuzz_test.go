@@ -14,6 +14,7 @@ import (
 func FuzzParseIgnoreDirective(f *testing.F) {
 	f.Add("//lint:ignore walltime stderr timing only")
 	f.Add("//lint:ignore walltime,globalrand shared reason")
+	f.Add("//lint:ignore unreachable pkg TestSeam needs it")
 	f.Add("//lint:ignore")
 	f.Add("//lint:ignore walltime")
 	f.Add("//lint:ignore nosuch reason")

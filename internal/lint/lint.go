@@ -6,8 +6,8 @@
 // type information, so a violation fails CI instead of surfacing as a
 // probabilistic byte-identity diff three PRs later.
 //
-// Nine checks (DESIGN.md §10 maps each to the contract clause it
-// guards). Five are intraprocedural, inspecting one package at a time:
+// Ten checks (DESIGN.md §10 maps each to the contract clause it
+// guards). Six are intraprocedural, inspecting one package at a time:
 //
 //   - walltime: forbids time.Now/Since/Sleep/After (and friends) inside
 //     internal/ simulation packages; simulated artifacts must be stamped
@@ -31,7 +31,7 @@
 //     contract-critical packages (internal/runpool, internal/lint,
 //     internal/telemetry, ...) document every exported symbol.
 //
-// Three are interprocedural, built on a module-wide static call graph
+// Four are interprocedural, built on a module-wide static call graph
 // (callgraph.go: CHA resolution of interface calls, function-value
 // references counted as edges) or on declaration directives
 // (guard.go):
@@ -47,6 +47,11 @@
 //     function (application-write ack/completion entry points), journal
 //     records must be appended through Journal.AppendIfEpoch; raw
 //     append-family calls there are findings.
+//   - unreachable: flags internal/ functions and methods that no entry
+//     point reaches — no main under cmd/, examples/ or perfbench/, no
+//     init, no root-package export, no package-level initializer and no
+//     stdlib interface the module's types implement. Test seams say so
+//     with a //lint:ignore unreachable directive naming their test.
 //
 // A finding can be suppressed with a mandatory-reason directive placed on
 // the offending line or the line above it:
@@ -104,6 +109,7 @@ var checks = []struct {
 	{"indexsync", checkIndexSync},
 	{"journalfence", checkJournalFence},
 	{"docs", checkDocs},
+	{"unreachable", checkUnreachable},
 }
 
 // graphChecks names the checks that need the module-wide call graph.
@@ -113,6 +119,7 @@ var checks = []struct {
 var graphChecks = map[string]bool{
 	"walltimereach": true,
 	"journalfence":  true,
+	"unreachable":   true,
 }
 
 // Checks returns the names of all suppressible checks, in report order.

@@ -105,11 +105,12 @@ func TestFixtureChecksAttribution(t *testing.T) {
 		"internal/mgmt/slo":      {"docs"},
 		"internal/invariant":     {"docs"},
 		"internal/chaos":         {"docs"},
+		"internal/unreachable":   {"unreachable"},
 	}
 	mustBeClean := map[string]bool{
 		"internal/sim": true, "internal/faultinject": true,
 		"internal/telemetry": true, "internal/core": true,
-		"cmd/clock": true, "cmd/progress": true, ".": true,
+		"cmd/clock": true, "cmd/progress": true, "cmd/fixtures": true, ".": true,
 	}
 	seen := make(map[string]bool)
 	for _, f := range findings {

@@ -6,7 +6,11 @@
 // exercise both directions.
 package fixture
 
-import "time"
+import (
+	"time"
+
+	"fixture/internal/unreachable"
+)
 
 // start anchors the facade's elapsed-time helper.
 var start = time.Now()
@@ -20,3 +24,8 @@ func WallElapsed() float64 { return time.Since(start).Seconds() }
 // pins that walltimereach flags reachability, not mere boundary
 // crossing.
 func Pure(n int) int { return n * 2 }
+
+// Unreachable is the root of the unreachable fixture: exported
+// root-package functions are entry points, and everything this call
+// reaches is clean.
+func Unreachable() int { return unreachable.Entry(nil, nil) }

@@ -62,3 +62,12 @@ func Corrupt(s *Store) {
 	s.key += 0.5
 	s.name = "renamed"
 }
+
+// Maintain runs every writer above, so the fixture's entry point reaches
+// them; it writes no guarded field itself.
+func Maintain(s *Store, x *Index) {
+	s.setQuarantined(false)
+	s.markDirty(0)
+	x.reindex()
+	Rogue{}.reindex(s)
+}

@@ -66,3 +66,6 @@ func (d *Disk) flush(rec int) {
 func backgroundCopy(jn *Journal) {
 	jn.appendLazy(9)
 }
+
+// Background is the non-ack entry point of the background copy.
+func Background(jn *Journal) { backgroundCopy(jn) }

@@ -143,9 +143,6 @@ func New(eng *sim.Engine, policy Policy, slots int) *Scheduler {
 	}
 }
 
-// Policy returns the active policy.
-func (s *Scheduler) Policy() Policy { return s.policy }
-
 // EnqueueWrite queues a write to logical page lpn. run performs the actual
 // device operation and must invoke its argument exactly once at completion;
 // done (optional) fires after the scheduler records completion.
@@ -186,6 +183,8 @@ func (s *Scheduler) QueueLen() int {
 }
 
 // InFlight returns the number of running operations.
+//
+//lint:ignore unreachable nvdimm TestRecordReuseUnderReentrancy
 func (s *Scheduler) InFlight() int { return s.used }
 
 // ready reports whether e may dispatch now.

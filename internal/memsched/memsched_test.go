@@ -227,10 +227,10 @@ func TestWaitStatsByClass(t *testing.T) {
 func TestCombinedPolicyDefaults(t *testing.T) {
 	p := Combined(0)
 	s := New(sim.NewEngine(), p, 1)
-	if s.Policy().NPBDelay <= 0 {
+	if s.policy.NPBDelay <= 0 {
 		t.Fatal("zero NPB delay not defaulted")
 	}
-	if !s.Policy().MigratedIgnoreBarriers || !s.Policy().PrioritizePersistent || !s.Policy().NonPersistentBarrier {
+	if !s.policy.MigratedIgnoreBarriers || !s.policy.PrioritizePersistent || !s.policy.NonPersistentBarrier {
 		t.Fatal("combined policy incomplete")
 	}
 }

@@ -59,7 +59,7 @@ func chunkBoundaries(t *testing.T, scheme Scheme, size int64) []sim.Time {
 	}
 	var times []sim.Time
 	last := sim.Time(-1)
-	for _, rec := range mgr.Journal().Records() {
+	for _, rec := range mgr.journal.records {
 		if rec.Kind == JournalProgress && rec.At != last {
 			times = append(times, rec.At)
 			last = rec.At
@@ -113,15 +113,15 @@ func TestCrashAtEveryChunkBoundary(t *testing.T) {
 					if vs := mgr.CheckInvariants(); len(vs) != 0 {
 						t.Fatalf("%s crash at boundary %d (@%v): final violations: %v", side, bi, at, vs)
 					}
-					if mgr.ActiveMigrations() != 0 {
+					if len(mgr.active) != 0 {
 						t.Fatalf("%s crash at boundary %d: migration never settled", side, bi)
 					}
 					if st.MigrationsStarted != st.MigrationsCompleted+st.MigrationsAborted {
 						t.Fatalf("%s crash at boundary %d: budget leaked: %+v", side, bi, st)
 					}
-					if v.Migrating() || v.Aborting() || v.MigratedBlocks() != 0 {
+					if v.Migrating() || v.aborting || v.MigratedBlocks() != 0 {
 						t.Fatalf("%s crash at boundary %d: bitmap not settled: migrating=%v aborting=%v migrated=%d",
-							side, bi, v.Migrating(), v.Aborting(), v.MigratedBlocks())
+							side, bi, v.Migrating(), v.aborting, v.MigratedBlocks())
 					}
 					recovered := st.RecoveryResumes+st.RecoveryRollbacks > 0
 					switch {
@@ -132,7 +132,7 @@ func TestCrashAtEveryChunkBoundary(t *testing.T) {
 							t.Fatalf("src crash at boundary %d: not fully resumed: store=%s %+v",
 								bi, v.Store().Dev.Name(), st)
 						}
-						if a.Allocated() != 0 {
+						if a.allocated != 0 {
 							t.Fatalf("src crash at boundary %d: source extent not released", bi)
 						}
 					case recovered && side == "dst":
@@ -142,7 +142,7 @@ func TestCrashAtEveryChunkBoundary(t *testing.T) {
 							t.Fatalf("dst crash at boundary %d: not fully rolled back: store=%s %+v",
 								bi, v.Store().Dev.Name(), st)
 						}
-						if b.Allocated() != 0 {
+						if b.allocated != 0 {
 							t.Fatalf("dst crash at boundary %d: destination extent not released", bi)
 						}
 					default:
@@ -171,8 +171,8 @@ func TestJournalEpochFenceDropsPendingRecords(t *testing.T) {
 	jn.appendLazy(JournalRecord{Kind: JournalProgress, VMDK: 1, Block: 8, Count: 8})
 	ep := jn.Epoch(1)
 	jn.bumpEpoch(1) // crash: the pending record had not persisted
-	if jn.Lost() != 1 {
-		t.Fatalf("lost = %d, want 1", jn.Lost())
+	if jn.lost != 1 {
+		t.Fatalf("lost = %d, want 1", jn.lost)
 	}
 	if jn.AppendIfEpoch(ep, JournalRecord{Kind: JournalProgress, VMDK: 1, Block: 16, Count: 1}) {
 		t.Fatal("append accepted across the epoch fence")

@@ -50,15 +50,8 @@ func (d *Datastore) Submit(r *trace.IORequest, done device.Completion) {
 // Quarantined reports whether the store is under failure quarantine.
 func (d *Datastore) Quarantined() bool { return d.quarantined }
 
-// QuarantinedAt returns when the current quarantine began (meaningless
-// when not quarantined).
-func (d *Datastore) QuarantinedAt() sim.Time { return d.quarantinedAt }
-
 // Free returns unallocated capacity in bytes.
 func (d *Datastore) Free() int64 { return d.Dev.Capacity() - d.allocated }
-
-// Allocated returns bytes reserved by extents.
-func (d *Datastore) Allocated() int64 { return d.allocated }
 
 // VMDKs returns the resident VMDKs (primary placements only), ordered by
 // ID so management decisions are deterministic.

@@ -125,14 +125,14 @@ func TestMigrationAbortsAfterRetryBudgetAndUnwinds(t *testing.T) {
 	if st.MigrationsCompleted != 0 {
 		t.Fatal("aborted migration also counted as completed")
 	}
-	if v.Store() != a || v.Migrating() || v.Aborting() || v.MigratedBlocks() != 0 {
+	if v.Store() != a || v.Migrating() || v.aborting || v.MigratedBlocks() != 0 {
 		t.Fatalf("VMDK not consistent on source: store=%s migrating=%v migrated=%d",
 			v.Store().Dev.Name(), v.Migrating(), v.MigratedBlocks())
 	}
-	if b.Allocated() != 0 {
-		t.Fatalf("destination extent not released: %d bytes", b.Allocated())
+	if b.allocated != 0 {
+		t.Fatalf("destination extent not released: %d bytes", b.allocated)
 	}
-	if mgr.ActiveMigrations() != 0 {
+	if len(mgr.active) != 0 {
 		t.Fatal("aborted migration still active")
 	}
 	var sawAbort, sawUnwound bool
@@ -193,7 +193,7 @@ func TestStragglerRescanAfterResume(t *testing.T) {
 	if err := mgr.startMigration(v, b); err != nil {
 		t.Fatal(err)
 	}
-	if !mgr.PauseMigration(v.ID) {
+	if !pauseMigration(mgr, v.ID) {
 		t.Fatal("pause found no migration")
 	}
 	eng.Run() // drain the chunks issued before the pause
@@ -205,7 +205,7 @@ func TestStragglerRescanAfterResume(t *testing.T) {
 	// paused and the cursor having scanned past them.
 	v.markMigrated(v.Blocks() - 1)
 	mig.cursor = v.Blocks()
-	if !mgr.ResumeMigration(v.ID) {
+	if !resumeMigration(mgr, v.ID) {
 		t.Fatal("resume found no migration")
 	}
 	eng.Run()
@@ -231,7 +231,7 @@ func TestAbortProceedsWhileOperatorPaused(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.RunFor(30 * sim.Microsecond) // let some chunks land on b
-	if !mgr.PauseMigration(v.ID) {
+	if !pauseMigration(mgr, v.ID) {
 		t.Fatal("pause found no migration")
 	}
 	mig := mgr.active[0]
@@ -247,11 +247,11 @@ func TestAbortProceedsWhileOperatorPaused(t *testing.T) {
 		t.Fatalf("unwind stalled under operator pause: store=%s migrated=%d",
 			v.Store().Dev.Name(), v.MigratedBlocks())
 	}
-	if b.Allocated() != 0 {
+	if b.allocated != 0 {
 		t.Fatal("destination extent not released")
 	}
 	// The migration is gone; resuming it now reports not-found.
-	if mgr.ResumeMigration(v.ID) {
+	if resumeMigration(mgr, v.ID) {
 		t.Fatal("aborted migration still resumable")
 	}
 }
@@ -287,7 +287,7 @@ func TestPausedMigrationAbortsWhenDestinationQuarantined(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.RunFor(30 * sim.Microsecond) // let some chunks land on b
-	if !mgr.PauseMigration(v.ID) {
+	if !pauseMigration(mgr, v.ID) {
 		t.Fatal("pause found no migration")
 	}
 	if v.MigratedBlocks() == 0 {
@@ -315,7 +315,7 @@ func TestPausedMigrationAbortsWhenDestinationQuarantined(t *testing.T) {
 	if st.MigrationsAborted != 1 {
 		t.Fatalf("aborted = %d, want 1 (the paused copy)", st.MigrationsAborted)
 	}
-	if v.Store() != a || v.Migrating() || v.Aborting() || v.MigratedBlocks() != 0 {
+	if v.Store() != a || v.Migrating() || v.aborting || v.MigratedBlocks() != 0 {
 		t.Fatalf("VMDK not consistent on source after unwind: store=%s migrating=%v migrated=%d",
 			v.Store().Dev.Name(), v.Migrating(), v.MigratedBlocks())
 	}

@@ -13,9 +13,6 @@ import (
 // test per epoch.
 func (m *Manager) SetInvariants(chk *invariant.Checker) { m.inv = chk }
 
-// Invariants returns the installed checker (nil when disabled).
-func (m *Manager) Invariants() *invariant.Checker { return m.inv }
-
 // checkInvariants runs the full invariant sweep when a checker is
 // installed, labelling nothing — the violations carry their own context.
 func (m *Manager) checkInvariants(string) {

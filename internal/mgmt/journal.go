@@ -231,16 +231,6 @@ func (j *Journal) replay(vmdkID int, blocks int64) replayState {
 	return st
 }
 
-// Records returns the durable journal in append order (records still in
-// the write buffer at call time are included; they persist unless a crash
-// intervenes first).
-func (j *Journal) Records() []JournalRecord {
-	return append([]JournalRecord(nil), j.records...)
-}
-
-// Lost returns how many buffered records power losses discarded.
-func (j *Journal) Lost() uint64 { return j.lost }
-
 // String renders the full journal, one record per line — the byte-
 // identical recovery trace the determinism contract covers (DESIGN §9).
 func (j *Journal) String() string {

@@ -171,9 +171,6 @@ func (l *DecisionLog) SetCapacity(n int) {
 	l.dropped = 0
 }
 
-// Enabled reports whether entries are being recorded.
-func (l *DecisionLog) Enabled() bool { return l.enabled }
-
 // Cap returns the ring capacity (0 when disabled).
 func (l *DecisionLog) Cap() int { return len(l.entries) }
 

@@ -12,7 +12,7 @@ import (
 func TestDecisionLogDisabledByDefault(t *testing.T) {
 	var l DecisionLog
 	l.add(Decision{Kind: DecisionMigrate})
-	if l.Enabled() || len(l.Entries()) != 0 {
+	if l.enabled || len(l.Entries()) != 0 {
 		t.Fatal("disabled log recorded entries")
 	}
 }
@@ -34,7 +34,7 @@ func TestDecisionLogRing(t *testing.T) {
 		}
 	}
 	l.SetCapacity(0)
-	if l.Enabled() {
+	if l.enabled {
 		t.Fatal("SetCapacity(0) did not disable")
 	}
 }
@@ -159,14 +159,14 @@ func TestManagerEnablesLogFromConfig(t *testing.T) {
 	}
 	n := newNode(t)
 	mgr := NewManager(n.eng, DefaultConfig(), BASIL(), n.dss)
-	if !mgr.Log().Enabled() || mgr.Log().Cap() != 1024 {
-		t.Fatalf("log enabled=%v cap=%d, want true/1024", mgr.Log().Enabled(), mgr.Log().Cap())
+	if !mgr.Log().enabled || mgr.Log().Cap() != 1024 {
+		t.Fatalf("log enabled=%v cap=%d, want true/1024", mgr.Log().enabled, mgr.Log().Cap())
 	}
 
 	cfg := DefaultConfig()
 	cfg.DecisionLogCap = 0
 	mgr2 := NewManager(n.eng, cfg, BASIL(), n.dss)
-	if mgr2.Log().Enabled() {
+	if mgr2.Log().enabled {
 		t.Fatal("DecisionLogCap=0 should leave the log disabled")
 	}
 }

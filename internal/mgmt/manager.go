@@ -244,9 +244,6 @@ func NewManager(eng *sim.Engine, cfg Config, scheme Scheme, stores []*Datastore)
 	return m
 }
 
-// Journal returns the migration journal (nil unless Config.Journal).
-func (m *Manager) Journal() *Journal { return m.journal }
-
 // SetTracer bridges the decision log into trace events: every logged
 // decision becomes an instant event on track, and completed migrations
 // become spans on track+".mig". A nil tracer disables the bridge.
@@ -321,46 +318,11 @@ type Network interface {
 // SetNetwork installs the cross-node transfer model.
 func (m *Manager) SetNetwork(n Network) { m.network = n }
 
-// Scheme returns the active scheme.
-func (m *Manager) Scheme() Scheme { return m.scheme }
-
 // Stats returns a snapshot of management statistics.
 func (m *Manager) Stats() Stats { return m.stats }
 
 // Stores returns the managed datastores.
 func (m *Manager) Stores() []*Datastore { return m.stores }
-
-// ActiveMigrations returns in-progress migrations.
-func (m *Manager) ActiveMigrations() int { return len(m.active) }
-
-// PauseMigration stops the background copy of the given VMDK's in-flight
-// migration (write redirection keeps routing writes to the destination).
-// It reports whether a matching migration was found. The pause is sticky
-// — cost/benefit re-evaluation does not override it — until
-// ResumeMigration.
-func (m *Manager) PauseMigration(vmdkID int) bool {
-	for _, mig := range m.active {
-		if mig.v.ID == vmdkID {
-			mig.opPaused = true
-			return true
-		}
-	}
-	return false
-}
-
-// ResumeMigration restarts a paused background copy.
-func (m *Manager) ResumeMigration(vmdkID int) bool {
-	for _, mig := range m.active {
-		if mig.v.ID == vmdkID {
-			if mig.opPaused {
-				mig.opPaused = false
-				mig.pump()
-			}
-			return true
-		}
-	}
-	return false
-}
 
 // Start arms the periodic management-epoch timer.
 func (m *Manager) Start() {

@@ -40,7 +40,7 @@ func newNode(t *testing.T) *node {
 	sdCfg.Flash.PagesPerBlock = 32
 	sd := ssd.New(eng, sdCfg)
 
-	hd := hdd.New(eng, hdd.DefaultConfig("hdd0"))
+	hd := hdd.New(eng, hdd.Config{Name: "hdd0", Capacity: 1 << 40, Seed: 1})
 
 	n := &node{eng: eng, ic: ic, nv: nv, sd: sd, hd: hd}
 	n.dss = []*Datastore{
@@ -67,8 +67,8 @@ func TestCreateVMDKAllocates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ds.NumVMDKs() != 1 || ds.Allocated() != 64<<20 {
-		t.Fatalf("allocated = %d, vmdks = %d", ds.Allocated(), ds.NumVMDKs())
+	if ds.NumVMDKs() != 1 || ds.allocated != 64<<20 {
+		t.Fatalf("allocated = %d, vmdks = %d", ds.allocated, ds.NumVMDKs())
 	}
 	if v.Blocks() != (64<<20)/BlockSize {
 		t.Fatalf("blocks = %d", v.Blocks())
@@ -98,8 +98,8 @@ func TestVMDKRoutesIO(t *testing.T) {
 	if !done {
 		t.Fatal("request never completed")
 	}
-	if v.WindowRequests() != 1 {
-		t.Fatalf("window requests = %d", v.WindowRequests())
+	if v.windowRequests != 1 {
+		t.Fatalf("window requests = %d", v.windowRequests)
 	}
 	if n.nv.Metrics().TotalWrites != 1 {
 		t.Fatal("request did not reach the device")
@@ -451,11 +451,40 @@ func TestWindowLoadFollowsPrimary(t *testing.T) {
 
 var _ device.Device = (*nvdimm.NVDIMM)(nil)
 
+// pauseMigration stops the background copy of the given VMDK's in-flight
+// migration, as an operator would (write redirection keeps routing writes
+// to the destination). It reports whether a matching migration was found.
+// The pause is sticky — cost/benefit re-evaluation does not override it —
+// until resumeMigration.
+func pauseMigration(m *Manager, vmdkID int) bool {
+	for _, mig := range m.active {
+		if mig.v.ID == vmdkID {
+			mig.opPaused = true
+			return true
+		}
+	}
+	return false
+}
+
+// resumeMigration restarts a paused background copy.
+func resumeMigration(m *Manager, vmdkID int) bool {
+	for _, mig := range m.active {
+		if mig.v.ID == vmdkID {
+			if mig.opPaused {
+				mig.opPaused = false
+				mig.pump()
+			}
+			return true
+		}
+	}
+	return false
+}
+
 func TestPauseResumeMigration(t *testing.T) {
 	n := newNode(t)
 	v, _ := n.dss[0].CreateVMDK(1, 16<<20)
 	mgr := NewManager(n.eng, quickCfg(), BCALazy(), n.dss)
-	if mgr.PauseMigration(1) {
+	if pauseMigration(mgr, 1) {
 		t.Fatal("paused a migration that does not exist")
 	}
 	if err := mgr.startMigration(v, n.dss[1]); err != nil {
@@ -463,7 +492,7 @@ func TestPauseResumeMigration(t *testing.T) {
 	}
 	// Let a little copying happen, then pause.
 	n.eng.RunFor(5 * sim.Millisecond)
-	if !mgr.PauseMigration(1) {
+	if !pauseMigration(mgr, 1) {
 		t.Fatal("pause failed")
 	}
 	// Chunks already in flight at pause time (up to CopyDepth of them)
@@ -482,7 +511,7 @@ func TestPauseResumeMigration(t *testing.T) {
 	if v.MigratedBlocks() != copied+1 {
 		t.Fatalf("mirroring stopped during pause: %d", v.MigratedBlocks())
 	}
-	if !mgr.ResumeMigration(1) {
+	if !resumeMigration(mgr, 1) {
 		t.Fatal("resume failed")
 	}
 	n.eng.Run()

@@ -57,12 +57,6 @@ func (g *Migration) class() trace.Class {
 	return g.mgr.scheme.MigratedClass()
 }
 
-// Evacuation reports whether this migration is a quarantine evacuation.
-func (g *Migration) Evacuation() bool { return g.evac }
-
-// Aborting reports whether this migration is unwinding.
-func (g *Migration) Aborting() bool { return g.aborting }
-
 // regate re-evaluates the cost/benefit gate with fresh epoch data (lazy
 // migration only pauses the *copy*; write redirection continues always).
 // Manager.plan calls it only under GateCopy. Evacuations and aborts are

@@ -248,18 +248,6 @@ func NewTracker(spec Spec) *Tracker {
 	return &Tracker{spec: spec, counts: make(map[string]uint64)}
 }
 
-// Enabled reports whether the tracker evaluates anything (false for
-// nil).
-func (t *Tracker) Enabled() bool { return t != nil }
-
-// Spec returns the spec under evaluation (the empty spec for nil).
-func (t *Tracker) Spec() Spec {
-	if t == nil {
-		return Spec{}
-	}
-	return t.spec
-}
-
 // SetTracer emits one instant per violated (key, objective) pair on
 // track. A nil tracer disables the instants.
 func (t *Tracker) SetTracer(tr *telemetry.Tracer, track string) {

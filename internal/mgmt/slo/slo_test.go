@@ -152,11 +152,8 @@ func TestTrackerNilAndEmpty(t *testing.T) {
 	tr.ObserveWindow(0, nil) // must not panic
 	tr.SetTracer(telemetry.NewTracer(), "slo")
 	tr.RegisterTelemetry(telemetry.NewRegistry(), "slo.")
-	if tr.Enabled() || tr.Windows() != 0 || tr.ViolationWindows() != 0 || tr.Keys() != nil {
+	if tr.Windows() != 0 || tr.ViolationWindows() != 0 || tr.Keys() != nil {
 		t.Fatal("nil tracker not inert")
-	}
-	if !tr.Spec().Empty() {
-		t.Fatal("nil tracker spec not empty")
 	}
 }
 

@@ -66,9 +66,6 @@ func (v *VMDK) Migrating() bool { return v.dst != nil }
 // MigratedBlocks returns how many blocks live at the destination.
 func (v *VMDK) MigratedBlocks() int64 { return v.migrated }
 
-// WindowRequests returns the request count since the last window reset.
-func (v *VMDK) WindowRequests() uint64 { return v.windowRequests }
-
 // resetWindow clears per-window activity.
 func (v *VMDK) resetWindow() {
 	v.windowRequests = 0
@@ -115,9 +112,6 @@ func (v *VMDK) finishAbort() {
 	v.mirroring = false
 	v.aborting = false
 }
-
-// Aborting reports whether the migration is unwinding.
-func (v *VMDK) Aborting() bool { return v.aborting }
 
 // blockMigrated reports whether block b lives at the destination.
 func (v *VMDK) blockMigrated(b int64) bool {

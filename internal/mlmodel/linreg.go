@@ -23,14 +23,6 @@ type Dataset struct {
 	Samples      []Sample
 }
 
-// NumFeatures returns the feature dimensionality (0 if empty).
-func (d *Dataset) NumFeatures() int {
-	if len(d.Samples) == 0 {
-		return len(d.FeatureNames)
-	}
-	return len(d.Samples[0].Features)
-}
-
 // Add appends a sample; it panics on dimension mismatch.
 func (d *Dataset) Add(features []float64, target float64) {
 	if len(d.Samples) > 0 && len(features) != len(d.Samples[0].Features) {

@@ -57,17 +57,6 @@ func TestDatasetAddMismatchPanics(t *testing.T) {
 	ds.Add([]float64{1}, 3)
 }
 
-func TestDatasetNumFeatures(t *testing.T) {
-	ds := Dataset{FeatureNames: []string{"a", "b"}}
-	if ds.NumFeatures() != 2 {
-		t.Fatal("empty dataset should report name count")
-	}
-	ds.Add([]float64{1, 2, 3}, 0)
-	if ds.NumFeatures() != 3 {
-		t.Fatal("sample dim should win")
-	}
-}
-
 func TestAggregationModelIgnoresOtherFeatures(t *testing.T) {
 	// Latency depends on OIO (feature 1) and randomness (feature 0); the
 	// aggregation model captures only OIO.
@@ -167,10 +156,10 @@ func TestTreeFitsPiecewiseFunction(t *testing.T) {
 			t.Fatalf("predict(%v,%v) = %v, want ~%v", c.x, c.z, got, c.want)
 		}
 	}
-	if tree.Leaves() < 2 {
+	if leaves(tree.root) < 2 {
 		t.Fatal("tree failed to split")
 	}
-	if tree.Depth() < 1 {
+	if depth(tree.root) < 1 {
 		t.Fatal("tree depth = 0 despite structure in data")
 	}
 }
@@ -214,8 +203,8 @@ func TestSingleLeafTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tree.Leaves() != 1 || tree.Depth() != 0 {
-		t.Fatalf("constant data: leaves=%d depth=%d", tree.Leaves(), tree.Depth())
+	if leaves(tree.root) != 1 || depth(tree.root) != 0 {
+		t.Fatalf("constant data: leaves=%d depth=%d", leaves(tree.root), depth(tree.root))
 	}
 	if tree.RootSplitFeature() != -1 {
 		t.Fatal("single leaf should report no root split")
@@ -237,27 +226,8 @@ func TestMinLeafSamplesRespected(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 100 samples with min 30 per leaf allows at most 3 leaves.
-	if tree.Leaves() > 3 {
-		t.Fatalf("leaves = %d violates MinLeafSamples", tree.Leaves())
-	}
-}
-
-func TestCrossValidate(t *testing.T) {
-	var ds Dataset
-	rng := sim.NewRNG(19)
-	for i := 0; i < 200; i++ {
-		x := rng.Float64()
-		ds.Add([]float64{x}, 5*x)
-	}
-	rmse, err := CrossValidate(ds, DefaultTreeConfig(), 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rmse < 0 || rmse > 1 {
-		t.Fatalf("cv rmse = %v, want small for a clean linear target", rmse)
-	}
-	if _, err := CrossValidate(ds, DefaultTreeConfig(), 1); err == nil {
-		t.Fatal("k=1 accepted")
+	if leaves(tree.root) > 3 {
+		t.Fatalf("leaves = %d violates MinLeafSamples", leaves(tree.root))
 	}
 }
 
@@ -347,4 +317,20 @@ func TestTable3ImportanceFavorsFreeSpace(t *testing.T) {
 	if imp[2] < imp[0] || imp[2] < imp[1] {
 		t.Fatalf("free_space_ratio importance %v should dominate: %v", imp[2], imp)
 	}
+}
+
+// leaves counts the leaf nodes under n.
+func leaves(n *node) int {
+	if n.leaf {
+		return 1
+	}
+	return leaves(n.left) + leaves(n.right)
+}
+
+// depth returns the depth of the subtree at n (a single leaf has depth 0).
+func depth(n *node) int {
+	if n.leaf {
+		return 0
+	}
+	return 1 + max(depth(n.left), depth(n.right))
 }

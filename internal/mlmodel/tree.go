@@ -209,30 +209,6 @@ func (t *Tree) Predict(features []float64) float64 {
 	return n.mean
 }
 
-// Leaves returns the number of leaf nodes.
-func (t *Tree) Leaves() int { return countLeaves(t.root) }
-
-func countLeaves(n *node) int {
-	if n.leaf {
-		return 1
-	}
-	return countLeaves(n.left) + countLeaves(n.right)
-}
-
-// Depth returns the tree depth (a single leaf has depth 0).
-func (t *Tree) Depth() int { return depthOf(t.root) }
-
-func depthOf(n *node) int {
-	if n.leaf {
-		return 0
-	}
-	l, r := depthOf(n.left), depthOf(n.right)
-	if l > r {
-		return l + 1
-	}
-	return r + 1
-}
-
 // RootSplitFeature returns the feature index chosen at the root, or -1 for
 // a single-leaf tree. Used by the Fig. 6 reproduction to show which
 // variable gives the best first split.
@@ -263,38 +239,6 @@ func (t *Tree) render(b *strings.Builder, n *node, indent int) {
 	fmt.Fprintf(b, "%s%s <= %.3f (n=%d rmsd=%.2f)\n", pad, name, n.threshold, n.n, n.rmsd)
 	t.render(b, n.left, indent+1)
 	t.render(b, n.right, indent+1)
-}
-
-// CrossValidate performs k-fold cross-validation, returning mean RMSE
-// across folds. Folds are contiguous slices (callers shuffle if needed —
-// the simulation layer owns randomness).
-func CrossValidate(ds Dataset, cfg TreeConfig, k int) (float64, error) {
-	if k < 2 || len(ds.Samples) < k {
-		return 0, fmt.Errorf("mlmodel: invalid fold count %d for %d samples", k, len(ds.Samples))
-	}
-	foldSize := len(ds.Samples) / k
-	var total float64
-	for fold := 0; fold < k; fold++ {
-		lo := fold * foldSize
-		hi := lo + foldSize
-		if fold == k-1 {
-			hi = len(ds.Samples)
-		}
-		var train Dataset
-		train.FeatureNames = ds.FeatureNames
-		train.Samples = append(append([]Sample{}, ds.Samples[:lo]...), ds.Samples[hi:]...)
-		tree, err := Train(train, cfg)
-		if err != nil {
-			return 0, err
-		}
-		var pred, truth []float64
-		for _, s := range ds.Samples[lo:hi] {
-			pred = append(pred, tree.Predict(s.Features))
-			truth = append(truth, s.Target)
-		}
-		total += stats.RMSE(pred, truth)
-	}
-	return total / float64(k), nil
 }
 
 // FeatureImportance returns, per feature index, the total RMSD reduction

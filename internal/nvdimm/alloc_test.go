@@ -166,7 +166,7 @@ func snapshot(a, b *NVDIMM) allocCounters {
 		reqsB:      requests(b),
 		missesA:    a.Cache().Stats().Misses,
 		flushedA:   a.flushedVictims,
-		bypassedA:  a.BypassedReads(),
+		bypassedA:  a.bypassedReads,
 		discardedA: sa.DiscardedMigrated,
 		migratedA:  sa.CompletedMigrated,
 		barriersB:  sb.Barriers,

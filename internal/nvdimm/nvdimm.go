@@ -49,8 +49,6 @@ type Config struct {
 	CacheBlocks int
 	// CacheLambda is the LRFU λ.
 	CacheLambda float64
-	// UseLRU swaps the buffer cache policy to LRU (ablation).
-	UseLRU bool
 	// Sched selects the memory-controller scheduling policy (§5.3.1).
 	Sched memsched.Policy
 	// SchedSlots bounds in-flight flash operations (default:
@@ -100,7 +98,7 @@ type NVDIMM struct {
 	channel *bus.Channel
 	fl      *flash.Array
 	ftl     *ftl.FTL
-	cache   cache.Cache
+	cache   *cache.LRFU
 	sched   *memsched.Scheduler
 	cfg     Config
 
@@ -132,19 +130,13 @@ func New(eng *sim.Engine, ch *bus.Channel, cfg Config) *NVDIMM {
 		cfg.MaxPendingFlush = 256
 	}
 	fl := flash.New(eng, cfg.Flash)
-	var c cache.Cache
-	if cfg.UseLRU {
-		c = cache.NewLRU(cfg.CacheBlocks)
-	} else {
-		c = cache.NewLRFU(cfg.CacheBlocks, cfg.CacheLambda)
-	}
 	n := &NVDIMM{
 		Base:    device.NewBase(cfg.Name, device.KindNVDIMM, cfg.Capacity),
 		eng:     eng,
 		channel: ch,
 		fl:      fl,
 		ftl:     ftl.New(eng, fl, ftl.Config{NumBlocks: cfg.NumBlocks, OverProvision: cfg.OverProvision, GCLowWater: 4}),
-		cache:   c,
+		cache:   cache.NewLRFU(cfg.CacheBlocks, cfg.CacheLambda),
 		sched:   memsched.New(eng, cfg.Sched, cfg.SchedSlots),
 		cfg:     cfg,
 	}
@@ -152,7 +144,7 @@ func New(eng *sim.Engine, ch *bus.Channel, cfg Config) *NVDIMM {
 }
 
 // Cache exposes the buffer cache for experiment instrumentation.
-func (n *NVDIMM) Cache() cache.Cache { return n.cache }
+func (n *NVDIMM) Cache() *cache.LRFU { return n.cache }
 
 // DropCache empties the DRAM buffer cache without write-backs — the
 // power-loss teardown (DESIGN.md §13). The NVDIMM's flash media and FTL
@@ -166,18 +158,6 @@ func (n *NVDIMM) FTL() *ftl.FTL { return n.ftl }
 
 // Scheduler exposes the transaction-queue scheduler.
 func (n *NVDIMM) Scheduler() *memsched.Scheduler { return n.sched }
-
-// Channel returns the shared memory channel this NVDIMM sits on.
-func (n *NVDIMM) Channel() *bus.Channel { return n.channel }
-
-// Outstanding returns the number of requests in flight.
-func (n *NVDIMM) Outstanding() int { return n.outstanding }
-
-// BypassedReads returns how many migrated reads skipped the cache.
-func (n *NVDIMM) BypassedReads() uint64 { return n.bypassedReads }
-
-// StalledWrites returns how many writes hit flush backpressure.
-func (n *NVDIMM) StalledWrites() uint64 { return n.stalledWrites }
 
 // Barrier forwards a persistence barrier to the scheduler (§5.3.1).
 func (n *NVDIMM) Barrier() { n.sched.Barrier() }

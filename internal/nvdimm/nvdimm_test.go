@@ -131,7 +131,7 @@ func TestBypassPreservesCacheContents(t *testing.T) {
 	if n.Cache().Len() != lenBefore {
 		t.Fatalf("bypassed scan changed cache: %d → %d", lenBefore, n.Cache().Len())
 	}
-	if n.BypassedReads() == 0 {
+	if n.bypassedReads == 0 {
 		t.Fatal("bypass counter not incremented")
 	}
 }
@@ -194,7 +194,7 @@ func TestWriteCliffBackpressure(t *testing.T) {
 	if completions != writes {
 		t.Fatalf("completions = %d/%d", completions, writes)
 	}
-	if n.StalledWrites() == 0 {
+	if n.stalledWrites == 0 {
 		t.Fatal("expected stalls under heavy write pressure with a tiny cache")
 	}
 }
@@ -281,8 +281,8 @@ func TestMetricsObserved(t *testing.T) {
 	if m.WindowRequests() != 2 {
 		t.Fatalf("window requests = %d", m.WindowRequests())
 	}
-	if n.Outstanding() != 0 {
-		t.Fatalf("outstanding = %d after drain", n.Outstanding())
+	if n.outstanding != 0 {
+		t.Fatalf("outstanding = %d after drain", n.outstanding)
 	}
 }
 
@@ -429,8 +429,8 @@ func TestRecordReuseUnderReentrancy(t *testing.T) {
 			if r.Complete != eng.Now() || r.Complete < r.Issue {
 				t.Fatalf("request %d stamped issue %v complete %v at %v", i, r.Issue, r.Complete, eng.Now())
 			}
-			if n.Outstanding() != 0 {
-				t.Fatalf("outstanding = %d inside the completion of the only request", n.Outstanding())
+			if n.outstanding != 0 {
+				t.Fatalf("outstanding = %d inside the completion of the only request", n.outstanding)
 			}
 			if next < chain {
 				submitNext()
@@ -492,9 +492,9 @@ func TestRecordReuseUnderReentrancy(t *testing.T) {
 		if d := n.Scheduler().Stats().DiscardedMigrated; d != 2 {
 			t.Fatalf("discarded %d migrated pages, want mig's 2", d)
 		}
-		if n.Outstanding() != 0 || n.Scheduler().QueueLen() != 0 || n.Scheduler().InFlight() != 0 {
+		if n.outstanding != 0 || n.Scheduler().QueueLen() != 0 || n.Scheduler().InFlight() != 0 {
 			t.Fatalf("device not drained: outstanding %d, queued %d, in flight %d",
-				n.Outstanding(), n.Scheduler().QueueLen(), n.Scheduler().InFlight())
+				n.outstanding, n.Scheduler().QueueLen(), n.Scheduler().InFlight())
 		}
 		if again.Latency() < 600*sim.Microsecond {
 			t.Fatalf("re-submitted migrated write = %v, should include a flash program", again.Latency())

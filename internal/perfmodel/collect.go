@@ -50,11 +50,6 @@ func DefaultTrainSpec() TrainSpec {
 	}
 }
 
-// Points returns the number of grid points.
-func (s TrainSpec) Points() int {
-	return len(s.WriteRatios) * len(s.Randomness) * len(s.IOSizes) * len(s.OIOs) * len(s.FreeSpaceRatios)
-}
-
 // DeviceFactory builds a fresh quiet device (no competing memory traffic)
 // prefilled to the given ratio, returning the engine that drives it.
 type DeviceFactory func(fillRatio float64) (*sim.Engine, device.Device)

@@ -128,9 +128,6 @@ func NewMonitor(dev device.Device) *Monitor {
 	return &Monitor{dev: dev, analyzer: trace.NewAnalyzer()}
 }
 
-// Device returns the wrapped device.
-func (m *Monitor) Device() device.Device { return m.dev }
-
 // Submit forwards to the device, recording issue/complete events.
 func (m *Monitor) Submit(r *trace.IORequest, done device.Completion) {
 	m.inflight++
@@ -173,9 +170,6 @@ func (m *Monitor) Window() (wc trace.WC, mpUS float64, n int) {
 // WindowErrors returns the number of failed completions in the current
 // window.
 func (m *Monitor) WindowErrors() int { return m.windowErrors }
-
-// TotalErrors returns the lifetime failed-completion count.
-func (m *Monitor) TotalErrors() uint64 { return m.totalErrors }
 
 // ResetWindow starts a new measurement window, carrying over the
 // currently in-flight request count so the OIO integral stays correct.

@@ -252,12 +252,6 @@ func TestMonitorOnSSD(t *testing.T) {
 	}
 }
 
-func TestTrainSpecPoints(t *testing.T) {
-	if got := DefaultTrainSpec().Points(); got != 3*3*2*3*1 {
-		t.Fatalf("points = %d", got)
-	}
-}
-
 func wcFromFeatures(f []float64) trace.WC {
 	return trace.WC{WriteRatio: f[0], OIOs: f[1], IOSize: f[2], WriteRand: f[3], ReadRand: f[4], FreeSpaceRatio: f[5]}
 }

@@ -105,9 +105,6 @@ func (e *Engine) EnableProfiling() {
 	e.wheel.promotions = 0
 }
 
-// ProfilingEnabled reports whether self-profiling counters are armed.
-func (e *Engine) ProfilingEnabled() bool { return e.prof != nil }
-
 // Profile returns a snapshot of the self-profiling counters (the zero
 // profile when profiling was never enabled).
 func (e *Engine) Profile() EngineProfile {
@@ -138,6 +135,8 @@ func (e *Engine) Processed() uint64 { return e.processed }
 
 // Pending returns the number of live events waiting in the queue
 // (cancelled timers stop counting the moment Stop succeeds).
+//
+//lint:ignore unreachable workload TestMemGenTimerReuse
 func (e *Engine) Pending() int { return e.wheel.pending }
 
 // Schedule runs fn after delay simulated nanoseconds. A negative delay is
@@ -228,10 +227,6 @@ func (e *Engine) SetBudget(maxEvents uint64, maxSimTime Time) {
 		e.budgetDeadline = 0
 	}
 }
-
-// BudgetErr returns the watchdog error if a budget has been exceeded, else
-// nil. Once tripped the error persists until SetBudget is called again.
-func (e *Engine) BudgetErr() error { return e.budgetErr }
 
 // checkBudget trips the watchdog if a limit has been exceeded.
 func (e *Engine) checkBudget() error {

@@ -239,7 +239,7 @@ func TestWatchdogEventBudget(t *testing.T) {
 	if ticks > 100 {
 		t.Fatalf("budget of 100 let %d events through", ticks)
 	}
-	if e.BudgetErr() == nil {
+	if e.budgetErr == nil {
 		t.Fatal("tripped state not sticky")
 	}
 	// Still tripped: further runs fail immediately without progress.
@@ -252,7 +252,7 @@ func TestWatchdogEventBudget(t *testing.T) {
 	}
 	// Re-arming clears the trip.
 	e.SetBudget(0, 0)
-	if e.BudgetErr() != nil {
+	if e.budgetErr != nil {
 		t.Fatal("SetBudget(0,0) did not clear the trip")
 	}
 }
@@ -316,7 +316,7 @@ func TestWatchdogRunForHonorsDeadline(t *testing.T) {
 
 func TestProfilingDisabledByDefault(t *testing.T) {
 	e := NewEngine()
-	if e.ProfilingEnabled() {
+	if e.prof != nil {
 		t.Fatal("fresh engine reports profiling enabled")
 	}
 	e.Schedule(0, func() {})

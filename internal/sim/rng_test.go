@@ -105,38 +105,6 @@ func TestRNGBoolProbability(t *testing.T) {
 	}
 }
 
-func TestRNGNormMoments(t *testing.T) {
-	r := NewRNG(17)
-	var sum, sum2 float64
-	const n = 100000
-	for i := 0; i < n; i++ {
-		v := r.NormFloat64()
-		sum += v
-		sum2 += v * v
-	}
-	mean := sum / n
-	variance := sum2/n - mean*mean
-	if math.Abs(mean) > 0.02 {
-		t.Fatalf("normal mean = %v, want ~0", mean)
-	}
-	if math.Abs(variance-1) > 0.03 {
-		t.Fatalf("normal variance = %v, want ~1", variance)
-	}
-}
-
-func TestRNGExpMean(t *testing.T) {
-	r := NewRNG(23)
-	sum := 0.0
-	const n = 100000
-	for i := 0; i < n; i++ {
-		sum += r.Exp()
-	}
-	mean := sum / n
-	if math.Abs(mean-1) > 0.02 {
-		t.Fatalf("exponential mean = %v, want ~1", mean)
-	}
-}
-
 func TestRNGSplitIndependence(t *testing.T) {
 	parent := NewRNG(99)
 	child := parent.Split()

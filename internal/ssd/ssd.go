@@ -101,12 +101,6 @@ func New(eng *sim.Engine, cfg Config) *SSD {
 	}
 }
 
-// FTL exposes the translation layer for instrumentation.
-func (s *SSD) FTL() *ftl.FTL { return s.ftl }
-
-// Outstanding returns in-flight request count.
-func (s *SSD) Outstanding() int { return s.outstanding }
-
 // RegisterTelemetry exposes the SSD under prefix (e.g. "node0.ssd."):
 // device metrics plus write-buffer backlog and FTL/GC state.
 func (s *SSD) RegisterTelemetry(reg *telemetry.Registry, prefix string) {
@@ -119,12 +113,6 @@ func (s *SSD) RegisterTelemetry(reg *telemetry.Registry, prefix string) {
 	reg.Gauge(prefix+"ftl.erases", func() float64 { return float64(s.ftl.Stats().Erases) })
 	reg.Gauge(prefix+"ftl.free_blocks", func() float64 { return float64(s.ftl.FreeBlocks()) })
 	reg.Gauge(prefix+"ftl.write_amp", s.ftl.WriteAmplification)
-}
-
-// Prefill fills the FTL and management accounting to ratio.
-func (s *SSD) Prefill(ratio float64) {
-	s.ftl.Prefill(ratio)
-	s.SetUsed(int64(ratio * float64(s.Capacity())))
 }
 
 // FreeSpaceRatio reports the tighter of management and FTL free space.

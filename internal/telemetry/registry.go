@@ -1,5 +1,5 @@
 // Package telemetry is the simulator's unified observability layer: a
-// metrics registry of hierarchically named counters and gauges; the
+// metrics registry of hierarchically named gauges; the
 // log-spaced TailHist, the one latency-distribution type; a deterministic
 // span tracer with Chrome trace_event and JSONL exporters; and a
 // sim-time-driven windowed sampler that turns the registry into a
@@ -44,92 +44,27 @@ import (
 	"sort"
 )
 
-// Kind identifies an instrument type.
-type Kind uint8
-
-const (
-	// KindCounter is a monotonically increasing count.
-	KindCounter Kind = iota
-	// KindGauge is a read-callback sampled at snapshot time.
-	KindGauge
-)
-
-// String names the kind.
-func (k Kind) String() string {
-	switch k {
-	case KindCounter:
-		return "counter"
-	case KindGauge:
-		return "gauge"
-	default:
-		return fmt.Sprintf("kind(%d)", uint8(k))
-	}
-}
-
-// Counter is a monotonically increasing count owned by the registry.
-type Counter struct{ v uint64 }
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v++ }
-
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v += n }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.v }
-
-// Gauge is a read-callback evaluated at snapshot time.
-type Gauge struct{ fn func() float64 }
-
-// Value evaluates the gauge.
-func (g *Gauge) Value() float64 { return g.fn() }
-
-// entry is one registered instrument.
-type entry struct {
-	kind    Kind
-	counter *Counter
-	gauge   *Gauge
-}
-
-// Registry holds named instruments. Names are hierarchical by dotted
-// convention ("node0.nvdimm.cache.hits"); the registry itself treats them
-// as opaque strings. Not safe for concurrent use — the simulator is
+// Registry holds named gauges: read-callbacks evaluated at snapshot
+// time. Names are hierarchical by dotted convention
+// ("node0.nvdimm.cache.hits"); the registry itself treats them as opaque
+// strings. Not safe for concurrent use — the simulator is
 // single-threaded by construction.
 type Registry struct {
-	entries map[string]*entry
+	gauges map[string]func() float64
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{entries: make(map[string]*entry)}
+	return &Registry{gauges: make(map[string]func() float64)}
 }
 
-// Len returns the number of registered instruments.
-func (r *Registry) Len() int { return len(r.entries) }
-
-// Counter returns the counter registered under name, creating it on first
-// use. Re-registering the same name as a counter returns the existing
-// instance; it panics if the name is held by a different kind (a
-// namespace-collision programming error).
-func (r *Registry) Counter(name string) *Counter {
-	if e, ok := r.entries[name]; ok {
-		if e.kind != KindCounter {
-			panic(fmt.Sprintf("telemetry: %q already registered as %v", name, e.kind))
-		}
-		return e.counter
-	}
-	c := &Counter{}
-	r.entries[name] = &entry{kind: KindCounter, counter: c}
-	return c
-}
-
-// Gauge registers a read-callback under name. Unlike counters, gauges
-// cannot merge: registering any existing name panics.
+// Gauge registers a read-callback under name. Gauges cannot merge:
+// registering an existing name panics.
 func (r *Registry) Gauge(name string, fn func() float64) {
-	if e, ok := r.entries[name]; ok {
-		panic(fmt.Sprintf("telemetry: %q already registered as %v", name, e.kind))
+	if _, ok := r.gauges[name]; ok {
+		panic(fmt.Sprintf("telemetry: %q already registered", name))
 	}
-	r.entries[name] = &entry{kind: KindGauge, gauge: &Gauge{fn: fn}}
+	r.gauges[name] = fn
 }
 
 // Point is one named value in a snapshot.
@@ -138,23 +73,17 @@ type Point struct {
 	Value float64
 }
 
-// Snapshot evaluates every instrument and returns one point per
-// instrument, sorted by name.
+// Snapshot evaluates every gauge and returns one point per gauge, sorted
+// by name.
 func (r *Registry) Snapshot() []Point {
-	names := make([]string, 0, len(r.entries))
-	for n := range r.entries {
+	names := make([]string, 0, len(r.gauges))
+	for n := range r.gauges {
 		names = append(names, n)
 	}
 	sort.Strings(names)
 	out := make([]Point, 0, len(names))
 	for _, n := range names {
-		e := r.entries[n]
-		switch e.kind {
-		case KindCounter:
-			out = append(out, Point{Name: n, Value: float64(e.counter.v)})
-		case KindGauge:
-			out = append(out, Point{Name: n, Value: e.gauge.Value()})
-		}
+		out = append(out, Point{Name: n, Value: r.gauges[n]()})
 	}
 	return out
 }

@@ -5,35 +5,23 @@ import (
 	"testing"
 )
 
-func TestCounterIdempotentRegistration(t *testing.T) {
-	r := NewRegistry()
-	a := r.Counter("x.hits")
-	a.Inc()
-	a.Add(2)
-	b := r.Counter("x.hits")
-	if a != b {
-		t.Fatal("re-registering a counter must return the same instance")
-	}
-	if b.Value() != 3 {
-		t.Fatalf("counter value = %d, want 3", b.Value())
-	}
-	if r.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", r.Len())
-	}
-}
-
+// TestKindCollisionPanics: registering a name twice panics, whatever the
+// gauges read. A "counter" here is a gauge over a count the subsystem
+// maintains, the way every production count is exported.
 func TestKindCollisionPanics(t *testing.T) {
+	var hits uint64
+	count := func() float64 { return float64(hits) }
 	cases := []struct {
 		name string
 		fn   func(r *Registry)
 	}{
 		{"counter-then-gauge", func(r *Registry) {
-			r.Counter("n")
+			r.Gauge("n", count)
 			r.Gauge("n", func() float64 { return 0 })
 		}},
 		{"gauge-then-counter", func(r *Registry) {
 			r.Gauge("n", func() float64 { return 0 })
-			r.Counter("n")
+			r.Gauge("n", count)
 		}},
 		{"gauge-then-gauge", func(r *Registry) {
 			r.Gauge("n", func() float64 { return 0 })
@@ -52,11 +40,11 @@ func TestKindCollisionPanics(t *testing.T) {
 	}
 }
 
-// TestSnapshotSortedAndExpanded: Snapshot expands every instrument to
-// exactly one point and returns the points sorted by name.
+// TestSnapshotSortedAndExpanded: Snapshot expands every gauge to exactly
+// one point and returns the points sorted by name.
 func TestSnapshotSortedAndExpanded(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("z.count").Add(7)
+	r.Gauge("z.count", func() float64 { return 7 })
 	r.Gauge("m.lat.p95_us", func() float64 { return 20 })
 	r.Gauge("a.util", func() float64 { return 0.5 })
 
@@ -74,7 +62,7 @@ func TestSnapshotSortedAndExpanded(t *testing.T) {
 		"z.count":      7,
 	}
 	if len(pts) != len(want) {
-		t.Fatalf("snapshot has %d points, want %d (one per instrument)", len(pts), len(want))
+		t.Fatalf("snapshot has %d points, want %d (one per gauge)", len(pts), len(want))
 	}
 	for _, p := range pts {
 		if want[p.Name] != p.Value {

@@ -26,9 +26,6 @@ type Series struct {
 // Append adds one row.
 func (s *Series) Append(r Row) { s.rows = append(s.rows, r) }
 
-// Rows returns the accumulated rows.
-func (s *Series) Rows() []Row { return s.rows }
-
 // Len returns the row count.
 func (s *Series) Len() int { return len(s.rows) }
 

@@ -24,7 +24,7 @@ func TestSamplerAlignsToIntervalMultiples(t *testing.T) {
 	eng.RunFor(45 * sim.Millisecond)
 	s.Stop()
 
-	rows := s.Series().Rows()
+	rows := s.Series().rows
 	if len(rows) != 4 {
 		t.Fatalf("got %d rows, want 4 (ticks at 10,20,30,40ms)", len(rows))
 	}

@@ -115,9 +115,9 @@ func (h *TailHist) Quantile(q float64) float64 {
 
 // Merge folds other's observations into h. All TailHists share the
 // canonical layout, so merge is bucketwise addition; the merged quantiles
-// equal those of a histogram that observed both streams, which is what
-// lets forked jobs histogram independently and still report identical
-// tails after an index-ordered merge.
+// equal those of a histogram that observed both streams.
+//
+//lint:ignore unreachable stats_test TestHistogramMerge
 func (h *TailHist) Merge(other *TailHist) {
 	if other == nil || other.total == 0 {
 		return
@@ -167,15 +167,6 @@ func (s *TailSeries) Len() int {
 		return 0
 	}
 	return len(s.rows)
-}
-
-// Rows returns the accumulated rows (not a copy; callers must not
-// mutate).
-func (s *TailSeries) Rows() []TailRow {
-	if s == nil {
-		return nil
-	}
-	return s.rows
 }
 
 // MergePrefixed appends every row of other to s, prepending prefix to
@@ -273,13 +264,6 @@ func NewTailTracker(eng *sim.Engine, interval sim.Time, out *TailSeries) *TailTr
 		vmdkKeys: make(map[int]string),
 	}
 }
-
-// Enabled reports whether the tracker records observations (false for
-// nil).
-func (t *TailTracker) Enabled() bool { return t != nil }
-
-// Interval returns the window length.
-func (t *TailTracker) Interval() sim.Time { return t.interval }
 
 // Observe records one latency observation in microseconds under key. The
 // key is typically a store name. No-op on a nil tracker.

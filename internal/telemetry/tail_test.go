@@ -175,7 +175,7 @@ func TestTailTrackerWindows(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr.Stop()
-	rows := out.Rows()
+	rows := out.rows
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d, want 3 (ssd+vmdk3 @10ms, ssd @20ms)", len(rows))
 	}
@@ -208,7 +208,7 @@ func TestTailTrackerNil(t *testing.T) {
 	tr.ObserveVMDK(1, 1)
 	tr.Start()
 	tr.Stop()
-	if tr.Enabled() || tr.Keys() != nil || tr.Summary("x") != (TailSummary{}) {
+	if tr.Keys() != nil || tr.Summary("x") != (TailSummary{}) {
 		t.Fatal("nil tracker not inert")
 	}
 }

@@ -87,31 +87,6 @@ func (r *IORequest) Latency() sim.Time {
 	return r.Complete - r.Issue
 }
 
-// Migrated reports whether the request carries the migrated-data tag. In
-// the paper's implementation the tag travels in the MSB of the 64-bit
-// address (§5.3 Implementation); here it is an explicit class, which the
-// address-encoding helpers below translate to and from.
-func (r *IORequest) Migrated() bool { return r.Class == ClassMigrated }
-
-// MigratedAddrBit is the MSB tag the paper's modified OS sets on physical
-// addresses of migrated-data requests.
-const MigratedAddrBit = uint64(1) << 63
-
-// EncodeAddr packs the byte offset and the migrated tag into a 64-bit
-// address the way the paper's modified address translation does.
-func EncodeAddr(offset int64, migrated bool) uint64 {
-	a := uint64(offset) &^ MigratedAddrBit
-	if migrated {
-		a |= MigratedAddrBit
-	}
-	return a
-}
-
-// DecodeAddr unpacks an address produced by EncodeAddr.
-func DecodeAddr(addr uint64) (offset int64, migrated bool) {
-	return int64(addr &^ MigratedAddrBit), addr&MigratedAddrBit != 0
-}
-
 // MemOp is a main-memory operation kind.
 type MemOp uint8
 

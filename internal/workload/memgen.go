@@ -44,12 +44,6 @@ func NewMemGen(eng *sim.Engine, rng *sim.RNG, dimm *dram.DIMM, p MemProfile) *Me
 	return g
 }
 
-// Profile returns the generator's profile.
-func (g *MemGen) Profile() MemProfile { return g.profile }
-
-// Issued returns the number of cacheline accesses generated.
-func (g *MemGen) Issued() uint64 { return g.issued }
-
 // phaseFactor returns the intensity multiplier at time t according to the
 // memory/compute phase alternation.
 func (g *MemGen) phaseFactor(t sim.Time) float64 {
@@ -62,15 +56,6 @@ func (g *MemGen) phaseFactor(t sim.Time) float64 {
 		return p.HighFactor
 	}
 	return p.LowFactor
-}
-
-// InMemoryPhase reports whether t falls in the memory-intensive phase.
-func (g *MemGen) InMemoryPhase(t sim.Time) bool {
-	p := g.profile
-	if p.PhasePeriod <= 0 {
-		return true
-	}
-	return float64(t%p.PhasePeriod)/float64(p.PhasePeriod) < p.PhaseDuty
 }
 
 // Start begins generating until Stop.

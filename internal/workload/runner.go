@@ -65,10 +65,6 @@ func (r *Runner) Profile() Profile { return r.profile }
 // ID returns the workload id used to tag requests.
 func (r *Runner) ID() int { return r.id }
 
-// Retarget points the runner at a different target (used when a VMDK
-// migrates); outstanding requests complete against the old target.
-func (r *Runner) Retarget(t Target) { r.target = t }
-
 // Start begins issuing until Stop. Restarting a running runner is a no-op.
 func (r *Runner) Start() {
 	if r.running {

@@ -246,11 +246,11 @@ func TestMemGenGeneratesTraffic(t *testing.T) {
 	g.Start()
 	eng.RunFor(sim.Millisecond)
 	g.Stop()
-	if g.Issued() == 0 {
+	if g.issued == 0 {
 		t.Fatal("no traffic generated")
 	}
-	if d.Intensity().Total() != g.Issued() {
-		t.Fatalf("DIMM saw %d accesses, generator issued %d", d.Intensity().Total(), g.Issued())
+	if d.Intensity().Total() != g.issued {
+		t.Fatalf("DIMM saw %d accesses, generator issued %d", d.Intensity().Total(), g.issued)
 	}
 }
 
@@ -265,16 +265,13 @@ func TestMemGenPhaseModulation(t *testing.T) {
 
 	eng.RunFor(5 * sim.Millisecond) // memory-intensive half
 	highCount := d.Intensity().Total()
-	d.Intensity().Reset()
+	*d.Intensity() = trace.MemIntensity{}
 	eng.RunFor(5 * sim.Millisecond) // compute half
 	lowCount := d.Intensity().Total()
 	g.Stop()
 
 	if highCount <= 3*lowCount {
 		t.Fatalf("phase modulation weak: high=%d low=%d", highCount, lowCount)
-	}
-	if !g.InMemoryPhase(0) || g.InMemoryPhase(6*sim.Millisecond) {
-		t.Fatal("InMemoryPhase misreports phases")
 	}
 }
 
@@ -289,7 +286,7 @@ func TestMemGenIntensityOrdering(t *testing.T) {
 		g.Start()
 		eng.RunFor(2 * sim.Millisecond)
 		g.Stop()
-		return g.Issued()
+		return g.issued
 	}
 	if count("429.mcf") <= count("433.milc") {
 		t.Fatal("mcf should out-traffic milc")
@@ -414,26 +411,26 @@ func TestMemGenTimerReuse(t *testing.T) {
 		if tick.Active() {
 			t.Fatal("Stop left the tick pending")
 		}
-		issued := g.Issued()
+		issued := g.issued
 		// Only in-flight bursts remain, so the queue drains for good.
 		if err := eng.Run(); err != nil {
 			t.Fatal(err)
 		}
 		processed := eng.Processed()
 		eng.RunFor(10 * sim.Millisecond)
-		if eng.Pending() != 0 || eng.Processed() != processed || g.Issued() != issued {
+		if eng.Pending() != 0 || eng.Processed() != processed || g.issued != issued {
 			t.Fatalf("after Stop: pending %d, processed %d→%d, issued %d→%d; want nothing new",
-				eng.Pending(), processed, eng.Processed(), issued, g.Issued())
+				eng.Pending(), processed, eng.Processed(), issued, g.issued)
 		}
 		g.Start()
 		if g.next != tick || !tick.Active() {
 			t.Fatal("Start did not re-arm the same tick timer")
 		}
-		if g.Issued() != issued+uint64(g.Aggregation) {
-			t.Fatalf("Start issued %d cachelines, want one burst of %d", g.Issued()-issued, g.Aggregation)
+		if g.issued != issued+uint64(g.Aggregation) {
+			t.Fatalf("Start issued %d cachelines, want one burst of %d", g.issued-issued, g.Aggregation)
 		}
 		eng.RunFor(sim.Millisecond)
-		if g.Issued() <= issued+uint64(g.Aggregation) {
+		if g.issued <= issued+uint64(g.Aggregation) {
 			t.Fatal("generation did not resume after Start")
 		}
 		g.Stop()
@@ -446,7 +443,7 @@ func TestMemGenTimerReuse(t *testing.T) {
 		g.Start()
 		resumes := 0
 		for i := 0; i < 20000; i++ {
-			waiting, issued := g.waiting, g.Issued()
+			waiting, issued := g.waiting, g.issued
 			eng.Step()
 			if g.outstanding > 1 {
 				t.Fatalf("step %d: %d bursts in flight, want at most 1", i, g.outstanding)
@@ -458,9 +455,9 @@ func TestMemGenTimerReuse(t *testing.T) {
 				// The completion that cleared waiting issued the next
 				// burst and re-armed the one timer.
 				resumes++
-				if g.Issued() != issued+uint64(g.Aggregation) || g.outstanding != 1 || !g.next.Active() {
+				if g.issued != issued+uint64(g.Aggregation) || g.outstanding != 1 || !g.next.Active() {
 					t.Fatalf("step %d: resume issued %d cachelines (outstanding %d, tick active %v)",
-						i, g.Issued()-issued, g.outstanding, g.next.Active())
+						i, g.issued-issued, g.outstanding, g.next.Active())
 				}
 			}
 		}
