@@ -104,7 +104,6 @@ func (q *grantQueue) grow() {
 // contention NVDIMM traffic experienced.
 type Channel struct {
 	eng       *sim.Engine
-	id        int
 	busy      bool
 	queues    [numPriorities]grantQueue
 	onRelease func() // bound once: frees the channel after a hold
@@ -119,9 +118,10 @@ type Channel struct {
 	track string
 }
 
-// NewChannel creates a channel bound to the engine.
-func NewChannel(eng *sim.Engine, id int) *Channel {
-	c := &Channel{eng: eng, id: id}
+// NewChannel creates a channel bound to the engine. The channel index
+// argument is unused; it stays because the perfbench module passes it.
+func NewChannel(eng *sim.Engine, _ int) *Channel {
+	c := &Channel{eng: eng}
 	c.onRelease = func() {
 		c.busy = false
 		c.dispatch()

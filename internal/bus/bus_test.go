@@ -92,9 +92,6 @@ func TestChannelContentionDelaysIO(t *testing.T) {
 func TestChannelStats(t *testing.T) {
 	eng := sim.NewEngine()
 	c := NewChannel(eng, 3)
-	if c.id != 3 {
-		t.Fatalf("ID = %d", c.id)
-	}
 	c.Acquire(PriMem, 100, func(sim.Time) {})
 	c.Acquire(PriIO, 200, func(sim.Time) {})
 	eng.Run()
@@ -230,10 +227,16 @@ func TestInterconnect(t *testing.T) {
 	if ic.NumChannels() != 4 {
 		t.Fatalf("channels = %d", ic.NumChannels())
 	}
+	seen := map[*Channel]int{}
 	for i := 0; i < 4; i++ {
-		if got := ic.Channel(i).id; got != i {
-			t.Fatalf("channel %d has id %d", i, got)
+		c := ic.Channel(i)
+		if c != ic.Channel(i) {
+			t.Fatalf("channel %d is not stable across calls", i)
 		}
+		if j, dup := seen[c]; dup {
+			t.Fatalf("channels %d and %d are the same channel", j, i)
+		}
+		seen[c] = i
 	}
 }
 

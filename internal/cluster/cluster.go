@@ -146,7 +146,7 @@ func (c *Cluster) AddNode(cfg NodeConfig, rng *sim.RNG) (*Node, error) {
 	n := &Node{Index: idx, Name: cfg.Name}
 	n.IC = bus.NewInterconnect(c.Eng, cfg.Channels)
 	for ch := 0; ch < cfg.Channels; ch++ {
-		n.DIMMs = append(n.DIMMs, dram.New(c.Eng, n.IC.Channel(ch), dram.DefaultConfig()))
+		n.DIMMs = append(n.DIMMs, dram.New(c.Eng, n.IC.Channel(ch)))
 	}
 	// The NVDIMM shares channel 0 with that channel's DRAM DIMM.
 	n.NVDIMM = nvdimm.New(c.Eng, n.IC.Channel(0), cfg.NVDIMM)

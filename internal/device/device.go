@@ -64,9 +64,9 @@ type Device interface {
 	Metrics() *Metrics
 }
 
-// Metrics accumulates per-device statistics, both for the lifetime of the
-// device and for the current measurement window (the storage manager reads
-// and resets windows each management epoch).
+// Metrics accumulates per-device lifetime statistics. The per-window
+// measurement the storage manager steers by is the datastore's
+// perfmodel.Monitor, not this collector.
 type Metrics struct {
 	name string
 
@@ -78,17 +78,8 @@ type Metrics struct {
 	// injection or device-originated failures).
 	TotalErrors uint64
 	Lifetime    stats.Summary // latency in microseconds
-
-	// Current window.
-	Window       stats.Summary // latency in microseconds
-	windowReads  uint64
-	windowWrite  uint64
-	windowErrors uint64
-	windowStart  sim.Time
-	// ContentionUS accumulates bus-contention delay attributed to this
-	// device's requests in the window (NVDIMM only), in microseconds.
-	ContentionUS float64
-	// LifetimeContentionUS accumulates contention across all windows.
+	// LifetimeContentionUS accumulates bus-contention delay attributed to
+	// this device's requests (NVDIMM only), in microseconds.
 	LifetimeContentionUS float64
 
 	// Optional telemetry hooks; all nil unless wired (zero cost when off).
@@ -108,7 +99,6 @@ func NewMetrics(name string) *Metrics { return &Metrics{name: name} }
 func (m *Metrics) Observe(r *trace.IORequest) {
 	if r.Err != nil {
 		m.TotalErrors++
-		m.windowErrors++
 		if m.tr != nil {
 			m.tr.Complete(m.track, r.Op.String()+"!err", "io", r.Issue, r.Complete,
 				telemetry.U("req", r.ID), telemetry.I("vmdk", int64(r.VMDK)),
@@ -118,14 +108,11 @@ func (m *Metrics) Observe(r *trace.IORequest) {
 	}
 	latUS := r.Latency().Micros()
 	m.Lifetime.Add(latUS)
-	m.Window.Add(latUS)
 	m.TotalBytes += r.Size
 	if r.Op == trace.OpRead {
 		m.TotalReads++
-		m.windowReads++
 	} else {
 		m.TotalWrites++
-		m.windowWrite++
 	}
 	if m.hist != nil {
 		m.hist.Observe(latUS)
@@ -175,25 +162,14 @@ func (m *Metrics) SetTracer(tr *telemetry.Tracer, track string) {
 // disables the hook.
 func (m *Metrics) SetTail(t *telemetry.TailTracker) { m.tail = t }
 
-// AddContention attributes extra bus-contention microseconds to the window.
-func (m *Metrics) AddContention(us float64) {
-	m.ContentionUS += us
-	m.LifetimeContentionUS += us
-}
+// AddContention attributes extra bus-contention microseconds to the
+// device.
+func (m *Metrics) AddContention(us float64) { m.LifetimeContentionUS += us }
 
-// WindowRequests returns the number of requests completed in the window.
-//
-//lint:ignore unreachable nvdimm TestMetricsObserved
-func (m *Metrics) WindowRequests() uint64 { return m.windowReads + m.windowWrite }
-
-// ResetWindow starts a new measurement window at time now.
-func (m *Metrics) ResetWindow(now sim.Time) {
-	m.Window.Reset()
-	m.windowReads, m.windowWrite = 0, 0
-	m.windowErrors = 0
-	m.ContentionUS = 0
-	m.windowStart = now
-}
+// ResetWindow does nothing: the collector keeps no per-window state. It
+// remains only because the perfbench module's observe cell calls it at
+// every window boundary.
+func (m *Metrics) ResetWindow(sim.Time) {}
 
 // String summarizes lifetime metrics.
 func (m *Metrics) String() string {

@@ -8,7 +8,6 @@ package dram
 import (
 	"repro/internal/bus"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -45,31 +44,15 @@ const (
 
 // bank tracks one DRAM bank's row-buffer state.
 type bank struct {
-	openRow   int64 // -1 when closed
-	readyAt   sim.Time
-	rowHits   uint64
-	rowMisses uint64
-}
-
-// Config parameterizes a DIMM.
-type Config struct {
-	// CapacityBytes is the DIMM capacity (default 8 GB).
-	CapacityBytes int64
-}
-
-// DefaultConfig returns the Table 4 DIMM configuration.
-func DefaultConfig() Config {
-	return Config{CapacityBytes: 8 << 30}
+	openRow int64 // -1 when closed
+	readyAt sim.Time
 }
 
 // DIMM is one DRAM module on a memory channel.
 type DIMM struct {
-	eng     *sim.Engine
-	channel *bus.Channel
-	cfg     Config
-	banks   [NumRanks][NumBanks]bank
-	// latency statistics in nanoseconds
-	latency   stats.Summary
+	eng       *sim.Engine
+	channel   *bus.Channel
+	banks     [NumRanks][NumBanks]bank
 	intensity trace.MemIntensity
 	served    uint64
 	free      *burst // recycled burst records
@@ -129,7 +112,6 @@ func (b *burst) grant(burstStart sim.Time) {
 	finish := burstStart + TCL + b.hold
 	b.bk.readyAt = finish
 	b.lat = finish - b.issue
-	d.latency.Add(float64(b.lat))
 	d.served += uint64(b.n)
 	if b.done == nil {
 		d.putBurst(b)
@@ -147,8 +129,8 @@ func (b *burst) finish() {
 }
 
 // New creates a DIMM attached to the given channel.
-func New(eng *sim.Engine, ch *bus.Channel, cfg Config) *DIMM {
-	d := &DIMM{eng: eng, channel: ch, cfg: cfg}
+func New(eng *sim.Engine, ch *bus.Channel) *DIMM {
+	d := &DIMM{eng: eng, channel: ch}
 	for r := range d.banks {
 		for b := range d.banks[r] {
 			d.banks[r][b].openRow = -1
@@ -185,7 +167,7 @@ func (d *DIMM) AccessBurst(req trace.MemRequest, n int, done func(lat sim.Time))
 	if n < 1 {
 		n = 1
 	}
-	d.intensity.ObserveN(req, n)
+	d.intensity.Add(n)
 	rank, bi, row := mapAddr(req.Addr)
 	bk := &d.banks[rank][bi]
 
@@ -201,13 +183,10 @@ func (d *DIMM) AccessBurst(req trace.MemRequest, n int, done func(lat sim.Time))
 	switch {
 	case bk.openRow == row:
 		prep = 0
-		bk.rowHits++
 	case bk.openRow < 0:
 		prep = TRCD
-		bk.rowMisses++
 	default:
 		prep = TRTP + TRP + TRCD
-		bk.rowMisses++
 	}
 	bk.openRow = row
 
@@ -226,6 +205,6 @@ func (d *DIMM) AccessBurst(req trace.MemRequest, n int, done func(lat sim.Time))
 // Served returns the number of requests completed.
 func (d *DIMM) Served() uint64 { return d.served }
 
-// Intensity returns the read/write counters accumulated since the last
-// reset (the memory-intensity signal of Fig. 4).
+// Intensity returns the access counter (the memory-intensity signal of
+// Fig. 4).
 func (d *DIMM) Intensity() *trace.MemIntensity { return &d.intensity }

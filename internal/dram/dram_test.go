@@ -11,7 +11,7 @@ import (
 func newDIMM() (*sim.Engine, *DIMM) {
 	eng := sim.NewEngine()
 	ch := bus.NewChannel(eng, 0)
-	return eng, New(eng, ch, DefaultConfig())
+	return eng, New(eng, ch)
 }
 
 func TestAccessCompletes(t *testing.T) {
@@ -71,9 +71,6 @@ func TestRowHitFasterThanConflict(t *testing.T) {
 	if hit >= conflict {
 		t.Fatalf("row hit (%v) not faster than row conflict (%v)", hit, conflict)
 	}
-	if rowHitRate(d) <= 0 || rowHitRate(d) >= 1 {
-		t.Fatalf("row hit rate = %v, want in (0,1)", rowHitRate(d))
-	}
 }
 
 func TestBankParallelism(t *testing.T) {
@@ -104,8 +101,8 @@ func TestIntensityTracking(t *testing.T) {
 	d.AccessBurst(trace.MemRequest{Op: trace.MemWrite, Addr: 64}, 1, nil)
 	d.AccessBurst(trace.MemRequest{Op: trace.MemWrite, Addr: 128}, 1, nil)
 	eng.Run()
-	if d.Intensity().Reads() != 1 || d.Intensity().Writes() != 2 {
-		t.Fatalf("intensity = %d reads / %d writes", d.Intensity().Reads(), d.Intensity().Writes())
+	if d.Intensity().Total() != 3 {
+		t.Fatalf("intensity = %d accesses, want 3", d.Intensity().Total())
 	}
 }
 
@@ -145,15 +142,20 @@ func TestRefreshDelay(t *testing.T) {
 
 func TestMeanLatencyAccumulates(t *testing.T) {
 	eng, d := newDIMM()
+	var sum sim.Time
+	n := 0
 	for i := 0; i < 50; i++ {
-		d.AccessBurst(trace.MemRequest{Op: trace.MemRead, Addr: uint64(i) << 13, At: eng.Now()}, 1, nil)
+		d.AccessBurst(trace.MemRequest{Op: trace.MemRead, Addr: uint64(i) << 13, At: eng.Now()}, 1, func(l sim.Time) {
+			sum += l
+			n++
+		})
 	}
 	eng.Run()
-	if d.latency.Mean() <= 0 {
-		t.Fatal("mean latency not recorded")
+	if n != 50 || d.Served() != 50 {
+		t.Fatalf("%d callbacks, served = %d, want 50", n, d.Served())
 	}
-	if d.cfg.CapacityBytes != 8<<30 {
-		t.Fatalf("capacity = %d", d.cfg.CapacityBytes)
+	if sum <= 0 {
+		t.Fatal("mean latency not positive")
 	}
 }
 
@@ -161,7 +163,7 @@ func TestChannelContentionSlowsDRAM(t *testing.T) {
 	// If the channel is held by a long IO transfer, DRAM access stretches.
 	eng := sim.NewEngine()
 	ch := bus.NewChannel(eng, 0)
-	d := New(eng, ch, DefaultConfig())
+	d := New(eng, ch)
 	// Hold the channel with a long IO transfer first.
 	ch.Acquire(bus.PriIO, 10*sim.Microsecond, func(sim.Time) {})
 	var lat sim.Time
@@ -182,10 +184,9 @@ func freeBursts(d *DIMM) int {
 }
 
 // TestBurstPool checks the pooled burst records against hand-computed
-// schedules: every latency, Served, RowHitRate, Intensity and the mean
-// latency. All times stay clear of the refresh blackouts at multiples of
-// tREFI (7812 ns), so latency is bank preparation + channel wait + tCL +
-// n×5 ns of data.
+// schedules: every latency, Served and Intensity. All times stay clear
+// of the refresh blackouts at multiples of tREFI (7812 ns), so latency is
+// bank preparation + channel wait + tCL + n×5 ns of data.
 func TestBurstPool(t *testing.T) {
 	t.Run("done issues the next burst", func(t *testing.T) {
 		// MemGen's saturated path: the completion callback issues the
@@ -229,14 +230,8 @@ func TestBurstPool(t *testing.T) {
 		if d.Served() != 7 {
 			t.Fatalf("served = %d, want 7", d.Served())
 		}
-		if got := rowHitRate(d); got != 1.0/3 {
-			t.Fatalf("row hit rate = %v, want 1/3", got)
-		}
-		if r, w := d.Intensity().Reads(), d.Intensity().Writes(); r != 5 || w != 2 {
-			t.Fatalf("intensity = %d reads / %d writes, want 5/2", r, w)
-		}
-		if got := d.latency.Mean(); got != 46 {
-			t.Fatalf("mean latency = %v ns, want 46", got)
+		if got := d.Intensity().Total(); got != 7 {
+			t.Fatalf("intensity = %d accesses, want 7", got)
 		}
 		// Each done ran after its record was recycled, so the chain
 		// reused one record throughout.
@@ -257,17 +252,11 @@ func TestBurstPool(t *testing.T) {
 		if lat != 73 { // grant 254, finish 254+14+5
 			t.Fatalf("queued access latency = %v, want 73", lat)
 		}
-		if got := d.latency.Mean(); got != (68+73)/2.0 { // 214+14+40-200, 73
-			t.Fatalf("mean latency = %v ns, want 70.5", got)
-		}
 		if d.Served() != 9 {
 			t.Fatalf("served = %d, want 9", d.Served())
 		}
-		if got := rowHitRate(d); got != 0 {
-			t.Fatalf("row hit rate = %v, want 0", got)
-		}
-		if r, w := d.Intensity().Reads(), d.Intensity().Writes(); r != 8 || w != 1 {
-			t.Fatalf("intensity = %d reads / %d writes, want 8/1", r, w)
+		if got := d.Intensity().Total(); got != 9 {
+			t.Fatalf("intensity = %d accesses, want 9", got)
 		}
 		if n := freeBursts(d); n != 2 {
 			t.Fatalf("%d pooled records, want 2", n)
@@ -310,29 +299,8 @@ func TestBurstPool(t *testing.T) {
 		if d.Served() != 6 {
 			t.Fatalf("served = %d, want 6", d.Served())
 		}
-		if got := rowHitRate(d); got != 1.0/3 {
-			t.Fatalf("row hit rate = %v, want 1/3", got)
-		}
-		if r, w := d.Intensity().Reads(), d.Intensity().Writes(); r != 1 || w != 5 {
-			t.Fatalf("intensity = %d reads / %d writes, want 1/5", r, w)
-		}
-		if got := d.latency.Mean(); got != 35 {
-			t.Fatalf("mean latency = %v ns, want 35", got)
+		if got := d.Intensity().Total(); got != 6 {
+			t.Fatalf("intensity = %d accesses, want 6", got)
 		}
 	})
-}
-
-// rowHitRate returns row-buffer hits / (hits+misses) across all banks.
-func rowHitRate(d *DIMM) float64 {
-	var h, m uint64
-	for r := range d.banks {
-		for b := range d.banks[r] {
-			h += d.banks[r][b].rowHits
-			m += d.banks[r][b].rowMisses
-		}
-	}
-	if h+m == 0 {
-		return 0
-	}
-	return float64(h) / float64(h+m)
 }

@@ -35,7 +35,7 @@ func Fig4(scale Scale) (Fig4Result, error) {
 	eng := sim.NewEngine()
 	ch := bus.NewChannel(eng, 0)
 	n := nvdimm.New(eng, ch, core.ScaledNVDIMMConfig("nv"))
-	dimm := dram.New(eng, ch, dram.DefaultConfig())
+	dimm := dram.New(eng, ch)
 
 	mcf, _ := workload.SPECProfile("429.mcf")
 	// Several full memory/compute cycles across the sampled series.
@@ -137,7 +137,7 @@ func Fig5(scale Scale) Fig5Result {
 		dev := nvdimm.New(eng, ch, core.ScaledNVDIMMConfig("nv"))
 		if ms > 0 {
 			mcf, _ := workload.SPECProfile("429.mcf")
-			dimm := dram.New(eng, ch, dram.DefaultConfig())
+			dimm := dram.New(eng, ch)
 			g := workload.NewMemGen(eng, sim.NewRNG(9), dimm, mcf)
 			g.Scale = ms
 			g.Aggregation = 64
@@ -267,7 +267,7 @@ func Fig7(freeSpace float64, scale Scale) (Fig7Result, error) {
 		n.Prefill(fill)
 		if withMem {
 			mcf, _ := workload.SPECProfile("429.mcf")
-			dimm := dram.New(eng, ch, dram.DefaultConfig())
+			dimm := dram.New(eng, ch)
 			g := workload.NewMemGen(eng, sim.NewRNG(13), dimm, mcf)
 			g.Aggregation = 64
 			g.Start()

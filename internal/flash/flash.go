@@ -54,15 +54,11 @@ func (c Config) Validate() error {
 // chip tracks one NAND die's availability.
 type chip struct {
 	busyUntil sim.Time
-	reads     uint64
-	writes    uint64
-	erases    uint64
 }
 
 // channel tracks the serial channel bus shared by its chips.
 type channel struct {
 	busyUntil sim.Time
-	busyTotal sim.Time
 	chips     []chip
 }
 
@@ -111,12 +107,10 @@ func (a *Array) ReadPage(ppn int64, done func()) {
 	start := maxTime(now, cp.busyUntil)
 	senseDone := start + a.cfg.ReadLatency
 	cp.busyUntil = senseDone
-	cp.reads++
 
 	xferStart := maxTime(senseDone, ch.busyUntil)
 	xferDone := xferStart + a.cfg.ChannelXfer
 	ch.busyUntil = xferDone
-	ch.busyTotal += a.cfg.ChannelXfer
 
 	if done != nil {
 		a.eng.At(xferDone, done)
@@ -139,11 +133,9 @@ func (a *Array) WritePage(ppn int64, done func()) {
 	xferStart = maxTime(xferStart, cp.busyUntil)
 	xferDone := xferStart + a.cfg.ChannelXfer
 	ch.busyUntil = xferDone
-	ch.busyTotal += a.cfg.ChannelXfer
 
 	progDone := xferDone + a.cfg.WriteLatency
 	cp.busyUntil = progDone
-	cp.writes++
 
 	if done != nil {
 		a.eng.At(progDone, done)
@@ -159,7 +151,6 @@ func (a *Array) EraseBlock(ppn int64, done func()) {
 	start := maxTime(now, cp.busyUntil)
 	eraseDone := start + a.cfg.EraseLatency
 	cp.busyUntil = eraseDone
-	cp.erases++
 	if done != nil {
 		a.eng.At(eraseDone, done)
 	}

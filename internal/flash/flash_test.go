@@ -164,32 +164,31 @@ func TestReadBehindWrite(t *testing.T) {
 func TestOpCounts(t *testing.T) {
 	eng := sim.NewEngine()
 	a := New(eng, smallConfig())
-	a.ReadPage(0, nil)
-	a.ReadPage(1, nil)
-	a.WritePage(2, nil)
-	a.EraseBlock(3, nil)
+	var r, w, e int
+	a.ReadPage(0, func() { r++ })
+	a.ReadPage(1, func() { r++ })
+	a.WritePage(2, func() { w++ })
+	a.EraseBlock(3, func() { e++ })
 	eng.Run()
-	var r, w, e uint64
-	for i := range a.chs {
-		for j := range a.chs[i].chips {
-			c := &a.chs[i].chips[j]
-			r, w, e = r+c.reads, w+c.writes, e+c.erases
-		}
-	}
 	if r != 2 || w != 1 || e != 1 {
-		t.Fatalf("op counts = %d/%d/%d", r, w, e)
+		t.Fatalf("op completions = %d/%d/%d, want 2/1/1", r, w, e)
 	}
 }
 
 func TestChannelUtilization(t *testing.T) {
 	eng := sim.NewEngine()
 	a := New(eng, smallConfig())
-	if a.chs[0].busyTotal != 0 {
-		t.Fatal("idle array should have zero utilization")
+	if a.chs[0].busyUntil != 0 {
+		t.Fatal("idle array should have a free channel")
 	}
 	a.ReadPage(0, func() {})
 	eng.Run()
-	u := float64(a.chs[0].busyTotal) / float64(eng.Now())
+	// The page transfers out last, so the channel is busy until the read
+	// completes, for ChannelXfer of the ReadLatency+ChannelXfer span.
+	if a.chs[0].busyUntil != eng.Now() {
+		t.Fatalf("channel busy until %v, read completed at %v", a.chs[0].busyUntil, eng.Now())
+	}
+	u := float64(a.cfg.ChannelXfer) / float64(eng.Now())
 	if u <= 0 || u > 1 {
 		t.Fatalf("utilization = %v", u)
 	}

@@ -74,7 +74,6 @@ type FTL struct {
 	// Statistics.
 	userWrites uint64
 	gcWrites   uint64
-	gcReads    uint64
 	erases     uint64
 	gcRuns     uint64
 }
@@ -307,7 +306,6 @@ func (f *FTL) relocate(victim int, lpns []int64) {
 		f.relocate(victim, rest)
 		return
 	}
-	f.gcReads++
 	f.fl.ReadPage(old, func() {
 		dst, ok := f.allocPage(true)
 		if !ok {
@@ -358,23 +356,17 @@ func (f *FTL) Prefill(ratio float64) {
 
 // Stats reports FTL activity counters.
 type Stats struct {
-	UserWrites uint64
-	GCWrites   uint64
-	GCReads    uint64
-	Erases     uint64
-	GCRuns     uint64
-	FreeBlocks int
+	GCWrites uint64
+	Erases   uint64
+	GCRuns   uint64
 }
 
 // Stats returns a snapshot of activity counters.
 func (f *FTL) Stats() Stats {
 	return Stats{
-		UserWrites: f.userWrites,
-		GCWrites:   f.gcWrites,
-		GCReads:    f.gcReads,
-		Erases:     f.erases,
-		GCRuns:     f.gcRuns,
-		FreeBlocks: len(f.free),
+		GCWrites: f.gcWrites,
+		Erases:   f.erases,
+		GCRuns:   f.gcRuns,
 	}
 }
 

@@ -38,7 +38,6 @@ type Config struct {
 type HDD struct {
 	device.Base
 	eng *sim.Engine
-	cfg Config
 	rng *sim.RNG
 
 	headPos     int64 // byte position of the head
@@ -58,7 +57,6 @@ func New(eng *sim.Engine, cfg Config) *HDD {
 	return &HDD{
 		Base: device.NewBase(cfg.Name, device.KindHDD, cfg.Capacity),
 		eng:  eng,
-		cfg:  cfg,
 		rng:  sim.NewRNG(cfg.Seed),
 	}
 }

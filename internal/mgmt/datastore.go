@@ -123,10 +123,9 @@ func (d *Datastore) WindowLoad() uint64 {
 	return sum
 }
 
-// resetWindow clears the monitor, device, and resident-VMDK windows.
+// resetWindow clears the monitor and resident-VMDK windows.
 func (d *Datastore) resetWindow() {
 	d.Mon.ResetWindow()
-	d.Dev.Metrics().ResetWindow(0)
 	for _, v := range d.vmdks {
 		v.resetWindow()
 	}

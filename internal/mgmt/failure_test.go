@@ -178,10 +178,22 @@ func TestAbortTimeWritesLandOnSourceAndClearBitmap(t *testing.T) {
 	}
 }
 
+// gateCopy drives a migration's lazy copy gate as an epoch's regate does
+// under GateCopy. With pause, the destination measures slower than the
+// source, so the copy costs more than it gains and stops; without, both
+// stores measure idle (zero cost), which lets the copy run.
+func gateCopy(mig *Migration, pause bool) {
+	src, dst := StorePerf{Store: mig.src}, StorePerf{Store: mig.dst}
+	if pause {
+		src.PerfUS, dst.PerfUS = 100, 8000
+	}
+	mig.regate([]StorePerf{src, dst})
+}
+
 // TestStragglerRescanAfterResume exercises the maybeFinish cursor rescan:
-// the copy cursor reaches the end of the disk while operator-paused blocks
-// remain unmigrated behind it; resuming must rescan and finish rather than
-// stall with a partially-migrated VMDK.
+// the copy cursor reaches the end of the disk while blocks the gate-paused
+// copy skipped remain unmigrated behind it; reopening the gate must rescan
+// and finish rather than stall with a partially-migrated VMDK.
 func TestStragglerRescanAfterResume(t *testing.T) {
 	eng, mgr, a, b, _, _ := failurePair(t)
 	// Larger than CopyDepth×ChunkBytes so the first pump cannot cover the
@@ -193,20 +205,22 @@ func TestStragglerRescanAfterResume(t *testing.T) {
 	if err := mgr.startMigration(v, b); err != nil {
 		t.Fatal(err)
 	}
-	if !pauseMigration(mgr, v.ID) {
-		t.Fatal("pause found no migration")
+	mig := mgr.active[0]
+	gateCopy(mig, true)
+	if !mig.paused {
+		t.Fatal("cost above benefit did not pause the copy")
 	}
 	eng.Run() // drain the chunks issued before the pause
 	if !v.Migrating() || len(mgr.active) == 0 {
 		t.Fatal("migration completed despite the pause")
 	}
-	mig := mgr.active[0]
 	// Simulate mirroring marking scattered blocks while the copy was
 	// paused and the cursor having scanned past them.
 	v.markMigrated(v.Blocks() - 1)
 	mig.cursor = v.Blocks()
-	if !resumeMigration(mgr, v.ID) {
-		t.Fatal("resume found no migration")
+	gateCopy(mig, false)
+	if mig.paused {
+		t.Fatal("an idle measurement did not reopen the gate")
 	}
 	eng.Run()
 	if v.MigratedBlocks() != 0 || v.Migrating() {
@@ -219,8 +233,9 @@ func TestStragglerRescanAfterResume(t *testing.T) {
 	}
 }
 
-// TestAbortProceedsWhileOperatorPaused: an operator pause must not stall an
+// TestAbortProceedsWhileOperatorPaused: a paused copy must not stall an
 // unwind — a half-aborted VMDK cannot linger on a failing destination.
+// The pause is the lazy cost/benefit gate's.
 func TestAbortProceedsWhileOperatorPaused(t *testing.T) {
 	eng, mgr, a, b, _, _ := failurePair(t)
 	v, err := a.CreateVMDK(1, 8<<20)
@@ -231,110 +246,25 @@ func TestAbortProceedsWhileOperatorPaused(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.RunFor(30 * sim.Microsecond) // let some chunks land on b
-	if !pauseMigration(mgr, v.ID) {
-		t.Fatal("pause found no migration")
-	}
 	mig := mgr.active[0]
-	mig.abort("test-induced abort")
-	if !mig.opPaused {
-		t.Fatal("operator pause lost")
+	gateCopy(mig, true)
+	if !mig.paused || v.MigratedBlocks() == 0 {
+		t.Fatalf("test setup: paused=%v with %d blocks copied", mig.paused, v.MigratedBlocks())
 	}
+	mig.abort("test-induced abort")
 	eng.Run()
 	if mgr.Stats().MigrationsAborted != 1 {
 		t.Fatal("abort not recorded")
 	}
 	if v.Store() != a || v.Migrating() || v.MigratedBlocks() != 0 {
-		t.Fatalf("unwind stalled under operator pause: store=%s migrated=%d",
+		t.Fatalf("unwind stalled under a paused copy: store=%s migrated=%d",
 			v.Store().Dev.Name(), v.MigratedBlocks())
 	}
 	if b.allocated != 0 {
 		t.Fatal("destination extent not released")
 	}
-	// The migration is gone; resuming it now reports not-found.
-	if resumeMigration(mgr, v.ID) {
-		t.Fatal("aborted migration still resumable")
-	}
-}
-
-// TestPausedMigrationAbortsWhenDestinationQuarantined: an
-// operator-paused balancing copy whose destination store is then
-// quarantined must abort-unwind cleanly — bitmap-consistent source,
-// destination extent released, balancing budget freed — rather than
-// lingering forever as a paused active entry pinned to a failing store.
-func TestPausedMigrationAbortsWhenDestinationQuarantined(t *testing.T) {
-	eng := sim.NewEngine()
-	fa := newFlaky(eng, "src", 10*sim.Microsecond)
-	fb := newFlaky(eng, "dst", 10*sim.Microsecond)
-	a := NewDatastore(fa, 0)
-	b := NewDatastore(fb, 0)
-	cfg := DefaultConfig()
-	cfg.Window = sim.Millisecond
-	cfg.MinWindowRequests = 2
-	cfg.QuarantineMinErrors = 3
-	cfg.CopyRetryBackoff = 50 * sim.Microsecond
-	mgr := NewManager(eng, cfg, LightSRM(), []*Datastore{a, b})
-	v, err := a.CreateVMDK(1, 8<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A resident VMDK on the destination whose writes will start failing,
-	// driving b's window error rate over the quarantine threshold.
-	vb, err := b.CreateVMDK(2, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := mgr.startMigration(v, b); err != nil {
-		t.Fatal(err)
-	}
-	eng.RunFor(30 * sim.Microsecond) // let some chunks land on b
-	if !pauseMigration(mgr, v.ID) {
-		t.Fatal("pause found no migration")
-	}
-	if v.MigratedBlocks() == 0 {
-		t.Fatal("test setup: no blocks copied before the pause")
-	}
-	// Only the resident VMDK's writes fail — the paused copy is idle, so
-	// the failing device is detected purely through foreground traffic.
-	fb.fail = func(r *trace.IORequest) bool {
-		return r.Op == trace.OpWrite && r.VMDK == vb.ID
-	}
-	p := workload.Profile{Name: "w", WriteRatio: 1.0, WriteRand: 0.5,
-		IOSize: 4096, OIO: 4, Footprint: 1 << 20}
-	r := workload.NewRunner(eng, sim.NewRNG(1), p, vb, 0)
-	r.Start()
-	mgr.Start()
-	eng.RunFor(20 * sim.Millisecond)
-	r.Stop()
-	mgr.Stop()
-	eng.Run()
-
-	st := mgr.Stats()
-	if st.Quarantines == 0 {
-		t.Fatalf("destination never quarantined: %+v", st)
-	}
-	if st.MigrationsAborted != 1 {
-		t.Fatalf("aborted = %d, want 1 (the paused copy)", st.MigrationsAborted)
-	}
-	if v.Store() != a || v.Migrating() || v.aborting || v.MigratedBlocks() != 0 {
-		t.Fatalf("VMDK not consistent on source after unwind: store=%s migrating=%v migrated=%d",
-			v.Store().Dev.Name(), v.Migrating(), v.MigratedBlocks())
-	}
-	for _, mig := range mgr.active {
-		if mig.v == v {
-			t.Fatal("aborted migration leaked an active entry")
-		}
-	}
-	if mgr.balancingMigrations() != 0 {
-		t.Fatal("balancing budget not released")
-	}
-	var sawReason bool
-	for _, d := range mgr.Log().Entries() {
-		if d.Kind == DecisionAbort && strings.Contains(d.Detail, "destination quarantined while copy paused") {
-			sawReason = true
-		}
-	}
-	if !sawReason {
-		t.Fatalf("decision log missing the quarantine-abort reason:\n%s", mgr.Log())
+	if len(mgr.active) != 0 {
+		t.Fatal("aborted migration still active")
 	}
 }
 

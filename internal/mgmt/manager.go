@@ -129,7 +129,6 @@ type Stats struct {
 	Evacuations       uint64 // migrations launched to empty quarantined stores
 
 	// Crash-recovery counters (DESIGN.md §13).
-	Crashes           uint64 // power-loss events reaching the manager
 	RecoveryResumes   uint64 // migrations resumed forward after journal replay
 	RecoveryRollbacks uint64 // migrations rolled back to source after replay
 }

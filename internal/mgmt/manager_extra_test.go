@@ -108,7 +108,6 @@ func TestCostBenefitZeroWhenDestinationWorse(t *testing.T) {
 	mgr := NewManager(n.eng, quickCfg(), Pesto(), n.dss)
 	v, _ := n.dss[0].CreateVMDK(1, 8<<20)
 	v.windowRequests = 100
-	v.windowBytes = 400 << 10
 	src := StorePerf{Store: n.dss[0], PerfUS: 100, WC: trace.WC{IOSize: 4096}}
 	dst := StorePerf{Store: n.dss[2], PerfUS: 8000, WC: trace.WC{IOSize: 4096}}
 	cost, benefit := mgr.costBenefit(v, &src, &dst, v.Size)
@@ -118,6 +117,18 @@ func TestCostBenefitZeroWhenDestinationWorse(t *testing.T) {
 	if cost <= 0 {
 		t.Fatalf("cost should be positive, got %v", cost)
 	}
+	// The unit cost scales with BlockSize/IOSize: 16 KiB requests copy a
+	// block at a quarter of the per-request latency, and requests below
+	// BlockSize clamp to it.
+	for _, tc := range []struct {
+		ioSize float64
+		want   float64
+	}{{16384, cost / 4}, {512, cost}} {
+		src.WC.IOSize, dst.WC.IOSize = tc.ioSize, tc.ioSize
+		if got, _ := mgr.costBenefit(v, &src, &dst, v.Size); got != tc.want {
+			t.Fatalf("IOSize %v: cost = %v, want %v", tc.ioSize, got, tc.want)
+		}
+	}
 }
 
 func TestCostBenefitPositiveWhenDestinationFaster(t *testing.T) {
@@ -125,7 +136,6 @@ func TestCostBenefitPositiveWhenDestinationFaster(t *testing.T) {
 	mgr := NewManager(n.eng, quickCfg(), Pesto(), n.dss)
 	v, _ := n.dss[2].CreateVMDK(1, 1<<20)
 	v.windowRequests = 200
-	v.windowBytes = 800 << 10
 	src := StorePerf{Store: n.dss[2], PerfUS: 9000, WC: trace.WC{IOSize: 4096}}
 	dst := StorePerf{Store: n.dss[0], PerfUS: 100, WC: trace.WC{IOSize: 4096}}
 	cost, benefit := mgr.costBenefit(v, &src, &dst, v.Size)
@@ -164,7 +174,6 @@ func TestBenefitHorizonScalesBenefit(t *testing.T) {
 	long := NewManager(n.eng, cfgLong, Pesto(), n.dss)
 	v, _ := n.dss[2].CreateVMDK(1, 1<<20)
 	v.windowRequests = 50
-	v.windowBytes = 200 << 10
 	src := StorePerf{Store: n.dss[2], PerfUS: 9000, WC: trace.WC{IOSize: 4096}}
 	dst := StorePerf{Store: n.dss[0], PerfUS: 100, WC: trace.WC{IOSize: 4096}}
 	_, bShort := short.costBenefit(v, &src, &dst, v.Size)

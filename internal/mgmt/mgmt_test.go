@@ -451,74 +451,3 @@ func TestWindowLoadFollowsPrimary(t *testing.T) {
 
 var _ device.Device = (*nvdimm.NVDIMM)(nil)
 
-// pauseMigration stops the background copy of the given VMDK's in-flight
-// migration, as an operator would (write redirection keeps routing writes
-// to the destination). It reports whether a matching migration was found.
-// The pause is sticky — cost/benefit re-evaluation does not override it —
-// until resumeMigration.
-func pauseMigration(m *Manager, vmdkID int) bool {
-	for _, mig := range m.active {
-		if mig.v.ID == vmdkID {
-			mig.opPaused = true
-			return true
-		}
-	}
-	return false
-}
-
-// resumeMigration restarts a paused background copy.
-func resumeMigration(m *Manager, vmdkID int) bool {
-	for _, mig := range m.active {
-		if mig.v.ID == vmdkID {
-			if mig.opPaused {
-				mig.opPaused = false
-				mig.pump()
-			}
-			return true
-		}
-	}
-	return false
-}
-
-func TestPauseResumeMigration(t *testing.T) {
-	n := newNode(t)
-	v, _ := n.dss[0].CreateVMDK(1, 16<<20)
-	mgr := NewManager(n.eng, quickCfg(), BCALazy(), n.dss)
-	if pauseMigration(mgr, 1) {
-		t.Fatal("paused a migration that does not exist")
-	}
-	if err := mgr.startMigration(v, n.dss[1]); err != nil {
-		t.Fatal(err)
-	}
-	// Let a little copying happen, then pause.
-	n.eng.RunFor(5 * sim.Millisecond)
-	if !pauseMigration(mgr, 1) {
-		t.Fatal("pause failed")
-	}
-	// Chunks already in flight at pause time (up to CopyDepth of them)
-	// still land; after they drain, progress must stop completely.
-	n.eng.RunFor(100 * sim.Millisecond)
-	copied := v.MigratedBlocks()
-	n.eng.RunFor(100 * sim.Millisecond)
-	if v.MigratedBlocks() != copied {
-		t.Fatalf("copy progressed while paused: %d → %d", copied, v.MigratedBlocks())
-	}
-	// Mirrored writes still mark blocks while paused; write to the tail
-	// of the extent, which the (paused, front-to-back) copy has not
-	// reached.
-	v.Submit(&trace.IORequest{Op: trace.OpWrite, Offset: (v.Blocks() - 1) * BlockSize, Size: 4096}, nil)
-	n.eng.Run()
-	if v.MigratedBlocks() != copied+1 {
-		t.Fatalf("mirroring stopped during pause: %d", v.MigratedBlocks())
-	}
-	if !resumeMigration(mgr, 1) {
-		t.Fatal("resume failed")
-	}
-	n.eng.Run()
-	if v.Migrating() {
-		t.Fatal("migration never completed after resume")
-	}
-	if v.Store() != n.dss[1] {
-		t.Fatal("VMDK not at destination after resume")
-	}
-}

@@ -28,7 +28,6 @@ type Migration struct {
 	cursor    int64 // next block index to consider
 	inflight  int
 	paused    bool // cost/benefit said "not now"
-	opPaused  bool // operator said "not now" (sticky until resumed)
 	completed bool
 	aborting  bool // unwinding back to the source
 	// evac marks a quarantine evacuation: cost/benefit gating is skipped
@@ -119,7 +118,7 @@ func (g *Migration) pump() {
 		g.pumpAbort()
 		return
 	}
-	for !g.paused && !g.opPaused && g.inflight < g.mgr.cfg.CopyDepth {
+	for !g.paused && g.inflight < g.mgr.cfg.CopyDepth {
 		blocks := g.nextChunk()
 		if blocks == nil {
 			break
@@ -287,7 +286,7 @@ func (g *Migration) abort(reason string) {
 }
 
 // pumpAbort keeps CopyDepth copy-back chunks in flight. The unwind ignores
-// operator pauses — a half-aborted VMDK must not linger on a possibly
+// the copy gate — a half-aborted VMDK must not linger on a possibly
 // failing destination.
 func (g *Migration) pumpAbort() {
 	if g.completed {

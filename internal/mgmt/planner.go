@@ -24,10 +24,7 @@ func (m *Manager) plan(perfs []StorePerf) {
 
 // planFailures is the failure pre-pass: per-epoch error-rate
 // thresholding into quarantine, evacuation of quarantined stores, and
-// probation-based readmission (graceful degradation). It also aborts
-// operator-paused copies whose destination was quarantined — a paused
-// copy cannot make progress off a failing device, and leaving it active
-// would pin the balancing budget forever.
+// probation-based readmission (graceful degradation).
 func (m *Manager) planFailures(perfs []StorePerf) {
 	for i := range perfs {
 		ds := perfs[i].Store
@@ -61,16 +58,6 @@ func (m *Manager) planFailures(perfs []StorePerf) {
 		}
 		if ds.quarantined {
 			m.evacuate(ds, perfs)
-		}
-	}
-	// An operator-paused balancing copy whose destination just entered
-	// quarantine can never finish (the copy is stopped and the target is
-	// failing): unwind it so the source stays authoritative and the
-	// balancing budget is released. Snapshot the active set — an abort
-	// with nothing copied yet completes synchronously and edits it.
-	for _, mig := range append([]*Migration(nil), m.active...) {
-		if mig.opPaused && !mig.aborting && !mig.completed && mig.dst.quarantined {
-			mig.abort("destination quarantined while copy paused")
 		}
 	}
 }

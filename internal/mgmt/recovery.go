@@ -36,16 +36,15 @@ func (s CrashScope) String() string {
 // intact, not yet aborting) or rolls it back to the source (destination
 // crashed, or the unwind was already underway). Resident VMDKs that are
 // not migrating need no action — their extents live on durable media and
-// only caches are lost (core drops those). Operator pauses do not survive
-// the restart: the replacement Migration starts unpaused, like any other
-// in-memory toggle.
+// only caches are lost (core drops those). A copy-gate pause does not
+// survive the restart: the replacement Migration starts with its copy
+// running until the next epoch re-gates it.
 //
 // The method runs synchronously inside the crash event, after the
 // injector bumped its power-loss generation — so completions of requests
 // that were in flight at the instant of the crash observe both the device
 // crash and the journal epoch fence.
 func (m *Manager) OnCrash(scope CrashScope) {
-	m.stats.Crashes++
 	m.logDecision(Decision{At: m.eng.Now(), Kind: DecisionCrash, Stage: StageExecute, VMDK: -1,
 		Detail: fmt.Sprintf("power loss %s; scanning %d active migration(s)", scope, len(m.active))})
 	if m.journal != nil {

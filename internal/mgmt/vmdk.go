@@ -36,10 +36,8 @@ type VMDK struct {
 	mirroring bool  // writes redirect to the destination (I/O mirroring)
 	aborting  bool  // migration is unwinding back to the source
 
-	// Window activity counters (candidate selection reads these).
+	// Requests this window (candidate selection reads it).
 	windowRequests uint64
-	windowBytes    int64
-	totalRequests  uint64
 	// lastMoveEpoch records when this VMDK last migrated (hysteresis).
 	lastMoveEpoch uint64
 
@@ -69,7 +67,6 @@ func (v *VMDK) MigratedBlocks() int64 { return v.migrated }
 // resetWindow clears per-window activity.
 func (v *VMDK) resetWindow() {
 	v.windowRequests = 0
-	v.windowBytes = 0
 }
 
 // beginMigration attaches the destination extent and bitmap.
@@ -152,8 +149,6 @@ func (v *VMDK) markUnmigrated(b int64) {
 //lint:ack-path application-write completions ack to the workload; DESIGN.md §13 record-then-ack requires the epoch fence
 func (v *VMDK) Submit(r *trace.IORequest, done device.Completion) {
 	v.windowRequests++
-	v.windowBytes += r.Size
-	v.totalRequests++
 	r.VMDK = v.ID
 
 	if v.dst == nil {

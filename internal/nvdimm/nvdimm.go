@@ -96,7 +96,6 @@ type NVDIMM struct {
 	device.Base
 	eng     *sim.Engine
 	channel *bus.Channel
-	fl      *flash.Array
 	ftl     *ftl.FTL
 	cache   *cache.LRFU
 	sched   *memsched.Scheduler
@@ -129,13 +128,11 @@ func New(eng *sim.Engine, ch *bus.Channel, cfg Config) *NVDIMM {
 	if cfg.MaxPendingFlush <= 0 {
 		cfg.MaxPendingFlush = 256
 	}
-	fl := flash.New(eng, cfg.Flash)
 	n := &NVDIMM{
 		Base:    device.NewBase(cfg.Name, device.KindNVDIMM, cfg.Capacity),
 		eng:     eng,
 		channel: ch,
-		fl:      fl,
-		ftl:     ftl.New(eng, fl, ftl.Config{NumBlocks: cfg.NumBlocks, OverProvision: cfg.OverProvision, GCLowWater: 4}),
+		ftl:     ftl.New(eng, flash.New(eng, cfg.Flash), ftl.Config{NumBlocks: cfg.NumBlocks, OverProvision: cfg.OverProvision, GCLowWater: 4}),
 		cache:   cache.NewLRFU(cfg.CacheBlocks, cfg.CacheLambda),
 		sched:   memsched.New(eng, cfg.Sched, cfg.SchedSlots),
 		cfg:     cfg,

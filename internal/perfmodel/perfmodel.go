@@ -117,10 +117,9 @@ type Monitor struct {
 	dev      device.Device
 	analyzer *trace.Analyzer
 	inflight int
-	// windowErrors/totalErrors count failed completions; the management
-	// layer's quarantine logic steers by the per-window rate.
+	// windowErrors counts failed completions; the management layer's
+	// quarantine logic steers by the per-window rate.
 	windowErrors int
-	totalErrors  uint64
 }
 
 // NewMonitor wraps dev.
@@ -137,7 +136,6 @@ func (m *Monitor) Submit(r *trace.IORequest, done device.Completion) {
 			// A failed request occupied the device (the OIO integral must
 			// advance) but its time-to-failure is not service latency.
 			m.windowErrors++
-			m.totalErrors++
 			m.analyzer.Fail(completed, completed.Complete)
 		} else {
 			m.analyzer.Complete(completed, completed.Complete)

@@ -48,21 +48,18 @@ type Config struct {
 	OverProvision float64
 	// MaxPendingFlush bounds the dirty backlog before writes stall.
 	MaxPendingFlush int
-	// WriteBufferPages is the device DRAM write buffer size in pages.
-	WriteBufferPages int
 }
 
 // DefaultConfig returns a Table 4-shaped SSD scaled to the simulated
 // flash footprint.
 func DefaultConfig(name string, capacity int64, numBlocks int) Config {
 	return Config{
-		Name:             name,
-		Capacity:         capacity,
-		Flash:            flash.DefaultConfig(),
-		NumBlocks:        numBlocks,
-		OverProvision:    0.07,
-		MaxPendingFlush:  256,
-		WriteBufferPages: 4096,
+		Name:            name,
+		Capacity:        capacity,
+		Flash:           flash.DefaultConfig(),
+		NumBlocks:       numBlocks,
+		OverProvision:   0.07,
+		MaxPendingFlush: 256,
 	}
 }
 
@@ -70,7 +67,6 @@ func DefaultConfig(name string, capacity int64, numBlocks int) Config {
 type SSD struct {
 	device.Base
 	eng *sim.Engine
-	fl  *flash.Array
 	ftl *ftl.FTL
 	cfg Config
 
@@ -90,12 +86,10 @@ func New(eng *sim.Engine, cfg Config) *SSD {
 	if cfg.MaxPendingFlush <= 0 {
 		cfg.MaxPendingFlush = 256
 	}
-	fl := flash.New(eng, cfg.Flash)
 	return &SSD{
 		Base:           device.NewBase(cfg.Name, device.KindSSD, cfg.Capacity),
 		eng:            eng,
-		fl:             fl,
-		ftl:            ftl.New(eng, fl, ftl.Config{NumBlocks: cfg.NumBlocks, OverProvision: cfg.OverProvision, GCLowWater: 4}),
+		ftl:            ftl.New(eng, flash.New(eng, cfg.Flash), ftl.Config{NumBlocks: cfg.NumBlocks, OverProvision: cfg.OverProvision, GCLowWater: 4}),
 		cfg:            cfg,
 		bufferResident: make(map[int64]int),
 	}

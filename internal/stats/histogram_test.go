@@ -142,32 +142,3 @@ func TestHistogramSingleSample(t *testing.T) {
 		t.Errorf("Quantile(1) = %v, want exact 42", got)
 	}
 }
-
-func TestHistogramMerge(t *testing.T) {
-	var a, b, whole telemetry.TailHist
-	var moments stats.Summary
-	for _, x := range []float64{5, 15, 200, 3e7} {
-		a.Observe(x)
-		whole.Observe(x)
-		moments.Add(x)
-	}
-	for _, x := range []float64{-3, 55, 95, 0.5} {
-		b.Observe(x)
-		whole.Observe(x)
-		moments.Add(x)
-	}
-	a.Merge(&b)
-	a.Merge(nil)
-	a.Merge(&telemetry.TailHist{})
-	if a.Count() != whole.Count() || a.Count() != moments.N() {
-		t.Fatalf("merged count = %d, want %d", a.Count(), whole.Count())
-	}
-	if a.Max() != whole.Max() || a.Max() != moments.Max() {
-		t.Errorf("merged max = %v, want %v", a.Max(), moments.Max())
-	}
-	for _, q := range []float64{0, 0.25, 0.5, 0.75, 0.95, 0.99, 1} {
-		if a.Quantile(q) != whole.Quantile(q) {
-			t.Errorf("Quantile(%v): merged %v, want %v", q, a.Quantile(q), whole.Quantile(q))
-		}
-	}
-}

@@ -20,13 +20,11 @@ type Summary struct {
 	m2   float64
 	min  float64
 	max  float64
-	sum  float64
 }
 
 // Add records one observation.
 func (s *Summary) Add(x float64) {
 	s.n++
-	s.sum += x
 	if s.n == 1 {
 		s.min, s.max = x, x
 	} else {
@@ -67,9 +65,6 @@ func (s *Summary) Variance() float64 {
 
 // StdDev returns the sample standard deviation.
 func (s *Summary) StdDev() float64 { return math.Sqrt(s.Variance()) }
-
-// Reset clears the summary.
-func (s *Summary) Reset() { *s = Summary{} }
 
 // String renders a compact human-readable summary.
 func (s *Summary) String() string {

@@ -21,8 +21,7 @@ import (
 
 // tailBucketsPerOctave and tailOctaves fix the canonical TailHist layout:
 // 8 log-spaced buckets per factor-of-two starting at 1µs, spanning 24
-// octaves (1µs .. ~16.8s). Every TailHist shares this layout, which is
-// what makes Merge layout-safe by construction.
+// octaves (1µs .. ~16.8s). Every TailHist shares this layout.
 const (
 	tailBucketsPerOctave = 8
 	tailOctaves          = 24
@@ -111,24 +110,6 @@ func (h *TailHist) Quantile(q float64) float64 {
 		}
 	}
 	return h.max
-}
-
-// Merge folds other's observations into h. All TailHists share the
-// canonical layout, so merge is bucketwise addition; the merged quantiles
-// equal those of a histogram that observed both streams.
-//
-//lint:ignore unreachable stats_test TestHistogramMerge
-func (h *TailHist) Merge(other *TailHist) {
-	if other == nil || other.total == 0 {
-		return
-	}
-	for i, c := range other.counts {
-		h.counts[i] += c
-	}
-	h.total += other.total
-	if other.max > h.max {
-		h.max = other.max
-	}
 }
 
 // Reset clears the histogram for the next window.

@@ -134,33 +134,6 @@ func TestTailHistClamping(t *testing.T) {
 	}
 }
 
-func TestTailHistMergeEquivalence(t *testing.T) {
-	// Observing a stream split across two hists then merged must yield
-	// the same quantiles as observing it in one hist.
-	var whole, a, b TailHist
-	for i := 1; i <= 600; i++ {
-		v := float64(i * 7 % 977)
-		whole.Observe(v)
-		if i%2 == 0 {
-			a.Observe(v)
-		} else {
-			b.Observe(v)
-		}
-	}
-	a.Merge(&b)
-	if a.Count() != whole.Count() {
-		t.Fatalf("merged count %d != %d", a.Count(), whole.Count())
-	}
-	for _, q := range []float64{0.5, 0.95, 0.99, 1} {
-		if a.Quantile(q) != whole.Quantile(q) {
-			t.Fatalf("Quantile(%g): merged %g != whole %g", q, a.Quantile(q), whole.Quantile(q))
-		}
-	}
-	if a.Max() != whole.Max() {
-		t.Fatalf("merged max %g != %g", a.Max(), whole.Max())
-	}
-}
-
 func TestTailTrackerWindows(t *testing.T) {
 	eng := sim.NewEngine()
 	out := NewTailSeries()

@@ -166,34 +166,19 @@ func adjacent(prevEnd, nextStart int64) bool {
 	return d <= SeqWindow
 }
 
-// MemIntensity tracks memory-traffic intensity (reads+writes per window),
-// the signal Fig. 4 correlates with NVDIMM latency.
+// MemIntensity counts memory accesses (reads and writes alike), the
+// signal Fig. 4 correlates with NVDIMM latency.
 type MemIntensity struct {
-	reads, writes uint64
+	n uint64
 }
 
-// ObserveN records n memory requests of r's kind at once — a burst of n
-// cachelines counts as n accesses. Non-positive n records nothing.
-func (m *MemIntensity) ObserveN(r MemRequest, n int) {
-	if n <= 0 {
-		return
-	}
-	if r.Op == MemRead {
-		m.reads += uint64(n)
-	} else {
-		m.writes += uint64(n)
+// Add records n memory accesses at once — a burst of n cachelines counts
+// as n accesses. Non-positive n records nothing.
+func (m *MemIntensity) Add(n int) {
+	if n > 0 {
+		m.n += uint64(n)
 	}
 }
 
-// Reads returns the read count.
-//
-//lint:ignore unreachable dram TestIntensityTracking, TestBurstPool
-func (m *MemIntensity) Reads() uint64 { return m.reads }
-
-// Writes returns the write count.
-//
-//lint:ignore unreachable dram TestIntensityTracking, TestBurstPool
-func (m *MemIntensity) Writes() uint64 { return m.writes }
-
-// Total returns reads+writes (the paper's "memory intensity").
-func (m *MemIntensity) Total() uint64 { return m.reads + m.writes }
+// Total returns the access count (the paper's "memory intensity").
+func (m *MemIntensity) Total() uint64 { return m.n }

@@ -58,13 +58,12 @@ func (c Class) String() string {
 
 // IORequest is one block-layer request as seen by a storage device.
 type IORequest struct {
-	ID       uint64
-	Op       Op
-	Offset   int64 // byte offset within the device/VMDK
-	Size     int64 // bytes
-	Class    Class
-	VMDK     int // owning virtual disk (-1 if none)
-	Workload int // originating workload id (-1 if none)
+	ID     uint64
+	Op     Op
+	Offset int64 // byte offset within the device/VMDK
+	Size   int64 // bytes
+	Class  Class
+	VMDK   int // owning virtual disk (-1 if none)
 
 	Issue    sim.Time // when the request was issued
 	Complete sim.Time // when the device completed it (0 until done)

@@ -201,18 +201,18 @@ func TestAnalyzerFreeSpaceClamped(t *testing.T) {
 
 func TestMemIntensity(t *testing.T) {
 	var m MemIntensity
-	m.ObserveN(MemRequest{Op: MemRead}, 1)
-	m.ObserveN(MemRequest{Op: MemRead}, 1)
-	m.ObserveN(MemRequest{Op: MemWrite}, 1)
-	if m.Reads() != 2 || m.Writes() != 1 || m.Total() != 3 {
-		t.Fatalf("counts = %d/%d/%d", m.Reads(), m.Writes(), m.Total())
+	m.Add(1)
+	m.Add(1)
+	m.Add(1)
+	if m.Total() != 3 {
+		t.Fatalf("total = %d", m.Total())
 	}
-	m.ObserveN(MemRequest{Op: MemRead}, 16)
-	m.ObserveN(MemRequest{Op: MemWrite}, 4)
-	m.ObserveN(MemRequest{Op: MemWrite}, 0)
-	m.ObserveN(MemRequest{Op: MemRead}, -3)
-	if m.Reads() != 18 || m.Writes() != 5 || m.Total() != 23 {
-		t.Fatalf("counts after ObserveN = %d/%d/%d, want 18/5/23", m.Reads(), m.Writes(), m.Total())
+	m.Add(16)
+	m.Add(4)
+	m.Add(0)
+	m.Add(-3)
+	if m.Total() != 23 {
+		t.Fatalf("total after Add = %d, want 23", m.Total())
 	}
 }
 

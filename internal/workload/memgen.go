@@ -25,7 +25,6 @@ type MemGen struct {
 	running     bool
 	next        *sim.Timer     // the one tick timer, re-armed with Reset
 	onDone      func(sim.Time) // g.burstDone, bound once
-	issued      uint64
 	addr        uint64
 	outstanding int
 	waiting     bool
@@ -131,7 +130,6 @@ func (g *MemGen) tick() {
 	} else {
 		g.addr += 64 * uint64(g.Aggregation)
 	}
-	g.issued += uint64(g.Aggregation)
 	g.outstanding++
 	g.dimm.AccessBurst(trace.MemRequest{Op: op, Addr: g.addr, At: now}, g.Aggregation, g.onDone)
 	g.arm(gap)

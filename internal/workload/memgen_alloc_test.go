@@ -23,7 +23,7 @@ import (
 func TestCoRunnerSteadyStateZeroAllocs(t *testing.T) {
 	eng := sim.NewEngine()
 	ch := bus.NewChannel(eng, 0)
-	d := dram.New(eng, ch, dram.DefaultConfig())
+	d := dram.New(eng, ch)
 	mcf, _ := SPECProfile("429.mcf")
 	g := NewMemGen(eng, sim.NewRNG(5), d, mcf)
 	g.Scale = 4

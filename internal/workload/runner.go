@@ -134,10 +134,9 @@ func (r *Runner) nextRequest() *trace.IORequest {
 	p := r.profile
 	r.nextID++
 	req := &trace.IORequest{
-		ID:       r.nextID,
-		Workload: r.id,
-		VMDK:     -1,
-		Size:     p.IOSize,
+		ID:   r.nextID,
+		VMDK: -1,
+		Size: p.IOSize,
 	}
 	if r.rng.Bool(p.WriteRatio) {
 		req.Op = trace.OpWrite

@@ -134,9 +134,12 @@ func TestRunnerTagsRequests(t *testing.T) {
 	eng.RunFor(1000)
 	r.Stop()
 	eng.Run()
+	if r.ID() != 7 {
+		t.Fatalf("workload id = %d", r.ID())
+	}
 	for _, req := range ft.seen {
-		if req.Workload != 7 {
-			t.Fatalf("workload tag = %d", req.Workload)
+		if req.VMDK != -1 {
+			t.Fatalf("untargeted request tagged with VMDK %d", req.VMDK)
 		}
 		if req.Op != trace.OpWrite {
 			t.Fatal("write-ratio-1 profile issued a read")
@@ -240,24 +243,25 @@ func TestNewRunnerPanicsOnInvalidProfile(t *testing.T) {
 func TestMemGenGeneratesTraffic(t *testing.T) {
 	eng := sim.NewEngine()
 	ch := bus.NewChannel(eng, 0)
-	d := dram.New(eng, ch, dram.DefaultConfig())
+	d := dram.New(eng, ch)
 	mcf, _ := SPECProfile("429.mcf")
 	g := NewMemGen(eng, sim.NewRNG(3), d, mcf)
 	g.Start()
 	eng.RunFor(sim.Millisecond)
 	g.Stop()
-	if g.issued == 0 {
+	eng.Run()
+	if d.Intensity().Total() == 0 {
 		t.Fatal("no traffic generated")
 	}
-	if d.Intensity().Total() != g.issued {
-		t.Fatalf("DIMM saw %d accesses, generator issued %d", d.Intensity().Total(), g.issued)
+	if d.Served() != d.Intensity().Total() {
+		t.Fatalf("DIMM served %d of %d issued accesses", d.Served(), d.Intensity().Total())
 	}
 }
 
 func TestMemGenPhaseModulation(t *testing.T) {
 	eng := sim.NewEngine()
 	ch := bus.NewChannel(eng, 0)
-	d := dram.New(eng, ch, dram.DefaultConfig())
+	d := dram.New(eng, ch)
 	p := MemProfile{Name: "x", RPKI: 20, WPKI: 10, PhasePeriod: 10 * sim.Millisecond,
 		PhaseDuty: 0.5, HighFactor: 2, LowFactor: 0.1}
 	g := NewMemGen(eng, sim.NewRNG(3), d, p)
@@ -280,13 +284,13 @@ func TestMemGenIntensityOrdering(t *testing.T) {
 	count := func(name string) uint64 {
 		eng := sim.NewEngine()
 		ch := bus.NewChannel(eng, 0)
-		d := dram.New(eng, ch, dram.DefaultConfig())
+		d := dram.New(eng, ch)
 		p, _ := SPECProfile(name)
 		g := NewMemGen(eng, sim.NewRNG(3), d, p)
 		g.Start()
 		eng.RunFor(2 * sim.Millisecond)
 		g.Stop()
-		return g.issued
+		return g.dimm.Intensity().Total()
 	}
 	if count("429.mcf") <= count("433.milc") {
 		t.Fatal("mcf should out-traffic milc")
@@ -299,7 +303,7 @@ func TestMemGenSlowsNVDIMMTraffic(t *testing.T) {
 	ioWait := func(withMem bool) float64 {
 		eng := sim.NewEngine()
 		ch := bus.NewChannel(eng, 0)
-		d := dram.New(eng, ch, dram.DefaultConfig())
+		d := dram.New(eng, ch)
 		if withMem {
 			mcf, _ := SPECProfile("429.mcf")
 			g := NewMemGen(eng, sim.NewRNG(3), d, mcf)
@@ -391,7 +395,7 @@ func TestMemGenTimerReuse(t *testing.T) {
 	newGen := func() (*sim.Engine, *MemGen) {
 		eng := sim.NewEngine()
 		ch := bus.NewChannel(eng, 0)
-		return eng, NewMemGen(eng, sim.NewRNG(3), dram.New(eng, ch, dram.DefaultConfig()), mcf)
+		return eng, NewMemGen(eng, sim.NewRNG(3), dram.New(eng, ch), mcf)
 	}
 
 	t.Run("stop cancels and start resumes", func(t *testing.T) {
@@ -411,26 +415,26 @@ func TestMemGenTimerReuse(t *testing.T) {
 		if tick.Active() {
 			t.Fatal("Stop left the tick pending")
 		}
-		issued := g.issued
+		issued := g.dimm.Intensity().Total()
 		// Only in-flight bursts remain, so the queue drains for good.
 		if err := eng.Run(); err != nil {
 			t.Fatal(err)
 		}
 		processed := eng.Processed()
 		eng.RunFor(10 * sim.Millisecond)
-		if eng.Pending() != 0 || eng.Processed() != processed || g.issued != issued {
+		if eng.Pending() != 0 || eng.Processed() != processed || g.dimm.Intensity().Total() != issued {
 			t.Fatalf("after Stop: pending %d, processed %d→%d, issued %d→%d; want nothing new",
-				eng.Pending(), processed, eng.Processed(), issued, g.issued)
+				eng.Pending(), processed, eng.Processed(), issued, g.dimm.Intensity().Total())
 		}
 		g.Start()
 		if g.next != tick || !tick.Active() {
 			t.Fatal("Start did not re-arm the same tick timer")
 		}
-		if g.issued != issued+uint64(g.Aggregation) {
-			t.Fatalf("Start issued %d cachelines, want one burst of %d", g.issued-issued, g.Aggregation)
+		if g.dimm.Intensity().Total() != issued+uint64(g.Aggregation) {
+			t.Fatalf("Start issued %d cachelines, want one burst of %d", g.dimm.Intensity().Total()-issued, g.Aggregation)
 		}
 		eng.RunFor(sim.Millisecond)
-		if g.issued <= issued+uint64(g.Aggregation) {
+		if g.dimm.Intensity().Total() <= issued+uint64(g.Aggregation) {
 			t.Fatal("generation did not resume after Start")
 		}
 		g.Stop()
@@ -443,7 +447,7 @@ func TestMemGenTimerReuse(t *testing.T) {
 		g.Start()
 		resumes := 0
 		for i := 0; i < 20000; i++ {
-			waiting, issued := g.waiting, g.issued
+			waiting, issued := g.waiting, g.dimm.Intensity().Total()
 			eng.Step()
 			if g.outstanding > 1 {
 				t.Fatalf("step %d: %d bursts in flight, want at most 1", i, g.outstanding)
@@ -455,9 +459,9 @@ func TestMemGenTimerReuse(t *testing.T) {
 				// The completion that cleared waiting issued the next
 				// burst and re-armed the one timer.
 				resumes++
-				if g.issued != issued+uint64(g.Aggregation) || g.outstanding != 1 || !g.next.Active() {
+				if g.dimm.Intensity().Total() != issued+uint64(g.Aggregation) || g.outstanding != 1 || !g.next.Active() {
 					t.Fatalf("step %d: resume issued %d cachelines (outstanding %d, tick active %v)",
-						i, g.issued-issued, g.outstanding, g.next.Active())
+						i, g.dimm.Intensity().Total()-issued, g.outstanding, g.next.Active())
 				}
 			}
 		}
