@@ -439,7 +439,7 @@ func (s *System) Stop() {
 // the budget error is returned.
 func (s *System) Run(d sim.Time) error {
 	if s.Opts.MaxEvents > 0 {
-		s.Cluster.Eng.SetBudget(s.Opts.MaxEvents, 0)
+		s.Cluster.Eng.SetBudget(s.Opts.MaxEvents)
 	}
 	s.Start()
 	if err := s.Cluster.Eng.RunFor(d); err != nil {

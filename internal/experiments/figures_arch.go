@@ -25,7 +25,7 @@ func archApps() []string {
 // a VMDK migration targets it (destination role: migrated writes) and
 // drains from it (source role: migrated reads). It returns the
 // application's achieved I/O throughput (requests per simulated second).
-func archRun(app string, pol memsched.Policy, bypass bool, migrate bool, scale Scale) float64 {
+func archRun(app string, pol memsched.Policy, bypass bool, scale Scale) float64 {
 	eng := sim.NewEngine()
 	ch := bus.NewChannel(eng, 0)
 	cfg := core.ScaledNVDIMMConfig("nv")
@@ -51,31 +51,29 @@ func archRun(app string, pol memsched.Policy, bypass bool, migrate bool, scale S
 	r := workload.NewRunner(eng, sim.NewRNG(5), p, mon, 0)
 	r.Start()
 
-	if migrate {
-		// Migration streams: writes arriving at this NVDIMM (destination)
-		// and reads scanning it (source), both tagged ClassMigrated. The
-		// copy engine paces chunks, so the migrated backlog stays bounded
-		// relative to the scheduler's slots — Policy One's gain comes from
-		// filling barrier-stall slots, not from flooding the queue.
-		woff, roff := int64(64<<20), int64(128<<20)
-		var wstream, rstream func()
-		wstream = func() {
-			// One 64 KB chunk (16 pages) per 3 ms: under the baseline the
-			// epoch containing the chunk needs several program rounds
-			// (Fig. 9a); Policy One moves the chunk into barrier-idle
-			// slots instead.
-			n.Submit(&trace.IORequest{Op: trace.OpWrite, Offset: woff, Size: 64 << 10, Class: trace.ClassMigrated},
-				func(*trace.IORequest) { eng.After(2*sim.Millisecond, wstream) })
-			woff += 64 << 10
-		}
-		rstream = func() {
-			n.Submit(&trace.IORequest{Op: trace.OpRead, Offset: roff, Size: 64 << 10, Class: trace.ClassMigrated},
-				func(*trace.IORequest) { eng.After(100*sim.Microsecond, rstream) })
-			roff += 64 << 10
-		}
-		wstream()
-		rstream()
+	// Migration streams: writes arriving at this NVDIMM (destination)
+	// and reads scanning it (source), both tagged ClassMigrated. The
+	// copy engine paces chunks, so the migrated backlog stays bounded
+	// relative to the scheduler's slots — Policy One's gain comes from
+	// filling barrier-stall slots, not from flooding the queue.
+	woff, roff := int64(64<<20), int64(128<<20)
+	var wstream, rstream func()
+	wstream = func() {
+		// One 64 KB chunk (16 pages) per 3 ms: under the baseline the
+		// epoch containing the chunk needs several program rounds
+		// (Fig. 9a); Policy One moves the chunk into barrier-idle
+		// slots instead.
+		n.Submit(&trace.IORequest{Op: trace.OpWrite, Offset: woff, Size: 64 << 10, Class: trace.ClassMigrated},
+			func(*trace.IORequest) { eng.After(2*sim.Millisecond, wstream) })
+		woff += 64 << 10
 	}
+	rstream = func() {
+		n.Submit(&trace.IORequest{Op: trace.OpRead, Offset: roff, Size: 64 << 10, Class: trace.ClassMigrated},
+			func(*trace.IORequest) { eng.After(100*sim.Microsecond, rstream) })
+		roff += 64 << 10
+	}
+	wstream()
+	rstream()
 
 	warm := 4 * scale.SweepWindow
 	eng.RunFor(warm)
@@ -109,10 +107,10 @@ type Fig14Result struct {
 func Fig14(scale Scale) Fig14Result {
 	var res Fig14Result
 	for _, app := range archApps() {
-		base := archRun(app, memsched.Baseline(), false, true, scale)
-		p1 := archRun(app, memsched.PolicyOne(), false, true, scale)
-		p2 := archRun(app, memsched.PolicyTwo(), false, true, scale)
-		both := archRun(app, memsched.Combined(2*sim.Millisecond), false, true, scale)
+		base := archRun(app, memsched.Baseline(), false, scale)
+		p1 := archRun(app, memsched.PolicyOne(), false, scale)
+		p2 := archRun(app, memsched.PolicyTwo(), false, scale)
+		both := archRun(app, memsched.Combined(2*sim.Millisecond), false, scale)
 		row := Fig14Row{App: app, Baseline: base}
 		if base > 0 {
 			row.P1 = p1 / base
@@ -233,8 +231,8 @@ type Fig16Result struct {
 func Fig16(scale Scale) Fig16Result {
 	var res Fig16Result
 	for _, app := range archApps() {
-		base := archRun(app, memsched.Baseline(), false, true, scale)
-		opt := archRun(app, memsched.Combined(2*sim.Millisecond), true, true, scale)
+		base := archRun(app, memsched.Baseline(), false, scale)
+		opt := archRun(app, memsched.Combined(2*sim.Millisecond), true, scale)
 		row := Fig16Row{App: app, Baseline: base}
 		if base > 0 {
 			row.Speedup = opt / base

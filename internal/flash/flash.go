@@ -14,39 +14,37 @@ import (
 	"repro/internal/sim"
 )
 
-// Config describes the array geometry and timing.
+// PageSize is the flash page size in bytes (Table 4).
+const PageSize = 4096
+
+// Table 4 NAND timing.
+const (
+	readLatency  = 50 * sim.Microsecond  // cell-to-register page read
+	writeLatency = 650 * sim.Microsecond // register-to-cell page program
+	eraseLatency = 2 * sim.Millisecond   // block erase
+	channelXfer  = 10 * sim.Microsecond  // one page over the flash channel bus
+)
+
+// Config describes the array geometry.
 type Config struct {
 	NumChannels     int
 	ChipsPerChannel int
 	PagesPerBlock   int
-	PageSize        int64
-	ReadLatency     sim.Time // cell-to-register page read
-	WriteLatency    sim.Time // register-to-cell page program
-	EraseLatency    sim.Time // block erase
-	ChannelXfer     sim.Time // one page over the flash channel bus
 }
 
-// DefaultConfig returns the Table 4 NVDIMM/SSD flash configuration.
+// DefaultConfig returns the Table 4 NVDIMM/SSD flash geometry.
 func DefaultConfig() Config {
 	return Config{
 		NumChannels:     16,
 		ChipsPerChannel: 4,
 		PagesPerBlock:   128,
-		PageSize:        4096,
-		ReadLatency:     50 * sim.Microsecond,
-		WriteLatency:    650 * sim.Microsecond,
-		EraseLatency:    2 * sim.Millisecond,
-		ChannelXfer:     10 * sim.Microsecond,
 	}
 }
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
-	if c.NumChannels <= 0 || c.ChipsPerChannel <= 0 || c.PagesPerBlock <= 0 || c.PageSize <= 0 {
+	if c.NumChannels <= 0 || c.ChipsPerChannel <= 0 || c.PagesPerBlock <= 0 {
 		return fmt.Errorf("flash: non-positive geometry: %+v", c)
-	}
-	if c.ReadLatency <= 0 || c.WriteLatency <= 0 || c.EraseLatency <= 0 || c.ChannelXfer < 0 {
-		return fmt.Errorf("flash: non-positive latency: %+v", c)
 	}
 	return nil
 }
@@ -96,7 +94,7 @@ func (a *Array) Locate(ppn int64) (ch, cp int) {
 }
 
 // ReadPage simulates reading the page at ppn: the chip senses the page
-// (ReadLatency), then the channel transfers it out (ChannelXfer). done
+// (readLatency), then the channel transfers it out (channelXfer). done
 // fires when the data is on the controller side.
 func (a *Array) ReadPage(ppn int64, done func()) {
 	chIdx, cpIdx := a.Locate(ppn)
@@ -105,11 +103,11 @@ func (a *Array) ReadPage(ppn int64, done func()) {
 	now := a.eng.Now()
 
 	start := maxTime(now, cp.busyUntil)
-	senseDone := start + a.cfg.ReadLatency
+	senseDone := start + readLatency
 	cp.busyUntil = senseDone
 
 	xferStart := maxTime(senseDone, ch.busyUntil)
-	xferDone := xferStart + a.cfg.ChannelXfer
+	xferDone := xferStart + channelXfer
 	ch.busyUntil = xferDone
 
 	if done != nil {
@@ -118,7 +116,7 @@ func (a *Array) ReadPage(ppn int64, done func()) {
 }
 
 // WritePage simulates programming the page at ppn: the channel transfers
-// data in (ChannelXfer), then the chip programs (WriteLatency). done fires
+// data in (channelXfer), then the chip programs (writeLatency). done fires
 // when the program completes. The channel frees as soon as the transfer
 // finishes, so other chips on the channel can proceed while this chip
 // programs — the source of channel-level parallelism.
@@ -131,10 +129,10 @@ func (a *Array) WritePage(ppn int64, done func()) {
 	xferStart := maxTime(now, ch.busyUntil)
 	// The target chip must also be free to accept the transfer.
 	xferStart = maxTime(xferStart, cp.busyUntil)
-	xferDone := xferStart + a.cfg.ChannelXfer
+	xferDone := xferStart + channelXfer
 	ch.busyUntil = xferDone
 
-	progDone := xferDone + a.cfg.WriteLatency
+	progDone := xferDone + writeLatency
 	cp.busyUntil = progDone
 
 	if done != nil {
@@ -143,13 +141,13 @@ func (a *Array) WritePage(ppn int64, done func()) {
 }
 
 // EraseBlock simulates erasing the block containing ppn (the whole chip is
-// busy for EraseLatency).
+// busy for eraseLatency).
 func (a *Array) EraseBlock(ppn int64, done func()) {
 	chIdx, cpIdx := a.Locate(ppn)
 	cp := &a.chs[chIdx].chips[cpIdx]
 	now := a.eng.Now()
 	start := maxTime(now, cp.busyUntil)
-	eraseDone := start + a.cfg.EraseLatency
+	eraseDone := start + eraseLatency
 	cp.busyUntil = eraseDone
 	if done != nil {
 		a.eng.At(eraseDone, done)

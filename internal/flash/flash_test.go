@@ -23,9 +23,9 @@ func TestConfigValidate(t *testing.T) {
 		t.Fatal("zero channels accepted")
 	}
 	bad = DefaultConfig()
-	bad.ReadLatency = 0
+	bad.PagesPerBlock = 0
 	if bad.Validate() == nil {
-		t.Fatal("zero read latency accepted")
+		t.Fatal("zero pages per block accepted")
 	}
 }
 
@@ -65,7 +65,7 @@ func TestReadLatency(t *testing.T) {
 	var doneAt sim.Time = -1
 	a.ReadPage(0, func() { doneAt = eng.Now() })
 	eng.Run()
-	want := a.cfg.ReadLatency + a.cfg.ChannelXfer
+	want := readLatency + channelXfer
 	if doneAt != want {
 		t.Fatalf("read finished at %v, want %v", doneAt, want)
 	}
@@ -77,7 +77,7 @@ func TestWriteLatency(t *testing.T) {
 	var doneAt sim.Time = -1
 	a.WritePage(0, func() { doneAt = eng.Now() })
 	eng.Run()
-	want := a.cfg.ChannelXfer + a.cfg.WriteLatency
+	want := channelXfer + writeLatency
 	if doneAt != want {
 		t.Fatalf("write finished at %v, want %v", doneAt, want)
 	}
@@ -89,8 +89,8 @@ func TestEraseLatency(t *testing.T) {
 	var doneAt sim.Time = -1
 	a.EraseBlock(0, func() { doneAt = eng.Now() })
 	eng.Run()
-	if doneAt != a.cfg.EraseLatency {
-		t.Fatalf("erase finished at %v, want %v", doneAt, a.cfg.EraseLatency)
+	if doneAt != eraseLatency {
+		t.Fatalf("erase finished at %v, want %v", doneAt, eraseLatency)
 	}
 }
 
@@ -140,7 +140,7 @@ func TestChipSerialization(t *testing.T) {
 	if second <= first {
 		t.Fatalf("same-chip writes overlapped: %v then %v", first, second)
 	}
-	wantSecond := 2 * (a.cfg.ChannelXfer + a.cfg.WriteLatency)
+	wantSecond := 2 * (channelXfer + writeLatency)
 	if second != wantSecond {
 		t.Fatalf("second write at %v, want %v", second, wantSecond)
 	}
@@ -154,8 +154,8 @@ func TestReadBehindWrite(t *testing.T) {
 	var readDone sim.Time
 	a.ReadPage(0, func() { readDone = eng.Now() })
 	eng.Run()
-	progEnd := a.cfg.ChannelXfer + a.cfg.WriteLatency
-	want := progEnd + a.cfg.ReadLatency + a.cfg.ChannelXfer
+	progEnd := channelXfer + writeLatency
+	want := progEnd + readLatency + channelXfer
 	if readDone != want {
 		t.Fatalf("read behind write finished at %v, want %v", readDone, want)
 	}
@@ -184,11 +184,11 @@ func TestChannelUtilization(t *testing.T) {
 	a.ReadPage(0, func() {})
 	eng.Run()
 	// The page transfers out last, so the channel is busy until the read
-	// completes, for ChannelXfer of the ReadLatency+ChannelXfer span.
+	// completes, for channelXfer of the readLatency+channelXfer span.
 	if a.chs[0].busyUntil != eng.Now() {
 		t.Fatalf("channel busy until %v, read completed at %v", a.chs[0].busyUntil, eng.Now())
 	}
-	u := float64(a.cfg.ChannelXfer) / float64(eng.Now())
+	u := float64(channelXfer) / float64(eng.Now())
 	if u <= 0 || u > 1 {
 		t.Fatalf("utilization = %v", u)
 	}
@@ -198,10 +198,10 @@ func TestBusyUntilAccessors(t *testing.T) {
 	eng := sim.NewEngine()
 	a := New(eng, smallConfig())
 	a.WritePage(0, nil)
-	if a.chs[0].busyUntil != a.cfg.ChannelXfer {
+	if a.chs[0].busyUntil != channelXfer {
 		t.Fatalf("channel busy until %v", a.chs[0].busyUntil)
 	}
-	if a.chs[0].chips[0].busyUntil != a.cfg.ChannelXfer+a.cfg.WriteLatency {
+	if a.chs[0].chips[0].busyUntil != channelXfer+writeLatency {
 		t.Fatalf("chip busy until %v", a.chs[0].chips[0].busyUntil)
 	}
 }
@@ -224,7 +224,7 @@ func TestSixteenChannelSpread(t *testing.T) {
 		a.WritePage(p, func() { doneCount++ })
 	}
 	eng.Run()
-	want := a.cfg.ChannelXfer + a.cfg.WriteLatency
+	want := channelXfer + writeLatency
 	if doneCount != 16 {
 		t.Fatalf("completed %d writes", doneCount)
 	}

@@ -16,7 +16,7 @@ func BenchmarkFTLWritePath(b *testing.B) {
 	fcfg.ChipsPerChannel = 2
 	fcfg.PagesPerBlock = 32
 	fl := flash.New(eng, fcfg)
-	f := New(eng, fl, Config{NumBlocks: 1024, OverProvision: 0.07, GCLowWater: 4})
+	f := New(fl, 1024)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -13,20 +13,18 @@ import (
 	"fmt"
 
 	"repro/internal/flash"
-	"repro/internal/sim"
 )
 
-// Config parameterizes the FTL.
-type Config struct {
-	// NumBlocks is the number of physical flash blocks managed.
-	NumBlocks int
-	// OverProvision is the fraction of physical space hidden from the
-	// logical address space (default 0.07).
-	OverProvision float64
-	// GCLowWater triggers GC when the free-block count drops to or below
-	// this value (default 4).
-	GCLowWater int
-}
+// Space management, the same for the NVDIMM's and the SSD's flash.
+const (
+	// overProvision is the fraction of physical space hidden from the
+	// logical address space. Typed, so 1 − overProvision is the rounded
+	// float64 difference rather than the exact 0.93.
+	overProvision float64 = 0.07
+	// gcLowWater triggers GC when the free-block count drops to or below
+	// this value.
+	gcLowWater = 4
+)
 
 // blockState tracks the lifecycle of a physical block.
 type blockState uint8
@@ -47,9 +45,7 @@ type block struct {
 // FTL is the translation layer. It is single-goroutine like everything on
 // the simulation engine.
 type FTL struct {
-	eng *sim.Engine
-	fl  *flash.Array
-	cfg Config
+	fl *flash.Array
 
 	pagesPerBlock int
 	totalPages    int64
@@ -78,40 +74,33 @@ type FTL struct {
 	gcRuns     uint64
 }
 
-// New creates an FTL over the array. It panics on invalid configuration.
-func New(eng *sim.Engine, fl *flash.Array, cfg Config) *FTL {
-	if cfg.NumBlocks <= cfg.GCLowWater+2 {
-		panic(fmt.Sprintf("ftl: NumBlocks %d too small for low water %d", cfg.NumBlocks, cfg.GCLowWater))
-	}
-	if cfg.OverProvision < 0 || cfg.OverProvision >= 0.5 {
-		panic("ftl: over-provision out of range")
-	}
-	if cfg.GCLowWater < 1 {
-		cfg.GCLowWater = 1
+// New creates an FTL managing numBlocks physical blocks of the array. It
+// panics when numBlocks leaves no room above the GC low-water mark.
+func New(fl *flash.Array, numBlocks int) *FTL {
+	if numBlocks <= gcLowWater+2 {
+		panic(fmt.Sprintf("ftl: NumBlocks %d too small for low water %d", numBlocks, gcLowWater))
 	}
 	ppb := fl.Config().PagesPerBlock
-	total := int64(cfg.NumBlocks) * int64(ppb)
+	total := int64(numBlocks) * int64(ppb)
 	f := &FTL{
-		eng:           eng,
 		fl:            fl,
-		cfg:           cfg,
 		pagesPerBlock: ppb,
 		totalPages:    total,
-		logicalPages:  int64(float64(total) * (1 - cfg.OverProvision)),
+		logicalPages:  int64(float64(total) * (1 - overProvision)),
 		l2p:           make(map[int64]int64),
 		p2l:           make(map[int64]int64),
-		blocks:        make([]block, cfg.NumBlocks),
+		blocks:        make([]block, numBlocks),
 		userActive:    -1,
 		gcActive:      -1,
 	}
-	for i := cfg.NumBlocks - 1; i >= 0; i-- {
+	for i := numBlocks - 1; i >= 0; i-- {
 		f.free = append(f.free, i)
 	}
 	return f
 }
 
 // PageSize returns the flash page size in bytes.
-func (f *FTL) PageSize() int64 { return f.fl.Config().PageSize }
+func (f *FTL) PageSize() int64 { return flash.PageSize }
 
 // mapLPN folds any LPN into the logical address space.
 func (f *FTL) mapLPN(lpn int64) int64 {
@@ -229,7 +218,7 @@ func (f *FTL) FreeSpaceRatio() float64 {
 // maybeGC starts a garbage collection if free blocks are at or below the
 // low-water mark and no GC is running.
 func (f *FTL) maybeGC() {
-	if f.gcRunning || len(f.free) > f.cfg.GCLowWater {
+	if f.gcRunning || len(f.free) > gcLowWater {
 		return
 	}
 	victim := f.pickVictim()
@@ -238,11 +227,11 @@ func (f *FTL) maybeGC() {
 	}
 	if f.blocks[victim].valid >= f.pagesPerBlock {
 		f.fullValidGCs++
-		if f.fullValidGCs > 4*f.cfg.NumBlocks {
+		if f.fullValidGCs > 4*len(f.blocks) {
 			panic(fmt.Sprintf(
 				"ftl: garbage collection cannot reclaim space (utilization %.2f); "+
 					"the device's physical blocks (%d) do not back its write footprint",
-				f.UtilizedRatio(), f.cfg.NumBlocks))
+				f.UtilizedRatio(), len(f.blocks)))
 		}
 	} else {
 		f.fullValidGCs = 0

@@ -10,16 +10,17 @@ import (
 )
 
 // tinyFTL builds a small FTL for fast tests: 2 channels × 2 chips,
-// 8 pages/block, 16 blocks (128 pages).
+// 2 pages/block, 128 blocks (256 pages). The 7% over-provisioning then
+// leaves 9 blocks of spare space, above the GC low water of 4.
 func tinyFTL(t *testing.T) (*sim.Engine, *FTL) {
 	t.Helper()
 	eng := sim.NewEngine()
 	fcfg := flash.DefaultConfig()
 	fcfg.NumChannels = 2
 	fcfg.ChipsPerChannel = 2
-	fcfg.PagesPerBlock = 8
+	fcfg.PagesPerBlock = 2
 	fl := flash.New(eng, fcfg)
-	f := New(eng, fl, Config{NumBlocks: 16, OverProvision: 0.25, GCLowWater: 2})
+	f := New(fl, 128)
 	return eng, f
 }
 
@@ -29,9 +30,7 @@ func TestNewPanicsOnTinyBlockCount(t *testing.T) {
 			t.Fatal("no panic for too-few blocks")
 		}
 	}()
-	eng := sim.NewEngine()
-	fl := flash.New(eng, flash.DefaultConfig())
-	New(eng, fl, Config{NumBlocks: 3, GCLowWater: 4})
+	New(flash.New(sim.NewEngine(), flash.DefaultConfig()), gcLowWater+2)
 }
 
 func TestLogicalSmallerThanPhysical(t *testing.T) {
@@ -176,13 +175,7 @@ func TestLowFreeSpaceSlowsWrites(t *testing.T) {
 	// The write cliff: the same write stream takes longer on a 90%-full
 	// device than on an empty one.
 	elapsed := func(prefill float64) sim.Time {
-		eng := sim.NewEngine()
-		fcfg := flash.DefaultConfig()
-		fcfg.NumChannels = 2
-		fcfg.ChipsPerChannel = 2
-		fcfg.PagesPerBlock = 8
-		fl := flash.New(eng, fcfg)
-		f := New(eng, fl, Config{NumBlocks: 32, OverProvision: 0.15, GCLowWater: 2})
+		eng, f := tinyFTL(t)
 		f.Prefill(prefill)
 		for i := 0; i < 200; i++ {
 			f.Write(int64((i*53)%int(f.logicalPages)), nil)

@@ -20,8 +20,8 @@ var crashSchemes = []struct {
 }
 
 // journaledPair builds two healthy datastores under a journaled manager
-// with a strictly sequential copy engine (CopyDepth 1, small chunks), so
-// chunk boundaries are distinct instants a crash can land between.
+// with a strictly sequential copy engine (CopyDepth 1), so chunk
+// boundaries are distinct instants a crash can land between.
 func journaledPair(t *testing.T, scheme Scheme) (*sim.Engine, *Manager, *Datastore, *Datastore) {
 	t.Helper()
 	eng := sim.NewEngine()
@@ -32,7 +32,6 @@ func journaledPair(t *testing.T, scheme Scheme) (*sim.Engine, *Manager, *Datasto
 	cfg := quickCfg()
 	cfg.Journal = true
 	cfg.CopyDepth = 1
-	cfg.ChunkBytes = 64 << 10
 	mgr := NewManager(eng, cfg, scheme, []*Datastore{a, b})
 	return eng, mgr, a, b
 }
@@ -78,7 +77,7 @@ func chunkBoundaries(t *testing.T, scheme Scheme, size int64) []sim.Time {
 // to the source, with a source-consistent bitmap, released extents,
 // conserved migration budgets, and zero invariant violations.
 func TestCrashAtEveryChunkBoundary(t *testing.T) {
-	const size = 1 << 20
+	const size = 16 * chunkBytes // 16 chunk boundaries
 	for _, fam := range crashSchemes {
 		fam := fam
 		t.Run(fam.name, func(t *testing.T) {
@@ -164,7 +163,7 @@ func TestCrashAtEveryChunkBoundary(t *testing.T) {
 // lost, sync appends are not, and replay ignores the lost tail.
 func TestJournalEpochFenceDropsPendingRecords(t *testing.T) {
 	eng := sim.NewEngine()
-	jn := newJournal(eng, 2*sim.Microsecond)
+	jn := newJournal(eng)
 	jn.appendSync(JournalRecord{Kind: JournalIntent, VMDK: 1, Src: "a", Dst: "b", Redirect: true})
 	jn.appendLazy(JournalRecord{Kind: JournalProgress, VMDK: 1, Block: 0, Count: 8})
 	eng.RunFor(10 * sim.Microsecond) // first progress record becomes durable
@@ -190,7 +189,7 @@ func TestJournalEpochFenceDropsPendingRecords(t *testing.T) {
 // Abort record marks the replayed state as unwinding.
 func TestJournalReplayRevertAndAbort(t *testing.T) {
 	eng := sim.NewEngine()
-	jn := newJournal(eng, 0)
+	jn := newJournal(eng)
 	jn.appendSync(JournalRecord{Kind: JournalIntent, VMDK: 3, Src: "a", Dst: "b"})
 	jn.appendSync(JournalRecord{Kind: JournalProgress, VMDK: 3, Block: 0, Count: 16})
 	jn.appendSync(JournalRecord{Kind: JournalAbort, VMDK: 3, Detail: "retry budget exhausted"})

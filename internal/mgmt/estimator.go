@@ -6,11 +6,18 @@ import (
 	"repro/internal/trace"
 )
 
+// smoothingAlpha is the EWMA weight applied to per-store decision
+// latencies across epochs (1 would use the raw window). Smoothing
+// suppresses single-window noise (cache-hit variance) while persistent
+// shifts — sustained load or bus contention — still move the estimate
+// within a few windows.
+const smoothingAlpha = 0.5
+
 // observe builds the epoch's per-store performance vector, in store
 // order: it reads each store's window monitor, takes the Eq. 5 decision
 // latency from estimateUS, substitutes the technology idle estimate when
 // the window has too little signal, and EWMA-smooths the result across
-// epochs (Config.SmoothingAlpha). The idle estimate is computed once per
+// epochs (smoothingAlpha). The idle estimate is computed once per
 // store and reused for both the low-signal fallback and the Norm load
 // index.
 //
@@ -31,7 +38,7 @@ func (m *Manager) observe() []StorePerf {
 		}
 		// EWMA-smooth the decision latency across epochs.
 		if prev, ok := m.smoothed[ds]; ok {
-			p = m.cfg.SmoothingAlpha*p + (1-m.cfg.SmoothingAlpha)*prev
+			p = smoothingAlpha*p + (1-smoothingAlpha)*prev
 		}
 		m.smoothed[ds] = p
 		perfs = append(perfs, StorePerf{

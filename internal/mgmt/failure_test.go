@@ -46,8 +46,7 @@ func (f *flaky) Submit(r *trace.IORequest, done device.Completion) {
 	})
 }
 
-// failurePair builds two flaky-backed datastores on one engine with a
-// fast retry schedule.
+// failurePair builds two flaky-backed datastores on one engine.
 func failurePair(t *testing.T) (*sim.Engine, *Manager, *Datastore, *Datastore, *flaky, *flaky) {
 	t.Helper()
 	eng := sim.NewEngine()
@@ -55,10 +54,7 @@ func failurePair(t *testing.T) (*sim.Engine, *Manager, *Datastore, *Datastore, *
 	fb := newFlaky(eng, "store-b", 10*sim.Microsecond)
 	a := NewDatastore(fa, 0)
 	b := NewDatastore(fb, 0)
-	cfg := quickCfg()
-	cfg.CopyRetryLimit = 3
-	cfg.CopyRetryBackoff = 50 * sim.Microsecond
-	mgr := NewManager(eng, cfg, LightSRM(), []*Datastore{a, b})
+	mgr := NewManager(eng, quickCfg(), LightSRM(), []*Datastore{a, b})
 	return eng, mgr, a, b, fa, fb
 }
 
@@ -68,9 +64,10 @@ func TestMigrationRetriesTransientFailures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The destination fails its first two writes, then heals: the chunk
-	// must retry with backoff and the migration still complete.
-	fails := 2
+	// The destination fails its first copyRetryLimit−1 writes, then heals:
+	// no chunk can exhaust its budget, so every failure retries with
+	// backoff and the migration still completes.
+	fails := copyRetryLimit - 1
 	fb.fail = func(r *trace.IORequest) bool {
 		if r.Op == trace.OpWrite && fails > 0 {
 			fails--
@@ -83,8 +80,8 @@ func TestMigrationRetriesTransientFailures(t *testing.T) {
 	}
 	eng.Run()
 	st := mgr.Stats()
-	if st.CopyRetries == 0 {
-		t.Fatal("transient write failures produced no retries")
+	if st.CopyRetries != copyRetryLimit-1 {
+		t.Fatalf("retries = %d, want one per failed write (%d)", st.CopyRetries, copyRetryLimit-1)
 	}
 	if st.MigrationsAborted != 0 {
 		t.Fatal("transient failures within the retry budget aborted the migration")
@@ -135,9 +132,14 @@ func TestMigrationAbortsAfterRetryBudgetAndUnwinds(t *testing.T) {
 	if len(mgr.active) != 0 {
 		t.Fatal("aborted migration still active")
 	}
+	// The first chunk to exhaust its budget waited out the backoffs before
+	// attempts 2, 3 and 4: 1×, 2× and 4× copyRetryBackoff.
 	var sawAbort, sawUnwound bool
 	for _, d := range mgr.Log().Entries() {
 		if d.Kind == DecisionAbort {
+			if floor := 7 * copyRetryBackoff; d.At < floor {
+				t.Fatalf("abort at %v, before the %d attempts' backoff (%v) elapsed", d.At, copyRetryLimit, floor)
+			}
 			sawAbort = true
 			if strings.Contains(d.Detail, "unwind complete") {
 				sawUnwound = true
@@ -196,7 +198,7 @@ func gateCopy(mig *Migration, pause bool) {
 // and finish rather than stall with a partially-migrated VMDK.
 func TestStragglerRescanAfterResume(t *testing.T) {
 	eng, mgr, a, b, _, _ := failurePair(t)
-	// Larger than CopyDepth×ChunkBytes so the first pump cannot cover the
+	// Larger than CopyDepth×chunkBytes so the first pump cannot cover the
 	// whole disk and the pause leaves unmigrated blocks behind.
 	v, err := a.CreateVMDK(1, 8<<20)
 	if err != nil {
@@ -282,7 +284,6 @@ func TestQuarantineEvacuateReadmitLifecycle(t *testing.T) {
 	cfg.MinWindowRequests = 2
 	cfg.QuarantineMinErrors = 3
 	cfg.ProbationWindows = 3
-	cfg.CopyRetryBackoff = 50 * sim.Microsecond
 	mgr := NewManager(eng, cfg, LightSRM(), []*Datastore{a, b})
 	v, err := a.CreateVMDK(1, 1<<20)
 	if err != nil {

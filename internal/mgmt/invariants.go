@@ -144,8 +144,8 @@ func (m *Manager) CheckInvariants() []invariant.Violation {
 	if n := m.balancingMigrations(); n > m.cfg.MaxConcurrentMigrations {
 		add("budget", "manager", "%d balancing migrations exceed budget %d", n, m.cfg.MaxConcurrentMigrations)
 	}
-	if evacs > m.cfg.MaxConcurrentEvacuations {
-		add("budget", "manager", "%d evacuations exceed budget %d", evacs, m.cfg.MaxConcurrentEvacuations)
+	if evacs > maxConcurrentEvacuations {
+		add("budget", "manager", "%d evacuations exceed budget %d", evacs, maxConcurrentEvacuations)
 	}
 
 	// Quarantine lifecycle: a store still quarantined must not have served

@@ -102,25 +102,31 @@ func (r JournalRecord) String() string {
 	}
 }
 
+// journalAppendDelay is how long a lazy (background-copy progress)
+// append sits in the write buffer before persisting; a crash inside that
+// window loses the record. Synchronous appends (intent, abort, commit,
+// redirected-write marks) are durable immediately.
+const journalAppendDelay = 2 * sim.Microsecond
+
 // Journal is the deterministic migration journal (DESIGN.md §13). It
 // models an append-only log on the NVDIMM tier: synchronous appends are
 // durable at the instant they are issued (record-then-ack), while lazy
-// appends — background-copy progress — sit in a write buffer for delay
-// before persisting and are discarded if a crash bumps the VMDK's epoch
-// first. Epochs fence the ack path: a completion that captured the
-// pre-crash epoch cannot append after recovery rebuilt the VMDK.
+// appends — background-copy progress — sit in a write buffer for
+// journalAppendDelay before persisting and are discarded if a crash bumps
+// the VMDK's epoch first. Epochs fence the ack path: a completion that
+// captured the pre-crash epoch cannot append after recovery rebuilt the
+// VMDK.
 type Journal struct {
 	eng     *sim.Engine
-	delay   sim.Time
 	records []JournalRecord
 	seq     uint64
 	epochs  map[int]uint64
 	lost    uint64
 }
 
-// newJournal builds a journal with the given lazy-append settle delay.
-func newJournal(eng *sim.Engine, delay sim.Time) *Journal {
-	return &Journal{eng: eng, delay: delay, epochs: make(map[int]uint64)}
+// newJournal builds an empty journal.
+func newJournal(eng *sim.Engine) *Journal {
+	return &Journal{eng: eng, epochs: make(map[int]uint64)}
 }
 
 // Epoch returns the VMDK's current crash epoch. Callers on the ack path
@@ -142,12 +148,12 @@ func (j *Journal) appendSync(rec JournalRecord) {
 	j.append(rec, j.eng.Now())
 }
 
-// appendLazy buffers a record that persists after the settle delay.
+// appendLazy buffers a record that persists after journalAppendDelay.
 // Background-copy progress uses this: losing it on a crash is safe (the
 // source stays authoritative for the affected blocks) and the buffered
 // write keeps the copy path off the journal's critical path.
 func (j *Journal) appendLazy(rec JournalRecord) {
-	j.append(rec, j.eng.Now()+j.delay)
+	j.append(rec, j.eng.Now()+journalAppendDelay)
 }
 
 // AppendIfEpoch persists rec synchronously if the VMDK's epoch still

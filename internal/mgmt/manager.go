@@ -20,16 +20,10 @@ type Config struct {
 	// MinWindowRequests skips decisions for stores with fewer completed
 	// requests in the window (too little signal).
 	MinWindowRequests int
-	// ChunkBytes is the migration copy granularity.
-	ChunkBytes int64
 	// CopyDepth is the number of concurrent in-flight copy chunks.
 	CopyDepth int
 	// MaxConcurrentMigrations bounds simultaneous migrations.
 	MaxConcurrentMigrations int
-	// BenefitHorizonWindows is how many future management windows the
-	// Eq. 7 benefit is integrated over ("Once migrated, a VMDK will be
-	// operated in a relatively long time", §5.1.2). Default 50.
-	BenefitHorizonWindows int
 	// MinResidenceWindows is the hysteresis: a VMDK that just moved is
 	// not re-selected as a migration candidate for this many windows.
 	MinResidenceWindows uint64
@@ -38,27 +32,12 @@ type Config struct {
 	// transient spikes (e.g. cold caches right after a migration).
 	// Default 1 (no debouncing).
 	DebounceWindows int
-	// SmoothingAlpha is the EWMA weight applied to per-store decision
-	// latencies across epochs (1 = no smoothing, use the raw window).
-	// Smoothing suppresses single-window noise (cache-hit variance)
-	// while persistent shifts — sustained load or bus contention —
-	// still move the estimate within a few windows. Default 0.5.
-	SmoothingAlpha float64
 	// DecisionLogCap bounds the decision audit ring (entries); older
 	// entries are overwritten and counted as dropped. <= 0 disables
 	// recording. Default 1024 — enough to audit recent behaviour without
 	// unbounded growth on production-length runs.
 	DecisionLogCap int
 
-	// CopyRetryLimit is how many attempts each migration copy chunk gets
-	// before the whole migration aborts and unwinds. Default 4.
-	CopyRetryLimit int
-	// CopyRetryBackoff is the delay before a chunk's first retry, doubling
-	// each attempt (clamped at 64×). Default 500 µs.
-	CopyRetryBackoff sim.Time
-	// QuarantineErrorRate is the per-window failed-completion fraction at
-	// which a datastore is quarantined. Default 0.05.
-	QuarantineErrorRate float64
 	// QuarantineMinErrors is the minimum absolute failed completions in a
 	// window before the rate is trusted (one error in a nearly idle window
 	// is not a failing device). Default 4.
@@ -66,22 +45,12 @@ type Config struct {
 	// ProbationWindows is how many consecutive error-free windows a
 	// quarantined store must serve before readmission. Default 8.
 	ProbationWindows int
-	// MaxConcurrentEvacuations bounds evacuation migrations launched per
-	// epoch off quarantined stores (in addition to, not gated by,
-	// MaxConcurrentMigrations). Default 2.
-	MaxConcurrentEvacuations int
 
 	// Journal arms the durable migration journal (DESIGN.md §13): intent/
 	// progress/commit/abort records at chunk granularity, enabling crash
 	// recovery. Off by default — journal-free runs are byte-identical to
 	// builds that predate the crash model.
 	Journal bool
-	// JournalAppendDelay is how long a lazy (background-copy progress)
-	// journal append sits in the write buffer before persisting; a crash
-	// inside that window loses the record. Synchronous appends (intent,
-	// abort, commit, redirected-write marks) are durable immediately.
-	// Default 2 µs.
-	JournalAppendDelay sim.Time
 }
 
 // DefaultConfig returns the evaluation defaults.
@@ -90,21 +59,14 @@ func DefaultConfig() Config {
 		Tau:                     0.5,
 		Window:                  10 * sim.Millisecond,
 		MinWindowRequests:       8,
-		ChunkBytes:              256 << 10,
 		CopyDepth:               4,
 		MaxConcurrentMigrations: 1,
-		BenefitHorizonWindows:   50,
 		MinResidenceWindows:     4,
 		DebounceWindows:         1,
-		SmoothingAlpha:          0.5,
 		DecisionLogCap:          1024,
 
-		CopyRetryLimit:           4,
-		CopyRetryBackoff:         500 * sim.Microsecond,
-		QuarantineErrorRate:      0.05,
-		QuarantineMinErrors:      4,
-		ProbationWindows:         8,
-		MaxConcurrentEvacuations: 2,
+		QuarantineMinErrors: 4,
+		ProbationWindows:    8,
 	}
 }
 
@@ -189,41 +151,17 @@ func NewManager(eng *sim.Engine, cfg Config, scheme Scheme, stores []*Datastore)
 	if cfg.Window <= 0 {
 		cfg.Window = 10 * sim.Millisecond
 	}
-	if cfg.ChunkBytes <= 0 {
-		cfg.ChunkBytes = 256 << 10
-	}
 	if cfg.CopyDepth <= 0 {
 		cfg.CopyDepth = 4
 	}
 	if cfg.MaxConcurrentMigrations <= 0 {
 		cfg.MaxConcurrentMigrations = 1
 	}
-	if cfg.BenefitHorizonWindows <= 0 {
-		cfg.BenefitHorizonWindows = 50
-	}
-	if cfg.SmoothingAlpha <= 0 || cfg.SmoothingAlpha > 1 {
-		cfg.SmoothingAlpha = 0.5
-	}
-	if cfg.CopyRetryLimit <= 0 {
-		cfg.CopyRetryLimit = 4
-	}
-	if cfg.CopyRetryBackoff <= 0 {
-		cfg.CopyRetryBackoff = 500 * sim.Microsecond
-	}
-	if cfg.QuarantineErrorRate <= 0 {
-		cfg.QuarantineErrorRate = 0.05
-	}
 	if cfg.QuarantineMinErrors <= 0 {
 		cfg.QuarantineMinErrors = 4
 	}
 	if cfg.ProbationWindows <= 0 {
 		cfg.ProbationWindows = 8
-	}
-	if cfg.MaxConcurrentEvacuations <= 0 {
-		cfg.MaxConcurrentEvacuations = 2
-	}
-	if cfg.JournalAppendDelay <= 0 {
-		cfg.JournalAppendDelay = 2 * sim.Microsecond
 	}
 	m := &Manager{
 		eng:      eng,
@@ -238,7 +176,7 @@ func NewManager(eng *sim.Engine, cfg Config, scheme Scheme, stores []*Datastore)
 		m.log.SetCapacity(cfg.DecisionLogCap)
 	}
 	if cfg.Journal {
-		m.journal = newJournal(eng, cfg.JournalAppendDelay)
+		m.journal = newJournal(eng)
 	}
 	return m
 }

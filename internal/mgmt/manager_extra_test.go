@@ -87,19 +87,32 @@ func TestDebounceFiltersSingleWindowSpike(t *testing.T) {
 	}
 }
 
+// TestSmoothingDampsSpikes drives observe over two measured windows of a
+// fixed-latency store: the first window's estimate stands alone, and the
+// second is the α = ½ EWMA of its own estimate and the first.
 func TestSmoothingDampsSpikes(t *testing.T) {
-	n := newNode(t)
-	cfg := quickCfg()
-	cfg.SmoothingAlpha = 0.5
-	mgr := NewManager(n.eng, cfg, BASIL(), n.dss)
-	ds := n.dss[0]
-	// Feed the smoother directly through two epochs' worth of estimate
-	// bookkeeping by simulating the epoch path: first window 1000µs.
-	mgr.smoothed[ds] = 1000
-	// EWMA with α=0.5: a 0-latency window halves the estimate.
-	got := cfg.SmoothingAlpha*0 + (1-cfg.SmoothingAlpha)*mgr.smoothed[ds]
-	if got != 500 {
-		t.Fatalf("ewma math: %v", got)
+	eng := sim.NewEngine()
+	dev := newFlaky(eng, "store", 40*sim.Microsecond)
+	ds := NewDatastore(dev, 0)
+	mgr := NewManager(eng, quickCfg(), BASIL(), []*Datastore{ds})
+	window := func(lat sim.Time) StorePerf {
+		dev.lat = lat
+		for i := int64(0); i < 8; i++ {
+			ds.Mon.Submit(&trace.IORequest{Op: trace.OpRead, Offset: i * BlockSize, Size: BlockSize}, nil)
+		}
+		if err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+		perfs := mgr.observe()
+		ds.resetWindow()
+		return perfs[0]
+	}
+	if p := window(40 * sim.Microsecond); p.MeasuredUS != 40 || p.PerfUS != 40 {
+		t.Fatalf("first window: measured %v, PerfUS %v; want 40 and 40", p.MeasuredUS, p.PerfUS)
+	}
+	p := window(200 * sim.Microsecond)
+	if want := 0.5*200 + 0.5*40; p.MeasuredUS != 200 || p.PerfUS != want {
+		t.Fatalf("second window: measured %v, PerfUS %v; want 200 and %v", p.MeasuredUS, p.PerfUS, want)
 	}
 }
 
@@ -164,21 +177,19 @@ func TestHysteresisBlocksRecentMover(t *testing.T) {
 	}
 }
 
+// TestBenefitHorizonScalesBenefit pins Eq. 7's integration: the benefit
+// is the per-request gain × the window's requests × the horizon.
 func TestBenefitHorizonScalesBenefit(t *testing.T) {
 	n := newNode(t)
-	cfgShort := quickCfg()
-	cfgShort.BenefitHorizonWindows = 1
-	cfgLong := quickCfg()
-	cfgLong.BenefitHorizonWindows = 100
-	short := NewManager(n.eng, cfgShort, Pesto(), n.dss)
-	long := NewManager(n.eng, cfgLong, Pesto(), n.dss)
+	mgr := NewManager(n.eng, quickCfg(), Pesto(), n.dss)
 	v, _ := n.dss[2].CreateVMDK(1, 1<<20)
 	v.windowRequests = 50
 	src := StorePerf{Store: n.dss[2], PerfUS: 9000, WC: trace.WC{IOSize: 4096}}
 	dst := StorePerf{Store: n.dss[0], PerfUS: 100, WC: trace.WC{IOSize: 4096}}
-	_, bShort := short.costBenefit(v, &src, &dst, v.Size)
-	_, bLong := long.costBenefit(v, &src, &dst, v.Size)
-	if bLong != bShort*100 {
-		t.Fatalf("benefit should scale with horizon: %v vs %v", bShort, bLong)
+	_, benefit := mgr.costBenefit(v, &src, &dst, v.Size)
+	// v is the source's whole window load, so the destination's latency
+	// doubles once it moves: gain = 9000 − 2×100.
+	if want := 8800.0 * 50 * benefitHorizonWindows; benefit != want {
+		t.Fatalf("benefit = %v, want gain × requests × horizon = %v", benefit, want)
 	}
 }

@@ -450,4 +450,3 @@ func TestWindowLoadFollowsPrimary(t *testing.T) {
 }
 
 var _ device.Device = (*nvdimm.NVDIMM)(nil)
-

@@ -7,6 +7,18 @@ import (
 	"repro/internal/trace"
 )
 
+// Copy-engine constants.
+const (
+	// chunkBytes is the migration copy granularity.
+	chunkBytes = 256 << 10
+	// copyRetryLimit is how many attempts each copy chunk gets before the
+	// whole migration aborts and unwinds.
+	copyRetryLimit = 4
+	// copyRetryBackoff is the delay before a chunk's first retry, doubling
+	// each attempt (clamped at 64×).
+	copyRetryBackoff = 500 * sim.Microsecond
+)
+
 // Migration is one in-flight VMDK move: a background copy engine that
 // walks the bitmap, skipping blocks already satisfied by write
 // redirection, with optional per-epoch cost/benefit gating (§5.2). Which
@@ -15,7 +27,7 @@ import (
 //
 // Every copy stage (source read, cross-node transfer, destination write)
 // can fail under fault injection. A failed chunk retries with exponential
-// backoff up to Config.CopyRetryLimit attempts; exhausting the budget
+// backoff up to copyRetryLimit attempts; exhausting the budget
 // aborts the whole migration: redirection is switched off, and the engine
 // walks the bitmap copying migrated blocks *back* to the source, leaving
 // the VMDK fully consistent at its original location.
@@ -129,9 +141,9 @@ func (g *Migration) pump() {
 	g.maybeFinish()
 }
 
-// nextChunk collects the next run of unmigrated blocks, up to ChunkBytes.
+// nextChunk collects the next run of unmigrated blocks, up to chunkBytes.
 func (g *Migration) nextChunk() []int64 {
-	maxBlocks := g.mgr.cfg.ChunkBytes / BlockSize
+	maxBlocks := int64(chunkBytes / BlockSize)
 	var blocks []int64
 	for g.cursor < g.v.Blocks() && int64(len(blocks)) < maxBlocks {
 		b := g.cursor
@@ -151,9 +163,9 @@ func (g *Migration) nextChunk() []int64 {
 }
 
 // backoff returns the retry delay before attempt n+1 (exponential from
-// Config.CopyRetryBackoff, clamped at 64× the base).
+// copyRetryBackoff, clamped at 64× the base).
 func (g *Migration) backoff(attempt int) sim.Time {
-	d := g.mgr.cfg.CopyRetryBackoff
+	d := copyRetryBackoff
 	for i := 0; i < attempt && i < 6; i++ {
 		d *= 2
 	}
@@ -187,7 +199,7 @@ func (g *Migration) attemptChunk(blocks []int64, attempt int) {
 	n := int64(len(blocks))
 	fail := func(stage string, err error) {
 		g.mgr.stats.CopyRetries++
-		if attempt+1 >= g.mgr.cfg.CopyRetryLimit {
+		if attempt+1 >= copyRetryLimit {
 			g.inflight--
 			if g.aborting || g.completed {
 				g.pump()
@@ -306,7 +318,7 @@ func (g *Migration) pumpAbort() {
 // nextAbortChunk collects the next contiguous run of *migrated* blocks —
 // the ones that must move back to the source.
 func (g *Migration) nextAbortChunk() []int64 {
-	maxBlocks := g.mgr.cfg.ChunkBytes / BlockSize
+	maxBlocks := int64(chunkBytes / BlockSize)
 	var blocks []int64
 	for g.abortCursor < g.v.Blocks() && int64(len(blocks)) < maxBlocks {
 		b := g.abortCursor

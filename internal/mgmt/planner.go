@@ -6,6 +6,21 @@ import (
 	"repro/internal/device"
 )
 
+// Planner constants.
+const (
+	// benefitHorizonWindows is how many future management windows the
+	// Eq. 7 benefit is integrated over ("Once migrated, a VMDK will be
+	// operated in a relatively long time", §5.1.2).
+	benefitHorizonWindows = 50
+	// quarantineErrorRate is the per-window failed-completion fraction at
+	// which a datastore is quarantined.
+	quarantineErrorRate = 0.05
+	// maxConcurrentEvacuations bounds evacuation migrations launched per
+	// epoch off quarantined stores (in addition to, not gated by,
+	// Config.MaxConcurrentMigrations).
+	maxConcurrentEvacuations = 2
+)
+
 // plan runs one epoch's decisions over the performance vector. Order
 // matters for determinism and correctness: the failure pre-pass runs
 // first (so a failing store is never chosen as a destination this
@@ -32,7 +47,7 @@ func (m *Manager) planFailures(perfs []StorePerf) {
 		if !ds.quarantined {
 			total := errs + perfs[i].Requests
 			if errs >= m.cfg.QuarantineMinErrors && total > 0 &&
-				float64(errs)/float64(total) >= m.cfg.QuarantineErrorRate {
+				float64(errs)/float64(total) >= quarantineErrorRate {
 				ds.quarantined = true
 				ds.quarantinedAt = m.eng.Now()
 				ds.cleanWindows = 0
@@ -40,7 +55,7 @@ func (m *Manager) planFailures(perfs []StorePerf) {
 				m.logDecision(Decision{At: m.eng.Now(), Kind: DecisionQuarantine, Stage: StagePlan,
 					VMDK: -1, Src: ds.Dev.Name(),
 					Detail: fmt.Sprintf("%d/%d window requests failed (threshold %.0f%%)",
-						errs, total, m.cfg.QuarantineErrorRate*100)})
+						errs, total, quarantineErrorRate*100)})
 			}
 		} else {
 			if errs == 0 {
@@ -74,7 +89,7 @@ func (m *Manager) evacuate(ds *Datastore, perfs []StorePerf) {
 		}
 	}
 	for _, v := range ds.VMDKs() {
-		if evacs >= m.cfg.MaxConcurrentEvacuations {
+		if evacs >= maxConcurrentEvacuations {
 			return
 		}
 		if v.Migrating() {
@@ -251,6 +266,6 @@ func (m *Manager) costBenefit(v *VMDK, src, dst *StorePerf, remaining int64) (co
 	if gain < 0 {
 		gain = 0
 	}
-	benefitUS = gain * float64(v.windowRequests) * float64(m.cfg.BenefitHorizonWindows)
+	benefitUS = gain * float64(v.windowRequests) * benefitHorizonWindows
 	return costUS, benefitUS
 }

@@ -9,28 +9,32 @@ import (
 	"repro/internal/stats"
 )
 
+// Split search limits.
+const (
+	// minRMSDGain is the minimum relative RMSD improvement a split must
+	// achieve.
+	minRMSDGain = 1e-3
+	// maxSplitCandidates caps thresholds evaluated per feature (quantile
+	// thinning for large training sets).
+	maxSplitCandidates = 32
+)
+
 // TreeConfig controls regression-tree construction (§4.4).
 type TreeConfig struct {
 	// MaxDepth bounds tree depth (default 8).
 	MaxDepth int
 	// MinLeafSamples is the minimum samples per leaf (default 4).
 	MinLeafSamples int
-	// MinRMSDGain is the minimum relative RMSD improvement a split must
-	// achieve (default 1e-3).
-	MinRMSDGain float64
 	// LinearLeaves fits a multiple linear regression at each leaf (a
 	// model tree, the paper's tree + linear-regression combination);
 	// false uses constant-mean leaves (plain CART).
 	LinearLeaves bool
-	// MaxSplitCandidates caps thresholds evaluated per feature (quantile
-	// thinning for large training sets; default 32).
-	MaxSplitCandidates int
 }
 
 // DefaultTreeConfig returns the configuration used by the performance
 // model.
 func DefaultTreeConfig() TreeConfig {
-	return TreeConfig{MaxDepth: 8, MinLeafSamples: 4, MinRMSDGain: 1e-3, LinearLeaves: true, MaxSplitCandidates: 32}
+	return TreeConfig{MaxDepth: 8, MinLeafSamples: 4, LinearLeaves: true}
 }
 
 func (c TreeConfig) withDefaults() TreeConfig {
@@ -39,12 +43,6 @@ func (c TreeConfig) withDefaults() TreeConfig {
 	}
 	if c.MinLeafSamples <= 0 {
 		c.MinLeafSamples = 4
-	}
-	if c.MinRMSDGain <= 0 {
-		c.MinRMSDGain = 1e-3
-	}
-	if c.MaxSplitCandidates <= 0 {
-		c.MaxSplitCandidates = 32
 	}
 	return c
 }
@@ -95,7 +93,7 @@ func (t *Tree) build(samples []Sample, depth int) *node {
 		return t.makeLeaf(samples, targets, cur)
 	}
 	feature, threshold, gain := t.bestSplit(samples, cur)
-	if feature < 0 || gain < t.cfg.MinRMSDGain*cur {
+	if feature < 0 || gain < minRMSDGain*cur {
 		return t.makeLeaf(samples, targets, cur)
 	}
 	var left, right []Sample
@@ -155,10 +153,10 @@ func (t *Tree) bestSplit(samples []Sample, parentRMSD float64) (feature int, thr
 		}
 		sort.Float64s(values)
 		// Candidate thresholds: midpoints of distinct neighbours, thinned
-		// to MaxSplitCandidates quantiles.
+		// to maxSplitCandidates quantiles.
 		step := 1
-		if len(values) > t.cfg.MaxSplitCandidates {
-			step = len(values) / t.cfg.MaxSplitCandidates
+		if len(values) > maxSplitCandidates {
+			step = len(values) / maxSplitCandidates
 		}
 		for i := step; i < len(values); i += step {
 			if values[i] == values[i-1] {

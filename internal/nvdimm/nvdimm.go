@@ -42,13 +42,9 @@ type Config struct {
 	// This is the *simulated* footprint; it may be scaled down from
 	// Capacity for memory economy (LPNs fold into it).
 	NumBlocks int
-	// OverProvision is the FTL over-provisioning fraction.
-	OverProvision float64
 	// CacheBlocks is the buffer-cache capacity in pages (Table/motivation:
 	// 400 MB at 4 KB pages → 102400 blocks).
 	CacheBlocks int
-	// CacheLambda is the LRFU λ.
-	CacheLambda float64
 	// Sched selects the memory-controller scheduling policy (§5.3.1).
 	Sched memsched.Policy
 	// SchedSlots bounds in-flight flash operations (default:
@@ -82,9 +78,7 @@ func DefaultConfig(name string, capacity int64, numBlocks int) Config {
 		Capacity:        capacity,
 		Flash:           flash.DefaultConfig(),
 		NumBlocks:       numBlocks,
-		OverProvision:   0.07,
 		CacheBlocks:     102400, // 400 MB of 4 KB pages
-		CacheLambda:     cache.DefaultLambda,
 		Sched:           memsched.Baseline(),
 		SchedSlots:      0,
 		MaxPendingFlush: 256,
@@ -132,8 +126,8 @@ func New(eng *sim.Engine, ch *bus.Channel, cfg Config) *NVDIMM {
 		Base:    device.NewBase(cfg.Name, device.KindNVDIMM, cfg.Capacity),
 		eng:     eng,
 		channel: ch,
-		ftl:     ftl.New(eng, flash.New(eng, cfg.Flash), ftl.Config{NumBlocks: cfg.NumBlocks, OverProvision: cfg.OverProvision, GCLowWater: 4}),
-		cache:   cache.NewLRFU(cfg.CacheBlocks, cfg.CacheLambda),
+		ftl:     ftl.New(flash.New(eng, cfg.Flash), cfg.NumBlocks),
+		cache:   cache.NewLRFU(cfg.CacheBlocks, cache.DefaultLambda),
 		sched:   memsched.New(eng, cfg.Sched, cfg.SchedSlots),
 		cfg:     cfg,
 	}

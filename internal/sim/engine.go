@@ -61,12 +61,10 @@ type Engine struct {
 	// processed counts executed events, exposed for instrumentation.
 	processed uint64
 
-	// Watchdog budget (SetBudget): a run that executes more events or
-	// advances the clock further than budgeted returns an error instead of
-	// spinning forever. Zero values disarm each limit.
-	budgetEvents   uint64 // absolute processed-count limit (0 = off)
-	budgetDeadline Time   // absolute sim-time limit (0 = off)
-	budgetErr      error
+	// Watchdog budget (SetBudget): a run that executes more events than
+	// budgeted returns an error instead of spinning forever.
+	budgetEvents uint64 // absolute processed-count limit (0 = off)
+	budgetErr    error
 
 	// prof, when non-nil, accumulates the self-profiling counters of
 	// EnableProfiling. The hot paths pay exactly one nil check when
@@ -208,37 +206,24 @@ func (e *Engine) Step() bool {
 }
 
 // SetBudget arms the watchdog: subsequent Run/RunUntil/RunFor calls return
-// an error once more than maxEvents further events execute, or once the
-// next event would run after now+maxSimTime. Either limit can be 0 to
-// disarm it; SetBudget(0, 0) disarms the watchdog entirely and clears any
-// tripped state. The budget exists so a lost completion callback under
-// fault injection — which keeps closed-loop workloads refilling forever —
-// fails a run loudly instead of spinning without end.
-func (e *Engine) SetBudget(maxEvents uint64, maxSimTime Time) {
+// an error once more than maxEvents further events execute. SetBudget(0)
+// disarms the watchdog and clears any tripped state. The budget exists so
+// a lost completion callback under fault injection — which keeps
+// closed-loop workloads refilling forever — fails a run loudly instead of
+// spinning without end.
+func (e *Engine) SetBudget(maxEvents uint64) {
 	e.budgetErr = nil
 	if maxEvents > 0 {
 		e.budgetEvents = e.processed + maxEvents
 	} else {
 		e.budgetEvents = 0
 	}
-	if maxSimTime > 0 {
-		e.budgetDeadline = e.now + maxSimTime
-	} else {
-		e.budgetDeadline = 0
-	}
 }
 
-// checkBudget trips the watchdog if a limit has been exceeded.
+// checkBudget trips the watchdog once the event budget is spent.
 func (e *Engine) checkBudget() error {
-	if e.budgetErr != nil {
-		return e.budgetErr
-	}
-	if e.budgetEvents > 0 && e.processed >= e.budgetEvents {
+	if e.budgetErr == nil && e.budgetEvents > 0 && e.processed >= e.budgetEvents {
 		e.budgetErr = fmt.Errorf("sim: watchdog: event budget exhausted (%d events executed, clock at %v)", e.processed, e.now)
-	} else if e.budgetDeadline > 0 {
-		if at, ok := e.wheel.peek(); ok && at > e.budgetDeadline {
-			e.budgetErr = fmt.Errorf("sim: watchdog: sim-time budget exhausted (next event at %v, deadline %v)", at, e.budgetDeadline)
-		}
 	}
 	return e.budgetErr
 }

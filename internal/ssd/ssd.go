@@ -25,6 +25,8 @@ const (
 	// WriteOverhead is the (much cheaper) acknowledged-at-buffer write
 	// path overhead (Table 1: ~15 µs writes).
 	WriteOverhead = 12 * sim.Microsecond
+	// maxPendingFlush bounds the dirty backlog before writes stall.
+	maxPendingFlush = 256
 )
 
 // linkTime returns PCIe occupancy for n bytes.
@@ -41,25 +43,20 @@ func linkTime(n int64) sim.Time {
 
 // Config parameterizes an SSD.
 type Config struct {
-	Name          string
-	Capacity      int64
-	Flash         flash.Config
-	NumBlocks     int
-	OverProvision float64
-	// MaxPendingFlush bounds the dirty backlog before writes stall.
-	MaxPendingFlush int
+	Name      string
+	Capacity  int64
+	Flash     flash.Config
+	NumBlocks int
 }
 
 // DefaultConfig returns a Table 4-shaped SSD scaled to the simulated
 // flash footprint.
 func DefaultConfig(name string, capacity int64, numBlocks int) Config {
 	return Config{
-		Name:            name,
-		Capacity:        capacity,
-		Flash:           flash.DefaultConfig(),
-		NumBlocks:       numBlocks,
-		OverProvision:   0.07,
-		MaxPendingFlush: 256,
+		Name:      name,
+		Capacity:  capacity,
+		Flash:     flash.DefaultConfig(),
+		NumBlocks: numBlocks,
 	}
 }
 
@@ -68,7 +65,6 @@ type SSD struct {
 	device.Base
 	eng *sim.Engine
 	ftl *ftl.FTL
-	cfg Config
 
 	linkBusyUntil sim.Time
 	pendingFlush  int
@@ -83,14 +79,10 @@ var _ device.Device = (*SSD)(nil)
 
 // New builds an SSD.
 func New(eng *sim.Engine, cfg Config) *SSD {
-	if cfg.MaxPendingFlush <= 0 {
-		cfg.MaxPendingFlush = 256
-	}
 	return &SSD{
 		Base:           device.NewBase(cfg.Name, device.KindSSD, cfg.Capacity),
 		eng:            eng,
-		ftl:            ftl.New(eng, flash.New(eng, cfg.Flash), ftl.Config{NumBlocks: cfg.NumBlocks, OverProvision: cfg.OverProvision, GCLowWater: 4}),
-		cfg:            cfg,
+		ftl:            ftl.New(flash.New(eng, cfg.Flash), cfg.NumBlocks),
 		bufferResident: make(map[int64]int),
 	}
 }
@@ -208,7 +200,7 @@ func (s *SSD) write(r *trace.IORequest, done device.Completion) {
 }
 
 func (s *SSD) bufferAck(r *trace.IORequest, done device.Completion) {
-	if s.pendingFlush >= s.cfg.MaxPendingFlush {
+	if s.pendingFlush >= maxPendingFlush {
 		s.stalls = append(s.stalls, func() { s.bufferAck(r, done) })
 		return
 	}
@@ -230,7 +222,7 @@ func (s *SSD) bufferAck(r *trace.IORequest, done device.Completion) {
 }
 
 func (s *SSD) drainStalls() {
-	for len(s.stalls) > 0 && s.pendingFlush < s.cfg.MaxPendingFlush {
+	for len(s.stalls) > 0 && s.pendingFlush < maxPendingFlush {
 		fn := s.stalls[0]
 		s.stalls = s.stalls[:copy(s.stalls, s.stalls[1:])]
 		fn()

@@ -14,7 +14,6 @@ func testSSD(t *testing.T) (*sim.Engine, *SSD) {
 	cfg.Flash.NumChannels = 4
 	cfg.Flash.ChipsPerChannel = 2
 	cfg.Flash.PagesPerBlock = 16
-	cfg.MaxPendingFlush = 16
 	return eng, New(eng, cfg)
 }
 
@@ -110,15 +109,26 @@ func TestPrefillAndFreeSpace(t *testing.T) {
 	}
 }
 
+// TestWriteBackpressure submits twice the flush backlog cap at once: the
+// backlog fills to the cap and no further, later writes stall, and every
+// write still completes.
 func TestWriteBackpressure(t *testing.T) {
 	eng, s := testSSD(t)
 	completions := 0
-	const n = 300
+	const n = 2 * maxPendingFlush
 	for i := 0; i < n; i++ {
 		s.Submit(&trace.IORequest{Op: trace.OpWrite, Offset: int64(i) * 4096, Size: 4096},
 			func(*trace.IORequest) { completions++ })
 	}
-	eng.Run()
+	peakBacklog, peakStalls := 0, 0
+	for eng.Step() {
+		peakBacklog = max(peakBacklog, s.pendingFlush)
+		peakStalls = max(peakStalls, len(s.stalls))
+	}
+	if peakBacklog != maxPendingFlush || peakStalls == 0 {
+		t.Fatalf("peak backlog %d (cap %d), peak stalled writes %d; want the cap reached and writes stalled",
+			peakBacklog, maxPendingFlush, peakStalls)
+	}
 	if completions != n {
 		t.Fatalf("completions = %d/%d", completions, n)
 	}

@@ -28,17 +28,17 @@ type MemGen struct {
 	addr        uint64
 	outstanding int
 	waiting     bool
-
-	// MaxOutstanding caps in-flight bursts so an over-subscribed profile
-	// self-throttles at channel capacity instead of growing the
-	// transaction queue without bound (default 64, ~ half the Table 4
-	// DRAM transaction-queue depth in burst units).
-	MaxOutstanding int
 }
+
+// maxOutstanding caps in-flight bursts so an over-subscribed profile
+// self-throttles at channel capacity instead of growing the transaction
+// queue without bound (~ half the Table 4 DRAM transaction-queue depth in
+// burst units).
+const maxOutstanding = 64
 
 // NewMemGen builds a generator for the DIMM.
 func NewMemGen(eng *sim.Engine, rng *sim.RNG, dimm *dram.DIMM, p MemProfile) *MemGen {
-	g := &MemGen{eng: eng, rng: rng, dimm: dimm, profile: p, Aggregation: 16, Scale: 1, MaxOutstanding: 64}
+	g := &MemGen{eng: eng, rng: rng, dimm: dimm, profile: p, Aggregation: 16, Scale: 1}
 	g.onDone = g.burstDone
 	return g
 }
@@ -99,7 +99,7 @@ func (g *MemGen) tick() {
 	if !g.running {
 		return
 	}
-	if g.outstanding >= g.MaxOutstanding {
+	if g.outstanding >= maxOutstanding {
 		// Saturated: resume from the next burst completion.
 		g.waiting = true
 		return

@@ -442,15 +442,14 @@ func TestMemGenTimerReuse(t *testing.T) {
 
 	t.Run("saturated generation resumes from the burst completion", func(t *testing.T) {
 		eng, g := newGen()
-		g.MaxOutstanding = 1
 		g.Scale = 4
 		g.Start()
 		resumes := 0
 		for i := 0; i < 20000; i++ {
 			waiting, issued := g.waiting, g.dimm.Intensity().Total()
 			eng.Step()
-			if g.outstanding > 1 {
-				t.Fatalf("step %d: %d bursts in flight, want at most 1", i, g.outstanding)
+			if g.outstanding > maxOutstanding {
+				t.Fatalf("step %d: %d bursts in flight, want at most %d", i, g.outstanding, maxOutstanding)
 			}
 			if g.waiting && g.next.Active() {
 				t.Fatalf("step %d: a tick is pending while generation waits for a completion", i)
@@ -459,7 +458,7 @@ func TestMemGenTimerReuse(t *testing.T) {
 				// The completion that cleared waiting issued the next
 				// burst and re-armed the one timer.
 				resumes++
-				if g.dimm.Intensity().Total() != issued+uint64(g.Aggregation) || g.outstanding != 1 || !g.next.Active() {
+				if g.dimm.Intensity().Total() != issued+uint64(g.Aggregation) || g.outstanding != maxOutstanding || !g.next.Active() {
 					t.Fatalf("step %d: resume issued %d cachelines (outstanding %d, tick active %v)",
 						i, g.dimm.Intensity().Total()-issued, g.outstanding, g.next.Active())
 				}
