@@ -325,9 +325,9 @@ func BenchmarkFig9Schedule(b *testing.B) {
 }
 
 // benchEngineRecord is the schema of BENCH_engine.json: the raw cost of
-// the discrete-event hot path (At/Step through a self-rescheduling timer
-// wheel), with the engine's own profiling counters enabled so the record
-// reflects the instrumented path that real runs with profiling pay.
+// the discrete-event hot path (RunFor windows over a self-rescheduling
+// timer mix), with the engine's own profiling counters enabled so the
+// record reflects the instrumented path that real runs with profiling pay.
 type benchEngineRecord struct {
 	GOMAXPROCS    int     `json:"gomaxprocs"`
 	Timers        int     `json:"timers"`
@@ -344,43 +344,90 @@ type benchEngineRecord struct {
 	OverflowPromotions uint64 `json:"overflow_promotions"`
 }
 
-// BenchmarkEngineHotPath measures the event loop itself: a wheel of
-// self-rescheduling timers with coprime periods (so the dispatch order
-// churns) dispatched through Engine.Step. One benchmark op is one
-// dispatched event. Events/sec, ns/event, and allocs/op land in
-// BENCH_engine.json so engine-throughput work (ROADMAP) has a tracked
-// baseline; CI asserts allocs_per_op stays 0 (pooled timers, steady
-// state) and that the wheel counters are present.
+// engineDelayMix is the scheduling-delay mix of a fig17-mcf run (1 node,
+// 429.mcf co-runner at MemScale 4, perfbench seed 31, 160 simulated ms):
+// the 4.33M delays it scheduled, bucketed by powers of two, as each
+// bucket's mean delay (ns) and its share in parts per 100,000. Bus and DRAM
+// burst steps (47 ns, 336 ns, 1.9 us) are 99% of the inserts; the 1% tail
+// of think times and management timers (60 us to 21 ms) holds most of the
+// pending entries and is what reaches the higher wheel levels.
+var engineDelayMix = []struct {
+	delay  sim.Time
+	weight int
+}{
+	{14, 3}, {47, 24035}, {84, 403}, {151, 145}, {336, 70665}, {1904, 3897},
+	{13022, 11}, {23988, 1}, {60013, 102}, {84554, 104}, {213639, 58},
+	{383337, 82}, {713007, 258}, {1453911, 113}, {3286129, 86},
+	{4901425, 23}, {11794393, 7}, {21400000, 6},
+}
+
+const (
+	// engineTimers is the mean pending depth of that run (336 at each
+	// insert; its peak was 1,537).
+	engineTimers = 336
+	// engineWindow is the RunFor step: about ten thousand events a window.
+	engineWindow = 300 * sim.Microsecond
+)
+
+// BenchmarkEngineHotPath measures the event loop on the path real runs
+// take: RunFor windows dispatching engineTimers self-rescheduling timers
+// whose delays follow engineDelayMix. One benchmark op is one dispatched
+// event; the run halts (Engine.Stop) exactly at b.N events. Events/sec,
+// ns/event, and allocs/op land in BENCH_engine.json so engine-throughput
+// work (ROADMAP) has a tracked baseline; CI asserts allocs_per_op stays 0
+// (pooled timers, steady state) and that the wheel counters are present.
 func BenchmarkEngineHotPath(b *testing.B) {
-	const nTimers = 64
+	total := 0
+	for _, m := range engineDelayMix {
+		total += m.weight
+	}
+	// A fixed pseudo-random delay sequence, drawn once, keeps the RNG off
+	// the measured path; 2^16 draws reach even the rarest bucket.
+	rng := sim.NewRNG(1)
+	delays := make([]sim.Time, 1<<16)
+	for i := range delays {
+		r := rng.Intn(total)
+		for _, m := range engineDelayMix {
+			if r < m.weight {
+				delays[i] = m.delay
+				break
+			}
+			r -= m.weight
+		}
+	}
 	eng := sim.NewEngine()
-	// Coprime-ish periods spread events across the wheel instead of
-	// batching them at one timestamp.
-	for i := 0; i < nTimers; i++ {
-		period := sim.Time(97+13*i) * sim.Microsecond
+	var n, target, next int
+	for i := 0; i < engineTimers; i++ {
 		var tick func()
-		tick = func() { eng.Schedule(period, tick) }
-		eng.Schedule(sim.Time(i)*sim.Microsecond, tick)
+		tick = func() {
+			n++
+			if n == target {
+				eng.Stop()
+			}
+			eng.Schedule(delays[next], tick)
+			next = (next + 1) & (len(delays) - 1)
+		}
+		eng.Schedule(delays[i], tick)
+	}
+	run := func(events int) {
+		n, target = 0, events
+		for n < events {
+			if err := eng.RunFor(engineWindow); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 	// Warm-up: let the timer pool and dispatch buffer reach steady state
 	// so the measured window reflects the 0-alloc hot path, not one-time
 	// slice growth.
-	for i := 0; i < 10_000; i++ {
-		if !eng.Step() {
-			b.Fatal("engine drained during warm-up")
-		}
-	}
+	run(10_000)
 	eng.EnableProfiling()
 	var ms0, ms1 runtime.MemStats
 	b.ResetTimer()
 	runtime.GC()
 	runtime.ReadMemStats(&ms0)
 	start := time.Now()
-	for i := 0; i < b.N; i++ {
-		if !eng.Step() {
-			b.Fatal("engine drained: self-rescheduling timers died")
-		}
-	}
+	run(b.N)
 	wall := time.Since(start)
 	runtime.ReadMemStats(&ms1)
 	b.StopTimer()
@@ -394,7 +441,7 @@ func BenchmarkEngineHotPath(b *testing.B) {
 	b.ReportMetric(allocs, "allocs/event")
 	rec := benchEngineRecord{
 		GOMAXPROCS:         runtime.GOMAXPROCS(0),
-		Timers:             nTimers,
+		Timers:             engineTimers,
 		Events:             prof.Events,
 		EventsPerSec:       perSec,
 		NsPerEvent:         float64(wall.Nanoseconds()) / float64(b.N),

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"container/heap"
+	"errors"
+	"fmt"
 	"testing"
 )
 
@@ -12,7 +14,8 @@ import (
 // stop/reset storms — and must produce bit-identical dispatch order,
 // final clocks, and pending counts. The op stream is derived from a
 // shared seeded RNG consumed in dispatch order, so the slightest order
-// divergence derails the streams and fails the comparison.
+// divergence derails the streams and fails the comparison. The wheel's
+// self-check (check_test.go) runs after every operation.
 
 // tengine abstracts the two engines under test.
 type tengine interface {
@@ -21,8 +24,13 @@ type tengine interface {
 	after(delay Time, fn func()) thandle
 	every(period Time, fn func()) thandle
 	now() Time
-	runUntil(t Time)
+	run() error
+	runUntil(t Time) error
+	setBudget(n uint64)
+	halt()
 	pending() int
+	// check reports a broken queue invariant (nil for the reference).
+	check() error
 }
 
 // thandle abstracts a cancellable timer handle.
@@ -40,8 +48,12 @@ func (w wheelEngine) at(t Time, fn func())            { w.e.At(t, fn) }
 func (w wheelEngine) after(d Time, fn func()) thandle { return wheelHandle{w.e.After(d, fn)} }
 func (w wheelEngine) every(p Time, fn func()) thandle { return wheelHandle{w.e.Every(p, fn)} }
 func (w wheelEngine) now() Time                       { return w.e.Now() }
-func (w wheelEngine) runUntil(t Time)                 { _ = w.e.RunUntil(t) }
+func (w wheelEngine) run() error                      { return w.e.Run() }
+func (w wheelEngine) runUntil(t Time) error           { return w.e.RunUntil(t) }
+func (w wheelEngine) setBudget(n uint64)              { w.e.SetBudget(n) }
+func (w wheelEngine) halt()                           { w.e.Stop() }
 func (w wheelEngine) pending() int                    { return w.e.Pending() }
+func (w wheelEngine) check() error                    { return w.e.wheel.check(w.e.now) }
 
 type wheelHandle struct{ t *Timer }
 
@@ -83,7 +95,15 @@ type refEngine struct {
 	queue refQueue
 	seq   uint64
 	live  int
+
+	// Engine.Stop and the SetBudget watchdog, with the Engine's semantics.
+	stopped   bool
+	processed uint64
+	budget    uint64 // absolute processed-count limit (0 = off)
+	tripped   bool
 }
+
+var errRefBudget = errors.New("ref: event budget exhausted")
 
 func (r *refEngine) push(ev *refEvent, t Time) {
 	if t < r.clock {
@@ -123,31 +143,80 @@ func (r *refEngine) every(p Time, fn func()) thandle {
 
 func (r *refEngine) now() Time    { return r.clock }
 func (r *refEngine) pending() int { return r.live }
+func (r *refEngine) check() error { return nil }
+func (r *refEngine) halt()        { r.stopped = true }
 
-func (r *refEngine) runUntil(t Time) {
-	for {
-		for len(r.queue) > 0 && r.queue[0].state == tmDead {
-			heap.Pop(&r.queue)
+func (r *refEngine) setBudget(n uint64) {
+	r.tripped = false
+	r.budget = 0
+	if n > 0 {
+		r.budget = r.processed + n
+	}
+}
+
+func (r *refEngine) overBudget() bool {
+	if r.budget > 0 && r.processed >= r.budget {
+		r.tripped = true
+	}
+	return r.tripped
+}
+
+// next drops cancelled entries and returns the earliest live one, or nil.
+func (r *refEngine) next() *refEvent {
+	for len(r.queue) > 0 && r.queue[0].state == tmDead {
+		heap.Pop(&r.queue)
+	}
+	if len(r.queue) == 0 {
+		return nil
+	}
+	return r.queue[0]
+}
+
+func (r *refEngine) dispatch() {
+	ev := heap.Pop(&r.queue).(*refEvent)
+	ev.state = tmRunning
+	r.clock = ev.at
+	r.live--
+	r.processed++
+	ev.fn()
+	if ev.state == tmRunning {
+		if ev.period > 0 {
+			r.push(ev, r.clock+ev.period)
+		} else {
+			ev.state = tmFree
 		}
-		if len(r.queue) == 0 || r.queue[0].at > t {
+	}
+}
+
+func (r *refEngine) run() error {
+	r.stopped = false
+	for !r.stopped {
+		if r.overBudget() {
+			return errRefBudget
+		}
+		if r.next() == nil {
 			break
 		}
-		ev := heap.Pop(&r.queue).(*refEvent)
-		ev.state = tmRunning
-		r.clock = ev.at
-		r.live--
-		ev.fn()
-		if ev.state == tmRunning {
-			if ev.period > 0 {
-				r.push(ev, r.clock+ev.period)
-			} else {
-				ev.state = tmFree
-			}
-		}
+		r.dispatch()
 	}
-	if r.clock < t {
+	return nil
+}
+
+func (r *refEngine) runUntil(t Time) error {
+	r.stopped = false
+	for !r.stopped {
+		if ev := r.next(); ev == nil || ev.at > t {
+			break
+		}
+		if r.overBudget() {
+			return errRefBudget
+		}
+		r.dispatch()
+	}
+	if !r.stopped && r.clock < t {
 		r.clock = t
 	}
+	return nil
 }
 
 type refHandle struct {
@@ -213,21 +282,57 @@ func randDelay(rng *RNG) Time {
 	}
 }
 
+// windowDelay draws a RunUntil window length or a between-window delay:
+// zero, sub-tick, within level 0, or levels 1-2.
+func windowDelay(rng *RNG) Time {
+	switch rng.Intn(4) {
+	case 0:
+		return 0
+	case 1:
+		return Time(rng.Intn(1 << tickBits))
+	case 2:
+		return Time(rng.Intn(wheelSlots << tickBits))
+	default:
+		return Time(rng.Intn(1 << 26))
+	}
+}
+
+// progResult is what one engine produced for a program.
+type progResult struct {
+	trace   []fireRec
+	now     Time
+	pending int
+	err     error // first self-check failure
+}
+
 // runProgram drives one engine through the seed-determined schedule and
-// returns its dispatch trace, final clock, and pending count.
-func runProgram(eng tengine, seed uint64) ([]fireRec, Time, int) {
+// returns its dispatch trace, final clock, and pending count. Callbacks
+// create at most maxEvents events. With windows = 0 one RunUntil covers
+// the whole run. Otherwise the run first advances
+// through that many RunUntil(now+d) windows, with Schedule/After/At/Stop/
+// Reset calls made between windows, outside any callback, before the final
+// RunUntil drains it.
+func runProgram(eng tengine, seed uint64, maxEvents, windows int) progResult {
 	rng := NewRNG(seed)
-	var trace []fireRec
+	var res progResult
 	var handles []thandle
 	created := 0
+	verify := func(where string) {
+		if res.err != nil {
+			return
+		}
+		if err := eng.check(); err != nil {
+			res.err = fmt.Errorf("%s, %d fires, clock %v: %w", where, len(res.trace), eng.now(), err)
+		}
+	}
 
 	var makeEvent func() func()
 	makeEvent = func() func() {
 		id := created
 		created++
 		return func() {
-			trace = append(trace, fireRec{id: id, at: eng.now()})
-			if len(trace) >= diffMaxFires {
+			res.trace = append(res.trace, fireRec{id: id, at: eng.now()})
+			if len(res.trace) >= diffMaxFires {
 				// Cut every periodic timer loose so the run terminates.
 				for _, h := range handles {
 					h.stop()
@@ -238,7 +343,7 @@ func runProgram(eng tengine, seed uint64) ([]fireRec, Time, int) {
 			n := rng.Intn(4)
 			for i := 0; i < n; i++ {
 				op := rng.Intn(10)
-				if op <= 7 && created >= diffMaxEvents {
+				if op <= 7 && created >= maxEvents {
 					continue
 				}
 				switch op {
@@ -265,6 +370,7 @@ func runProgram(eng tengine, seed uint64) ([]fireRec, Time, int) {
 						handles[rng.Intn(len(handles))].reset(randDelay(rng))
 					}
 				}
+				verify("in callback")
 			}
 		}
 	}
@@ -272,37 +378,87 @@ func runProgram(eng tengine, seed uint64) ([]fireRec, Time, int) {
 	for i := 0; i < diffInitial; i++ {
 		eng.schedule(randDelay(rng), makeEvent())
 	}
-	eng.runUntil(diffHorizon)
-	return trace, eng.now(), eng.pending()
+	for w := 0; w < windows; w++ {
+		for n := rng.Intn(3); n > 0; n-- {
+			switch rng.Intn(5) {
+			case 0:
+				eng.schedule(windowDelay(rng), makeEvent())
+			case 1:
+				handles = append(handles, eng.after(windowDelay(rng), makeEvent()))
+			case 2: // at or before the clock: clamps to now
+				eng.at(eng.now()-Time(rng.Intn(1000)), makeEvent())
+			case 3:
+				if len(handles) > 0 {
+					handles[rng.Intn(len(handles))].stop()
+				}
+			case 4:
+				if len(handles) > 0 {
+					handles[rng.Intn(len(handles))].reset(windowDelay(rng))
+				}
+			}
+			verify("between windows")
+		}
+		_ = eng.runUntil(eng.now() + windowDelay(rng))
+		verify("after window")
+	}
+	_ = eng.runUntil(diffHorizon)
+	verify("after final run")
+	res.now, res.pending = eng.now(), eng.pending()
+	return res
+}
+
+// compareRuns fails t at the first difference between the wheel's and the
+// reference's results for one program.
+func compareRuns(t *testing.T, label string, w, r progResult) {
+	t.Helper()
+	if w.err != nil {
+		t.Fatalf("%s: wheel self-check: %v", label, w.err)
+	}
+	min := len(w.trace)
+	if len(r.trace) < min {
+		min = len(r.trace)
+	}
+	for i := 0; i < min; i++ {
+		if w.trace[i] != r.trace[i] {
+			t.Fatalf("%s: dispatch %d diverges: wheel fired event %d at %v, heap fired event %d at %v",
+				label, i, w.trace[i].id, w.trace[i].at, r.trace[i].id, r.trace[i].at)
+		}
+	}
+	if len(w.trace) != len(r.trace) {
+		t.Fatalf("%s: wheel fired %d events, heap fired %d (identical first %d)",
+			label, len(w.trace), len(r.trace), min)
+	}
+	if w.now != r.now {
+		t.Fatalf("%s: final clocks diverge: wheel %v, heap %v", label, w.now, r.now)
+	}
+	if w.pending != r.pending {
+		t.Fatalf("%s: pending counts diverge: wheel %d, heap %d", label, w.pending, r.pending)
+	}
+	if len(w.trace) == 0 {
+		t.Fatalf("%s: program fired no events", label)
+	}
 }
 
 func TestWheelHeapDifferential(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 3, 0xdecafbad, 42424242} {
-		wTrace, wNow, wPend := runProgram(wheelEngine{NewEngine()}, seed)
-		rTrace, rNow, rPend := runProgram(&refEngine{}, seed)
-		min := len(wTrace)
-		if len(rTrace) < min {
-			min = len(rTrace)
-		}
-		for i := 0; i < min; i++ {
-			if wTrace[i] != rTrace[i] {
-				t.Fatalf("seed %d: dispatch %d diverges: wheel fired event %d at %v, heap fired event %d at %v",
-					seed, i, wTrace[i].id, wTrace[i].at, rTrace[i].id, rTrace[i].at)
-			}
-		}
-		if len(wTrace) != len(rTrace) {
-			t.Fatalf("seed %d: wheel fired %d events, heap fired %d (identical first %d)",
-				seed, len(wTrace), len(rTrace), min)
-		}
-		if wNow != rNow {
-			t.Fatalf("seed %d: final clocks diverge: wheel %v, heap %v", seed, wNow, rNow)
-		}
-		if wPend != rPend {
-			t.Fatalf("seed %d: pending counts diverge: wheel %d, heap %d", seed, wPend, rPend)
-		}
-		if len(wTrace) == 0 {
-			t.Fatalf("seed %d: program fired no events", seed)
-		}
+		w := runProgram(wheelEngine{NewEngine()}, seed, diffMaxEvents, 0)
+		r := runProgram(&refEngine{}, seed, diffMaxEvents, 0)
+		compareRuns(t, fmt.Sprintf("seed %d", seed), w, r)
+	}
+}
+
+// The windowed variant exercises what a single RunUntil never does: the
+// bounded fill stopping at a window boundary (zero, sub-tick, level-0 and
+// level 1-2 windows), and inserts, stops and resets made from outside any
+// callback while the cursor sits wherever that fill left it. Fewer
+// callback-created events keep the self-check, which walks every pending
+// entry after each operation, affordable over 40 seeds.
+func TestWheelHeapDifferentialWindowed(t *testing.T) {
+	const seeds, maxEvents, windows = 40, 600, 3000
+	for seed := uint64(1); seed <= seeds; seed++ {
+		w := runProgram(wheelEngine{NewEngine()}, seed, maxEvents, windows)
+		r := runProgram(&refEngine{}, seed, maxEvents, windows)
+		compareRuns(t, fmt.Sprintf("seed %d", seed), w, r)
 	}
 }
 
@@ -313,10 +469,10 @@ func TestWheelHeapDifferential(t *testing.T) {
 func TestWheelDifferentialUnderProfiling(t *testing.T) {
 	eng := NewEngine()
 	eng.EnableProfiling()
-	pTrace, pNow, _ := runProgram(wheelEngine{eng}, 7)
-	plain, plainNow, _ := runProgram(wheelEngine{NewEngine()}, 7)
-	if len(pTrace) != len(plain) || pNow != plainNow {
-		t.Fatalf("profiling perturbed the run: %d/%v vs %d/%v", len(pTrace), pNow, len(plain), plainNow)
+	p := runProgram(wheelEngine{eng}, 7, diffMaxEvents, 0)
+	plain := runProgram(wheelEngine{NewEngine()}, 7, diffMaxEvents, 0)
+	if len(p.trace) != len(plain.trace) || p.now != plain.now {
+		t.Fatalf("profiling perturbed the run: %d/%v vs %d/%v", len(p.trace), p.now, len(plain.trace), plain.now)
 	}
 	prof := eng.Profile()
 	if prof.Cascades == 0 {

@@ -9,10 +9,13 @@
 //
 // The queue is a hierarchical timer wheel with an overflow tier and pooled
 // event objects (wheel.go), so the steady-state hot path allocates nothing
-// and insert/cancel are O(1). On top of the raw Schedule/At callbacks,
-// timer.go provides first-class cancellable and periodic timers
-// (After/AtTimer/Every/EveryAt returning a Timer handle) that replace the
-// hand-rolled closure-captured cancellation flags the models used to carry.
+// and insert/cancel are O(1). Step and RunUntil share one dispatch path:
+// a fill bounded by the run's end time finds the next event, and that
+// entry is the one dispatched, with no separate look-ahead scan. On top
+// of the raw Schedule/At callbacks, timer.go provides first-class
+// cancellable and periodic timers (After/AtTimer/Every/EveryAt returning
+// a Timer handle) that replace the hand-rolled closure-captured
+// cancellation flags the models used to carry.
 package sim
 
 import (
@@ -175,13 +178,23 @@ func (e *Engine) arm(tm *timer, t Time) {
 	}
 }
 
+// maxTime is the latest representable time: Step's fill limit.
+const maxTime = Time(1<<63 - 1)
+
 // Step executes the single earliest event. It reports false when the queue
 // is empty.
 func (e *Engine) Step() bool {
-	tm := e.wheel.popMin()
+	tm := e.wheel.head(maxTime)
 	if tm == nil {
 		return false
 	}
+	e.wheel.take()
+	e.dispatch(tm)
+	return true
+}
+
+// dispatch runs one event the wheel has just handed out.
+func (e *Engine) dispatch(tm *timer) {
 	if e.prof != nil {
 		e.prof.Events++
 	}
@@ -202,7 +215,6 @@ func (e *Engine) Step() bool {
 	} else if tm.state == tmDead {
 		e.wheel.recycle(tm)
 	}
-	return true
 }
 
 // SetBudget arms the watchdog: subsequent Run/RunUntil/RunFor calls return
@@ -248,19 +260,22 @@ func (e *Engine) Run() error {
 // leaves the clock at the last dispatched event instead of advancing it to
 // t: the simulation was interrupted mid-window, and jumping the clock
 // forward would silently skip the rest of the window. It returns a non-nil
-// error only when a SetBudget watchdog limit is exceeded (that exit also
-// leaves the clock where the last event put it).
+// error only when a SetBudget watchdog limit is exceeded while a live event
+// <= t is pending (that exit also leaves the clock where the last event put
+// it). Each iteration is one fill bounded by t: the event it finds is the
+// one dispatched.
 func (e *Engine) RunUntil(t Time) error {
 	e.stopped = false
 	for !e.stopped {
-		at, ok := e.wheel.peek()
-		if !ok || at > t {
+		tm := e.wheel.head(t)
+		if tm == nil {
 			break
 		}
 		if err := e.checkBudget(); err != nil {
 			return err
 		}
-		e.Step()
+		e.wheel.take()
+		e.dispatch(tm)
 	}
 	if !e.stopped && e.now < t {
 		e.now = t

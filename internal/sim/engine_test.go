@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -329,5 +330,112 @@ func TestProfilingReenableResets(t *testing.T) {
 	e.EnableProfiling()
 	if p := e.Profile(); p.Events != 0 || p.Inserts != 0 {
 		t.Fatalf("re-enable did not reset: %+v", p)
+	}
+}
+
+// A watchdog trip returns from RunUntil with the next event found but not
+// dispatched, so the wheel's cursor may sit up to that event's tick ahead
+// of the clock. An event scheduled in between must still dispatch in
+// (time, seq) order: it goes into the dispatch buffer, ahead of the
+// tripped head, instead of behind the cursor.
+func TestRunUntilBudgetTripThenInsertBelowCursor(t *testing.T) {
+	e := NewEngine()
+	var fires []Time
+	rec := func() { fires = append(fires, e.Now()) }
+	e.At(100, rec)
+	e.At(5*Microsecond, rec)
+	e.SetBudget(1)
+	if err := e.RunUntil(10 * Microsecond); err == nil {
+		t.Fatal("RunUntil with a spent budget and an event pending returned nil")
+	}
+	if e.Now() != 100 {
+		t.Fatalf("clock at %v after the trip, want 100", e.Now())
+	}
+	if err := e.wheel.check(e.Now()); err != nil {
+		t.Fatal(err)
+	}
+	e.At(200, rec)
+	if err := e.wheel.check(e.Now()); err != nil {
+		t.Fatal(err)
+	}
+	e.SetBudget(0)
+	if err := e.RunUntil(10 * Microsecond); err != nil {
+		t.Fatal(err)
+	}
+	want := []Time{100, 200, 5000}
+	if fmt.Sprint(fires) != fmt.Sprint(want) {
+		t.Fatalf("dispatch times = %v, want %v", fires, want)
+	}
+	if e.Now() != 10*Microsecond {
+		t.Fatalf("clock at %v, want 10us", e.Now())
+	}
+}
+
+// The tripped head can also be cancelled, and a shorter RunUntil can then
+// empty the buffer and stop short of the cursor. Inserts between the clock
+// and the cursor must still reach the buffer (every tick at or below the
+// buffer's tick does, not only while the buffer holds entries), or they
+// would sit behind the cursor and dispatch a rotation late.
+func TestRunUntilBudgetTripThenCancelHead(t *testing.T) {
+	e := NewEngine()
+	var fires []Time
+	rec := func() { fires = append(fires, e.Now()) }
+	e.At(100, rec)
+	head := e.AtTimer(5*Microsecond, func() { t.Error("cancelled timer fired") })
+	e.At(50*Microsecond, rec)
+	e.SetBudget(1)
+	if err := e.RunUntil(10 * Microsecond); err == nil {
+		t.Fatal("RunUntil with a spent budget and an event pending returned nil")
+	}
+	head.Stop()
+	e.SetBudget(0)
+	if err := e.RunUntil(1100); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.wheel.check(e.Now()); err != nil {
+		t.Fatal(err)
+	}
+	e.At(2000, rec)
+	if err := e.RunUntil(2100); err != nil {
+		t.Fatal(err)
+	}
+	if len(fires) != 2 {
+		t.Fatalf("RunUntil(2100) dispatched %v, want [100 2000]", fires)
+	}
+	if err := e.RunUntil(100 * Microsecond); err != nil {
+		t.Fatal(err)
+	}
+	want := []Time{100, 2000, 50000}
+	if fmt.Sprint(fires) != fmt.Sprint(want) {
+		t.Fatalf("dispatch times = %v, want %v", fires, want)
+	}
+}
+
+// RunUntil reports a spent budget only while a live event <= t is pending:
+// an empty window, or one whose only events lie after t or were cancelled,
+// returns nil and advances the clock.
+func TestRunUntilBudgetOnlyWithEventDue(t *testing.T) {
+	e := NewEngine()
+	e.At(100, func() {})
+	e.SetBudget(1)
+	if err := e.RunUntil(100); err != nil {
+		t.Fatalf("the one budgeted event tripped: %v", err)
+	}
+	if err := e.RunUntil(1000); err != nil {
+		t.Fatalf("empty window with a spent budget tripped: %v", err)
+	}
+	e.At(5000, func() {})
+	e.AtTimer(2000, func() {}).Stop()
+	if err := e.RunUntil(3000); err != nil {
+		t.Fatalf("window holding only a cancelled and a later event tripped: %v", err)
+	}
+	if e.Now() != 3000 {
+		t.Fatalf("clock at %v, want 3000", e.Now())
+	}
+	if err := e.RunUntil(6000); err == nil {
+		t.Fatal("window with a live event due did not trip")
+	}
+	if e.Now() != 3000 {
+		t.Fatalf("clock at %v after the trip, want 3000", e.Now())
 	}
 }

@@ -1,0 +1,249 @@
+package sim
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+)
+
+// FuzzWheelVsHeap decodes a byte stream into engine operations — At,
+// Schedule, After, Every, Stop, Reset, Run, RunUntil and SetBudget, plus
+// events that on firing schedule a child, halt the run or stop a timer —
+// and runs the same operations on the wheel engine and on refEngine. After
+// every operation the clocks, pending counts and watchdog errors must
+// agree and the wheel must pass its self-check; at the end the dispatch
+// traces must be identical.
+//
+//	go test -fuzz FuzzWheelVsHeap -fuzztime 10s ./internal/sim
+//
+// Encoding: an opcode byte (mod 9), then its operands. A delay is two
+// bytes a, b: class a%8 picks zero, sub-tick, level 0, levels 1-2, mid
+// levels, beyond the horizon, negative (a clamp), or tick-aligned, and
+// v = (a>>3)<<8 | b scales within the class (see fuzzDelay). An event is a
+// delay followed by a kind byte (mod 4): plain; spawn, which reads a
+// further delay and re-schedules itself that far ahead on every fire;
+// halt, which calls Stop on the engine; or stop, which reads a handle
+// index and stops that timer when it fires.
+//
+//	0 At(now+delay, event)    1 Schedule(delay, event)
+//	2 After(delay, event)     3 Every(max(delay, 1), event)
+//	4 Stop(handle i)          5 Reset(handle i, delay)
+//	6 Run()                   7 RunUntil(now+delay)
+//	8 SetBudget(n mod 16)
+func FuzzWheelVsHeap(f *testing.F) {
+	// Cancel-only drain through a cascade: After(1<<20).Stop(); Run();
+	// then two events that straddle the cancelled slot must dispatch in
+	// time order.
+	f.Add([]byte{
+		2, 3, 128, 0, // After(1048576)
+		4, 0, // Stop(handle 0)
+		6,             // Run()
+		1, 15, 153, 0, // Schedule(104704)
+		1, 135, 7, 0, // Schedule(1050368)
+		6, // Run()
+	})
+	// Budget trip: events at 100 ns and 5 us, SetBudget(1), RunUntil(10us)
+	// trips at 100; At(200) lands below the cursor; the rerun must
+	// dispatch 100, 200, 5000.
+	f.Add([]byte{
+		0, 1, 100, 0, // At(100)
+		0, 74, 196, 0, // At(5000)
+		8, 1, // SetBudget(1)
+		7, 154, 136, // RunUntil(10000)
+		0, 1, 100, 0, // At(200)
+		8, 0, // SetBudget(0)
+		7, 154, 136, // RunUntil(10100)
+	})
+	// Budget trip whose head is then cancelled: a shorter RunUntil empties
+	// the buffer short of the cursor, and At(2000) must still dispatch.
+	f.Add([]byte{
+		0, 1, 100, 0, // At(100)
+		2, 74, 196, 0, // After(5000)
+		8, 1, // SetBudget(1)
+		7, 154, 136, // RunUntil(10000)
+		4, 0, // Stop(handle 0)
+		8, 0, // SetBudget(0)
+		7, 10, 244, // RunUntil(now+1000)
+		0, 10, 194, 0, // At(now+900)
+		7, 10, 244, // RunUntil(now+1000)
+		6, // Run()
+	})
+	// A same-tick spawn chain and a halting event inside a periodic mix.
+	f.Add([]byte{
+		1, 0, 0, 1, 1, 3, // Schedule(0, spawn every 3 ns)
+		3, 2, 40, 0, // Every(80)
+		1, 2, 200, 2, // Schedule(400, halt)
+		7, 2, 255, // RunUntil(now+510)
+		6, // Run()
+	})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		w := runFuzzOps(wheelEngine{NewEngine()}, data)
+		r := runFuzzOps(&refEngine{}, data)
+		if w.err != nil {
+			t.Fatalf("wheel self-check: %v", w.err)
+		}
+		for i := 0; i < len(w.steps) && i < len(r.steps); i++ {
+			if w.steps[i] != r.steps[i] {
+				t.Fatalf("op %d: wheel %+v, heap %+v", i, w.steps[i], r.steps[i])
+			}
+		}
+		if !slices.Equal(w.trace, r.trace) {
+			t.Fatalf("dispatch traces differ:\nwheel %v\nheap  %v", w.trace, r.trace)
+		}
+	})
+}
+
+const (
+	fuzzMaxOps   = 512
+	fuzzMaxFires = 4096
+)
+
+// fuzzStep is what the engine showed after one operation.
+type fuzzStep struct {
+	op      byte
+	now     Time
+	pending int
+	fires   int
+	tripped bool
+}
+
+type fuzzResult struct {
+	steps []fuzzStep
+	trace []fireRec
+	err   error // first self-check failure
+}
+
+// fuzzBytes reads the operation stream; past its end it reads zeros.
+type fuzzBytes struct {
+	b []byte
+	i int
+}
+
+func (s *fuzzBytes) next() byte {
+	if s.i >= len(s.b) {
+		return 0
+	}
+	c := s.b[s.i]
+	s.i++
+	return c
+}
+
+// fuzzDelay decodes a two-byte delay (see FuzzWheelVsHeap).
+func fuzzDelay(s *fuzzBytes) Time {
+	a, b := s.next(), s.next()
+	v := Time(a>>3)<<8 | Time(b)
+	switch a % 8 {
+	case 0:
+		return 0
+	case 1:
+		return v % (1 << tickBits) // sub-tick
+	case 2:
+		return 2 * v // level 0
+	case 3:
+		return v << 13 // levels 1-2
+	case 4:
+		return v << 36 // mid and top levels
+	case 5:
+		return Time(1)<<50 + v<<37 // beyond the horizon
+	case 6:
+		return -(v % 1000) // clamps to now
+	default:
+		return v << tickBits // tick-aligned
+	}
+}
+
+// runFuzzOps decodes data and runs it on eng. The decoding never depends
+// on the engine, so both engines see the same operations.
+func runFuzzOps(eng tengine, data []byte) fuzzResult {
+	s := &fuzzBytes{b: data}
+	var res fuzzResult
+	var handles []thandle
+	verify := func() {
+		if res.err == nil {
+			if err := eng.check(); err != nil {
+				res.err = fmt.Errorf("op %d, %d fires, clock %v: %w", len(res.steps), len(res.trace), eng.now(), err)
+			}
+		}
+	}
+	created := 0
+	// event decodes a kind byte (and its operands) into a callback.
+	var event func() func()
+	event = func() func() {
+		id := created
+		created++
+		var fire func()
+		switch s.next() % 4 {
+		case 0:
+			fire = func() {}
+		case 1:
+			d := fuzzDelay(s)
+			fire = func() {
+				if len(res.trace) < fuzzMaxFires {
+					eng.schedule(d, func() { res.trace = append(res.trace, fireRec{id: id, at: eng.now()}); fire() })
+				}
+			}
+		case 2:
+			fire = eng.halt
+		case 3:
+			i := int(s.next())
+			fire = func() {
+				if len(handles) > 0 {
+					handles[i%len(handles)].stop()
+				}
+			}
+		}
+		return func() {
+			res.trace = append(res.trace, fireRec{id: id, at: eng.now()})
+			if len(res.trace) >= fuzzMaxFires {
+				// Cut every periodic timer loose so Run terminates.
+				for _, h := range handles {
+					h.stop()
+				}
+				return
+			}
+			fire()
+			verify()
+		}
+	}
+	for s.i < len(s.b) && len(res.steps) < fuzzMaxOps {
+		op := s.next() % 9
+		var err error
+		switch op {
+		case 0:
+			d := fuzzDelay(s)
+			eng.at(eng.now()+d, event())
+		case 1:
+			d := fuzzDelay(s)
+			eng.schedule(d, event())
+		case 2:
+			d := fuzzDelay(s)
+			handles = append(handles, eng.after(d, event()))
+		case 3:
+			d := fuzzDelay(s)
+			if d < 1 {
+				d = 1
+			}
+			handles = append(handles, eng.every(d, event()))
+		case 4:
+			i := int(s.next())
+			if len(handles) > 0 {
+				handles[i%len(handles)].stop()
+			}
+		case 5:
+			i := int(s.next())
+			d := fuzzDelay(s)
+			if len(handles) > 0 {
+				handles[i%len(handles)].reset(d)
+			}
+		case 6:
+			err = eng.run()
+		case 7:
+			err = eng.runUntil(eng.now() + fuzzDelay(s))
+		case 8:
+			eng.setBudget(uint64(s.next() % 16))
+		}
+		verify()
+		res.steps = append(res.steps, fuzzStep{op: op, now: eng.now(), pending: eng.pending(), fires: len(res.trace), tripped: err != nil})
+	}
+	return res
+}

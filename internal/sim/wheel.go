@@ -20,10 +20,20 @@ import (
 // slot by the time that tick is next to run (anything earlier has been
 // cascaded down), and extraction sorts them by (at, seq), so same-time
 // ties fire in scheduling order no matter how they arrived — direct
-// insert, cascade, or overflow promotion. An insert landing inside the
-// tick currently being dispatched goes into the live dispatch buffer at
-// its sorted position; its fresh sequence number puts it after every
-// same-time entry already there.
+// insert, cascade, or overflow promotion.
+//
+// Dispatch is head then take: head(limit) fills the buffer with the next
+// tick, never moving the cursor past limit, and returns its first live
+// entry if that is at or before limit; take consumes it. RunUntil(t)
+// therefore finds and dispatches the next event with one bounded fill and
+// no separate look-ahead. Every wheel and overflow entry is at a tick after
+// bufTick, the tick the buffer was last filled for, and an insert at or
+// below bufTick goes into the buffer at its sorted position instead; its
+// fresh sequence number puts it after every same-time entry already there.
+// The cursor is at or below the engine clock except while its tick is
+// bufTick: a watchdog trip returns with the buffer's head undispatched and
+// the cursor up to that head's tick ahead of the clock, and inserts in
+// between land in the buffer, ahead of everything in the wheel.
 const (
 	tickBits    = 8 // 256 ns per level-0 tick
 	levelBits   = 6
@@ -67,14 +77,14 @@ func (a *timer) before(b *timer) bool {
 
 // wheel is the engine's event queue. The zero value is ready to use.
 type wheel struct {
-	cur     Time                // dispatch cursor; advances only while dispatching
+	cur     Time                // dispatch cursor; advances only in fillBuf, never past its limit
 	occ     [wheelLevels]uint64 // per-level slot occupancy bitmaps
 	levels  uint8               // bitmask of levels with any occupied slot
 	slots   [wheelLevels][wheelSlots]*timer
 	over    []*timer // overflow min-heap by (at, seq)
 	buf     []*timer // dispatch buffer for bufTick, (at, seq)-sorted
 	bufi    int      // next index into buf
-	bufTick int64    // tick the buffer was extracted for
+	bufTick int64    // tick the buffer was last filled for; no wheel or overflow entry is at or below it
 	free    *timer   // pool free list
 	pending int      // live entries not yet dispatched
 
@@ -117,22 +127,30 @@ func levelOf(delta int64) int {
 	return (bits.Len64(uint64(delta)) - 1) / levelBits
 }
 
-// insert links a live entry into the wheel, the overflow tier, or — when
-// its tick is the one currently being dispatched — the live buffer.
-// tm.at must be >= the engine clock (which is >= w.cur).
+// insert links a live entry into the dispatch buffer when its tick is at
+// or below bufTick, and otherwise into the wheel or the overflow tier.
+// tm.at must be >= the engine clock. A tick below bufTick occurs only after
+// a watchdog trip left the cursor ahead of the clock; such an entry still
+// precedes everything in the wheel, so its sorted buffer position is its
+// dispatch position.
 func (w *wheel) insert(tm *timer) {
 	w.pending++
-	if w.bufi < len(w.buf) && tickOf(tm.at) == w.bufTick {
+	if tickOf(tm.at) <= w.bufTick {
 		w.bufInsert(tm)
 		return
 	}
 	w.place(tm)
 }
 
-// bufInsert splices a same-tick entry into the pending part of the
-// dispatch buffer at its (at, seq) position. Its seq is the largest
-// assigned so far, so it only has to move past later-timestamp entries.
+// bufInsert splices an entry into the pending part of the dispatch buffer
+// at its (at, seq) position. Its seq is the largest assigned so far, so it
+// only has to move past later-timestamp entries. A consumed buffer is
+// rewound first, so a same-tick chain reuses the buffer's front instead of
+// growing it.
 func (w *wheel) bufInsert(tm *timer) {
+	if w.bufi == len(w.buf) {
+		w.buf, w.bufi = w.buf[:0], 0
+	}
 	tm.state = tmBuffered
 	w.buf = append(w.buf, tm)
 	i := len(w.buf) - 1
@@ -217,19 +235,21 @@ func (w *wheel) cascade(lvl int, base Time) {
 	}
 }
 
-// fillBuf locates the earliest pending tick, advances the cursor to it,
-// and extracts its live entries into the dispatch buffer in (at, seq)
-// order. It reports false when nothing is pending. fillBuf restructures
-// the wheel, so it must only run on the dispatch path (the cursor may
-// pass the engine clock transiently; dispatching the found tick realigns
-// them before any callback observes it). When the scan instead drains the
-// wheel — every remaining slot held only cancelled entries — no dispatch
-// will realign clock and cursor, so the cursor is restored to its entry
-// value: leaving it ahead of the clock would put later inserts (clock <=
-// t < cursor) at a negative tick delta, behind the cursor, where the
-// rotated occupancy scan reads them as nearly a full rotation in the
-// future and dispatch order breaks.
-func (w *wheel) fillBuf() bool {
+// fillBuf locates the earliest pending tick at or before limit, advances
+// the cursor to it, and extracts its live entries into the dispatch buffer
+// in (at, seq) order. It reports false when no entry's tick starts at or
+// before limit. The fill is bounded: it cascades no slot whose base is
+// after limit, extracts no tick that starts after limit, and never jumps
+// to an overflow minimum after limit, so the cursor never passes limit. A
+// false return therefore leaves the cursor at or below limit, where
+// RunUntil's clock advance meets it. When the scan instead drains the
+// wheel — every remaining slot held only cancelled entries — the cursor is
+// restored to its entry value: no dispatch or clock advance may follow
+// (Run, Step), and a cursor left ahead of the clock would put later
+// inserts (clock <= t < cursor) at a negative tick delta, behind the
+// cursor, where the rotated occupancy scan reads them as nearly a full
+// rotation in the future and dispatch order breaks.
+func (w *wheel) fillBuf(limit Time) bool {
 	cur0 := w.cur
 	for {
 		// Promote overflow entries the horizon has reached. When the
@@ -245,6 +265,9 @@ func (w *wheel) fillBuf() bool {
 			if levelOf(tickOf(tm.at)-tickOf(w.cur)) >= wheelLevels {
 				if w.levels != 0 {
 					break // wheel entries all precede the overflow tier
+				}
+				if tm.at > limit {
+					return false
 				}
 				w.cur = tm.at
 			}
@@ -270,6 +293,9 @@ func (w *wheel) fillBuf() bool {
 			}
 		}
 		if haveHigher && (!c0ok || minBase <= c0) {
+			if minBase > limit {
+				return false
+			}
 			// Higher slots at or before the level-0 candidate may hold
 			// earlier entries; bring them down first so ties dispatch in
 			// seq order. Every level whose slot starts at minBase must
@@ -291,6 +317,9 @@ func (w *wheel) fillBuf() bool {
 				return false
 			}
 			continue // overflow only: next pass promotes it
+		}
+		if c0 > limit {
+			return false
 		}
 
 		// Extract the level-0 slot: every pending entry of that tick.
@@ -341,121 +370,36 @@ func (w *wheel) sortBuf() {
 	}
 }
 
-// popMin removes and returns the earliest live entry, or nil when none is
-// pending. The returned entry is unlinked and no longer counted pending.
-func (w *wheel) popMin() *timer {
+// head returns the earliest live pending entry if it is at or before
+// limit, without consuming it, and nil otherwise. It reclaims cancelled
+// entries at the front of the buffer and refills the buffer, bounded by
+// limit, once it runs dry. The entry stays pending until take consumes it.
+func (w *wheel) head(limit Time) *timer {
 	for {
 		for w.bufi < len(w.buf) {
 			tm := w.buf[w.bufi]
-			w.bufi++
-			if tm.state == tmDead {
-				w.recycle(tm)
-				continue
+			if tm.state != tmDead {
+				if tm.at > limit {
+					return nil
+				}
+				return tm
 			}
-			w.pending--
-			return tm
+			w.bufi++
+			w.recycle(tm)
 		}
 		w.buf = w.buf[:0]
 		w.bufi = 0
-		if !w.fillBuf() {
+		if !w.fillBuf(limit) {
 			return nil
 		}
 	}
 }
 
-// peek returns the earliest live pending time without restructuring the
-// wheel: no cascade, no promotion, so the cursor never outruns the engine
-// clock on a peek that is not followed by a dispatch (the budget-trip and
-// stopped-run exits depend on that). Dead entries encountered on the way
-// are pruned, which is invisible to live ordering.
-func (w *wheel) peek() (Time, bool) {
-	for w.bufi < len(w.buf) {
-		tm := w.buf[w.bufi]
-		if tm.state != tmDead {
-			return tm.at, true
-		}
-		w.recycle(tm)
-		w.bufi++
-	}
-	best, found := Time(0), false
-	for mask := w.levels; mask != 0; mask &= mask - 1 {
-		lvl := bits.TrailingZeros8(mask)
-		if at, ok := w.peekLevel(lvl); ok && (!found || at < best) {
-			best, found = at, true
-		}
-	}
-	for len(w.over) > 0 {
-		tm := w.over[0]
-		if tm.state != tmDead {
-			if !found || tm.at < best {
-				best, found = tm.at, true
-			}
-			break
-		}
-		w.overPop()
-		w.recycle(tm)
-	}
-	return best, found
-}
-
-// peekLevel returns the earliest live entry time at one level by scanning
-// occupied slots in time order; slots further along hold strictly later
-// entries, so the first live hit wins. Chains are pruned of dead entries
-// as they are scanned. At levels above 0 the cursor's own slot means the
-// next rotation (grouped cascading keeps live current-span entries out of
-// it), so it is visited last.
-func (w *wheel) peekLevel(lvl int) (Time, bool) {
-	if w.occ[lvl] == 0 {
-		return 0, false
-	}
-	shift := uint(tickBits + levelBits*lvl)
-	curIdx := int(uint64(w.cur)>>shift) & slotMask
-	first, last := 0, wheelSlots-1
-	if lvl > 0 {
-		first, last = 1, wheelSlots
-	}
-	for d := first; d <= last; d++ {
-		idx := (curIdx + d) & slotMask
-		if w.occ[lvl]&(1<<idx) == 0 {
-			continue
-		}
-		if at, ok := w.pruneScan(lvl, idx); ok {
-			return at, true
-		}
-	}
-	return 0, false
-}
-
-// pruneScan drops dead entries from one slot chain and returns the
-// earliest live time in it.
-func (w *wheel) pruneScan(lvl, idx int) (Time, bool) {
-	var prev *timer
-	tm := w.slots[lvl][idx]
-	best, found := Time(0), false
-	for tm != nil {
-		next := tm.next
-		if tm.state == tmDead {
-			if prev == nil {
-				w.slots[lvl][idx] = next
-			} else {
-				prev.next = next
-			}
-			w.recycle(tm)
-		} else {
-			if !found || tm.at < best {
-				best, found = tm.at, true
-			}
-			prev = tm
-		}
-		tm = next
-	}
-	if w.slots[lvl][idx] == nil {
-		w.occ[lvl] &^= 1 << idx
-		if w.occ[lvl] == 0 {
-			w.levels &^= 1 << lvl
-		}
-	}
-	return best, found
+// take consumes the entry the last head call returned: it leaves the
+// buffer and stops counting as pending.
+func (w *wheel) take() {
+	w.bufi++
+	w.pending--
 }
 
 // overflow heap: a plain slice min-heap ordered by (at, seq), kept free of
