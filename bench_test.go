@@ -395,6 +395,12 @@ func BenchmarkEngineHotPath(b *testing.B) {
 			r -= m.weight
 		}
 	}
+	// Count allocations the way testing.AllocsPerRun does: with one P,
+	// the runtime starts no new Ms or goroutines (runtime.malg/allocm)
+	// during the counted loop, so MemStats.Mallocs sees only the
+	// engine's. The loop is single-threaded either way, and the record's
+	// gomaxprocs is the 1 it ran at.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	eng := sim.NewEngine()
 	var n, target, next int
 	for i := 0; i < engineTimers; i++ {

@@ -92,6 +92,14 @@ type Metrics struct {
 // NewMetrics returns a metric collector labelled with the device name.
 func NewMetrics(name string) *Metrics { return &Metrics{name: name} }
 
+// errSpanName is the trace span name of a failed request.
+func errSpanName(op trace.Op) string {
+	if op == trace.OpRead {
+		return "read!err"
+	}
+	return "write!err"
+}
+
 // Observe records one completed request. Failed requests (r.Err != nil)
 // count as errors only: their latency describes time-to-failure, not
 // service, so it is excluded from the latency statistics the management
@@ -100,7 +108,7 @@ func (m *Metrics) Observe(r *trace.IORequest) {
 	if r.Err != nil {
 		m.TotalErrors++
 		if m.tr != nil {
-			m.tr.Complete(m.track, r.Op.String()+"!err", "io", r.Issue, r.Complete,
+			m.tr.Complete(m.track, errSpanName(r.Op), "io", r.Issue, r.Complete,
 				telemetry.U("req", r.ID), telemetry.I("vmdk", int64(r.VMDK)),
 				telemetry.I("size", r.Size), telemetry.S("err", r.Err.Error()))
 		}

@@ -232,6 +232,9 @@ func scanBody(p *Package, n *funcNode, body ast.Node) {
 		if !ok {
 			return true
 		}
+		// A method of an instantiated generic type is a distinct object;
+		// the graph's node is its generic origin.
+		fn = fn.Origin()
 		handled[sel.Sel] = true
 		if iface, ok := s.Recv().Underlying().(*types.Interface); ok && s.Kind() == types.MethodVal {
 			n.iface = append(n.iface, ifaceSite{iface: iface, mobj: fn, pos: sel.Sel.Pos()})

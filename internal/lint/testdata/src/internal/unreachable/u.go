@@ -2,7 +2,8 @@
 // calls Entry; from there the graph reaches a CHA-dispatched method and a
 // function taken as a value. A registry var, the stdlib's sort.Interface
 // and fmt.Stringer, and a suppression keep three more functions clean.
-// A dead function, a dead method and a function only a test calls are
+// A method of a generic type is reached through its instantiation. A
+// dead function, two dead methods and a function only a test calls are
 // the findings.
 package unreachable
 
@@ -30,6 +31,8 @@ func (s square) perimeter() int { return 4 * s.side }
 func Entry(s shape, names []string) int {
 	sort.Sort(byLen(names))
 	apply := double // taken as a value: double is reached
+	var st stack[int]
+	st.push(len(names))
 	return apply(s.area())
 }
 
@@ -65,3 +68,13 @@ func onlyTested() int { return 1 }
 //
 //lint:ignore unreachable fixture: u_test.go TestSeam needs it
 func seam() int { return 2 }
+
+// stack is generic: Entry calls push on stack[int], whose method object
+// differs from the generic one the graph holds.
+type stack[T any] struct{ items []T }
+
+// push is reached from Entry through the instantiation: clean.
+func (s *stack[T]) push(v T) { s.items = append(s.items, v) }
+
+// pop is never called: a finding.
+func (s *stack[T]) pop() T { return s.items[len(s.items)-1] }

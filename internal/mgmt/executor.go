@@ -50,7 +50,7 @@ func (m *Manager) migrationAborted(mig *Migration) {
 		Src: mig.src.Dev.Name(), Dst: mig.dst.Dev.Name(),
 		Detail: fmt.Sprintf("unwind complete in %v; VMDK consistent on source", mig.finishedAt-mig.startedAt)})
 	if m.tr != nil {
-		m.tr.Complete(m.track+".mig", fmt.Sprintf("vmdk%d!abort", mig.v.ID), "migration",
+		m.tr.Complete(m.migTrack, mig.v.spanName(true), "migration",
 			mig.startedAt, mig.finishedAt,
 			telemetry.S("src", mig.src.Dev.Name()), telemetry.S("dst", mig.dst.Dev.Name()))
 	}
@@ -78,7 +78,7 @@ func (m *Manager) migrationDone(mig *Migration) {
 		Src: mig.src.Dev.Name(), Dst: mig.dst.Dev.Name(),
 		Detail: fmt.Sprintf("copied %dMB in %v", mig.copiedBytes>>20, mig.finishedAt-mig.startedAt)})
 	if m.tr != nil {
-		m.tr.Complete(m.track+".mig", fmt.Sprintf("vmdk%d", mig.v.ID), "migration",
+		m.tr.Complete(m.migTrack, mig.v.spanName(false), "migration",
 			mig.startedAt, mig.finishedAt,
 			telemetry.S("src", mig.src.Dev.Name()), telemetry.S("dst", mig.dst.Dev.Name()),
 			telemetry.I("copied_bytes", mig.copiedBytes))

@@ -117,6 +117,7 @@ type Manager struct {
 	log          DecisionLog
 	tr           *telemetry.Tracer
 	track        string
+	migTrack     string // track + ".mig", the migration spans' track
 	journal      *Journal
 	inv          *invariant.Checker
 
@@ -187,13 +188,15 @@ func NewManager(eng *sim.Engine, cfg Config, scheme Scheme, stores []*Datastore)
 func (m *Manager) SetTracer(tr *telemetry.Tracer, track string) {
 	m.tr = tr
 	m.track = track
+	m.migTrack = track + ".mig"
 }
 
 // logDecision records d in the ring and mirrors it to the tracer.
 func (m *Manager) logDecision(d Decision) {
 	m.log.add(d)
 	if m.tr != nil {
-		args := []telemetry.Arg{telemetry.S("detail", d.Detail)}
+		var buf [4]telemetry.Arg
+		args := append(buf[:0], telemetry.S("detail", d.Detail))
 		if d.VMDK >= 0 {
 			args = append(args, telemetry.I("vmdk", int64(d.VMDK)))
 		}

@@ -8,6 +8,7 @@ package mgmt
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/device"
 	"repro/internal/trace"
@@ -45,6 +46,23 @@ type VMDK struct {
 	// (nil otherwise): bitmap changes made by application writes persist
 	// a record before the write acks (DESIGN.md §13).
 	jn *Journal
+
+	// spans holds the migration span names "vmdk<ID>" and
+	// "vmdk<ID>!abort", built on the first traced migration.
+	spans [2]string
+}
+
+// spanName returns v's migration span name, the aborted one when abort
+// is set.
+func (v *VMDK) spanName(abort bool) string {
+	if v.spans[0] == "" {
+		v.spans[0] = "vmdk" + strconv.Itoa(v.ID)
+		v.spans[1] = v.spans[0] + "!abort"
+	}
+	if abort {
+		return v.spans[1]
+	}
+	return v.spans[0]
 }
 
 // newVMDK is created through Datastore.CreateVMDK / Manager.PlaceVMDK.

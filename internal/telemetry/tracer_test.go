@@ -143,8 +143,8 @@ func TestUSString(t *testing.T) {
 		{-5, "0.000"},
 	}
 	for _, tc := range cases {
-		if got := usString(tc.in); got != tc.want {
-			t.Errorf("usString(%d) = %q, want %q", int64(tc.in), got, tc.want)
+		if got := string(appendUS(nil, tc.in)); got != tc.want {
+			t.Errorf("appendUS(%d) = %q, want %q", int64(tc.in), got, tc.want)
 		}
 	}
 }
