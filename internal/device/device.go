@@ -42,7 +42,9 @@ func (k Kind) String() string {
 }
 
 // Completion is called when a request finishes; the request's Complete
-// field is set before the call.
+// field is set before the call. The request is valid only for the call:
+// its submitter reuses the record once the completion returns, so an
+// observer that keeps it keeps a copy.
 type Completion func(*trace.IORequest)
 
 // Device is a storage device in the heterogeneous hierarchy.

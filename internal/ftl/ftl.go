@@ -42,6 +42,28 @@ type block struct {
 	writeIdx int // next page slot to program
 }
 
+// pendingWrite is a foreground write queued behind GC for a free block.
+type pendingWrite struct {
+	lpn  int64
+	done func()
+}
+
+// relocation is a garbage collection's state: the victim block, its valid
+// LPNs and the one being moved. GC runs one at a time, so an FTL keeps a
+// single relocation whose steps are bound once, in New, and whose LPN
+// buffer every collection reuses.
+type relocation struct {
+	f      *FTL
+	victim int
+	lpns   []int64 // valid LPNs of the victim when the collection began
+	next   int     // index into lpns of the next page to move
+	lpn    int64   // the page being moved
+
+	onRead    func() // bound: the page is off flash
+	onWritten func() // bound: the page is programmed at its new place
+	onErased  func() // bound: the victim is erased
+}
+
 // FTL is the translation layer. It is single-goroutine like everything on
 // the simulation engine.
 type FTL struct {
@@ -60,7 +82,9 @@ type FTL struct {
 	gcActive   int // active block for GC relocation (-1 none)
 
 	gcRunning bool
-	pending   []func() // writes waiting for a free block during GC
+	gc        relocation     // the one GC in flight; reused by the next
+	pending   []pendingWrite // writes waiting for a free block during GC
+	draining  []pendingWrite // drainPending's buffer, swapped with pending
 	// fullValidGCs counts consecutive GC cycles whose victim was 100%
 	// valid (zero net reclaim). A long run means the logical space is
 	// saturated — the device is mis-sized — and the simulation would
@@ -96,6 +120,10 @@ func New(fl *flash.Array, numBlocks int) *FTL {
 	for i := numBlocks - 1; i >= 0; i-- {
 		f.free = append(f.free, i)
 	}
+	f.gc = relocation{f: f}
+	f.gc.onRead = f.gc.read
+	f.gc.onWritten = f.gc.step
+	f.gc.onErased = f.gc.erased
 	return f
 }
 
@@ -133,7 +161,7 @@ func (f *FTL) writeMapped(lpn int64, done func()) {
 	ppn, ok := f.allocPage(false)
 	if !ok {
 		// No space right now; retry when GC frees a block.
-		f.pending = append(f.pending, func() { f.writeMapped(lpn, done) })
+		f.pending = append(f.pending, pendingWrite{lpn, done})
 		f.maybeGC()
 		return
 	}
@@ -238,7 +266,7 @@ func (f *FTL) maybeGC() {
 	}
 	f.gcRunning = true
 	f.gcRuns++
-	f.relocate(victim, f.collectValid(victim))
+	f.gc.begin(victim)
 }
 
 // pickVictim chooses the full block with the fewest valid pages (greedy;
@@ -256,68 +284,82 @@ func (f *FTL) pickVictim() int {
 	return best
 }
 
-// collectValid lists the valid LPNs residing in block b.
-func (f *FTL) collectValid(b int) []int64 {
-	var lpns []int64
-	start := int64(b) * int64(f.pagesPerBlock)
+// begin lists the valid LPNs residing in victim and starts moving them.
+func (g *relocation) begin(victim int) {
+	f := g.f
+	g.victim = victim
+	g.lpns = g.lpns[:0]
+	g.next = 0
+	start := int64(victim) * int64(f.pagesPerBlock)
 	for p := start; p < start+int64(f.pagesPerBlock); p++ {
 		if lpn, ok := f.p2l[p]; ok {
-			lpns = append(lpns, lpn)
+			g.lpns = append(g.lpns, lpn)
 		}
 	}
-	return lpns
+	g.step()
 }
 
-// relocate moves the listed pages out of victim one by one (read, then
-// program into the GC active block), then erases the victim and releases
-// it. The chain runs on simulated flash time, so foreground traffic feels
-// the reclaim — the write cliff.
-func (f *FTL) relocate(victim int, lpns []int64) {
-	if len(lpns) == 0 {
-		start := int64(victim) * int64(f.pagesPerBlock)
-		f.erases++
-		f.fl.EraseBlock(start, func() {
-			f.blocks[victim].state = blockFree
-			f.blocks[victim].valid = 0
-			f.blocks[victim].writeIdx = 0
-			f.free = append(f.free, victim)
-			f.gcRunning = false
-			f.drainPending()
-			f.maybeGC()
-		})
-		return
-	}
-	lpn := lpns[0]
-	rest := lpns[1:]
-	old, ok := f.l2p[lpn]
-	if !ok {
-		// Invalidated while GC in flight; skip.
-		f.relocate(victim, rest)
-		return
-	}
-	f.fl.ReadPage(old, func() {
-		dst, ok := f.allocPage(true)
+// step moves the victim's next still-valid page (read, then program into
+// the GC active block), or erases the victim and releases it once none is
+// left. The chain runs on simulated flash time, so foreground traffic
+// feels the reclaim — the write cliff.
+func (g *relocation) step() {
+	f := g.f
+	for g.next < len(g.lpns) {
+		lpn := g.lpns[g.next]
+		g.next++
+		old, ok := f.l2p[lpn]
 		if !ok {
-			// Truly out of space: should be unreachable given the GC
-			// reserve invariant; fail loudly rather than deadlock.
-			panic("ftl: GC could not allocate a relocation page")
+			// Invalidated while GC in flight; skip.
+			continue
 		}
-		f.invalidate(lpn)
-		f.commit(lpn, dst)
-		f.gcWrites++
-		f.fl.WritePage(dst, func() {
-			f.relocate(victim, rest)
-		})
-	})
+		g.lpn = lpn
+		f.fl.ReadPage(old, g.onRead)
+		return
+	}
+	f.erases++
+	f.fl.EraseBlock(int64(g.victim)*int64(f.pagesPerBlock), g.onErased)
 }
 
-// drainPending re-issues writes that were waiting for space.
+// read programs the page just read into the GC active block.
+func (g *relocation) read() {
+	f := g.f
+	dst, ok := f.allocPage(true)
+	if !ok {
+		// Truly out of space: should be unreachable given the GC
+		// reserve invariant; fail loudly rather than deadlock.
+		panic("ftl: GC could not allocate a relocation page")
+	}
+	f.invalidate(g.lpn)
+	f.commit(g.lpn, dst)
+	f.gcWrites++
+	f.fl.WritePage(dst, g.onWritten)
+}
+
+// erased frees the victim block, resumes the writes that waited for space
+// and starts the next collection if free space is still low.
+func (g *relocation) erased() {
+	f := g.f
+	b := &f.blocks[g.victim]
+	b.state = blockFree
+	b.valid = 0
+	b.writeIdx = 0
+	f.free = append(f.free, g.victim)
+	f.gcRunning = false
+	f.drainPending()
+	f.maybeGC()
+}
+
+// drainPending re-issues writes that were waiting for space. A write that
+// still finds no block queues again, on the other buffer.
 func (f *FTL) drainPending() {
 	pend := f.pending
-	f.pending = nil
-	for _, fn := range pend {
-		fn()
+	f.pending = f.draining[:0]
+	for i, w := range pend {
+		pend[i].done = nil
+		f.writeMapped(w.lpn, w.done)
 	}
+	f.draining = pend[:0]
 }
 
 // Prefill installs real mappings for the first ratio×logicalPages LPNs

@@ -45,6 +45,31 @@ type HDD struct {
 	outstanding int
 	seeks       uint64
 	seqHits     uint64
+
+	free sim.FreeList[request]
+}
+
+// request is one submitted I/O waiting for the actuator. Its completion is
+// bound once, on the record's first use, and the record is recycled just
+// before done runs.
+type request struct {
+	h    *HDD
+	r    *trace.IORequest
+	done device.Completion
+
+	onFinish func() // bound: the mechanical service ended
+}
+
+func (q *request) finish() {
+	h, r, done := q.h, q.r, q.done
+	q.r, q.done = nil, nil
+	h.free.Put(q)
+	r.Complete = h.eng.Now()
+	h.outstanding--
+	h.Metrics().Observe(r)
+	if done != nil {
+		done(r)
+	}
 }
 
 var _ device.Device = (*HDD)(nil)
@@ -115,12 +140,11 @@ func (h *HDD) Submit(r *trace.IORequest, done device.Completion) {
 	}
 	finish := start + h.serviceTime(r)
 	h.busyUntil = finish
-	h.eng.At(finish, func() {
-		r.Complete = h.eng.Now()
-		h.outstanding--
-		h.Metrics().Observe(r)
-		if done != nil {
-			done(r)
-		}
-	})
+	q := h.free.Get()
+	if q.h == nil {
+		q.h = h
+		q.onFinish = q.finish
+	}
+	q.r, q.done = r, done
+	h.eng.At(finish, q.onFinish)
 }

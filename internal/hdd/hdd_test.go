@@ -1,6 +1,7 @@
 package hdd
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/sim"
@@ -127,5 +128,40 @@ func TestWriteSameAsReadMechanics(t *testing.T) {
 	w := run(t, eng, h, &trace.IORequest{Op: trace.OpWrite, Offset: 300 << 30, Size: 4096})
 	if w.Latency() < sim.Millisecond {
 		t.Fatalf("random write = %v, should pay seek+rotation like reads", w.Latency())
+	}
+}
+
+// TestRecordReuseAfterPreMarkedFailure runs a request through the record
+// a pre-marked failure (fault injection) just released: it must carry its
+// own status and complete once, and the failure's completion must not run
+// again — the second request's completion is nil.
+func TestRecordReuseAfterPreMarkedFailure(t *testing.T) {
+	eng, h := newHDD(t)
+	injected := errors.New("injected")
+	calls := 0
+	failed := &trace.IORequest{Op: trace.OpRead, Offset: 0, Size: 4096, Err: injected}
+	h.Submit(failed, func(c *trace.IORequest) {
+		calls++
+		if c != failed || c.Err != injected {
+			t.Fatalf("failure completed with %p err %v, want %p err %v", c, c.Err, failed, injected)
+		}
+	})
+	eng.Run()
+	next := &trace.IORequest{Op: trace.OpWrite, Offset: 4096, Size: 4096}
+	h.Submit(next, nil)
+	eng.Run()
+	if calls != 1 {
+		t.Fatalf("the failed request's completion ran %d times, want 1", calls)
+	}
+	if next.Err != nil || next.Complete == 0 || next.Complete < failed.Complete {
+		t.Fatalf("request after the failure: err %v, complete %v (failure completed %v)",
+			next.Err, next.Complete, failed.Complete)
+	}
+	m := h.Metrics()
+	if m.TotalErrors != 1 || m.TotalWrites != 1 || m.TotalReads != 0 {
+		t.Fatalf("metrics: %d errors, %d writes, %d reads; want 1, 1, 0", m.TotalErrors, m.TotalWrites, m.TotalReads)
+	}
+	if h.outstanding != 0 {
+		t.Fatalf("outstanding = %d after every request completed", h.outstanding)
 	}
 }

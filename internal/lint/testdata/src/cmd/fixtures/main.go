@@ -39,7 +39,7 @@ func main() {
 		goroutine.GoodPlain, goroutine.GoodLocal,
 		indexsync.Corrupt, indexsync.Maintain,
 		invariant.Check,
-		(*journalfence.Disk).Submit, journalfence.Background,
+		(*journalfence.Disk).Submit, (*journalfence.Disk).SubmitAsync, journalfence.Background,
 		maporder.BadAppend, maporder.GoodAppend, maporder.GoodSortSlice,
 		maporder.BadFprint, maporder.BadBuilder, maporder.BadTelemetry,
 		maporder.GoodSum, maporder.GoodSliceRange,

@@ -69,3 +69,33 @@ func backgroundCopy(jn *Journal) {
 
 // Background is the non-ack entry point of the background copy.
 func Background(jn *Journal) { backgroundCopy(jn) }
+
+// write is a pooled per-request record: its completion is a method value
+// bound when the record is taken, and runs later through the scheduler.
+type write struct {
+	d      *Disk
+	rec    int
+	onDone func()
+}
+
+// take is reached from SubmitAsync, and binding the method value here is
+// the call-graph edge that puts complete on the ack path.
+func (d *Disk) take(rec int) *write {
+	w := &write{d: d, rec: rec}
+	w.onDone = w.complete
+	return w
+}
+
+// complete is the ack of an asynchronous write, reached only through the
+// bound method value: its raw append is a finding.
+func (w *write) complete() {
+	w.d.jn.appendSync(w.rec)
+}
+
+// SubmitAsync is an application-write entry point whose ack runs on a
+// record's bound completion.
+//
+//lint:ack-path fixture: SubmitAsync acks through write.complete and must record-then-ack
+func (d *Disk) SubmitAsync(rec int, schedule func(func())) {
+	schedule(d.take(rec).onDone)
+}

@@ -66,7 +66,7 @@ const (
 
 // entry is one queued write. Entries are pooled per scheduler: an entry
 // is recycled only when compact drops it from the queue head, and its
-// finish callback is bound once, when the entry is created.
+// finish callback is bound once, on the entry's first use.
 type entry struct {
 	seq      uint64
 	lpn      int64
@@ -78,7 +78,6 @@ type entry struct {
 	state    entryState
 
 	onFinish func() // bound: the operation completed
-	next     *entry // free-list link
 }
 
 // barrierBound reports whether the entry must respect persistence
@@ -111,10 +110,14 @@ type Scheduler struct {
 
 	queue []*entry
 	seq   uint64
-	free  *entry // recycled entries
+	free  sim.FreeList[entry] // recycled entries
 
-	curEpoch          int
-	epochOpen         map[int]int      // epoch → outstanding barrier-bound entries
+	curEpoch int
+	// open counts the outstanding barrier-bound entries of each epoch
+	// that has had one, oldest first; a count that reaches zero is
+	// dropped once it is the oldest. Epochs are enqueued in increasing
+	// order, so appending keeps it sorted, and its storage is reused.
+	open              []epochCount
 	minEpoch          int              // oldest epoch with outstanding barrier-bound entries
 	lastPersistentSeq map[int64]uint64 // lpn → seq of last dispatched persistent write
 
@@ -138,7 +141,6 @@ func New(eng *sim.Engine, policy Policy, slots int) *Scheduler {
 		eng:               eng,
 		policy:            policy,
 		slots:             slots,
-		epochOpen:         make(map[int]int),
 		lastPersistentSeq: make(map[int64]uint64),
 	}
 }
@@ -158,7 +160,11 @@ func (s *Scheduler) EnqueueWrite(lpn int64, class trace.Class, run func(done fun
 	e.done = done
 	e.state = stateQueued
 	if e.barrierBound(s.policy) {
-		s.epochOpen[e.epoch]++
+		if n := len(s.open); n > 0 && s.open[n-1].epoch == e.epoch {
+			s.open[n-1].n++
+		} else {
+			s.open = append(s.open, epochCount{e.epoch, 1})
+		}
 	}
 	s.queue = append(s.queue, e)
 	s.dispatch()
@@ -310,29 +316,49 @@ func (s *Scheduler) finish(e *entry) {
 	s.dispatch()
 }
 
+// epochCount is one epoch's outstanding barrier-bound entries.
+type epochCount struct {
+	epoch, n int
+}
+
 // retireEpochMember releases e's membership in its epoch, advancing the
 // oldest-incomplete-epoch pointer when the epoch empties.
 func (s *Scheduler) retireEpochMember(e *entry) {
 	if !e.barrierBound(s.policy) {
 		return
 	}
-	s.epochOpen[e.epoch]--
-	if s.epochOpen[e.epoch] <= 0 {
-		delete(s.epochOpen, e.epoch)
-		s.advanceMinEpoch()
+	i := 0
+	for s.open[i].epoch != e.epoch {
+		i++
 	}
+	s.open[i].n--
+	if s.open[i].n > 0 {
+		return
+	}
+	k := 0
+	for k < len(s.open) && s.open[k].n == 0 {
+		k++
+	}
+	if k > 0 {
+		s.open = s.open[:copy(s.open, s.open[k:])]
+	}
+	s.advanceMinEpoch()
 }
 
-// advanceMinEpoch moves the oldest-incomplete-epoch pointer forward.
+// advanceMinEpoch moves the oldest-incomplete-epoch pointer forward to
+// the first epoch from minEpoch on that has outstanding barrier-bound
+// entries, or to the current epoch if none has.
 func (s *Scheduler) advanceMinEpoch() {
-	for s.minEpoch < s.curEpoch {
-		if _, open := s.epochOpen[s.minEpoch]; open {
-			return
+	if s.minEpoch >= s.curEpoch {
+		return
+	}
+	from := s.minEpoch
+	s.minEpoch = s.curEpoch
+	for _, c := range s.open {
+		if c.epoch >= from && c.n > 0 {
+			s.minEpoch = c.epoch
+			break
 		}
-		// Also stop if any queued barrier-bound entry still belongs to
-		// minEpoch (enqueued but not yet running/complete is covered by
-		// epochOpen, so this is safe to advance).
-		s.minEpoch++
 	}
 }
 
@@ -349,24 +375,20 @@ func (s *Scheduler) compact() {
 	}
 }
 
-// getEntry pops a recycled entry or creates (and binds) a new one.
+// getEntry pops a recycled entry. An entry's finish callback is bound on
+// its first use.
 func (s *Scheduler) getEntry() *entry {
-	e := s.free
-	if e == nil {
-		e = &entry{}
+	e := s.free.Get()
+	if e.onFinish == nil {
 		e.onFinish = func() { s.finish(e) }
-		return e
 	}
-	s.free = e.next
-	e.next = nil
 	return e
 }
 
 // putEntry returns a dropped entry to the free list.
 func (s *Scheduler) putEntry(e *entry) {
 	e.run, e.done = nil, nil
-	e.next = s.free
-	s.free = e
+	s.free.Put(e)
 }
 
 // Stats returns a snapshot of scheduler statistics.

@@ -1,0 +1,153 @@
+//go:build !race
+
+// The race detector instruments allocations of its own, so the zero-alloc
+// guard only means something in an unraced build.
+
+package mgmt
+
+import (
+	"testing"
+
+	"repro/internal/sim"
+	"repro/internal/telemetry"
+	"repro/internal/workload"
+)
+
+// TestStorageSteadyStateZeroAllocs pins the storage request path as
+// allocation-free once warm: workload.Runner slots → VMDK forward records
+// → datastore Monitor submissions → NVDIMM, SSD and HDD request records,
+// the SSD's flush records and its FTL's pending queue and GC relocation,
+// down to the engine's timer pool.
+//
+// One node's three devices each back a runner's VMDK: persistent writes
+// with barriers on the NVDIMM, a think-time runner on the SSD, sequential
+// I/O on the HDD. A fourth VMDK is mid-migration from the NVDIMM to the
+// SSD with I/O mirroring under a journal, so its writes go through the
+// record-then-ack path and its reads split between the two stores. The
+// SSD's write footprint is most of its flash, so GC runs throughout. No
+// manager runs, so no epoch or migration copy traffic is measured.
+func TestStorageSteadyStateZeroAllocs(t *testing.T) {
+	n := newNode(t)
+	eng := n.eng
+	nvDS, sdDS, hdDS := n.dss[0], n.dss[1], n.dss[2]
+	rng := sim.NewRNG(3)
+	// The SSD's GC count is visible only through its telemetry gauges.
+	reg := telemetry.NewRegistry()
+	n.sd.RegisterTelemetry(reg, "ssd.")
+
+	vmdk := func(ds *Datastore, id int, size int64) *VMDK {
+		v, err := ds.CreateVMDK(id, size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	persistent := workload.NewRunner(eng, rng.Split(), workload.Profile{
+		Name: "persistent", WriteRatio: 0.7, ReadRand: 0.5, WriteRand: 0.5,
+		IOSize: 8192, OIO: 4, Footprint: 4 << 20, Persistent: true, BarrierEvery: 3,
+	}, vmdk(nvDS, 1, 4<<20), 1)
+	thinking := workload.NewRunner(eng, rng.Split(), workload.Profile{
+		Name: "thinking", WriteRatio: 0.6, ReadRand: 1, WriteRand: 1,
+		IOSize: 4096, OIO: 6, Footprint: 12 << 20, ThinkTime: 20 * sim.Microsecond,
+	}, vmdk(sdDS, 2, 12<<20), 2)
+	sequential := workload.NewRunner(eng, rng.Split(), workload.Profile{
+		Name: "sequential", WriteRatio: 0.3, IOSize: 16384, OIO: 2, Footprint: 8 << 20,
+	}, vmdk(hdDS, 3, 8<<20), 3)
+
+	mirrored := vmdk(nvDS, 4, 1<<20)
+	base, err := sdDS.allocExtent(mirrored.Size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mirrored.beginMigration(sdDS, base, true)
+	jn := newJournal(eng)
+	// The journal keeps every record it is given, as the log it models
+	// does; its backing array is the log's storage, not per-request
+	// state, so it gets room for the whole run up front.
+	jn.records = make([]JournalRecord, 0, journalRoom)
+	mirrored.jn = jn
+	mirroring := workload.NewRunner(eng, rng.Split(), workload.Profile{
+		Name: "mirroring", WriteRatio: 0.3, ReadRand: 1, WriteRand: 1,
+		IOSize: 4096, OIO: 3, Footprint: 1 << 20,
+	}, mirrored, 4)
+
+	runners := []*workload.Runner{persistent, thinking, sequential, mirroring}
+	for _, r := range runners {
+		r.Start()
+	}
+	eng.RunFor(400 * sim.Millisecond)
+
+	before := takeStorageCounts(n, reg, runners, jn)
+	const steps = 50000
+	step := func() {
+		for i := 0; i < steps; i++ {
+			if !eng.Step() {
+				t.Fatal("event queue drained while the runners run")
+			}
+		}
+	}
+	// One run: AllocsPerRun truncates the per-run average, so a single
+	// run of many steps is the only way a lone allocation still shows.
+	allocs := testing.AllocsPerRun(1, step)
+	after := takeStorageCounts(n, reg, runners, jn)
+
+	// The window must have exercised every path it claims to cover.
+	for i, r := range runners {
+		if after.completed[i] == before.completed[i] {
+			t.Errorf("runner %s completed nothing in the measured window", r.Profile().Name)
+		}
+	}
+	for _, c := range []struct {
+		name string
+		d    uint64
+	}{
+		{"NVDIMM requests", after.nv - before.nv},
+		{"SSD requests", after.sd - before.sd},
+		{"HDD requests", after.hd - before.hd},
+		{"NVDIMM barriers", after.barriers - before.barriers},
+		{"SSD garbage collections", after.gcRuns - before.gcRuns},
+		{"journaled mirrored writes", after.journaled - before.journaled},
+	} {
+		if c.d == 0 {
+			t.Errorf("no %s in the measured window", c.name)
+		}
+	}
+	if after.journaled > journalRoom {
+		t.Fatalf("journal holds %d records, more than the %d it was given room for", after.journaled, journalRoom)
+	}
+	if allocs != 0 {
+		t.Fatalf("storage steady state allocated %v times over %d engine steps (%.4f per step), want 0",
+			allocs, steps, allocs/steps)
+	}
+	t.Logf("0 allocations over %d engine steps, %d requests", steps,
+		after.nv+after.sd+after.hd-before.nv-before.sd-before.hd)
+}
+
+// journalRoom is the record capacity the test journal starts with.
+const journalRoom = 4096
+
+type storageCounts struct {
+	completed        []uint64
+	nv, sd, hd       uint64
+	barriers, gcRuns uint64
+	journaled        uint64
+}
+
+func takeStorageCounts(n *node, reg *telemetry.Registry, runners []*workload.Runner, jn *Journal) storageCounts {
+	c := storageCounts{
+		nv:        n.nv.Metrics().TotalReads + n.nv.Metrics().TotalWrites,
+		sd:        n.sd.Metrics().TotalReads + n.sd.Metrics().TotalWrites,
+		hd:        n.hd.Metrics().TotalReads + n.hd.Metrics().TotalWrites,
+		barriers:  n.nv.Scheduler().Stats().Barriers,
+		journaled: uint64(len(jn.records)),
+	}
+	for _, p := range reg.Snapshot() {
+		if p.Name == "ssd.ftl.gc_runs" {
+			c.gcRuns = uint64(p.Value)
+		}
+	}
+	for _, r := range runners {
+		c.completed = append(c.completed, r.Completed()+r.Errored())
+	}
+	return c
+}

@@ -19,6 +19,10 @@ type Datastore struct {
 	Mon  *perfmodel.Monitor
 	Node int // owning server node (0 in single-node setups)
 
+	// barrier is Dev's persistence barrier, nil when it has none,
+	// resolved once so VMDK.Barrier does no type assertion per call.
+	barrier interface{ Barrier() }
+
 	vmdks      map[int]*VMDK
 	nextOffset int64 //lint:guarded-by Datastore.allocExtent
 	allocated  int64 //lint:guarded-by Datastore.allocExtent,Datastore.releaseExtent
@@ -34,12 +38,14 @@ type Datastore struct {
 
 // NewDatastore wraps a device.
 func NewDatastore(dev device.Device, node int) *Datastore {
-	return &Datastore{
+	d := &Datastore{
 		Dev:   dev,
 		Mon:   perfmodel.NewMonitor(dev),
 		Node:  node,
 		vmdks: make(map[int]*VMDK),
 	}
+	d.barrier, _ = dev.(interface{ Barrier() })
+	return d
 }
 
 // Submit forwards a device-offset request through the monitor.

@@ -11,6 +11,7 @@ import (
 	"strconv"
 
 	"repro/internal/device"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -50,6 +51,29 @@ type VMDK struct {
 	// spans holds the migration span names "vmdk<ID>" and
 	// "vmdk<ID>!abort", built on the first traced migration.
 	spans [2]string
+
+	// free recycles the forward records of requests routed through v.
+	free sim.FreeList[forward]
+}
+
+// forward is one request routed through a VMDK, from Submit to the
+// datastore's completion: the clone rebased onto the datastore extent, the
+// caller's request the result is copied back into, and for a journaled
+// write the record-then-ack fields (jn nil: none). The record is recycled
+// just before done runs, so a done that submits the next request may
+// reuse it.
+type forward struct {
+	v     *VMDK
+	clone trace.IORequest
+	r     *trace.IORequest
+	done  device.Completion
+
+	jn           *Journal
+	epoch        uint64 // jn's epoch for the VMDK at submit
+	kind         JournalKind
+	first, count int64 // blocks the journal record covers
+
+	onDone device.Completion // bound: the datastore completed the clone
 }
 
 // spanName returns v's migration span name, the aborted one when abort
@@ -169,8 +193,9 @@ func (v *VMDK) Submit(r *trace.IORequest, done device.Completion) {
 	v.windowRequests++
 	r.VMDK = v.ID
 
+	f := v.newForward(r, done)
 	if v.dst == nil {
-		v.forward(v.src, v.srcBase, r, done)
+		v.forward(f, v.src, v.srcBase)
 		return
 	}
 	block := r.Offset / BlockSize
@@ -182,7 +207,8 @@ func (v *VMDK) Submit(r *trace.IORequest, done device.Completion) {
 		for b := block; b <= last && b < v.Blocks(); b++ {
 			v.markUnmigrated(b)
 		}
-		v.forward(v.src, v.srcBase, r, v.guardAck(JournalRevert, block, last, done))
+		v.guardAck(f, JournalRevert, block, last)
+		v.forward(f, v.src, v.srcBase)
 		return
 	}
 	if r.Op == trace.OpWrite && v.mirroring {
@@ -192,17 +218,31 @@ func (v *VMDK) Submit(r *trace.IORequest, done device.Completion) {
 		for b := block; b <= last && b < v.Blocks(); b++ {
 			v.markMigrated(b)
 		}
-		v.forward(v.dst, v.dstBase, r, v.guardAck(JournalProgress, block, last, done))
+		v.guardAck(f, JournalProgress, block, last)
+		v.forward(f, v.dst, v.dstBase)
 		return
 	}
 	if v.blockMigrated(block) {
-		v.forward(v.dst, v.dstBase, r, done)
+		v.forward(f, v.dst, v.dstBase)
 		return
 	}
-	v.forward(v.src, v.srcBase, r, done)
+	v.forward(f, v.src, v.srcBase)
 }
 
-// guardAck wraps a write completion with the record-then-ack protocol:
+// newForward takes a forward record for r from the free list. Its
+// completion is bound here, on the record's first use: Submit reaches this
+// function, so the ack path it starts runs through complete.
+func (v *VMDK) newForward(r *trace.IORequest, done device.Completion) *forward {
+	f := v.free.Get()
+	if f.v == nil {
+		f.v = v
+		f.onDone = f.complete
+	}
+	f.r, f.done, f.jn = r, done, nil
+	return f
+}
+
+// guardAck puts a write completion under the record-then-ack protocol:
 // on success a journal record covering blocks [first,last] persists
 // before the ack reaches the application; if a crash fenced the VMDK's
 // epoch in between, the write fails with ErrAckLost instead — recovery
@@ -210,44 +250,46 @@ func (v *VMDK) Submit(r *trace.IORequest, done device.Completion) {
 // would advertise a block-location change that never became durable.
 // With no journal bound (journal off, or no migration open) the
 // completion passes through untouched.
-func (v *VMDK) guardAck(kind JournalKind, first, last int64, done device.Completion) device.Completion {
+func (v *VMDK) guardAck(f *forward, kind JournalKind, first, last int64) {
 	if v.jn == nil {
-		return done
+		return
 	}
-	jn := v.jn
-	ep := jn.Epoch(v.ID)
 	if last >= v.Blocks() {
 		last = v.Blocks() - 1
 	}
-	return func(c *trace.IORequest) {
-		if c.Err == nil && !jn.AppendIfEpoch(ep, JournalRecord{
-			Kind: kind, VMDK: v.ID, Block: first, Count: last - first + 1}) {
-			c.Err = ErrAckLost
-		}
-		if done != nil {
-			done(c)
-		}
-	}
+	f.jn, f.epoch = v.jn, v.jn.Epoch(v.ID)
+	f.kind, f.first, f.count = kind, first, last-first+1
 }
 
 // forward rebases the request onto the datastore extent and submits.
-func (v *VMDK) forward(ds *Datastore, base int64, r *trace.IORequest, done device.Completion) {
-	clone := *r
-	clone.Offset = base + r.Offset
-	ds.Submit(&clone, func(c *trace.IORequest) {
-		r.Issue = c.Issue
-		r.Complete = c.Complete
-		r.Err = c.Err
-		if done != nil {
-			done(r)
-		}
-	})
+func (v *VMDK) forward(f *forward, ds *Datastore, base int64) {
+	f.clone = *f.r
+	f.clone.Offset = base + f.r.Offset
+	ds.Submit(&f.clone, f.onDone)
+}
+
+// complete copies the datastore's result back into the caller's request,
+// journals a guarded write, and acks.
+func (f *forward) complete(c *trace.IORequest) {
+	v, r, done := f.v, f.r, f.done
+	r.Issue = c.Issue
+	r.Complete = c.Complete
+	r.Err = c.Err
+	if f.jn != nil && r.Err == nil && !f.jn.AppendIfEpoch(f.epoch, JournalRecord{
+		Kind: f.kind, VMDK: v.ID, Block: f.first, Count: f.count}) {
+		r.Err = ErrAckLost
+	}
+	f.r, f.done, f.jn = nil, nil, nil
+	v.free.Put(f)
+	if done != nil {
+		done(r)
+	}
 }
 
 // Barrier forwards to the primary datastore's device when supported.
 func (v *VMDK) Barrier() {
-	if bt, ok := v.src.Dev.(interface{ Barrier() }); ok {
-		bt.Barrier()
+	if v.src.barrier != nil {
+		v.src.barrier.Barrier()
 	}
 }
 

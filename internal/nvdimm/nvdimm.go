@@ -101,9 +101,9 @@ type NVDIMM struct {
 
 	// Free lists of the records in records.go. Each device owns its own,
 	// so parallel runs share no pool.
-	freeRequests  *request
-	freePages     *page
-	freeCrossings *crossing
+	freeRequests  sim.FreeList[request]
+	freePages     sim.FreeList[page]
+	freeCrossings sim.FreeList[crossing]
 
 	// Counters for experiments.
 	bypassedReads  uint64
@@ -328,8 +328,8 @@ func (n *NVDIMM) cacheInsert(lpn int64, dirty bool) {
 	}
 	n.flushedVictims++
 	n.pendingFlush++
-	p := n.getPage(nil, v.Block)
-	n.sched.EnqueueWrite(v.Block, trace.ClassPersistent, p.onFlush, p.onFlushed)
+	p := n.getPage(nil, v.Block, pageVictim)
+	n.sched.EnqueueWrite(v.Block, trace.ClassPersistent, p.onRun, p.onStep)
 }
 
 // drainStalls resumes stalled writes once backpressure clears.
@@ -363,8 +363,8 @@ func (n *NVDIMM) scheduledWrite(q *request) {
 		class = trace.ClassMigrated
 	}
 	for lpn, end := q.first, q.first+int64(q.pages); lpn < end; lpn++ {
-		p := n.getPage(q, lpn)
-		n.sched.EnqueueWrite(lpn, class, p.onRun, p.onWritten)
+		p := n.getPage(q, lpn, pageWrite)
+		n.sched.EnqueueWrite(lpn, class, p.onRun, p.onStep)
 	}
 }
 
@@ -396,6 +396,6 @@ func (n *NVDIMM) read(q *request) {
 		if migrated {
 			n.pollutedReads++
 		}
-		n.ftl.Read(lpn, n.getPage(q, lpn).onFill)
+		n.ftl.Read(lpn, n.getPage(q, lpn, pageFill).onStep)
 	}
 }

@@ -7,8 +7,8 @@ import (
 )
 
 // The request path keeps its in-flight state in three kinds of records,
-// each pooled on a per-device free list with its callbacks bound once,
-// when the record is created. A steady stream of requests therefore
+// each pooled on a per-device sim.FreeList. A record's callbacks are bound
+// once, on the first use that needs them, so a steady stream of requests
 // allocates nothing (DESIGN.md §15).
 
 // request is one submitted I/O from Submit to completion. complete
@@ -22,7 +22,6 @@ type request struct {
 	per       int64 // bytes each page moves over the channel
 	remaining int   // pages not yet finished
 	buffered  bool  // the last crossing lands the data in the buffer cache
-	next      *request
 
 	onPage  func() // bound: one page finished
 	onFlash func() // bound: a page's flash read finished
@@ -45,32 +44,60 @@ func (q *request) pageDone() {
 // crossPage moves one page of read data to the memory controller.
 func (q *request) crossPage() { q.n.pageCrossing(q.per, q.onPage) }
 
+// pageUse is what a page record carries.
+type pageUse uint8
+
+const (
+	pageWrite  pageUse = iota // a scheduled write: run, cross, program, retire
+	pageVictim                // a dirty victim's write-back: run, program, retire
+	pageFill                  // a read miss's cache fill: off flash
+)
+
 // page is one logical page's trip through the transaction queue (a
 // scheduled write or a dirty-victim write-back) or a read miss's cache
 // fill. It is recycled when its last callback starts: written, flushed or
-// fill.
+// fill. A record serves every use with the same two callbacks, bound on
+// the first use that needs each: a fill needs only onStep.
 type page struct {
-	n      *NVDIMM
-	q      *request // nil for a victim write-back
-	lpn    int64
-	opDone func() // the scheduler's completion for this page's program
-	next   *page
+	n        *NVDIMM
+	q        *request // nil for a victim write-back
+	lpn      int64
+	use      pageUse
+	crossing bool   // a scheduled write's data is on the channel
+	opDone   func() // the scheduler's completion for this page's program
 
-	onRun     func(opDone func()) // bound: scheduled write dispatched
-	onCrossed func()              // bound: its data crossed the channel
-	onWritten func()              // bound: the scheduler retired it
-	onFlush   func(opDone func()) // bound: victim write-back dispatched
-	onFlushed func()              // bound: the scheduler retired it
-	onFill    func()              // bound: read-miss data is off flash
+	onRun  func(opDone func()) // bound: the scheduler dispatched the page
+	onStep func()              // bound: the page's current step finished
 }
 
-// run moves the page over the shared channel before programming it.
+// run starts a dispatched page. A scheduled write moves its data over the
+// shared channel before programming it; a victim's data is already in the
+// device, so it programs at once.
 func (p *page) run(opDone func()) {
+	if p.use == pageVictim {
+		p.n.ftl.Write(p.lpn, opDone)
+		return
+	}
 	p.opDone = opDone
-	p.n.pageCrossing(p.q.per, p.onCrossed)
+	p.crossing = true
+	p.n.pageCrossing(p.q.per, p.onStep)
 }
 
-func (p *page) crossed() { p.n.ftl.Write(p.lpn, p.opDone) }
+// step runs the callback of whatever the page was waiting for: its data
+// crossing the channel, the scheduler retiring it, or its flash read.
+func (p *page) step() {
+	switch {
+	case p.crossing:
+		p.crossing = false
+		p.n.ftl.Write(p.lpn, p.opDone)
+	case p.use == pageWrite:
+		p.written()
+	case p.use == pageVictim:
+		p.flushed()
+	default:
+		p.fill()
+	}
+}
 
 // written runs when the scheduler retires the page, programmed or (a
 // stale migrated write under Policy Two) discarded. A write-through page
@@ -83,8 +110,6 @@ func (p *page) written() {
 	}
 	q.pageDone()
 }
-
-func (p *page) flush(opDone func()) { p.n.ftl.Write(p.lpn, opDone) }
 
 func (p *page) flushed() {
 	n := p.n
@@ -108,7 +133,6 @@ type crossing struct {
 	issued sim.Time
 	hold   sim.Time
 	fn     func()
-	next   *crossing
 
 	onGrant func(start sim.Time) // bound: the channel is ours
 }
@@ -121,62 +145,49 @@ func (c *crossing) grant(start sim.Time) {
 }
 
 func (n *NVDIMM) getRequest() *request {
-	q := n.freeRequests
-	if q == nil {
-		q = &request{n: n}
+	q := n.freeRequests.Get()
+	if q.n == nil {
+		q.n = n
 		q.onPage = q.pageDone
 		q.onFlash = q.crossPage
-		return q
 	}
-	n.freeRequests = q.next
-	q.next = nil
 	return q
 }
 
 func (n *NVDIMM) putRequest(q *request) {
 	q.r, q.done = nil, nil
-	q.next = n.freeRequests
-	n.freeRequests = q
+	n.freeRequests.Put(q)
 }
 
-func (n *NVDIMM) getPage(q *request, lpn int64) *page {
-	p := n.freePages
-	if p == nil {
-		p = &page{n: n}
-		p.onRun = p.run
-		p.onCrossed = p.crossed
-		p.onWritten = p.written
-		p.onFlush = p.flush
-		p.onFlushed = p.flushed
-		p.onFill = p.fill
-	} else {
-		n.freePages = p.next
-		p.next = nil
+// getPage takes a page record for use, binding the callbacks that use
+// needs if the record lacks them.
+func (n *NVDIMM) getPage(q *request, lpn int64, use pageUse) *page {
+	p := n.freePages.Get()
+	p.n, p.q, p.lpn, p.use, p.crossing = n, q, lpn, use, false
+	if p.onStep == nil {
+		p.onStep = p.step
 	}
-	p.q, p.lpn = q, lpn
+	if use != pageFill && p.onRun == nil {
+		p.onRun = p.run
+	}
 	return p
 }
 
 func (n *NVDIMM) putPage(p *page) {
 	p.q, p.opDone = nil, nil
-	p.next = n.freePages
-	n.freePages = p
+	n.freePages.Put(p)
 }
 
 func (n *NVDIMM) getCrossing() *crossing {
-	c := n.freeCrossings
-	if c == nil {
-		c = &crossing{n: n}
+	c := n.freeCrossings.Get()
+	if c.n == nil {
+		c.n = n
 		c.onGrant = c.grant
-		return c
 	}
-	n.freeCrossings = c.next
-	c.next = nil
 	return c
 }
 
 func (n *NVDIMM) putCrossing(c *crossing) {
 	c.fn = nil
-	c.next = n.freeCrossings
-	n.freeCrossings = c
+	n.freeCrossings.Put(c)
 }

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/device"
 	"repro/internal/mlmodel"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -120,6 +121,18 @@ type Monitor struct {
 	// windowErrors counts failed completions; the management layer's
 	// quarantine logic steers by the per-window rate.
 	windowErrors int
+
+	free sim.FreeList[submission]
+}
+
+// submission is one request in flight through a Monitor. Its completion is
+// bound once, on the record's first use, and the record is recycled just
+// before done runs, so a done that submits again may reuse it.
+type submission struct {
+	m    *Monitor
+	done device.Completion
+
+	onDone device.Completion // bound: the device completed the request
 }
 
 // NewMonitor wraps dev.
@@ -130,22 +143,33 @@ func NewMonitor(dev device.Device) *Monitor {
 // Submit forwards to the device, recording issue/complete events.
 func (m *Monitor) Submit(r *trace.IORequest, done device.Completion) {
 	m.inflight++
-	m.dev.Submit(r, func(completed *trace.IORequest) {
-		m.inflight--
-		if completed.Err != nil {
-			// A failed request occupied the device (the OIO integral must
-			// advance) but its time-to-failure is not service latency.
-			m.windowErrors++
-			m.analyzer.Fail(completed, completed.Complete)
-		} else {
-			m.analyzer.Complete(completed, completed.Complete)
-		}
-		if done != nil {
-			done(completed)
-		}
-	})
+	sub := m.free.Get()
+	if sub.m == nil {
+		sub.m = m
+		sub.onDone = sub.complete
+	}
+	sub.done = done
+	m.dev.Submit(r, sub.onDone)
 	// Issue is stamped by the device; record after submission.
 	m.analyzer.Issue(r, r.Issue)
+}
+
+func (sub *submission) complete(completed *trace.IORequest) {
+	m, done := sub.m, sub.done
+	sub.done = nil
+	m.free.Put(sub)
+	m.inflight--
+	if completed.Err != nil {
+		// A failed request occupied the device (the OIO integral must
+		// advance) but its time-to-failure is not service latency.
+		m.windowErrors++
+		m.analyzer.Fail(completed, completed.Complete)
+	} else {
+		m.analyzer.Complete(completed, completed.Complete)
+	}
+	if done != nil {
+		done(completed)
+	}
 }
 
 // Barrier forwards persistence barriers when the device supports them.

@@ -96,6 +96,8 @@ func (t *Timer) current() *timer {
 // timer: whether any future fire remains scheduled). It reports true
 // while the timer's own callback runs, since a periodic timer will re-arm
 // and a one-shot is still completing that fire.
+//
+//lint:ignore unreachable workload TestMemGenTimerReuse, TestRunnerThinkTimerReuse
 func (t *Timer) Active() bool {
 	tm := t.current()
 	if tm == nil {

@@ -94,11 +94,21 @@ type wheel struct {
 	promotions uint64 // overflow entries promoted into the wheel
 }
 
-// get returns a pooled timer (allocating only when the pool is empty).
+// timerSlab is how many timer entries the pool grows by at once: a fresh
+// engine's warm-up pays one allocation per slab, not one per entry.
+const timerSlab = 64
+
+// get returns a pooled timer, growing the pool a slab at a time when it is
+// empty.
 func (w *wheel) get() *timer {
 	tm := w.free
 	if tm == nil {
-		return &timer{}
+		slab := make([]timer, timerSlab)
+		for i := 1; i < len(slab)-1; i++ {
+			slab[i].next = &slab[i+1]
+		}
+		w.free = &slab[1]
+		return &slab[0]
 	}
 	w.free = tm.next
 	tm.next = nil

@@ -68,11 +68,15 @@ type SSD struct {
 
 	linkBusyUntil sim.Time
 	pendingFlush  int
-	stalls        []func()
+	stalls        []*request // writes waiting out flush backpressure
 	outstanding   int
+
+	// Free lists of the records below; each SSD owns its own.
+	freeRequests sim.FreeList[request]
+	freeFlushes  sim.FreeList[flush]
 	// bufferResident tracks pages acknowledged but not yet flushed, so
 	// reads of freshly written data are served from the buffer.
-	bufferResident map[int64]int
+	bufferResident pageCounts
 }
 
 var _ device.Device = (*SSD)(nil)
@@ -80,10 +84,9 @@ var _ device.Device = (*SSD)(nil)
 // New builds an SSD.
 func New(eng *sim.Engine, cfg Config) *SSD {
 	return &SSD{
-		Base:           device.NewBase(cfg.Name, device.KindSSD, cfg.Capacity),
-		eng:            eng,
-		ftl:            ftl.New(flash.New(eng, cfg.Flash), cfg.NumBlocks),
-		bufferResident: make(map[int64]int),
+		Base: device.NewBase(cfg.Name, device.KindSSD, cfg.Capacity),
+		eng:  eng,
+		ftl:  ftl.New(flash.New(eng, cfg.Flash), cfg.NumBlocks),
 	}
 }
 
@@ -133,17 +136,47 @@ func (s *SSD) pagesOf(r *trace.IORequest) (first int64, count int) {
 	return first, int((r.Offset+r.Size-1)/ps-first) + 1
 }
 
+// request is one submitted I/O from Submit to completion. Its steps are
+// bound once, on the record's first use; complete recycles it just before
+// done runs, so a done that submits the next request may reuse it.
+type request struct {
+	s         *SSD
+	r         *trace.IORequest
+	done      device.Completion
+	remaining int // read pages not yet off flash
+
+	onRead     func() // bound: read overhead paid → fetch the pages
+	onWrite    func() // bound: write overhead paid → cross the link
+	onFail     func() // bound: failure overhead paid → cross the link
+	onPage     func() // bound: one read page is off flash
+	onComplete func() // bound: the last transfer crossed the link
+	onBuffered func() // bound: write data crossed the link
+}
+
+// flush is one acknowledged page on its way from the write buffer to
+// flash. It is recycled when the program completes.
+type flush struct {
+	s   *SSD
+	lpn int64
+
+	onFlushed func() // bound: the page is programmed
+}
+
 // Submit implements device.Device.
 func (s *SSD) Submit(r *trace.IORequest, done device.Completion) {
 	r.Issue = s.eng.Now()
 	s.outstanding++
-	wrapped := func(req *trace.IORequest) {
-		s.outstanding--
-		s.Metrics().Observe(req)
-		if done != nil {
-			done(req)
-		}
+	q := s.freeRequests.Get()
+	if q.s == nil {
+		q.s = s
+		q.onRead = q.read
+		q.onWrite = q.write
+		q.onFail = q.fail
+		q.onPage = q.pageDone
+		q.onComplete = q.complete
+		q.onBuffered = q.bufferAck
 	}
+	q.r, q.done = r, done
 	if r.Err != nil {
 		// Pre-marked failure (fault injection): the request pays the host
 		// stack overhead and PCIe link occupancy before reporting the error,
@@ -152,79 +185,94 @@ func (s *SSD) Submit(r *trace.IORequest, done device.Completion) {
 		if r.Op == trace.OpRead {
 			ov = ReadOverhead
 		}
-		s.eng.Schedule(ov, func() {
-			s.acquireLink(r.Size, func() { s.complete(r, wrapped) })
-		})
+		s.eng.Schedule(ov, q.onFail)
 		return
 	}
 	if r.Op == trace.OpRead {
-		s.read(r, wrapped)
+		// Overhead + flash reads (buffer-resident pages are free) + link
+		// transfer out.
+		s.eng.Schedule(ReadOverhead, q.onRead)
 	} else {
-		s.write(r, wrapped)
+		// Overhead + link transfer in + buffer ack; pages flush to flash
+		// asynchronously with backpressure.
+		s.eng.Schedule(WriteOverhead, q.onWrite)
 	}
 }
 
-func (s *SSD) complete(r *trace.IORequest, done device.Completion) {
+func (q *request) fail() { q.s.acquireLink(q.r.Size, q.onComplete) }
+
+func (q *request) write() { q.s.acquireLink(q.r.Size, q.onBuffered) }
+
+// read fetches every page the request spans; the last one off flash sends
+// the data over the link.
+func (q *request) read() {
+	s := q.s
+	first, count := s.pagesOf(q.r)
+	q.remaining = count
+	for lpn, end := first, first+int64(count); lpn < end; lpn++ {
+		if s.bufferResident.has(lpn) {
+			q.pageDone()
+			continue
+		}
+		s.ftl.Read(lpn, q.onPage)
+	}
+}
+
+func (q *request) pageDone() {
+	q.remaining--
+	if q.remaining == 0 {
+		q.s.acquireLink(q.r.Size, q.onComplete)
+	}
+}
+
+// complete stamps and reports the request, recycling its record first.
+func (q *request) complete() {
+	s, r, done := q.s, q.r, q.done
+	q.r, q.done = nil, nil
+	s.freeRequests.Put(q)
 	r.Complete = s.eng.Now()
-	done(r)
+	s.outstanding--
+	s.Metrics().Observe(r)
+	if done != nil {
+		done(r)
+	}
 }
 
-// read: overhead + flash reads (buffer-resident pages are free) + link
-// transfer out.
-func (s *SSD) read(r *trace.IORequest, done device.Completion) {
-	s.eng.Schedule(ReadOverhead, func() {
-		first, remaining := s.pagesOf(r)
-		end := first + int64(remaining)
-		pageDone := func() {
-			remaining--
-			if remaining == 0 {
-				s.acquireLink(r.Size, func() { s.complete(r, done) })
-			}
-		}
-		for lpn := first; lpn < end; lpn++ {
-			if s.bufferResident[lpn] > 0 {
-				pageDone()
-				continue
-			}
-			s.ftl.Read(lpn, pageDone)
-		}
-	})
-}
-
-// write: overhead + link transfer in + buffer ack; pages flush to flash
-// asynchronously with backpressure.
-func (s *SSD) write(r *trace.IORequest, done device.Completion) {
-	s.eng.Schedule(WriteOverhead, func() {
-		s.acquireLink(r.Size, func() { s.bufferAck(r, done) })
-	})
-}
-
-func (s *SSD) bufferAck(r *trace.IORequest, done device.Completion) {
+// bufferAck lands write data in the buffer and acknowledges it, stalling
+// while the flush backlog is full.
+func (q *request) bufferAck() {
+	s := q.s
 	if s.pendingFlush >= maxPendingFlush {
-		s.stalls = append(s.stalls, func() { s.bufferAck(r, done) })
+		s.stalls = append(s.stalls, q)
 		return
 	}
-	first, count := s.pagesOf(r)
+	first, count := s.pagesOf(q.r)
 	for lpn := first; lpn < first+int64(count); lpn++ {
-		lpn := lpn
-		s.bufferResident[lpn]++
+		s.bufferResident.inc(lpn)
 		s.pendingFlush++
-		s.ftl.Write(lpn, func() {
-			s.pendingFlush--
-			s.bufferResident[lpn]--
-			if s.bufferResident[lpn] <= 0 {
-				delete(s.bufferResident, lpn)
-			}
-			s.drainStalls()
-		})
+		f := s.freeFlushes.Get()
+		if f.s == nil {
+			f.s = s
+			f.onFlushed = f.flushed
+		}
+		f.lpn = lpn
+		s.ftl.Write(lpn, f.onFlushed)
 	}
-	s.complete(r, done)
+	q.complete()
+}
+
+func (f *flush) flushed() {
+	s, lpn := f.s, f.lpn
+	s.freeFlushes.Put(f)
+	s.pendingFlush--
+	s.bufferResident.dec(lpn)
+	s.drainStalls()
 }
 
 func (s *SSD) drainStalls() {
 	for len(s.stalls) > 0 && s.pendingFlush < maxPendingFlush {
-		fn := s.stalls[0]
+		q := s.stalls[0]
 		s.stalls = s.stalls[:copy(s.stalls, s.stalls[1:])]
-		fn()
+		q.bufferAck()
 	}
 }

@@ -1,6 +1,7 @@
 package ssd
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/sim"
@@ -141,5 +142,52 @@ func TestKind(t *testing.T) {
 	_, s := testSSD(t)
 	if s.Kind().String() != "SSD" {
 		t.Fatalf("kind = %v", s.Kind())
+	}
+}
+
+// TestRecordReuseAfterPreMarkedFailure runs requests through the request
+// record a pre-marked failure (fault injection) just released: each must
+// take its own path, carry its own status, and complete once, to its own
+// completion — a nil one included.
+func TestRecordReuseAfterPreMarkedFailure(t *testing.T) {
+	eng, s := testSSD(t)
+	injected := errors.New("injected")
+	calls := 0
+	failed := &trace.IORequest{Op: trace.OpWrite, Offset: 0, Size: 8192, Err: injected}
+	s.Submit(failed, func(c *trace.IORequest) {
+		calls++
+		if c != failed || c.Err != injected {
+			t.Fatalf("failure completed with %p err %v, want %p err %v", c, c.Err, failed, injected)
+		}
+	})
+	eng.Run()
+	if s.ftl.UtilizedRatio() != 0 || s.pendingFlush != 0 {
+		t.Fatal("a pre-marked failed write reached the write buffer or flash")
+	}
+
+	write := &trace.IORequest{Op: trace.OpWrite, Offset: 0, Size: 8192}
+	s.Submit(write, nil)
+	eng.Run()
+	read := run(t, eng, s, &trace.IORequest{Op: trace.OpRead, Offset: 1 << 20, Size: 4096})
+	if calls != 1 {
+		t.Fatalf("the failed request's completion ran %d times, want 1", calls)
+	}
+	if write.Err != nil || write.Complete == 0 {
+		t.Fatalf("write after the failure: err %v, complete %v", write.Err, write.Complete)
+	}
+	if s.ftl.UtilizedRatio() == 0 {
+		t.Fatal("the write after the failure never reached flash")
+	}
+	// The failure path pays overhead and link only; a read that reached
+	// flash pays the page read too.
+	if read.Err != nil || read.Latency() <= ReadOverhead+linkTime(read.Size) {
+		t.Fatalf("read after the failure: err %v, latency %v, want a flash read", read.Err, read.Latency())
+	}
+	m := s.Metrics()
+	if m.TotalErrors != 1 || m.TotalWrites != 1 || m.TotalReads != 1 {
+		t.Fatalf("metrics: %d errors, %d writes, %d reads; want 1 each", m.TotalErrors, m.TotalWrites, m.TotalReads)
+	}
+	if s.outstanding != 0 {
+		t.Fatalf("outstanding = %d after every request completed", s.outstanding)
 	}
 }

@@ -10,7 +10,9 @@ import (
 )
 
 // Target accepts I/O requests. Devices satisfy it directly; the management
-// layer's VMDK handles satisfy it with placement indirection.
+// layer's VMDK handles satisfy it with placement indirection. The request
+// belongs to the caller, which reuses it once done has run: a target that
+// keeps anything of it past the completion keeps a copy.
 type Target interface {
 	Submit(r *trace.IORequest, done device.Completion)
 }
@@ -29,11 +31,13 @@ type Runner struct {
 	rng     *sim.RNG
 	profile Profile
 	target  Target
+	barrier BarrierTarget // target's barrier, nil when it has none
 	id      int
 
 	running   bool
 	inFlight  int
-	think     []*sim.Timer // pending think-time refills; Stop cancels them
+	slots     []*slot // every slot the runner has made; Stop scans them
+	free      []*slot // slots with no request in flight and no refill armed
 	nextID    uint64
 	seqRead   int64 // next sequential read offset
 	seqWrite  int64 // next sequential write offset
@@ -44,19 +48,38 @@ type Runner struct {
 	errored   uint64
 	latency   sim.Time // cumulative, successful completions only
 
-	// OnComplete, when set, observes every completed request.
+	// OnComplete, when set, observes every completed request. The request
+	// is valid only for the call: the runner issues its next request in
+	// the same record, so an observer that keeps it keeps a copy.
 	OnComplete func(*trace.IORequest)
 
 	tr    *telemetry.Tracer
 	track string
 }
 
+// slot is one outstanding request of a Runner: the request itself, held
+// by value, a completion bound once, and the think-time timer that refills
+// the slot, re-armed with Reset. A completion issues the slot's next
+// request in place, directly or when the think time has passed.
+type slot struct {
+	r     *Runner
+	req   trace.IORequest
+	think *sim.Timer // nil until the slot's first think time
+
+	onDone  device.Completion // bound: the target completed req
+	onThink func()            // bound: the think time has passed
+}
+
+func (s *slot) issue() { s.r.issue(s) }
+
 // NewRunner builds a runner; it panics on an invalid profile.
 func NewRunner(eng *sim.Engine, rng *sim.RNG, p Profile, target Target, id int) *Runner {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
-	return &Runner{eng: eng, rng: rng, profile: p, target: target, id: id}
+	r := &Runner{eng: eng, rng: rng, profile: p, target: target, id: id}
+	r.barrier, _ = target.(BarrierTarget)
+	return r
 }
 
 // Profile returns the runner's profile.
@@ -80,10 +103,11 @@ func (r *Runner) Start() {
 // in-flight requests drain naturally.
 func (r *Runner) Stop() {
 	r.running = false
-	for _, t := range r.think {
-		t.Stop()
+	for _, s := range r.slots {
+		if s.think != nil && s.think.Stop() {
+			r.free = append(r.free, s)
+		}
 	}
-	r.think = r.think[:0]
 }
 
 // Issued returns the number of requests issued.
@@ -129,11 +153,12 @@ func (r *Runner) RegisterTelemetry(reg *telemetry.Registry, prefix string) {
 	reg.Gauge(prefix+"mean_lat_us", func() float64 { return r.MeanLatency().Micros() })
 }
 
-// nextRequest draws one request from the profile.
-func (r *Runner) nextRequest() *trace.IORequest {
+// nextRequest draws one request from the profile into req, clearing
+// whatever its previous use left there.
+func (r *Runner) nextRequest(req *trace.IORequest) {
 	p := r.profile
 	r.nextID++
-	req := &trace.IORequest{
+	*req = trace.IORequest{
 		ID:   r.nextID,
 		VMDK: -1,
 		Size: p.IOSize,
@@ -148,7 +173,6 @@ func (r *Runner) nextRequest() *trace.IORequest {
 		req.Op = trace.OpRead
 		req.Offset = r.pickOffset(&r.seqRead, p.ReadRand)
 	}
-	return req
 }
 
 // pickOffset advances a sequential stream or jumps randomly — uniformly,
@@ -184,55 +208,68 @@ func zipfOffset(rng *sim.RNG, span int64, theta float64) int64 {
 	return off
 }
 
-// issueOne submits the next request and chains the refill.
+// issueOne submits the next request on a free slot.
 func (r *Runner) issueOne() {
-	req := r.nextRequest()
+	var s *slot
+	if n := len(r.free); n > 0 {
+		s = r.free[n-1]
+		r.free = r.free[:n-1]
+	} else {
+		s = &slot{r: r}
+		s.onDone = s.complete
+		s.onThink = s.issue
+		r.slots = append(r.slots, s)
+	}
+	r.issue(s)
+}
+
+// issue draws the slot's next request and submits it.
+func (r *Runner) issue(s *slot) {
+	req := &s.req
+	r.nextRequest(req)
 	r.inFlight++
 	r.issued++
 	if req.Op == trace.OpWrite && r.profile.Persistent && r.profile.BarrierEvery > 0 {
 		r.writesCnt++
-		if r.writesCnt%r.profile.BarrierEvery == 0 {
-			if bt, ok := r.target.(BarrierTarget); ok {
-				bt.Barrier()
-			}
+		if r.writesCnt%r.profile.BarrierEvery == 0 && r.barrier != nil {
+			r.barrier.Barrier()
 		}
 	}
-	r.target.Submit(req, func(done *trace.IORequest) {
-		r.inFlight--
-		if done.Failed() {
-			// The closed loop still refills — an application retries or
-			// moves on — but failures do not count as served requests and
-			// their (short-circuited) latency would pollute the mean.
-			r.errored++
-		} else {
-			r.completed++
-			r.latency += done.Latency()
-		}
-		if r.tr != nil {
-			r.tr.Complete(r.track, done.Op.String(), "workload", done.Issue, done.Complete,
-				telemetry.U("req", done.ID), telemetry.I("vmdk", int64(done.VMDK)),
-				telemetry.I("size", done.Size))
-		}
-		if r.OnComplete != nil {
-			r.OnComplete(done)
-		}
-		if !r.running {
-			return
-		}
-		if r.profile.ThinkTime > 0 {
-			// Drop fired handles before tracking a new one so the slice
-			// stays bounded by the outstanding-IO depth.
-			live := r.think[:0]
-			for _, t := range r.think {
-				if t.Active() {
-					live = append(live, t)
-				}
-			}
-			r.think = append(live, r.eng.After(r.profile.ThinkTime, r.issueOne))
-		} else {
-			r.issueOne()
-		}
-	})
+	r.target.Submit(req, s.onDone)
+}
+
+// complete accounts a finished request and refills its slot: after the
+// think time, at once, or not at all once the runner is stopped.
+func (s *slot) complete(done *trace.IORequest) {
+	r := s.r
+	r.inFlight--
+	if done.Failed() {
+		// The closed loop still refills — an application retries or
+		// moves on — but failures do not count as served requests and
+		// their (short-circuited) latency would pollute the mean.
+		r.errored++
+	} else {
+		r.completed++
+		r.latency += done.Latency()
+	}
+	if r.tr != nil {
+		r.tr.Complete(r.track, done.Op.String(), "workload", done.Issue, done.Complete,
+			telemetry.U("req", done.ID), telemetry.I("vmdk", int64(done.VMDK)),
+			telemetry.I("size", done.Size))
+	}
+	if r.OnComplete != nil {
+		r.OnComplete(done)
+	}
+	switch {
+	case !r.running:
+		r.free = append(r.free, s)
+	case r.profile.ThinkTime <= 0:
+		r.issue(s)
+	case s.think == nil:
+		s.think = r.eng.After(r.profile.ThinkTime, s.onThink)
+	default:
+		s.think.Reset(r.profile.ThinkTime)
+	}
 }
 
 func maxI64(a, b int64) int64 {

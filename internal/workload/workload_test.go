@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/bus"
@@ -10,17 +11,19 @@ import (
 	"repro/internal/trace"
 )
 
-// fakeTarget completes requests after a fixed delay.
+// fakeTarget completes requests after a fixed delay. It records each
+// request by value, as submitted: the runner issues its next request in
+// the same record once the completion has run.
 type fakeTarget struct {
 	eng      *sim.Engine
 	delay    sim.Time
-	seen     []*trace.IORequest
+	seen     []trace.IORequest
 	barriers int
 }
 
 func (f *fakeTarget) Submit(r *trace.IORequest, done device.Completion) {
 	r.Issue = f.eng.Now()
-	f.seen = append(f.seen, r)
+	f.seen = append(f.seen, *r)
 	f.eng.Schedule(f.delay, func() {
 		r.Complete = f.eng.Now()
 		if done != nil {
@@ -469,4 +472,118 @@ func TestMemGenTimerReuse(t *testing.T) {
 		}
 		g.Stop()
 	})
+}
+
+// failingTarget checks each request as the runner submits it, then fails
+// every other one. Before completing it stamps the fields a device and a
+// VMDK write, so a field that survived a slot's recycling would show on
+// the slot's next Submit.
+type failingTarget struct {
+	t       *testing.T
+	eng     *sim.Engine
+	p       Profile
+	n       int
+	failure error
+}
+
+func (f *failingTarget) Submit(r *trace.IORequest, done device.Completion) {
+	want := trace.ClassNormal
+	if r.Op == trace.OpWrite && f.p.Persistent {
+		want = trace.ClassPersistent
+	}
+	if r.Err != nil || r.Issue != 0 || r.Complete != 0 || r.VMDK != -1 || r.Class != want || r.Size != f.p.IOSize {
+		f.t.Fatalf("request %d submitted with err %v issue %v complete %v vmdk %d class %v size %d; want a fresh %v request",
+			r.ID, r.Err, r.Issue, r.Complete, r.VMDK, r.Class, r.Size, want)
+	}
+	f.n++
+	fail := f.n%2 == 0
+	r.Issue = f.eng.Now()
+	r.VMDK = 7
+	f.eng.Schedule(5, func() {
+		r.Complete = f.eng.Now()
+		if fail {
+			r.Err = f.failure
+		}
+		done(r)
+	})
+}
+
+// TestRunnerSlotsStartClean drives runners, with and without think time,
+// against a target that fails every other request and dirties every
+// field: each Submit must still see a freshly drawn request.
+func TestRunnerSlotsStartClean(t *testing.T) {
+	for _, think := range []sim.Time{0, 3} {
+		eng := sim.NewEngine()
+		p := Profile{Name: "t", WriteRatio: 0.5, ReadRand: 0.5, WriteRand: 0.5, IOSize: 4096,
+			OIO: 3, Footprint: 1 << 20, ThinkTime: think, Persistent: true, BarrierEvery: 2}
+		ft := &failingTarget{t: t, eng: eng, p: p, failure: errors.New("injected")}
+		r := NewRunner(eng, sim.NewRNG(11), p, ft, 0)
+		r.Start()
+		eng.RunFor(2000)
+		r.Stop()
+		eng.Run()
+		if r.Errored() == 0 || r.Completed() == 0 || r.Errored()+r.Completed() != r.Issued() {
+			t.Fatalf("think %v: issued %d, completed %d, errored %d", think, r.Issued(), r.Completed(), r.Errored())
+		}
+	}
+}
+
+// TestRunnerThinkTimerReuse checks that each slot re-arms its one think
+// timer: after the first round of completions the runner holds OIO slots
+// and arms no new timers, Stop cancels the pending refills, and a restart
+// takes the freed slots back.
+func TestRunnerThinkTimerReuse(t *testing.T) {
+	eng := sim.NewEngine()
+	ft := &fakeTarget{eng: eng, delay: 10}
+	p := Profile{Name: "t", WriteRatio: 0.5, IOSize: 4096, OIO: 4, Footprint: 1 << 20, ThinkTime: 7}
+	r := NewRunner(eng, sim.NewRNG(1), p, ft, 0)
+	r.Start()
+	eng.RunFor(200)
+	if len(r.slots) != p.OIO {
+		t.Fatalf("%d slots for OIO %d", len(r.slots), p.OIO)
+	}
+	timers := map[*sim.Timer]bool{}
+	for _, s := range r.slots {
+		if s.think == nil {
+			t.Fatal("a slot never armed its think timer")
+		}
+		timers[s.think] = true
+	}
+	eng.RunFor(400)
+	for _, s := range r.slots {
+		if !timers[s.think] {
+			t.Fatal("a slot replaced its think timer instead of re-arming it")
+		}
+	}
+	// Stop with refills pending: they are cancelled and their slots freed.
+	thinking := 0
+	for eng.Step() {
+		thinking = 0
+		for _, s := range r.slots {
+			if s.think.Active() {
+				thinking++
+			}
+		}
+		if thinking > 0 && r.InFlight() > 0 {
+			break
+		}
+	}
+	r.Stop()
+	for _, s := range r.slots {
+		if s.think.Active() {
+			t.Fatal("Stop left a think-time refill armed")
+		}
+	}
+	if len(r.free) != thinking {
+		t.Fatalf("%d free slots after Stop cancelled %d refills", len(r.free), thinking)
+	}
+	eng.Run()
+	if r.InFlight() != 0 || len(r.free) != p.OIO {
+		t.Fatalf("after draining: %d in flight, %d free slots, want 0 and %d", r.InFlight(), len(r.free), p.OIO)
+	}
+	issued := r.Issued()
+	r.Start()
+	if r.Issued()-issued != uint64(p.OIO) || len(r.slots) != p.OIO {
+		t.Fatalf("restart issued %d on %d slots, want %d on the same %d", r.Issued()-issued, len(r.slots), p.OIO, p.OIO)
+	}
 }
