@@ -8,6 +8,7 @@ package cache
 import (
 	"math"
 
+	"repro/internal/pagetab"
 	"repro/internal/telemetry"
 )
 
@@ -91,13 +92,14 @@ type lrfuEntry struct {
 //
 // A block leaves only by eviction, whose slab slot the incoming block
 // takes over, or by Invalidate, which truncates the slab; the slab is
-// therefore always dense and needs no free list. It grows on demand, so
-// a large, mostly empty cache costs no memory up front.
+// therefore always dense and needs no free list. The slab and the block
+// index grow on demand, so a large, mostly empty cache costs no memory up
+// front.
 type LRFU struct {
 	capacity int
 	lambda   float64
 	clock    uint64
-	entries  map[int64]int32 // block → slab index
+	entries  pagetab.Table[int32] // block → slab index
 	slab     []lrfuEntry
 	heap     []int32 // slab indices, a min-heap on key
 	stats    Stats
@@ -115,11 +117,7 @@ func NewLRFU(capacity int, lambda float64) *LRFU {
 	if lambda <= 0 || lambda > 1 {
 		panic("cache: lambda out of (0,1]")
 	}
-	return &LRFU{
-		capacity: capacity,
-		lambda:   lambda,
-		entries:  make(map[int64]int32, capacity),
-	}
+	return &LRFU{capacity: capacity, lambda: lambda}
 }
 
 // setKey refreshes e's cached heap key after its crf or last changed.
@@ -206,7 +204,7 @@ func (c *LRFU) decayFactor(dt uint64) float64 {
 // Lookup implements Cache.
 func (c *LRFU) Lookup(block int64) bool {
 	c.clock++
-	i, ok := c.entries[block]
+	i, ok := c.entries.Get(block)
 	if !ok {
 		c.stats.miss()
 		return false
@@ -226,7 +224,7 @@ func (c *LRFU) touch(e *lrfuEntry) {
 // Insert implements Cache.
 func (c *LRFU) Insert(block int64, dirty bool) (Victim, bool) {
 	c.clock++
-	if i, ok := c.entries[block]; ok {
+	if i, ok := c.entries.Get(block); ok {
 		e := &c.slab[i]
 		if dirty {
 			e.dirty = true
@@ -243,7 +241,7 @@ func (c *LRFU) Insert(block int64, dirty bool) (Victim, bool) {
 		// The victim's slot goes to the incoming block.
 		slot = c.popMin()
 		old := &c.slab[slot]
-		delete(c.entries, old.block)
+		c.entries.Delete(old.block)
 		v, evicted = Victim{Block: old.block, Dirty: old.dirty}, true
 	} else {
 		slot = int32(len(c.slab))
@@ -252,24 +250,24 @@ func (c *LRFU) Insert(block int64, dirty bool) (Victim, bool) {
 	e := &c.slab[slot]
 	*e = lrfuEntry{block: block, crf: 1, last: c.clock, dirty: dirty}
 	c.setKey(e)
-	c.entries[block] = slot
+	c.entries.Put(block, slot)
 	c.push(slot)
 	return v, evicted
 }
 
 // Contains reports residency without touching recency or stats.
 func (c *LRFU) Contains(block int64) bool {
-	_, ok := c.entries[block]
+	_, ok := c.entries.Get(block)
 	return ok
 }
 
 // Invalidate empties the cache without write-backs — the power-loss
 // path (DRAM cache contents are volatile; dirty lines are covered by
 // flush-on-fail circuitry, so dropping them loses no data). Hit/miss
-// statistics survive. The map, slab and heap keep their backing storage,
-// so a power loss costs no allocation.
+// statistics survive. The block index, slab and heap keep their backing
+// storage, so a power loss costs no allocation.
 func (c *LRFU) Invalidate() {
-	clear(c.entries)
+	c.entries.Clear()
 	c.slab = c.slab[:0]
 	c.heap = c.heap[:0]
 }
@@ -277,7 +275,7 @@ func (c *LRFU) Invalidate() {
 // Len returns the number of resident blocks.
 //
 //lint:ignore unreachable nvdimm TestMigratedWriteBypassesCache, TestBypassPreservesCacheContents
-func (c *LRFU) Len() int { return len(c.entries) }
+func (c *LRFU) Len() int { return len(c.heap) }
 
 // Cap returns the capacity in blocks.
 //

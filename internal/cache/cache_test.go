@@ -20,7 +20,7 @@ func caches(capacity int) map[string]Cache {
 func resident(c Cache) int {
 	switch c := c.(type) {
 	case *LRFU:
-		return len(c.entries)
+		return c.Len()
 	case *LRU:
 		return len(c.entries)
 	}
@@ -40,7 +40,7 @@ func capacity(c Cache) int {
 func contains(c Cache, block int64) bool {
 	switch c := c.(type) {
 	case *LRFU:
-		_, ok := c.entries[block]
+		_, ok := c.entries.Get(block)
 		return ok
 	case *LRU:
 		_, ok := c.entries[block]

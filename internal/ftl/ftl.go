@@ -11,8 +11,10 @@ package ftl
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/flash"
+	"repro/internal/pagetab"
 )
 
 // Space management, the same for the NVDIMM's and the SSD's flash.
@@ -73,8 +75,12 @@ type FTL struct {
 	totalPages    int64
 	logicalPages  int64
 
-	l2p    map[int64]int64 // lpn → ppn
-	p2l    map[int64]int64 // ppn → lpn (valid pages only)
+	// l2p maps lpn → ppn over the logical range, in chunks allocated as
+	// writes first reach them. p2l maps ppn → lpn for valid pages only;
+	// it is hashed, not dense, so it holds live pages rather than every
+	// physical page the write frontier has passed (DESIGN.md §15).
+	l2p    pagetab.Dense
+	p2l    pagetab.Table[int32]
 	blocks []block
 	free   []int // free block indices (LIFO)
 
@@ -99,20 +105,24 @@ type FTL struct {
 }
 
 // New creates an FTL managing numBlocks physical blocks of the array. It
-// panics when numBlocks leaves no room above the GC low-water mark.
+// panics when numBlocks leaves no room above the GC low-water mark, or
+// when the physical pages do not fit the mapping tables' int32 entries.
 func New(fl *flash.Array, numBlocks int) *FTL {
 	if numBlocks <= gcLowWater+2 {
 		panic(fmt.Sprintf("ftl: NumBlocks %d too small for low water %d", numBlocks, gcLowWater))
 	}
 	ppb := fl.Config().PagesPerBlock
 	total := int64(numBlocks) * int64(ppb)
+	if total > math.MaxInt32 {
+		panic(fmt.Sprintf("ftl: %d physical pages exceed the int32 page tables", total))
+	}
+	logical := int64(float64(total) * (1 - overProvision))
 	f := &FTL{
 		fl:            fl,
 		pagesPerBlock: ppb,
 		totalPages:    total,
-		logicalPages:  int64(float64(total) * (1 - overProvision)),
-		l2p:           make(map[int64]int64),
-		p2l:           make(map[int64]int64),
+		logicalPages:  logical,
+		l2p:           pagetab.NewDense(logical),
 		blocks:        make([]block, numBlocks),
 		userActive:    -1,
 		gcActive:      -1,
@@ -130,10 +140,12 @@ func New(fl *flash.Array, numBlocks int) *FTL {
 // PageSize returns the flash page size in bytes.
 func (f *FTL) PageSize() int64 { return flash.PageSize }
 
-// mapLPN folds any LPN into the logical address space.
+// mapLPN folds any LPN into the logical address space: a negative LPN
+// folds as its absolute value would. Negating the remainder rather than
+// the LPN keeps math.MinInt64, whose negation overflows, in range.
 func (f *FTL) mapLPN(lpn int64) int64 {
 	if lpn < 0 {
-		lpn = -lpn
+		return -(lpn % f.logicalPages)
 	}
 	return lpn % f.logicalPages
 }
@@ -143,8 +155,8 @@ func (f *FTL) mapLPN(lpn int64) int64 {
 // deterministic resident page (modelling pre-existing data).
 func (f *FTL) Read(lpn int64, done func()) {
 	lpn = f.mapLPN(lpn)
-	ppn, ok := f.l2p[lpn]
-	if !ok {
+	ppn := int64(f.l2p.Get(lpn))
+	if ppn < 0 {
 		ppn = lpn % f.totalPages
 	}
 	f.fl.ReadPage(ppn, done)
@@ -174,9 +186,9 @@ func (f *FTL) writeMapped(lpn int64, done func()) {
 
 // invalidate drops the current mapping of lpn, if any.
 func (f *FTL) invalidate(lpn int64) {
-	if old, ok := f.l2p[lpn]; ok {
-		delete(f.p2l, old)
-		delete(f.l2p, lpn)
+	if old := int64(f.l2p.Get(lpn)); old >= 0 {
+		f.p2l.Delete(old)
+		f.l2p.Delete(lpn)
 		b := int(old / int64(f.pagesPerBlock))
 		if f.blocks[b].valid > 0 {
 			f.blocks[b].valid--
@@ -186,8 +198,8 @@ func (f *FTL) invalidate(lpn int64) {
 
 // commit installs lpn → ppn.
 func (f *FTL) commit(lpn, ppn int64) {
-	f.l2p[lpn] = ppn
-	f.p2l[ppn] = lpn
+	f.l2p.Set(lpn, int32(ppn))
+	f.p2l.Put(ppn, int32(lpn))
 	f.blocks[ppn/int64(f.pagesPerBlock)].valid++
 }
 
@@ -231,7 +243,7 @@ func (f *FTL) FreeBlocks() int { return len(f.free) }
 
 // UtilizedRatio returns valid pages / logical pages.
 func (f *FTL) UtilizedRatio() float64 {
-	return float64(int64(len(f.l2p))) / float64(f.logicalPages)
+	return float64(f.l2p.Len()) / float64(f.logicalPages)
 }
 
 // FreeSpaceRatio returns 1 - UtilizedRatio, clamped to [0,1].
@@ -292,8 +304,8 @@ func (g *relocation) begin(victim int) {
 	g.next = 0
 	start := int64(victim) * int64(f.pagesPerBlock)
 	for p := start; p < start+int64(f.pagesPerBlock); p++ {
-		if lpn, ok := f.p2l[p]; ok {
-			g.lpns = append(g.lpns, lpn)
+		if lpn, ok := f.p2l.Get(p); ok {
+			g.lpns = append(g.lpns, int64(lpn))
 		}
 	}
 	g.step()
@@ -308,13 +320,13 @@ func (g *relocation) step() {
 	for g.next < len(g.lpns) {
 		lpn := g.lpns[g.next]
 		g.next++
-		old, ok := f.l2p[lpn]
-		if !ok {
+		old := f.l2p.Get(lpn)
+		if old < 0 {
 			// Invalidated while GC in flight; skip.
 			continue
 		}
 		g.lpn = lpn
-		f.fl.ReadPage(old, g.onRead)
+		f.fl.ReadPage(int64(old), g.onRead)
 		return
 	}
 	f.erases++
@@ -374,7 +386,7 @@ func (f *FTL) Prefill(ratio float64) {
 	}
 	n := int64(ratio * float64(f.logicalPages))
 	for lpn := int64(0); lpn < n; lpn++ {
-		if _, ok := f.l2p[lpn]; ok {
+		if f.l2p.Get(lpn) >= 0 {
 			continue
 		}
 		ppn, ok := f.allocPage(false)

@@ -51,7 +51,7 @@ func TestWriteThenReadMapped(t *testing.T) {
 	if !wrote {
 		t.Fatal("write never completed")
 	}
-	if _, ok := f.l2p[5]; !ok {
+	if f.l2p.Get(5) < 0 {
 		t.Fatal("mapping not installed")
 	}
 	read := false
@@ -76,14 +76,14 @@ func TestOverwriteInvalidatesOldPage(t *testing.T) {
 	eng, f := tinyFTL(t)
 	f.Write(7, nil)
 	eng.Run()
-	first := f.l2p[7]
+	first := f.l2p.Get(7)
 	f.Write(7, nil)
 	eng.Run()
-	second := f.l2p[7]
+	second := f.l2p.Get(7)
 	if first == second {
 		t.Fatal("overwrite reused the same physical page")
 	}
-	if _, ok := f.p2l[first]; ok {
+	if _, ok := f.p2l.Get(int64(first)); ok {
 		t.Fatal("old page still marked valid")
 	}
 	if f.UtilizedRatio() <= 0 {
@@ -97,8 +97,8 @@ func TestSequentialWritesStripeChannels(t *testing.T) {
 	f.Write(0, nil)
 	f.Write(1, nil)
 	eng.Run()
-	ch0, _ := f.fl.Locate(f.l2p[0])
-	ch1, _ := f.fl.Locate(f.l2p[1])
+	ch0, _ := f.fl.Locate(int64(f.l2p.Get(0)))
+	ch1, _ := f.fl.Locate(int64(f.l2p.Get(1)))
 	if ch0 == ch1 {
 		t.Fatalf("sequential writes on same channel %d", ch0)
 	}
@@ -123,8 +123,8 @@ func TestGCTriggersAndReclaims(t *testing.T) {
 		t.Fatal("GC failed to keep free blocks available")
 	}
 	// Only 10 live LPNs remain mapped.
-	if len(f.l2p) != 10 {
-		t.Fatalf("mapped LPNs = %d, want 10", len(f.l2p))
+	if f.l2p.Len() != 10 {
+		t.Fatalf("mapped LPNs = %d, want 10", f.l2p.Len())
 	}
 }
 
@@ -223,9 +223,13 @@ func TestMappingConsistencyProperty(t *testing.T) {
 			f.Write(int64(l), nil)
 		}
 		eng.Run()
-		for lpn, ppn := range f.l2p {
-			back, ok := f.p2l[ppn]
-			if !ok || back != lpn {
+		for lpn := int64(0); lpn < f.logicalPages; lpn++ {
+			ppn := f.l2p.Get(lpn)
+			if ppn < 0 {
+				continue
+			}
+			back, ok := f.p2l.Get(int64(ppn))
+			if !ok || int64(back) != lpn {
 				return false
 			}
 		}
@@ -233,7 +237,7 @@ func TestMappingConsistencyProperty(t *testing.T) {
 		for i := range f.blocks {
 			validSum += f.blocks[i].valid
 		}
-		return validSum == len(f.l2p)
+		return int64(validSum) == f.l2p.Len() && f.check() == nil
 	}
 	if err := quick.Check(f2, &quick.Config{MaxCount: 50, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)

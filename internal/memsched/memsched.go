@@ -12,6 +12,7 @@
 package memsched
 
 import (
+	"repro/internal/pagetab"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
@@ -118,8 +119,8 @@ type Scheduler struct {
 	// dropped once it is the oldest. Epochs are enqueued in increasing
 	// order, so appending keeps it sorted, and its storage is reused.
 	open              []epochCount
-	minEpoch          int              // oldest epoch with outstanding barrier-bound entries
-	lastPersistentSeq map[int64]uint64 // lpn → seq of last dispatched persistent write
+	minEpoch          int                   // oldest epoch with outstanding barrier-bound entries
+	lastPersistentSeq pagetab.Table[uint64] // lpn → seq of last dispatched persistent write
 
 	st      Stats
 	waitPer stats.Summary
@@ -137,12 +138,7 @@ func New(eng *sim.Engine, policy Policy, slots int) *Scheduler {
 	if policy.NonPersistentBarrier && policy.NPBDelay <= 0 {
 		policy.NPBDelay = 100 * sim.Microsecond
 	}
-	return &Scheduler{
-		eng:               eng,
-		policy:            policy,
-		slots:             slots,
-		lastPersistentSeq: make(map[int64]uint64),
-	}
+	return &Scheduler{eng: eng, policy: policy, slots: slots}
 }
 
 // EnqueueWrite queues a write to logical page lpn. run performs the actual
@@ -257,7 +253,7 @@ func (s *Scheduler) dispatch() {
 		// around a newer persistent write to the same page is stale —
 		// discard it instead of clobbering the persistent data.
 		if e.class == trace.ClassMigrated {
-			if pseq, ok := s.lastPersistentSeq[e.lpn]; ok && pseq > e.seq {
+			if pseq, ok := s.lastPersistentSeq.Get(e.lpn); ok && pseq > e.seq {
 				e.state = stateDone
 				s.st.DiscardedMigrated++
 				// A discarded entry still satisfies its epoch: without
@@ -272,7 +268,7 @@ func (s *Scheduler) dispatch() {
 				continue
 			}
 		} else {
-			s.lastPersistentSeq[e.lpn] = e.seq
+			s.lastPersistentSeq.Put(e.lpn, e.seq)
 		}
 		s.start(e)
 	}

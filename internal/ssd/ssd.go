@@ -9,6 +9,7 @@ import (
 	"repro/internal/device"
 	"repro/internal/flash"
 	"repro/internal/ftl"
+	"repro/internal/pagetab"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -74,9 +75,10 @@ type SSD struct {
 	// Free lists of the records below; each SSD owns its own.
 	freeRequests sim.FreeList[request]
 	freeFlushes  sim.FreeList[flush]
-	// bufferResident tracks pages acknowledged but not yet flushed, so
-	// reads of freshly written data are served from the buffer.
-	bufferResident pageCounts
+	// bufferResident counts, per LPN, the acknowledged writes whose pages
+	// have not reached flash yet, so reads of freshly written data are
+	// served from the buffer. An LPN leaves when its count drops to zero.
+	bufferResident pagetab.Table[int32]
 }
 
 var _ device.Device = (*SSD)(nil)
@@ -210,7 +212,7 @@ func (q *request) read() {
 	first, count := s.pagesOf(q.r)
 	q.remaining = count
 	for lpn, end := first, first+int64(count); lpn < end; lpn++ {
-		if s.bufferResident.has(lpn) {
+		if _, ok := s.bufferResident.Get(lpn); ok {
 			q.pageDone()
 			continue
 		}
@@ -248,7 +250,8 @@ func (q *request) bufferAck() {
 	}
 	first, count := s.pagesOf(q.r)
 	for lpn := first; lpn < first+int64(count); lpn++ {
-		s.bufferResident.inc(lpn)
+		n, _ := s.bufferResident.Get(lpn)
+		s.bufferResident.Put(lpn, n+1)
 		s.pendingFlush++
 		f := s.freeFlushes.Get()
 		if f.s == nil {
@@ -265,7 +268,11 @@ func (f *flush) flushed() {
 	s, lpn := f.s, f.lpn
 	s.freeFlushes.Put(f)
 	s.pendingFlush--
-	s.bufferResident.dec(lpn)
+	if n, _ := s.bufferResident.Get(lpn); n > 1 {
+		s.bufferResident.Put(lpn, n-1)
+	} else {
+		s.bufferResident.Delete(lpn)
+	}
 	s.drainStalls()
 }
 
