@@ -9,11 +9,9 @@ package main
 import (
 	"fmt"
 
-	"repro/internal/bus"
 	"repro/internal/core"
 	"repro/internal/memsched"
 	"repro/internal/mgmt"
-	"repro/internal/nvdimm"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -28,15 +26,14 @@ var migClass = mgmt.Full().MigratedClass()
 // runScheduling measures application IOPS on a migration-loaded NVDIMM
 // under the given transaction-queue policy.
 func runScheduling(pol memsched.Policy) float64 {
-	eng := sim.NewEngine()
-	ch := bus.NewChannel(eng, 0)
 	cfg := core.ScaledNVDIMMConfig("nv")
 	cfg.Sched = pol
 	cfg.WriteThrough = true // persistent store: barriers bind write latency
 	cfg.SchedSlots = 8
 	cfg.CacheBlocks = 256
 	cfg.MaxPendingFlush = 64
-	n := nvdimm.New(eng, ch, cfg)
+	rig := core.NewRig(cfg, nil)
+	eng, n := rig.Eng, rig.NVDIMM
 
 	p, _ := workload.AppProfile("kmeans")
 	p.Footprint = 8 << 20
@@ -77,12 +74,11 @@ func runScheduling(pol memsched.Policy) float64 {
 // runBypass measures the buffer-cache hit ratio during a migration read
 // storm, with or without §5.3.2 bypassing.
 func runBypass(bypass bool) float64 {
-	eng := sim.NewEngine()
-	ch := bus.NewChannel(eng, 0)
 	cfg := core.ScaledNVDIMMConfig("nv")
 	cfg.BypassMigratedReads = bypass
 	cfg.CacheBlocks = 256
-	n := nvdimm.New(eng, ch, cfg)
+	rig := core.NewRig(cfg, nil)
+	eng, n := rig.Eng, rig.NVDIMM
 
 	p := workload.Profile{Name: "hot", WriteRatio: 0.2, ReadRand: 0.8, WriteRand: 0.8,
 		IOSize: 4096, OIO: 4, Footprint: 1 << 20, ThinkTime: 20 * sim.Microsecond}

@@ -8,19 +8,16 @@ package main
 import (
 	"fmt"
 
-	"repro/internal/bus"
 	"repro/internal/core"
 	"repro/internal/hdd"
 	"repro/internal/mgmt"
-	"repro/internal/nvdimm"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
 func run(scheme mgmt.Scheme) (st mgmt.Stats, meanLat sim.Time) {
-	eng := sim.NewEngine()
-	ch := bus.NewChannel(eng, 0)
-	nv := nvdimm.New(eng, ch, core.ScaledNVDIMMConfig("nvdimm"))
+	rig := core.NewRig(core.ScaledNVDIMMConfig("nvdimm"), nil)
+	eng, nv := rig.Eng, rig.NVDIMM
 	hd := hdd.New(eng, core.ScaledHDDConfig("hdd", 1))
 	stores := []*mgmt.Datastore{
 		mgmt.NewDatastore(nv, 0),

@@ -9,7 +9,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/bus"
 	"repro/internal/cluster"
 	"repro/internal/device"
 	"repro/internal/faultinject"
@@ -249,9 +248,8 @@ func NewSystem(opts Options) (*System, error) {
 			HDD:        ScaledHDDConfig(name+"-hdd", opts.Seed+uint64(i)),
 			MemProfile: memProfile,
 			MemScale:   opts.MemScale,
-			// 64-cacheline bursts keep long co-runner simulations cheap
-			// while preserving channel occupancy.
-			MemAggregation: 64,
+			// The same burst size as a Rig's co-runner.
+			MemAggregation: memAggregation,
 		}
 		if s.Injector != nil {
 			node := i
@@ -592,13 +590,7 @@ func TrainScaledNVDIMMModel(seed uint64) (*perfmodel.Model, error) {
 	spec.WindowPerPoint = 3 * sim.Millisecond
 	spec.Warmup = sim.Millisecond
 	spec.Footprint = 64 << 20
-	ds := perfmodel.Collect(func(fill float64) (*sim.Engine, device.Device) {
-		eng := sim.NewEngine()
-		ch := bus.NewChannel(eng, 0)
-		n := nvdimm.New(eng, ch, ScaledNVDIMMConfig("train"))
-		n.Prefill(fill)
-		return eng, n
-	}, spec)
+	ds := perfmodel.Collect(QuietNVDIMM, spec)
 	return perfmodel.TrainModel(ds, mlmodel.DefaultTreeConfig())
 }
 

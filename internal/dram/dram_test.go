@@ -19,7 +19,7 @@ func TestAccessCompletes(t *testing.T) {
 	// Start past the t=0 refresh blackout so timing is pure bank latency.
 	eng.RunUntil(200)
 	var lat sim.Time = -1
-	d.AccessBurst(trace.MemRequest{Op: trace.MemRead, Addr: 0x1000, At: 200}, 1, func(l sim.Time) { lat = l })
+	d.AccessBurst(trace.MemRequest{Addr: 0x1000, At: 200}, 1, func(l sim.Time) { lat = l })
 	eng.Run()
 	if lat < 0 {
 		t.Fatal("access never completed")
@@ -37,7 +37,7 @@ func TestAccessCompletes(t *testing.T) {
 func TestAccessAtZeroIncludesRefresh(t *testing.T) {
 	eng, d := newDIMM()
 	var lat sim.Time = -1
-	d.AccessBurst(trace.MemRequest{Op: trace.MemRead, Addr: 0x1000, At: 0}, 1, func(l sim.Time) { lat = l })
+	d.AccessBurst(trace.MemRequest{Addr: 0x1000, At: 0}, 1, func(l sim.Time) { lat = l })
 	eng.Run()
 	want := RefreshRowTime + TRCD + TCL + BurstTime
 	if lat != want {
@@ -51,17 +51,17 @@ func TestRowHitFasterThanConflict(t *testing.T) {
 	record := func(l sim.Time) { latencies = append(latencies, l) }
 
 	base := uint64(0x10000)
-	d.AccessBurst(trace.MemRequest{Op: trace.MemRead, Addr: base, At: 0}, 1, record)
+	d.AccessBurst(trace.MemRequest{Addr: base, At: 0}, 1, record)
 	eng.Run()
 
 	// Same row (same upper bits): row hit.
 	at := eng.Now()
-	d.AccessBurst(trace.MemRequest{Op: trace.MemRead, Addr: base + 64, At: at}, 1, record)
+	d.AccessBurst(trace.MemRequest{Addr: base + 64, At: at}, 1, record)
 	eng.Run()
 
 	// Different row, same bank (flip row bits above bit 13).
 	at = eng.Now()
-	d.AccessBurst(trace.MemRequest{Op: trace.MemRead, Addr: base + (1 << 20), At: at}, 1, record)
+	d.AccessBurst(trace.MemRequest{Addr: base + (1 << 20), At: at}, 1, record)
 	eng.Run()
 
 	if len(latencies) != 3 {
@@ -79,8 +79,8 @@ func TestBankParallelism(t *testing.T) {
 	run := func(addr2 uint64) sim.Time {
 		eng, d := newDIMM()
 		doneCount := 0
-		d.AccessBurst(trace.MemRequest{Op: trace.MemRead, Addr: 0, At: 0}, 1, func(sim.Time) { doneCount++ })
-		d.AccessBurst(trace.MemRequest{Op: trace.MemRead, Addr: addr2, At: 0}, 1, func(sim.Time) { doneCount++ })
+		d.AccessBurst(trace.MemRequest{Addr: 0, At: 0}, 1, func(sim.Time) { doneCount++ })
+		d.AccessBurst(trace.MemRequest{Addr: addr2, At: 0}, 1, func(sim.Time) { doneCount++ })
 		eng.Run()
 		if doneCount != 2 {
 			t.Fatalf("only %d completed", doneCount)
@@ -97,9 +97,9 @@ func TestBankParallelism(t *testing.T) {
 
 func TestIntensityTracking(t *testing.T) {
 	eng, d := newDIMM()
-	d.AccessBurst(trace.MemRequest{Op: trace.MemRead, Addr: 0}, 1, nil)
-	d.AccessBurst(trace.MemRequest{Op: trace.MemWrite, Addr: 64}, 1, nil)
-	d.AccessBurst(trace.MemRequest{Op: trace.MemWrite, Addr: 128}, 1, nil)
+	d.AccessBurst(trace.MemRequest{Addr: 0}, 1, nil)
+	d.AccessBurst(trace.MemRequest{Addr: 64}, 1, nil)
+	d.AccessBurst(trace.MemRequest{Addr: 128}, 1, nil)
 	eng.Run()
 	if d.Intensity().Total() != 3 {
 		t.Fatalf("intensity = %d accesses, want 3", d.Intensity().Total())
@@ -145,7 +145,7 @@ func TestMeanLatencyAccumulates(t *testing.T) {
 	var sum sim.Time
 	n := 0
 	for i := 0; i < 50; i++ {
-		d.AccessBurst(trace.MemRequest{Op: trace.MemRead, Addr: uint64(i) << 13, At: eng.Now()}, 1, func(l sim.Time) {
+		d.AccessBurst(trace.MemRequest{Addr: uint64(i) << 13, At: eng.Now()}, 1, func(l sim.Time) {
 			sum += l
 			n++
 		})
@@ -167,7 +167,7 @@ func TestChannelContentionSlowsDRAM(t *testing.T) {
 	// Hold the channel with a long IO transfer first.
 	ch.Acquire(bus.PriIO, 10*sim.Microsecond, func(sim.Time) {})
 	var lat sim.Time
-	d.AccessBurst(trace.MemRequest{Op: trace.MemRead, Addr: 0, At: 0}, 1, func(l sim.Time) { lat = l })
+	d.AccessBurst(trace.MemRequest{Addr: 0, At: 0}, 1, func(l sim.Time) { lat = l })
 	eng.Run()
 	if lat < 10*sim.Microsecond {
 		t.Fatalf("DRAM access latency %v should include waiting for the 10us IO hold", lat)
@@ -195,19 +195,18 @@ func TestBurstPool(t *testing.T) {
 		eng.RunUntil(200)
 		const base = uint64(0x10000) // rank 0, bank 0, row 8
 		steps := []struct {
-			op   trace.MemOp
 			addr uint64
 			n    int
 		}{
-			{trace.MemRead, base, 4},         // closed bank: tRCD
-			{trace.MemWrite, base + 64, 2},   // same row: hit
-			{trace.MemRead, base + 1<<20, 1}, // same bank, new row: conflict
+			{base, 4},         // closed bank: tRCD
+			{base + 64, 2},    // same row: hit
+			{base + 1<<20, 1}, // same bank, new row: conflict
 		}
 		var lats, ends []sim.Time
 		var issue func(k int)
 		issue = func(k int) {
 			s := steps[k]
-			d.AccessBurst(trace.MemRequest{Op: s.op, Addr: s.addr, At: eng.Now()}, s.n, func(l sim.Time) {
+			d.AccessBurst(trace.MemRequest{Addr: s.addr, At: eng.Now()}, s.n, func(l sim.Time) {
 				lats = append(lats, l)
 				ends = append(ends, eng.Now())
 				if k+1 < len(steps) {
@@ -245,9 +244,9 @@ func TestBurstPool(t *testing.T) {
 		eng.RunUntil(200)
 		var lat sim.Time = -1
 		// Bank 0 with no callback: recycled at its grant (214).
-		d.AccessBurst(trace.MemRequest{Op: trace.MemRead, Addr: 0x10000, At: 200}, 8, nil)
+		d.AccessBurst(trace.MemRequest{Addr: 0x10000, At: 200}, 8, nil)
 		// Bank 1, ready at 214 too but queued behind the 40 ns hold.
-		d.AccessBurst(trace.MemRequest{Op: trace.MemWrite, Addr: 0x10100, At: 200}, 1, func(l sim.Time) { lat = l })
+		d.AccessBurst(trace.MemRequest{Addr: 0x10100, At: 200}, 1, func(l sim.Time) { lat = l })
 		eng.Run()
 		if lat != 73 { // grant 254, finish 254+14+5
 			t.Fatalf("queued access latency = %v, want 73", lat)
@@ -262,7 +261,7 @@ func TestBurstPool(t *testing.T) {
 			t.Fatalf("%d pooled records, want 2", n)
 		}
 		// A later burst reuses a pooled record rather than a new one.
-		d.AccessBurst(trace.MemRequest{Op: trace.MemRead, Addr: 0x10000, At: eng.Now()}, 1, nil)
+		d.AccessBurst(trace.MemRequest{Addr: 0x10000, At: eng.Now()}, 1, nil)
 		eng.Run()
 		if n := freeBursts(d); n != 2 {
 			t.Fatalf("%d pooled records after reuse, want 2", n)
@@ -281,11 +280,11 @@ func TestBurstPool(t *testing.T) {
 			}
 		}
 		// a: bank 2 row 0, closed → ready 314.
-		d.AccessBurst(trace.MemRequest{Op: trace.MemRead, Addr: 0x200, At: 300}, 1, record("a"))
+		d.AccessBurst(trace.MemRequest{Addr: 0x200, At: 300}, 1, record("a"))
 		// b: bank 3, closed → ready 314, queued behind a.
-		d.AccessBurst(trace.MemRequest{Op: trace.MemWrite, Addr: 0x300, At: 300}, 4, record("b"))
+		d.AccessBurst(trace.MemRequest{Addr: 0x300, At: 300}, 4, record("b"))
 		// c: bank 2 row 0 again, a hit on the row a opened → ready 300.
-		d.AccessBurst(trace.MemRequest{Op: trace.MemWrite, Addr: 0x240, At: 300}, 1, record("c"))
+		d.AccessBurst(trace.MemRequest{Addr: 0x240, At: 300}, 1, record("c"))
 		eng.Run()
 		// c: grant 300, finish 319. a: grant 314, finish 333.
 		// b: grant 319 (after a's 5 ns hold), finish 319+14+20 = 353.

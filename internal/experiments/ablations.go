@@ -3,14 +3,11 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/bus"
 	"repro/internal/cache"
 	"repro/internal/core"
-	"repro/internal/device"
 	"repro/internal/memsched"
 	"repro/internal/mgmt"
 	"repro/internal/mlmodel"
-	"repro/internal/nvdimm"
 	"repro/internal/perfmodel"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -37,13 +34,7 @@ func ModelAblation(scale Scale, seed uint64) (ModelAblationResult, error) {
 	spec.WindowPerPoint = scale.SweepWindow
 	spec.Warmup = scale.SweepWindow / 2
 	spec.Footprint = 64 << 20
-	ds := perfmodel.Collect(func(fill float64) (*sim.Engine, device.Device) {
-		eng := sim.NewEngine()
-		ch := bus.NewChannel(eng, 0)
-		n := nvdimm.New(eng, ch, core.ScaledNVDIMMConfig("train"))
-		n.Prefill(fill)
-		return eng, n
-	}, spec)
+	ds := perfmodel.Collect(core.QuietNVDIMM, spec)
 
 	var train, test mlmodel.Dataset
 	train.FeatureNames = ds.FeatureNames

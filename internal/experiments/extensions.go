@@ -3,11 +3,9 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/bus"
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/mgmt"
-	"repro/internal/nvdimm"
 	"repro/internal/perfmodel"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -29,23 +27,12 @@ type DAXResult struct {
 func DAXStudy(scale Scale) DAXResult {
 	res := DAXResult{Sizes: []int64{256, 512, 1024, 4096, 16384}}
 	run := func(dax bool, size int64) float64 {
-		eng := sim.NewEngine()
-		ch := bus.NewChannel(eng, 0)
 		cfg := core.ScaledNVDIMMConfig("nv")
 		cfg.DAX = dax
-		n := nvdimm.New(eng, ch, cfg)
-		mon := perfmodel.NewMonitor(n)
+		rig := core.NewRig(cfg, nil)
 		p := workload.Profile{Name: "w", WriteRatio: 0.3, ReadRand: 1, WriteRand: 1,
 			IOSize: size, OIO: 4, Footprint: 1 << 20}
-		r := workload.NewRunner(eng, sim.NewRNG(7), p, mon, 0)
-		r.Start()
-		eng.RunFor(scale.SweepWindow) // warm
-		mon.ResetWindow()
-		eng.RunFor(scale.SweepWindow)
-		r.Stop()
-		eng.RunFor(scale.SweepWindow / 2)
-		_, mp, _ := mon.Window()
-		return mp
+		return measureMean(rig.Eng, rig.NVDIMM, p, scale.SweepWindow, 7)
 	}
 	for _, size := range res.Sizes {
 		b := run(false, size)

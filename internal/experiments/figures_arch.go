@@ -3,11 +3,9 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/bus"
 	"repro/internal/core"
 	"repro/internal/memsched"
 	"repro/internal/mgmt"
-	"repro/internal/nvdimm"
 	"repro/internal/perfmodel"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -26,8 +24,6 @@ func archApps() []string {
 // drains from it (source role: migrated reads). It returns the
 // application's achieved I/O throughput (requests per simulated second).
 func archRun(app string, pol memsched.Policy, bypass bool, scale Scale) float64 {
-	eng := sim.NewEngine()
-	ch := bus.NewChannel(eng, 0)
 	cfg := core.ScaledNVDIMMConfig("nv")
 	cfg.Sched = pol
 	cfg.BypassMigratedReads = bypass
@@ -38,7 +34,8 @@ func archRun(app string, pol memsched.Policy, bypass bool, scale Scale) float64 
 	// with channel-scarce dispatch so epoch structure is visible.
 	cfg.WriteThrough = true
 	cfg.SchedSlots = 8
-	n := nvdimm.New(eng, ch, cfg)
+	rig := core.NewRig(cfg, nil)
+	eng, n := rig.Eng, rig.NVDIMM
 
 	p, _ := workload.AppProfile(app)
 	p.Footprint = 8 << 20
@@ -154,12 +151,11 @@ type Fig15Result struct {
 // Fig15 samples cache hit ratio as migration reads stream through.
 func Fig15(scale Scale) Fig15Result {
 	run := func(bypass bool) (marks []uint64, ratios []float64) {
-		eng := sim.NewEngine()
-		ch := bus.NewChannel(eng, 0)
 		cfg := core.ScaledNVDIMMConfig("nv")
 		cfg.BypassMigratedReads = bypass
 		cfg.CacheBlocks = 256
-		n := nvdimm.New(eng, ch, cfg)
+		rig := core.NewRig(cfg, nil)
+		eng, n := rig.Eng, rig.NVDIMM
 
 		// Application traffic with a working set somewhat larger than the
 		// cache (moderate locality, realistic re-reference rate).

@@ -3,13 +3,10 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/bus"
 	"repro/internal/core"
 	"repro/internal/device"
-	"repro/internal/dram"
 	"repro/internal/hdd"
 	"repro/internal/mlmodel"
-	"repro/internal/nvdimm"
 	"repro/internal/perfmodel"
 	"repro/internal/runpool"
 	"repro/internal/sim"
@@ -32,17 +29,11 @@ type Fig4Result struct {
 // simulated window, with the co-runner's memory/compute phases scaled to
 // span several periods across the series.
 func Fig4(scale Scale) (Fig4Result, error) {
-	eng := sim.NewEngine()
-	ch := bus.NewChannel(eng, 0)
-	n := nvdimm.New(eng, ch, core.ScaledNVDIMMConfig("nv"))
-	dimm := dram.New(eng, ch)
-
 	mcf, _ := workload.SPECProfile("429.mcf")
 	// Several full memory/compute cycles across the sampled series.
 	mcf.PhasePeriod = 6 * scale.SweepWindow
-	g := workload.NewMemGen(eng, sim.NewRNG(11), dimm, mcf)
-	g.Aggregation = 64
-	g.Start()
+	rig := core.NewRig(core.ScaledNVDIMMConfig("nv"), &core.CoRunner{Profile: mcf, Seed: 11, Scale: 1})
+	eng, n := rig.Eng, rig.NVDIMM
 
 	mon := perfmodel.NewMonitor(n)
 	// Bus-sensitive I/O: cache-resident working set, so contention on the
@@ -62,13 +53,13 @@ func Fig4(scale Scale) (Fig4Result, error) {
 		if nreq == 0 {
 			continue
 		}
-		total := dimm.Intensity().Total()
+		total := rig.DIMM.Intensity().Total()
 		res.LatencyUS = append(res.LatencyUS, mp)
 		res.Intensity = append(res.Intensity, float64(total-lastIntensity))
 		lastIntensity = total
 	}
 	r.Stop()
-	g.Stop()
+	rig.MemGen.Stop()
 	res.Correlation = stats.Correlation(res.LatencyUS, res.Intensity)
 	return res, nil
 }
@@ -119,7 +110,7 @@ func Fig5(scale Scale) Fig5Result {
 		return measureMean(eng, dev, workload.Profile{
 			Name: "sweep", WriteRatio: 0.1, ReadRand: rnd, WriteRand: rnd,
 			IOSize: 4096, OIO: oio, Footprint: 128 << 20,
-		}, scale.SweepWindow)
+		}, scale.SweepWindow, 77)
 	}
 	// (c): HDD randomness sweep.
 	hddRun := func(rnd float64) float64 {
@@ -128,25 +119,20 @@ func Fig5(scale Scale) Fig5Result {
 		return measureMean(eng, dev, workload.Profile{
 			Name: "sweep", WriteRatio: 0, ReadRand: rnd,
 			IOSize: 64 << 10, OIO: 2, Footprint: 2 << 30,
-		}, 8*scale.SweepWindow)
+		}, 8*scale.SweepWindow, 77)
 	}
 	// (d): NVDIMM latency vs memory intensity on the shared channel.
 	nvRun := func(ms float64) float64 {
-		eng := sim.NewEngine()
-		ch := bus.NewChannel(eng, 0)
-		dev := nvdimm.New(eng, ch, core.ScaledNVDIMMConfig("nv"))
+		var co *core.CoRunner
 		if ms > 0 {
 			mcf, _ := workload.SPECProfile("429.mcf")
-			dimm := dram.New(eng, ch)
-			g := workload.NewMemGen(eng, sim.NewRNG(9), dimm, mcf)
-			g.Scale = ms
-			g.Aggregation = 64
-			g.Start()
+			co = &core.CoRunner{Profile: mcf, Seed: 9, Scale: ms}
 		}
-		return measureMean(eng, dev, workload.Profile{
+		rig := core.NewRig(core.ScaledNVDIMMConfig("nv"), co)
+		return measureMean(rig.Eng, rig.NVDIMM, workload.Profile{
 			Name: "sweep", WriteRatio: 0.3, ReadRand: 0.5, WriteRand: 0.5,
 			IOSize: 4096, OIO: 8, Footprint: 1 << 20, // cache-resident: bus-bound
-		}, scale.SweepWindow)
+		}, scale.SweepWindow, 77)
 	}
 
 	var points []func() float64
@@ -178,11 +164,12 @@ func Fig5(scale Scale) Fig5Result {
 	return res
 }
 
-// measureMean runs a profile on a fresh device and returns mean latency µs
-// over the measurement window (after an equal warmup).
-func measureMean(eng *sim.Engine, dev device.Device, p workload.Profile, window sim.Time) float64 {
+// measureMean runs a profile on a fresh device, its runner seeded with
+// seed, and returns mean latency µs over the measurement window (after an
+// equal warmup).
+func measureMean(eng *sim.Engine, dev device.Device, p workload.Profile, window sim.Time, seed uint64) float64 {
 	mon := perfmodel.NewMonitor(dev)
-	r := workload.NewRunner(eng, sim.NewRNG(77), p, mon, 0)
+	r := workload.NewRunner(eng, sim.NewRNG(seed), p, mon, 0)
 	r.Start()
 	eng.RunFor(window)
 	mon.ResetWindow()
@@ -248,30 +235,21 @@ func Fig7(freeSpace float64, scale Scale) (Fig7Result, error) {
 	// trained at both fill levels — rather than in the verification
 	// trace; see EXPERIMENTS.md.)
 	spec.Footprint = 2 << 20
-	ds := perfmodel.Collect(func(f float64) (*sim.Engine, device.Device) {
-		eng := sim.NewEngine()
-		ch := bus.NewChannel(eng, 0)
-		n := nvdimm.New(eng, ch, core.ScaledNVDIMMConfig("train"))
-		n.Prefill(f)
-		return eng, n
-	}, spec)
+	ds := perfmodel.Collect(core.QuietNVDIMM, spec)
 	model, err := perfmodel.TrainModel(ds, mlmodel.DefaultTreeConfig())
 	if err != nil {
 		return Fig7Result{}, err
 	}
 
 	series := func(withMem bool) (measured []float64, predicted []float64) {
-		eng := sim.NewEngine()
-		ch := bus.NewChannel(eng, 0)
-		n := nvdimm.New(eng, ch, core.ScaledNVDIMMConfig("nv"))
-		n.Prefill(fill)
+		var co *core.CoRunner
 		if withMem {
 			mcf, _ := workload.SPECProfile("429.mcf")
-			dimm := dram.New(eng, ch)
-			g := workload.NewMemGen(eng, sim.NewRNG(13), dimm, mcf)
-			g.Aggregation = 64
-			g.Start()
+			co = &core.CoRunner{Profile: mcf, Seed: 13, Scale: 1}
 		}
+		rig := core.NewRig(core.ScaledNVDIMMConfig("nv"), co)
+		eng, n := rig.Eng, rig.NVDIMM
+		n.Prefill(fill)
 		mon := perfmodel.NewMonitor(n)
 		p := workload.Profile{Name: "w", WriteRatio: 0.3, ReadRand: 0.6, WriteRand: 0.6,
 			IOSize: 4096, OIO: 8, Footprint: 2 << 20}

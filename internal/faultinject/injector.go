@@ -61,7 +61,6 @@ type Network interface {
 
 // DeviceStats counts injections against one device.
 type DeviceStats struct {
-	Name string
 	// InjectedErrors is the number of requests failed by errate.
 	InjectedErrors uint64
 	// OutageFailures is the number of requests rejected during outages.
@@ -77,7 +76,6 @@ type DeviceStats struct {
 
 // NodeStats counts injections against one node-scoped crash clause.
 type NodeStats struct {
-	Node int
 	// Crashes is the number of power-loss events fired against the node.
 	Crashes uint64
 	// CrashFailures is the number of in-flight requests on the node's
@@ -87,7 +85,6 @@ type NodeStats struct {
 
 // LinkStats counts injections against one link.
 type LinkStats struct {
-	A, B int
 	// Dropped is the number of transfers failed by drop.
 	Dropped uint64
 	// Stalled is the number of transfers delayed by stall.
@@ -199,18 +196,15 @@ func New(eng *sim.Engine, seed uint64, spec *Spec) *Injector {
 	}
 	root := sim.NewRNG(seed ^ seedSalt)
 	for _, c := range spec.Devices {
-		f := &devFaults{clause: c, rng: root.Split(), node: -1,
-			stats: DeviceStats{Name: c.Device}}
+		f := &devFaults{clause: c, rng: root.Split(), node: -1}
 		f.crashAt = resolveCrash(c.Faults, f.rng)
 		in.devs[c.Device] = f
 	}
 	for _, c := range spec.Links {
-		in.links[[2]int{c.A, c.B}] = &linkFaults{clause: c, rng: root.Split(),
-			stats: LinkStats{A: c.A, B: c.B}}
+		in.links[[2]int{c.A, c.B}] = &linkFaults{clause: c, rng: root.Split()}
 	}
 	for _, c := range spec.Nodes {
-		nf := &nodeFaults{clause: c, rng: root.Split(),
-			stats: NodeStats{Node: c.Node}}
+		nf := &nodeFaults{clause: c, rng: root.Split()}
 		nf.crashAt = resolveCrash(c.Faults, nf.rng)
 		in.nodes[c.Node] = nf
 	}

@@ -118,9 +118,18 @@ type Scheduler struct {
 	// that has had one, oldest first; a count that reaches zero is
 	// dropped once it is the oldest. Epochs are enqueued in increasing
 	// order, so appending keeps it sorted, and its storage is reused.
-	open              []epochCount
-	minEpoch          int                   // oldest epoch with outstanding barrier-bound entries
-	lastPersistentSeq pagetab.Table[uint64] // lpn → seq of last dispatched persistent write
+	open     []epochCount
+	minEpoch int // oldest epoch with outstanding barrier-bound entries
+
+	// lastPersistentSeq maps lpn → seq of the last persistent write
+	// dispatched while a migrated write was queued. Only a migrated write
+	// enqueued earlier and still queued can be discarded by a stored seq,
+	// so seqs are recorded only while queuedMigrated > 0, and the keys
+	// (listed in recorded) are deleted when it returns to zero: the table
+	// stays as small as the migrated backlog's window.
+	lastPersistentSeq pagetab.Table[uint64]
+	recorded          []int64
+	queuedMigrated    int
 
 	st      Stats
 	waitPer stats.Summary
@@ -161,6 +170,9 @@ func (s *Scheduler) EnqueueWrite(lpn int64, class trace.Class, run func(done fun
 		} else {
 			s.open = append(s.open, epochCount{e.epoch, 1})
 		}
+	}
+	if class == trace.ClassMigrated {
+		s.queuedMigrated++
 	}
 	s.queue = append(s.queue, e)
 	s.dispatch()
@@ -253,7 +265,9 @@ func (s *Scheduler) dispatch() {
 		// around a newer persistent write to the same page is stale —
 		// discard it instead of clobbering the persistent data.
 		if e.class == trace.ClassMigrated {
-			if pseq, ok := s.lastPersistentSeq.Get(e.lpn); ok && pseq > e.seq {
+			pseq, ok := s.lastPersistentSeq.Get(e.lpn)
+			s.leaveMigrated()
+			if ok && pseq > e.seq {
 				e.state = stateDone
 				s.st.DiscardedMigrated++
 				// A discarded entry still satisfies its epoch: without
@@ -267,11 +281,28 @@ func (s *Scheduler) dispatch() {
 				}
 				continue
 			}
-		} else {
+		} else if s.queuedMigrated > 0 {
+			if _, ok := s.lastPersistentSeq.Get(e.lpn); !ok {
+				s.recorded = append(s.recorded, e.lpn)
+			}
 			s.lastPersistentSeq.Put(e.lpn, e.seq)
 		}
 		s.start(e)
 	}
+}
+
+// leaveMigrated notes that a migrated write left the queue. When it was
+// the last one, no stored seq can discard anything any more, so the
+// recorded keys are deleted; the table keeps its slots.
+func (s *Scheduler) leaveMigrated() {
+	s.queuedMigrated--
+	if s.queuedMigrated > 0 {
+		return
+	}
+	for _, lpn := range s.recorded {
+		s.lastPersistentSeq.Delete(lpn)
+	}
+	s.recorded = s.recorded[:0]
 }
 
 // start launches e on a slot.

@@ -319,3 +319,85 @@ func TestSchedulerCompletenessProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestPersistentSeqsUnrecordedWithoutMigrated(t *testing.T) {
+	eng := sim.NewEngine()
+	s := New(eng, Combined(500), 2)
+	for i := 0; i < 64; i++ {
+		s.EnqueueWrite(int64(i%8), trace.ClassPersistent, fixedOp(eng, 50, nil, ""), nil)
+		if i%3 == 0 {
+			s.Barrier()
+		}
+	}
+	eng.Run()
+	if len(s.recorded) != 0 {
+		t.Fatalf("recorded %d keys with no migrated write queued", len(s.recorded))
+	}
+	for lpn := int64(0); lpn < 8; lpn++ {
+		if _, ok := s.lastPersistentSeq.Get(lpn); ok {
+			t.Fatalf("lpn %d recorded with no migrated write queued", lpn)
+		}
+	}
+}
+
+// TestBoundedSeqTableDiscardsAsUnbounded checks every discard decision on
+// an interleaved stream against the rule the table implements: a
+// migrated write is stale iff a persistent write to its page, enqueued
+// after it, dispatched first. The reference keeps every dispatched
+// persistent seq forever; equal decisions at every dispatch make the
+// whole schedule, and DiscardedMigrated, equal.
+func TestBoundedSeqTableDiscardsAsUnbounded(t *testing.T) {
+	var discards uint64
+	for _, pol := range []Policy{Baseline(), PolicyOne(), PolicyTwo(), Combined(300)} {
+		for seed := int64(1); seed <= 20; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			eng := sim.NewEngine()
+			s := New(eng, pol, 2)
+			ref := map[int64]uint64{} // lpn → newest dispatched persistent seq
+			var seq uint64            // the scheduler's: one per enqueue
+			for i := 0; i < 200; i++ {
+				var my uint64
+				lpn := int64(rng.Intn(6))
+				class := trace.ClassPersistent
+				if rng.Intn(2) == 0 {
+					class = trace.ClassMigrated
+				}
+				at := sim.Time(rng.Intn(20000))
+				barrier := rng.Intn(4) == 0
+				started := false
+				run := func(done func()) {
+					started = true
+					if class == trace.ClassMigrated {
+						if ref[lpn] > my {
+							t.Fatalf("seed %d: stale migrated write %d on lpn %d started", seed, my, lpn)
+						}
+					} else {
+						ref[lpn] = my
+					}
+					eng.Schedule(sim.Time(50+rng.Intn(200)), done)
+				}
+				done := func() {
+					if !started && ref[lpn] < my {
+						t.Fatalf("seed %d: migrated write %d on lpn %d discarded but not stale", seed, my, lpn)
+					}
+				}
+				eng.At(at, func() {
+					seq++
+					my = seq
+					s.EnqueueWrite(lpn, class, run, done)
+					if barrier {
+						s.Barrier()
+					}
+				})
+			}
+			eng.Run()
+			discards += s.Stats().DiscardedMigrated
+			if s.queuedMigrated != 0 || len(s.recorded) != 0 {
+				t.Fatalf("seed %d: %d migrated queued, %d keys recorded after drain", seed, s.queuedMigrated, len(s.recorded))
+			}
+		}
+	}
+	if discards == 0 {
+		t.Fatal("no stream discarded a migrated write; the check saw nothing")
+	}
+}

@@ -86,20 +86,9 @@ func (r *IORequest) Latency() sim.Time {
 	return r.Complete - r.Issue
 }
 
-// MemOp is a main-memory operation kind.
-type MemOp uint8
-
-const (
-	// MemRead is a DRAM read.
-	MemRead MemOp = iota
-	// MemWrite is a DRAM write.
-	MemWrite
-)
-
 // MemRequest is one main-memory (DRAM) access generated by the compute
 // side of a workload; it competes with NVDIMM traffic for the memory bus.
 type MemRequest struct {
-	Op   MemOp
 	Addr uint64
 	At   sim.Time
 }

@@ -119,10 +119,9 @@ func (g *MemGen) tick() {
 		gap = 1
 	}
 
-	op := trace.MemRead
-	if g.rng.Float64() < g.profile.WPKI/g.profile.APKI() {
-		op = trace.MemWrite
-	}
+	// The read/write draw decides nothing (DIMM timing ignores a burst's
+	// direction); it stays so the addresses drawn after it are unchanged.
+	g.rng.Float64()
 	// Mostly-streaming addresses with occasional random jumps, giving a
 	// realistic row-hit mix.
 	if g.rng.Bool(0.2) {
@@ -131,6 +130,6 @@ func (g *MemGen) tick() {
 		g.addr += 64 * uint64(g.Aggregation)
 	}
 	g.outstanding++
-	g.dimm.AccessBurst(trace.MemRequest{Op: op, Addr: g.addr, At: now}, g.Aggregation, g.onDone)
+	g.dimm.AccessBurst(trace.MemRequest{Addr: g.addr, At: now}, g.Aggregation, g.onDone)
 	g.arm(gap)
 }
