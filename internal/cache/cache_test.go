@@ -3,6 +3,7 @@ package cache
 import (
 	"container/heap"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -429,9 +430,9 @@ func TestLRFUHeapMatchesContainerHeap(t *testing.T) {
 			}
 			key := float64(rng.Intn(4))
 			slot := int32(len(c.slab))
-			c.slab = append(c.slab, lrfuEntry{key: key})
+			c.slab = append(c.slab, lrfuEntry{})
 			ref.keys = append(ref.keys, key)
-			c.push(slot)
+			c.push(slot, key)
 			heap.Push(ref, slot)
 		case k < 6:
 			got, want := c.popMin(), heap.Pop(ref).(int32)
@@ -439,21 +440,203 @@ func TestLRFUHeapMatchesContainerHeap(t *testing.T) {
 				t.Fatalf("op %d: popMin = slot %d, container/heap pops %d", op, got, want)
 			}
 			// Put the popped entry back so the slab stays dense.
-			c.push(got)
+			c.push(got, ref.keys[got])
 			heap.Push(ref, want)
 		default:
 			i := rng.Intn(len(c.heap))
-			slot := c.heap[i]
+			slot := c.heap[i].slot
 			key := float64(rng.Intn(4))
-			c.slab[slot].key, ref.keys[slot] = key, key
+			c.heap[i].key, ref.keys[slot] = key, key
 			c.fix(i)
 			heap.Fix(ref, i)
 		}
-		for i, slot := range c.heap {
-			if slot != ref.ids[i] || c.slab[slot].index != int32(i) {
+		for i, it := range c.heap {
+			if slot := it.slot; slot != ref.ids[i] || c.slab[slot].index != int32(i) || it.key != ref.keys[slot] {
 				t.Fatalf("op %d: heap[%d] = slot %d (index %d), container/heap has %d",
 					op, i, slot, c.slab[slot].index, ref.ids[i])
 			}
 		}
 	}
+}
+
+// TestLRFUCrossTierTie pins the victim rule on an exact key tie between
+// the tiers. At λ = 1 a block looked up on every clock tick reaches
+// crf = 2 exactly (the series 1 + crf/2 rounds onto 2 after 53 terms),
+// so its key is log2(2) + last = last + 1: the key λ·last of a block
+// inserted on the next tick. On that tie the FIFO block is evicted. The
+// single-heap reference evicts the heap block instead, because there its
+// choice depends on heap positions. With fewer lookups the heap block's
+// key is strictly smaller and it is evicted.
+func TestLRFUCrossTierTie(t *testing.T) {
+	for _, tc := range []struct {
+		lookups int
+		tie     bool
+		victim  int64
+	}{
+		{lookups: 60, tie: true, victim: 2},
+		{lookups: 10, tie: false, victim: 1},
+	} {
+		c, ref := NewLRFU(2, 1), newRefLRFU(2, 1)
+		c.Insert(1, false)
+		ref.Insert(1, false)
+		for i := 0; i < tc.lookups; i++ {
+			c.Lookup(1)
+			ref.Lookup(1)
+		}
+		c.Insert(2, false)
+		ref.Insert(2, false)
+		slot, _ := c.entries.Get(2)
+		heapKey, fifoKey := c.heap[0].key, c.key(&c.slab[slot])
+		if (heapKey == fifoKey) != tc.tie || heapKey > fifoKey {
+			t.Fatalf("%d lookups: heap key %v, FIFO key %v, want tie %v", tc.lookups, heapKey, fifoKey, tc.tie)
+		}
+		if v, evicted := c.Insert(3, false); !evicted || v.Block != tc.victim {
+			t.Fatalf("%d lookups: evicted %+v (%v), want block %d", tc.lookups, v, evicted, tc.victim)
+		}
+		if v := ref.Insert(3, false); len(v) != 1 || (v[0].Block == tc.victim) != !tc.tie {
+			t.Fatalf("%d lookups: reference evicted %+v", tc.lookups, v)
+		}
+		if err := c.check(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// FuzzLRFUVsReference drives the two-tier LRFU and the single-heap
+// reference with one operation stream and requires identical results,
+// length and statistics after every operation, with the tier invariants
+// checked throughout. The first byte picks the capacity, the second λ;
+// each further byte is one operation. Scans insert never-seen blocks,
+// which mostly stay in the FIFO tier and leave it by eviction; a hot set
+// about half the capacity is looked up and re-inserted, which moves it
+// to the heap. The two may legitimately differ on an exact tie for the
+// minimum key, so a stream ends at an eviction whose minimum is not
+// unique.
+func FuzzLRFUVsReference(f *testing.F) {
+	f.Add([]byte{8, 0, 0, 8, 16, 3, 4, 3, 11, 3, 0, 1, 2, 10, 3, 3, 4, 5, 13, 7})
+	f.Add([]byte{3, 2, 3, 3, 3, 0, 0, 8, 8, 16, 3, 3, 7, 3, 3, 3, 5, 6, 14})
+	f.Add([]byte{1, 1, 3, 0, 3, 2, 10, 3, 7, 3})
+	scan := make([]byte, 200)
+	for i := range scan {
+		scan[i] = []byte{3, 4, 0, 8, 2, 5}[i%6]
+	}
+	f.Add(append([]byte{31, 0}, scan...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		capacity := 1 + int(data[0]%32)
+		lambda := []float64{DefaultLambda, 0.5, 1}[data[1]%3]
+		got, want := NewLRFU(capacity, lambda), newRefLRFU(capacity, lambda)
+		hot := int64(capacity/2 + 1) // hot blocks are [0, hot)
+		next := int64(1000)          // the next never-seen scan block
+		for op, b := range data[2:] {
+			arg := int64(b >> 3)
+			fail := func(what string, g, w interface{}) {
+				t.Fatalf("λ=%v cap=%d op %d (%#x): %s = %v, reference %v", lambda, capacity, op, b, what, g, w)
+			}
+			insert := func(block int64, dirty bool) {
+				if !got.Contains(block) && got.Len() == capacity && !minKeyUnique(got) {
+					t.SkipNow() // a tie for the victim: the two may part
+				}
+				v, evicted := got.Insert(block, dirty)
+				ref := want.Insert(block, dirty)
+				if evicted != (len(ref) == 1) || len(ref) > 1 || (evicted && v != ref[0]) {
+					fail(fmt.Sprintf("Insert(%d)", block), fmt.Sprintf("%+v %v", v, evicted), ref)
+				}
+			}
+			switch b & 7 {
+			case 0, 1:
+				block := arg % hot
+				if g, w := got.Lookup(block), want.Lookup(block); g != w {
+					fail(fmt.Sprintf("Lookup(%d)", block), g, w)
+				}
+			case 2:
+				insert(arg%hot, arg&1 == 1)
+			case 3, 4:
+				insert(next, arg&1 == 1)
+				next++
+			case 5:
+				block := next - 1 - arg%8 // a recent scan block
+				if g, w := got.Lookup(block), want.Lookup(block); g != w {
+					fail(fmt.Sprintf("Lookup(%d)", block), g, w)
+				}
+			case 6:
+				block := next - 1 - arg
+				if g, w := got.Contains(block), want.Contains(block); g != w {
+					fail(fmt.Sprintf("Contains(%d)", block), g, w)
+				}
+			case 7:
+				if arg == 0 {
+					got.Invalidate()
+					want.Invalidate()
+				} else {
+					insert(arg%hot, false)
+				}
+			}
+			if got.Len() != want.Len() {
+				fail("Len", got.Len(), want.Len())
+			}
+			if *got.Stats() != want.stats {
+				fail("Stats", *got.Stats(), want.stats)
+			}
+			if err := got.check(); err != nil {
+				t.Fatalf("op %d: %v", op, err)
+			}
+		}
+	})
+}
+
+// minKeyUnique reports whether exactly one resident block has the
+// minimum key.
+func minKeyUnique(c *LRFU) bool {
+	n, min := 0, math.Inf(1)
+	for i := range c.slab {
+		switch k := c.key(&c.slab[i]); {
+		case k < min:
+			n, min = 1, k
+		case k == min:
+			n++
+		}
+	}
+	return n == 1
+}
+
+// check verifies the two tiers: every heap item names an entry that
+// records its position and whose key it carries, in heap order; every
+// other entry has crf = 1 and a live FIFO record; live records are in
+// strictly increasing clock order; and the block index names each slot.
+// It reads the ring by rotating it once through Pop and Push, so it
+// leaves the ring as it found it unless it returns an error.
+func (c *LRFU) check() error {
+	for i, it := range c.heap {
+		e := &c.slab[it.slot]
+		if e.index != int32(i) || it.key != c.key(e) {
+			return fmt.Errorf("heap[%d] = slot %d key %v; entry index %d key %v", i, it.slot, it.key, e.index, c.key(e))
+		}
+		if p := (i - 1) / 2; i > 0 && it.key < c.heap[p].key {
+			return fmt.Errorf("heap[%d] key %v below parent's %v", i, it.key, c.heap[p].key)
+		}
+	}
+	live, last := 0, uint64(0)
+	for i := 0; i < c.fifo.Len(); i++ {
+		f := c.fifo.Pop()
+		c.fifo.Push(f) // rotate the ring through once
+		if c.slab[f.slot].last != f.last {
+			continue
+		}
+		if e := &c.slab[f.slot]; e.index >= 0 || e.crf != 1 || f.last <= last && live > 0 {
+			return fmt.Errorf("live FIFO record %+v: entry %+v after clock %d", f, *e, last)
+		}
+		live, last = live+1, f.last
+	}
+	if live+len(c.heap) != len(c.slab) || len(c.slab) > c.capacity {
+		return fmt.Errorf("%d live FIFO records + %d heap items, %d resident, capacity %d", live, len(c.heap), len(c.slab), c.capacity)
+	}
+	for i := range c.slab {
+		if slot, ok := c.entries.Get(c.slab[i].block); !ok || slot != int32(i) {
+			return fmt.Errorf("block %d in slot %d indexed at %d (%v)", c.slab[i].block, i, slot, ok)
+		}
+	}
+	return nil
 }

@@ -56,17 +56,8 @@ func Combined(npbDelay sim.Time) Policy {
 	}
 }
 
-// entryState tracks an entry through the queue.
-type entryState uint8
-
-const (
-	stateQueued entryState = iota
-	stateRunning
-	stateDone
-)
-
 // entry is one queued write. Entries are pooled per scheduler: an entry
-// is recycled only when compact drops it from the queue head, and its
+// is recycled when its operation finishes or it is discarded, and its
 // finish callback is bound once, on the entry's first use.
 type entry struct {
 	seq      uint64
@@ -76,7 +67,7 @@ type entry struct {
 	enqueued sim.Time
 	run      func(done func())
 	done     func()
-	state    entryState
+	running  bool
 
 	onFinish func() // bound: the operation completed
 }
@@ -103,15 +94,26 @@ type Stats struct {
 }
 
 // Scheduler is the transaction-queue scheduler.
+//
+// Queued entries wait in two FIFO rings in enqueue order (= seq order):
+// migrated writes, and everything else (normal and persistent writes,
+// which are always barrier-bound). Within a ring every entry obeys
+// barriers alike, and epochs never decrease in enqueue order, so the
+// entries that may dispatch form a prefix of the ring: all of it when
+// the class ignores barriers, else those with epoch ≤ minEpoch. Every
+// choice the policies make — the first ready entry, the first ready
+// persistent one, the oldest ready migrated one — is therefore one of
+// the two heads.
 type Scheduler struct {
 	eng    *sim.Engine
 	policy Policy
 	slots  int // max in-flight operations
 	used   int
 
-	queue []*entry
-	seq   uint64
-	free  sim.FreeList[entry] // recycled entries
+	migrated sim.Ring[*entry] // queued migrated writes
+	other    sim.Ring[*entry] // queued normal and persistent writes
+	seq      uint64
+	free     sim.FreeList[entry] // recycled entries
 
 	curEpoch int
 	// open counts the outstanding barrier-bound entries of each epoch
@@ -124,12 +126,11 @@ type Scheduler struct {
 	// lastPersistentSeq maps lpn → seq of the last persistent write
 	// dispatched while a migrated write was queued. Only a migrated write
 	// enqueued earlier and still queued can be discarded by a stored seq,
-	// so seqs are recorded only while queuedMigrated > 0, and the keys
-	// (listed in recorded) are deleted when it returns to zero: the table
-	// stays as small as the migrated backlog's window.
+	// so seqs are recorded only while the migrated ring is non-empty, and
+	// the keys (listed in recorded) are deleted when it empties: the
+	// table stays as small as the migrated backlog's window.
 	lastPersistentSeq pagetab.Table[uint64]
 	recorded          []int64
-	queuedMigrated    int
 
 	st      Stats
 	waitPer stats.Summary
@@ -163,7 +164,6 @@ func (s *Scheduler) EnqueueWrite(lpn int64, class trace.Class, run func(done fun
 	e.enqueued = s.eng.Now()
 	e.run = run
 	e.done = done
-	e.state = stateQueued
 	if e.barrierBound(s.policy) {
 		if n := len(s.open); n > 0 && s.open[n-1].epoch == e.epoch {
 			s.open[n-1].n++
@@ -171,11 +171,16 @@ func (s *Scheduler) EnqueueWrite(lpn int64, class trace.Class, run func(done fun
 			s.open = append(s.open, epochCount{e.epoch, 1})
 		}
 	}
-	if class == trace.ClassMigrated {
-		s.queuedMigrated++
-	}
-	s.queue = append(s.queue, e)
+	s.ring(class).Push(e)
 	s.dispatch()
+}
+
+// ring returns the ring that queues writes of class.
+func (s *Scheduler) ring(class trace.Class) *sim.Ring[*entry] {
+	if class == trace.ClassMigrated {
+		return &s.migrated
+	}
+	return &s.other
 }
 
 // Barrier inserts a persistence barrier: barrier-bound writes enqueued
@@ -186,57 +191,38 @@ func (s *Scheduler) Barrier() {
 }
 
 // QueueLen returns the number of queued (not yet running) entries.
-func (s *Scheduler) QueueLen() int {
-	n := 0
-	for _, e := range s.queue {
-		if e.state == stateQueued {
-			n++
-		}
-	}
-	return n
-}
+func (s *Scheduler) QueueLen() int { return s.migrated.Len() + s.other.Len() }
 
 // InFlight returns the number of running operations.
 //
 //lint:ignore unreachable nvdimm TestRecordReuseUnderReentrancy
 func (s *Scheduler) InFlight() int { return s.used }
 
-// ready reports whether e may dispatch now.
-func (s *Scheduler) ready(e *entry) bool {
-	if e.state != stateQueued {
-		return false
+// readyHead returns q's head if it may dispatch now, or nil.
+func (s *Scheduler) readyHead(q *sim.Ring[*entry]) *entry {
+	if q.Len() == 0 {
+		return nil
 	}
-	if !e.barrierBound(s.policy) {
-		return true
-	}
+	e := q.Peek()
 	// Barrier-bound: every earlier epoch must have fully completed.
-	return e.epoch <= s.minEpoch
+	if e.barrierBound(s.policy) && e.epoch > s.minEpoch {
+		return nil
+	}
+	return e
 }
 
 // pick selects the next entry to dispatch, or nil.
 func (s *Scheduler) pick() *entry {
-	var firstReady, firstPersistent, oldestMigrated *entry
-	now := s.eng.Now()
-	for _, e := range s.queue {
-		if !s.ready(e) {
-			continue
-		}
-		if firstReady == nil {
-			firstReady = e
-		}
-		if firstPersistent == nil && e.class != trace.ClassMigrated {
-			firstPersistent = e
-		}
-		if oldestMigrated == nil && e.class == trace.ClassMigrated {
-			oldestMigrated = e
-		}
-		if firstPersistent != nil && oldestMigrated != nil {
-			break
-		}
+	oldestMigrated := s.readyHead(&s.migrated)
+	firstPersistent := s.readyHead(&s.other)
+	firstReady := firstPersistent
+	if oldestMigrated != nil && (firstPersistent == nil || oldestMigrated.seq < firstPersistent.seq) {
+		firstReady = oldestMigrated
 	}
 	if firstReady == nil {
 		return nil
 	}
+	now := s.eng.Now()
 	if !s.policy.PrioritizePersistent {
 		return firstReady
 	}
@@ -261,6 +247,7 @@ func (s *Scheduler) dispatch() {
 		if e == nil {
 			return
 		}
+		s.ring(e.class).Pop() // pick returns a ring head
 		// Same-location hazard (§5.3.1): a migrated write reordered
 		// around a newer persistent write to the same page is stale —
 		// discard it instead of clobbering the persistent data.
@@ -268,20 +255,19 @@ func (s *Scheduler) dispatch() {
 			pseq, ok := s.lastPersistentSeq.Get(e.lpn)
 			s.leaveMigrated()
 			if ok && pseq > e.seq {
-				e.state = stateDone
 				s.st.DiscardedMigrated++
 				// A discarded entry still satisfies its epoch: without
 				// this, a barrier-bound migrated entry would wedge its
 				// epoch open forever (deadlock).
 				s.retireEpochMember(e)
-				done := e.done // compact may recycle e
-				s.compact()
+				done := e.done
+				s.putEntry(e)
 				if done != nil {
 					done()
 				}
 				continue
 			}
-		} else if s.queuedMigrated > 0 {
+		} else if s.migrated.Len() > 0 {
 			if _, ok := s.lastPersistentSeq.Get(e.lpn); !ok {
 				s.recorded = append(s.recorded, e.lpn)
 			}
@@ -295,8 +281,7 @@ func (s *Scheduler) dispatch() {
 // the last one, no stored seq can discard anything any more, so the
 // recorded keys are deleted; the table keeps its slots.
 func (s *Scheduler) leaveMigrated() {
-	s.queuedMigrated--
-	if s.queuedMigrated > 0 {
+	if s.migrated.Len() > 0 {
 		return
 	}
 	for _, lpn := range s.recorded {
@@ -307,7 +292,7 @@ func (s *Scheduler) leaveMigrated() {
 
 // start launches e on a slot.
 func (s *Scheduler) start(e *entry) {
-	e.state = stateRunning
+	e.running = true
 	s.used++
 	wait := (s.eng.Now() - e.enqueued).Micros()
 	if e.class == trace.ClassMigrated {
@@ -320,10 +305,10 @@ func (s *Scheduler) start(e *entry) {
 
 // finish records completion of e and re-dispatches.
 func (s *Scheduler) finish(e *entry) {
-	if e.state != stateRunning {
+	if !e.running {
 		panic("memsched: completion for non-running entry")
 	}
-	e.state = stateDone
+	e.running = false
 	s.used--
 	if e.class == trace.ClassMigrated {
 		s.st.CompletedMigrated++
@@ -335,8 +320,8 @@ func (s *Scheduler) finish(e *entry) {
 			telemetry.I("lpn", e.lpn))
 	}
 	s.retireEpochMember(e)
-	done := e.done // compact may recycle e
-	s.compact()
+	done := e.done
+	s.putEntry(e)
 	if done != nil {
 		done()
 	}
@@ -389,19 +374,6 @@ func (s *Scheduler) advanceMinEpoch() {
 	}
 }
 
-// compact drops completed entries from the queue head to bound memory
-// and recycles them.
-func (s *Scheduler) compact() {
-	i := 0
-	for i < len(s.queue) && s.queue[i].state == stateDone {
-		s.putEntry(s.queue[i])
-		i++
-	}
-	if i > 0 {
-		s.queue = append(s.queue[:0], s.queue[i:]...)
-	}
-}
-
 // getEntry pops a recycled entry. An entry's finish callback is bound on
 // its first use.
 func (s *Scheduler) getEntry() *entry {
@@ -412,7 +384,7 @@ func (s *Scheduler) getEntry() *entry {
 	return e
 }
 
-// putEntry returns a dropped entry to the free list.
+// putEntry returns a finished or discarded entry to the free list.
 func (s *Scheduler) putEntry(e *entry) {
 	e.run, e.done = nil, nil
 	s.free.Put(e)

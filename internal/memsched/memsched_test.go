@@ -392,8 +392,8 @@ func TestBoundedSeqTableDiscardsAsUnbounded(t *testing.T) {
 			}
 			eng.Run()
 			discards += s.Stats().DiscardedMigrated
-			if s.queuedMigrated != 0 || len(s.recorded) != 0 {
-				t.Fatalf("seed %d: %d migrated queued, %d keys recorded after drain", seed, s.queuedMigrated, len(s.recorded))
+			if s.migrated.Len() != 0 || len(s.recorded) != 0 {
+				t.Fatalf("seed %d: %d migrated queued, %d keys recorded after drain", seed, s.migrated.Len(), len(s.recorded))
 			}
 		}
 	}

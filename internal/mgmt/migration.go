@@ -51,6 +51,27 @@ type Migration struct {
 	copiedBytes int64
 	startedAt   sim.Time
 	finishedAt  sim.Time
+
+	free sim.FreeList[chunk] // recycled forward-copy chunks
+}
+
+// chunk is one forward-copy chunk in flight: its blocks, its attempt
+// number and the source read and destination write it submits, held by
+// value. A chunk is taken by nextChunk and recycled when it leaves
+// flight (copied, emptied by redirection, dropped by an unwind, or out
+// of retries), just before the pump that may reuse it; the next chunk
+// reuses its block buffer. Its callbacks are bound on first use.
+type chunk struct {
+	g       *Migration
+	blocks  []int64
+	attempt int
+	read    trace.IORequest
+	write   trace.IORequest
+
+	onRead     func(*trace.IORequest) // bound: the source read completed
+	onTransfer func(error)            // bound: the network transfer completed
+	onWrite    func(*trace.IORequest) // bound: the destination write completed
+	onRetry    func()                 // bound: the retry backoff elapsed
 }
 
 func newMigration(m *Manager, v *VMDK, src, dst *Datastore) *Migration {
@@ -131,20 +152,30 @@ func (g *Migration) pump() {
 		return
 	}
 	for !g.paused && g.inflight < g.mgr.cfg.CopyDepth {
-		blocks := g.nextChunk()
-		if blocks == nil {
+		c := g.nextChunk()
+		if c == nil {
 			break
 		}
 		g.inflight++
-		g.attemptChunk(blocks, 0)
+		c.attemptChunk()
 	}
 	g.maybeFinish()
 }
 
-// nextChunk collects the next run of unmigrated blocks, up to chunkBytes.
-func (g *Migration) nextChunk() []int64 {
+// nextChunk collects the next run of unmigrated blocks, up to chunkBytes,
+// into a chunk at attempt 0, or returns nil when the cursor finds none.
+func (g *Migration) nextChunk() *chunk {
 	maxBlocks := int64(chunkBytes / BlockSize)
-	var blocks []int64
+	c := g.free.Get()
+	if c.g == nil {
+		c.g = g
+		c.blocks = make([]int64, 0, maxBlocks)
+		c.onRead = c.readDone
+		c.onTransfer = c.transferDone
+		c.onWrite = c.writeDone
+		c.onRetry = c.retry
+	}
+	blocks := c.blocks[:0]
 	for g.cursor < g.v.Blocks() && int64(len(blocks)) < maxBlocks {
 		b := g.cursor
 		g.cursor++
@@ -156,10 +187,20 @@ func (g *Migration) nextChunk() []int64 {
 		}
 		blocks = append(blocks, b)
 	}
+	c.blocks, c.attempt = blocks, 0
 	if len(blocks) == 0 {
+		g.free.Put(c)
 		return nil
 	}
-	return blocks
+	return c
+}
+
+// leave takes c out of flight and recycles it, then pumps the engine.
+func (c *chunk) leave() {
+	g := c.g
+	g.free.Put(c)
+	g.inflight--
+	g.pump()
 }
 
 // backoff returns the retry delay before attempt n+1 (exponential from
@@ -180,98 +221,116 @@ func (g *Migration) backoff(attempt int) sim.Time {
 // §5.3.1 same-location discard handles the device-level race; here the
 // block simply stays marked). The caller has already counted the chunk in
 // g.inflight.
-func (g *Migration) attemptChunk(blocks []int64, attempt int) {
+func (c *chunk) attemptChunk() {
+	g := c.g
 	// Redirected writes may have satisfied blocks while we backed off;
 	// re-filter so retries shrink instead of re-copying redirected data.
-	live := blocks[:0]
-	for _, b := range blocks {
+	live := c.blocks[:0]
+	for _, b := range c.blocks {
 		if !g.v.blockMigrated(b) {
 			live = append(live, b)
 		}
 	}
+	c.blocks = live
 	if len(live) == 0 || g.completed || g.aborting {
-		g.inflight--
-		g.pump()
+		c.leave()
 		return
 	}
-	blocks = live
-	first := blocks[0]
-	n := int64(len(blocks))
-	fail := func(stage string, err error) {
-		g.mgr.stats.CopyRetries++
-		if attempt+1 >= copyRetryLimit {
-			g.inflight--
-			if g.aborting || g.completed {
-				g.pump()
-			} else {
-				g.abort(fmt.Sprintf("%s failed %d times: %v", stage, attempt+1, err))
-			}
-			return
-		}
-		g.mgr.eng.Schedule(g.backoff(attempt), func() {
-			if g.completed || g.aborting {
-				g.inflight--
-				g.pump()
-				return
-			}
-			g.attemptChunk(blocks, attempt+1)
-		})
-	}
-	read := &trace.IORequest{
+	c.read = trace.IORequest{
 		Op:     trace.OpRead,
-		Offset: g.v.srcBase + first*BlockSize,
-		Size:   n * BlockSize,
+		Offset: g.v.srcBase + c.blocks[0]*BlockSize,
+		Size:   c.bytes(),
 		Class:  g.class(),
 		VMDK:   g.v.ID,
 	}
-	g.src.Submit(read, func(c *trace.IORequest) {
-		if c.Err != nil {
-			fail("source read", c.Err)
-			return
-		}
-		writeOut := func() {
-			write := &trace.IORequest{
-				Op:     trace.OpWrite,
-				Offset: g.v.dstBase + first*BlockSize,
-				Size:   n * BlockSize,
-				Class:  g.class(),
-				VMDK:   g.v.ID,
-			}
-			g.dst.Submit(write, func(c *trace.IORequest) {
-				if c.Err != nil {
-					fail("destination write", c.Err)
-					return
-				}
-				if g.aborting || g.completed {
-					// The unwind started while this chunk was in flight:
-					// leave its blocks unmarked so the source stays
-					// authoritative for them.
-					g.inflight--
-					g.pump()
-					return
-				}
-				for _, b := range blocks {
-					g.v.markMigrated(b)
-				}
-				g.journalRuns(JournalProgress, blocks)
-				g.copiedBytes += n * BlockSize
-				g.mgr.stats.BytesCopied += n * BlockSize
-				g.inflight--
-				g.pump()
-			})
-		}
-		if g.src.Node != g.dst.Node && g.mgr.network != nil {
-			g.mgr.network.Transfer(g.src.Node, g.dst.Node, n*BlockSize, func(err error) {
-				if err != nil {
-					fail("network transfer", err)
-					return
-				}
-				writeOut()
-			})
+	g.src.Submit(&c.read, c.onRead)
+}
+
+// bytes returns the chunk's copy size.
+func (c *chunk) bytes() int64 { return int64(len(c.blocks)) * BlockSize }
+
+// fail retries the chunk after a stage failure, or, with the retry budget
+// spent, takes it out of flight and aborts the migration.
+func (c *chunk) fail(stage string, err error) {
+	g := c.g
+	g.mgr.stats.CopyRetries++
+	if c.attempt+1 >= copyRetryLimit {
+		attempts := c.attempt + 1
+		g.free.Put(c)
+		g.inflight--
+		if g.aborting || g.completed {
+			g.pump()
 		} else {
-			writeOut()
+			g.abort(fmt.Sprintf("%s failed %d times: %v", stage, attempts, err))
 		}
-	})
+		return
+	}
+	g.mgr.eng.Schedule(g.backoff(c.attempt), c.onRetry)
+}
+
+// retry starts the chunk's next attempt once its backoff has elapsed.
+func (c *chunk) retry() {
+	if c.g.completed || c.g.aborting {
+		c.leave()
+		return
+	}
+	c.attempt++
+	c.attemptChunk()
+}
+
+func (c *chunk) readDone(r *trace.IORequest) {
+	if r.Err != nil {
+		c.fail("source read", r.Err)
+		return
+	}
+	g := c.g
+	if g.src.Node != g.dst.Node && g.mgr.network != nil {
+		g.mgr.network.Transfer(g.src.Node, g.dst.Node, c.bytes(), c.onTransfer)
+		return
+	}
+	c.writeOut()
+}
+
+func (c *chunk) transferDone(err error) {
+	if err != nil {
+		c.fail("network transfer", err)
+		return
+	}
+	c.writeOut()
+}
+
+// writeOut submits the chunk's destination write.
+func (c *chunk) writeOut() {
+	g := c.g
+	c.write = trace.IORequest{
+		Op:     trace.OpWrite,
+		Offset: g.v.dstBase + c.blocks[0]*BlockSize,
+		Size:   c.bytes(),
+		Class:  g.class(),
+		VMDK:   g.v.ID,
+	}
+	g.dst.Submit(&c.write, c.onWrite)
+}
+
+func (c *chunk) writeDone(r *trace.IORequest) {
+	if r.Err != nil {
+		c.fail("destination write", r.Err)
+		return
+	}
+	g := c.g
+	if g.aborting || g.completed {
+		// The unwind started while this chunk was in flight: leave its
+		// blocks unmarked so the source stays authoritative for them.
+		c.leave()
+		return
+	}
+	for _, b := range c.blocks {
+		g.v.markMigrated(b)
+	}
+	g.journalRuns(JournalProgress, c.blocks)
+	g.copiedBytes += c.bytes()
+	g.mgr.stats.BytesCopied += c.bytes()
+	c.leave()
 }
 
 // abort begins the clean unwind after the retry budget is exhausted:
