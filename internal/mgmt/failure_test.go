@@ -270,6 +270,94 @@ func TestAbortProceedsWhileOperatorPaused(t *testing.T) {
 	}
 }
 
+// TestCopyBackRetriesWithClampedBackoff fails every copy-back chunk's
+// destination read, then its source write, streak times each: longer than
+// the six doublings before the backoff clamps. The copy-back never gives
+// up, so the unwind must still complete, with one retry counted per
+// failed stage, no second abort, and the gap between a chunk's attempts
+// doubling from copyRetryBackoff until it stops at 64×.
+func TestCopyBackRetriesWithClampedBackoff(t *testing.T) {
+	eng, mgr, a, b, fa, fb := failurePair(t)
+	v, err := a.CreateVMDK(1, 8<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const streak = 8
+	// The forward copy reads a and writes b, so every read of b and every
+	// write of a is copy-back traffic. Chunks are keyed by offset.
+	attempts := map[int64][]sim.Time{} // destination-read submit times
+	readFails, writeFails := map[int64]int{}, map[int64]int{}
+	failed := 0
+	fb.fail = func(r *trace.IORequest) bool {
+		if r.Op != trace.OpRead {
+			return false
+		}
+		attempts[r.Offset] = append(attempts[r.Offset], eng.Now())
+		if readFails[r.Offset] < streak {
+			readFails[r.Offset]++
+			failed++
+			return true
+		}
+		return false
+	}
+	fa.fail = func(r *trace.IORequest) bool {
+		if r.Op != trace.OpWrite || writeFails[r.Offset] >= streak {
+			return false
+		}
+		writeFails[r.Offset]++
+		failed++
+		return true
+	}
+	if err := mgr.startMigration(v, b); err != nil {
+		t.Fatal(err)
+	}
+	eng.RunFor(30 * sim.Microsecond) // let some chunks land on b
+	mig := mgr.active[0]
+	if v.MigratedBlocks() == 0 || mgr.Stats().CopyRetries != 0 {
+		t.Fatalf("test setup: %d blocks copied, %d retries before the unwind",
+			v.MigratedBlocks(), mgr.Stats().CopyRetries)
+	}
+	mig.abort("test-induced abort")
+	eng.Run()
+
+	st := mgr.Stats()
+	if st.MigrationsAborted != 1 {
+		t.Fatalf("aborted = %d, want 1: copy-back failures must not abort again", st.MigrationsAborted)
+	}
+	if v.Store() != a || v.Migrating() || v.aborting || v.MigratedBlocks() != 0 {
+		t.Fatalf("VMDK not consistent on source: store=%s migrating=%v migrated=%d",
+			v.Store().Dev.Name(), v.Migrating(), v.MigratedBlocks())
+	}
+	if b.allocated != 0 || len(mgr.active) != 0 {
+		t.Fatalf("unwind did not finish: %d bytes held on b, %d migrations active", b.allocated, len(mgr.active))
+	}
+	if len(attempts) == 0 {
+		t.Fatal("no copy-back chunk ran")
+	}
+	if want := uint64(len(attempts) * 2 * streak); failed != int(want) || st.CopyRetries != want {
+		t.Fatalf("retries = %d after %d injected failures, want %d: one per failed copy-back stage",
+			st.CopyRetries, failed, want)
+	}
+	const lat = 10 * sim.Microsecond // each flaky stage's latency
+	for off, at := range attempts {
+		if len(at) != 2*streak+1 {
+			t.Fatalf("chunk at %d made %d attempts, want %d", off, len(at), 2*streak+1)
+		}
+		for k := 0; k+1 < len(at); k++ {
+			// Attempts 0..streak-1 fail at the read; the next streak
+			// read, then fail at the write.
+			stages := sim.Time(1)
+			if k >= streak {
+				stages = 2
+			}
+			wantBackoff := copyRetryBackoff << min(k, 6)
+			if got := at[k+1] - at[k] - stages*lat; got != wantBackoff {
+				t.Fatalf("chunk at %d: backoff before attempt %d = %v, want %v", off, k+1, got, wantBackoff)
+			}
+		}
+	}
+}
+
 // TestQuarantineEvacuateReadmitLifecycle drives the full failure-aware
 // management arc: error-rate quarantine → evacuation to a healthy store →
 // probation → readmission.
