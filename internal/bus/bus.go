@@ -57,47 +57,6 @@ type grant struct {
 	granted func(start sim.Time)
 }
 
-// grantQueue is a FIFO ring of waiters held by value, so Acquire and
-// dispatch allocate nothing once the ring has grown to the peak queue
-// depth. The capacity is zero or a power of two.
-type grantQueue struct {
-	buf  []grant
-	head int
-	n    int
-}
-
-// push appends g at the tail, doubling the ring when it is full.
-func (q *grantQueue) push(g grant) {
-	if q.n == len(q.buf) {
-		q.grow()
-	}
-	q.buf[(q.head+q.n)&(len(q.buf)-1)] = g
-	q.n++
-}
-
-// pop removes and returns the head waiter; the queue must be non-empty.
-func (q *grantQueue) pop() grant {
-	g := q.buf[q.head]
-	q.buf[q.head] = grant{} // drop the callback reference
-	q.head = (q.head + 1) & (len(q.buf) - 1)
-	q.n--
-	return g
-}
-
-// grow doubles the ring (minimum 8 slots), unwrapping it to start at 0.
-func (q *grantQueue) grow() {
-	size := 2 * len(q.buf)
-	if size == 0 {
-		size = 8
-	}
-	buf := make([]grant, size)
-	for i := 0; i < q.n; i++ {
-		buf[i] = q.buf[(q.head+i)&(len(q.buf)-1)]
-	}
-	q.buf = buf
-	q.head = 0
-}
-
 // Channel is one DDR channel shared by a DRAM DIMM and an NVDIMM. Acquire
 // requests channel time; grants are strict-priority, FIFO within a
 // priority. Wait time by class is recorded so experiments can report the
@@ -105,8 +64,8 @@ func (q *grantQueue) grow() {
 type Channel struct {
 	eng       *sim.Engine
 	busy      bool
-	queues    [numPriorities]grantQueue
-	onRelease func() // bound once: frees the channel after a hold
+	queues    [numPriorities]sim.Ring[grant] // waiters by value; Pop drops the callback
+	onRelease func()                         // bound once: frees the channel after a hold
 	waitUS    [numPriorities]stats.Summary
 	busyTime  sim.Time
 	grants    [numPriorities]uint64
@@ -137,7 +96,7 @@ func (c *Channel) Acquire(pri Priority, hold sim.Time, granted func(start sim.Ti
 	if hold < 0 {
 		hold = 0
 	}
-	c.queues[pri].push(grant{hold: hold, queued: c.eng.Now(), granted: granted})
+	c.queues[pri].Push(grant{hold: hold, queued: c.eng.Now(), granted: granted})
 	if !c.busy {
 		c.dispatch()
 	}
@@ -146,13 +105,13 @@ func (c *Channel) Acquire(pri Priority, hold sim.Time, granted func(start sim.Ti
 // dispatch grants the channel to the highest-priority waiter.
 func (c *Channel) dispatch() {
 	p := Priority(0)
-	for p < numPriorities && c.queues[p].n == 0 {
+	for p < numPriorities && c.queues[p].Len() == 0 {
 		p++
 	}
 	if p == numPriorities {
 		return
 	}
-	g := c.queues[p].pop()
+	g := c.queues[p].Pop()
 	now := c.eng.Now()
 	c.waitUS[p].Add((now - g.queued).Micros())
 	c.grants[p]++

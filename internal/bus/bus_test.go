@@ -126,26 +126,29 @@ func TestChannelQueueLen(t *testing.T) {
 	c.Acquire(PriMem, 100, func(sim.Time) {})
 	c.Acquire(PriIO, 100, func(sim.Time) {})
 	c.Acquire(PriIO, 100, func(sim.Time) {})
-	if c.queues[PriIO].n != 2 {
-		t.Fatalf("queue len = %d, want 2", c.queues[PriIO].n)
+	if n := c.queues[PriIO].Len(); n != 2 {
+		t.Fatalf("queue len = %d, want 2", n)
 	}
 	eng.Run()
-	if c.queues[PriIO].n != 0 {
+	if c.queues[PriIO].Len() != 0 {
 		t.Fatal("queue not drained")
 	}
 }
 
-// TestGrantRingOrderAcrossGrowthAndWrap queues more than the ring's
-// initial 8 slots of each class, interleaved, in three waves timed so that
-// both rings grow and both wrap. Grants must stay strictly by priority and
-// FIFO within a class — the order the old slice shift guaranteed — and the
-// counters must match the hand-computed schedule. Every hold is 10 ns.
+// TestGrantRingOrderAcrossGrowthAndWrap queues more than a ring's
+// initial 16 slots of each class, interleaved, in three waves timed so
+// that both rings wrap and then grow. Grants must stay strictly by
+// priority and FIFO within a class — the order the old slice shift
+// guaranteed — and the counters must match the hand-computed schedule.
+// Every hold is 10 ns. (The ring's slot layout itself is checked after
+// every operation by sim's TestRingMatchesSlice.)
 //
-//	t=0    blocker io granted; queue m0,i0 … m5,i5
-//	t=35   mem ring holds m3..m5 at head 3: m6..m10 wrap, m11 grows it;
-//	       queue m6,i6 … m11,i11 (the io ring grows at i8)
-//	t=215  io ring holds i9..i11 at head 9: i12..i19 wrap (no growth);
-//	       queue m12,i12 … m19,i19 (the mem ring, empty at head 9, wraps)
+//	t=0    blocker io granted (io ring head 1); queue m0,i0 … m11,i11
+//	t=75   mem ring holds m7..m11 at head 7: m16..m22 wrap, m23 grows it;
+//	       io ring holds i0..i11 at head 1: i15 wraps, i16 grows it;
+//	       queue m12,i12 … m23,i23
+//	t=355  mem ring empty, io ring holds i11..i23; queue m24,i24 …
+//	       m31,i31: the mem waiters overtake the queued io
 func TestGrantRingOrderAcrossGrowthAndWrap(t *testing.T) {
 	eng := sim.NewEngine()
 	c := NewChannel(eng, 0)
@@ -165,22 +168,17 @@ func TestGrantRingOrderAcrossGrowthAndWrap(t *testing.T) {
 		}
 	}
 	acquire(PriIO, "blocker")
-	wave(0, 6)
-	eng.At(35, func() {
-		wave(6, 12)
-		if c.queues[PriMem].n != 9 || c.queues[PriIO].n != 12 {
-			t.Errorf("t=35 queue lens = %d/%d, want 9/12", c.queues[PriMem].n, c.queues[PriIO].n)
+	wave(0, 12)
+	eng.At(75, func() {
+		wave(12, 24)
+		if m, i := c.queues[PriMem].Len(), c.queues[PriIO].Len(); m != 17 || i != 24 {
+			t.Errorf("t=75 queue lens = %d/%d, want 17/24", m, i)
 		}
 	})
-	eng.At(215, func() {
-		wave(12, 20)
-		if c.queues[PriMem].n != 8 || c.queues[PriIO].n != 11 {
-			t.Errorf("t=215 queue lens = %d/%d, want 8/11", c.queues[PriMem].n, c.queues[PriIO].n)
-		}
-		for p := range c.queues {
-			if q := &c.queues[p]; len(q.buf) != 16 || q.head+q.n <= len(q.buf) {
-				t.Errorf("class %d ring: %d slots, head %d, %d queued; want 16 slots, wrapped", p, len(q.buf), q.head, q.n)
-			}
+	eng.At(355, func() {
+		wave(24, 32)
+		if m, i := c.queues[PriMem].Len(), c.queues[PriIO].Len(); m != 8 || i != 21 {
+			t.Errorf("t=355 queue lens = %d/%d, want 8/21", m, i)
 		}
 	})
 	eng.Run()
@@ -193,10 +191,10 @@ func TestGrantRingOrderAcrossGrowthAndWrap(t *testing.T) {
 		}
 	}
 	want = append(want, "blocker")
-	add("m", 0, 12)  // t=10..120: every mem waiter of waves 1 and 2
-	add("i", 0, 9)   // t=130..210: io runs while mem is empty
-	add("m", 12, 20) // t=220..290: wave 3 mem overtakes the queued io
-	add("i", 9, 20)  // t=300..400
+	add("m", 0, 24)  // t=10..240: every mem waiter of waves 1 and 2
+	add("i", 0, 11)  // t=250..350: io runs while mem is empty
+	add("m", 24, 32) // t=360..430: wave 3 mem overtakes the queued io
+	add("i", 11, 32) // t=440..640
 	if len(got) != len(want) {
 		t.Fatalf("granted %d waiters, want %d", len(got), len(want))
 	}
@@ -205,18 +203,18 @@ func TestGrantRingOrderAcrossGrowthAndWrap(t *testing.T) {
 			t.Fatalf("grant %d = %s at %v, want %s at %v", k, r.name, r.start, want[k], sim.Time(k*hold))
 		}
 	}
-	if c.queues[PriMem].n != 0 || c.queues[PriIO].n != 0 {
-		t.Fatalf("queues not drained: %d/%d", c.queues[PriMem].n, c.queues[PriIO].n)
+	if m, i := c.queues[PriMem].Len(), c.queues[PriIO].Len(); m != 0 || i != 0 {
+		t.Fatalf("queues not drained: %d/%d", m, i)
 	}
-	if c.Grants(PriMem) != 20 || c.Grants(PriIO) != 21 {
-		t.Fatalf("grants = %d/%d, want 20/21", c.Grants(PriMem), c.Grants(PriIO))
+	if c.Grants(PriMem) != 32 || c.Grants(PriIO) != 33 {
+		t.Fatalf("grants = %d/%d, want 32/33", c.Grants(PriMem), c.Grants(PriIO))
 	}
-	// Hand-summed waits: mem 60+150+360+320 = 890 ns over 20 grants;
-	// io 0+930+495+825+1200 = 3450 ns over 21 grants.
-	if got, want := c.MeanWaitUS(PriMem), 0.890/20; math.Abs(got-want) > 1e-12 {
+	// Hand-summed waits: mem 780+1320+320 = 2420 ns over 32 grants;
+	// io 0+3300+440+5160+2000 = 10900 ns over 33 grants.
+	if got, want := c.MeanWaitUS(PriMem), 2.420/32; math.Abs(got-want) > 1e-12 {
 		t.Fatalf("mem mean wait = %v µs, want %v", got, want)
 	}
-	if got, want := c.MeanWaitUS(PriIO), 3.450/21; math.Abs(got-want) > 1e-12 {
+	if got, want := c.MeanWaitUS(PriIO), 10.900/33; math.Abs(got-want) > 1e-12 {
 		t.Fatalf("io mean wait = %v µs, want %v", got, want)
 	}
 }

@@ -8,8 +8,10 @@ package mgmt
 import (
 	"testing"
 
+	"repro/internal/device"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -152,42 +154,98 @@ func takeStorageCounts(n *node, reg *telemetry.Registry, runners []*workload.Run
 	return c
 }
 
-// TestMigrationCopySteadyStateZeroAllocs pins the forward copy engine as
-// allocation-free once warm: each chunk's read, destination write and
-// callbacks live in a pooled chunk record, and its block buffer is
-// reused. A 256 MiB VMDK moves from the NVDIMM to the SSD of one node
-// (no network hop, no journal) with four chunks in flight; the window
-// must land copy chunks and end with the migration still running.
+// TestMigrationCopySteadyStateZeroAllocs pins the copy engine as
+// allocation-free once warm, in both directions: each chunk's read, write
+// and callbacks live in a pooled chunk record, its block buffer is
+// reused, and a retry's backoff is a bound callback on the engine. A
+// 256 MiB VMDK moves from the NVDIMM to the SSD of one node (no network
+// hop, no journal) with four chunks in flight.
+//
+// The forward window must land copy chunks and end with the migration
+// still running. The copy-back window starts after more than half the
+// VMDK has moved and the migration is aborted; every fifth write to the
+// source fails, so it must also retry chunks, and it must end with blocks
+// still to carry back.
 func TestMigrationCopySteadyStateZeroAllocs(t *testing.T) {
-	n := newNode(t)
-	eng := n.eng
-	nvDS, sdDS := n.dss[0], n.dss[1]
-	mgr := NewManager(eng, quickCfg(), Full(), []*Datastore{nvDS, sdDS})
-	v, err := nvDS.CreateVMDK(1, 256<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := mgr.startMigration(v, sdDS); err != nil {
-		t.Fatal(err)
-	}
-	eng.RunFor(50 * sim.Millisecond)
-
-	before := mgr.Stats().BytesCopied
 	const steps = 50000
-	allocs := testing.AllocsPerRun(1, func() {
-		for i := 0; i < steps; i++ {
+	// start begins the migration with its source writes failing as the
+	// wrapper decides.
+	start := func(t *testing.T) (*sim.Engine, *Manager, *VMDK) {
+		n := newNode(t)
+		src := NewDatastore(&failEvery{Device: n.nv, k: 5}, 0)
+		mgr := NewManager(n.eng, quickCfg(), Full(), []*Datastore{src, n.dss[1]})
+		v, err := src.CreateVMDK(1, 256<<20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := mgr.startMigration(v, n.dss[1]); err != nil {
+			t.Fatal(err)
+		}
+		return n.eng, mgr, v
+	}
+	measure := func(t *testing.T, eng *sim.Engine) float64 {
+		return testing.AllocsPerRun(1, func() {
+			for i := 0; i < steps; i++ {
+				if !eng.Step() {
+					t.Fatal("event queue drained while the copy runs")
+				}
+			}
+		})
+	}
+
+	t.Run("forward", func(t *testing.T) {
+		eng, mgr, v := start(t)
+		eng.RunFor(50 * sim.Millisecond)
+		before := mgr.Stats().BytesCopied
+		allocs := measure(t, eng)
+		copied := mgr.Stats().BytesCopied - before
+		if copied == 0 || v.MigratedBlocks() == v.Blocks() {
+			t.Fatalf("measured window copied %d bytes, %d of %d blocks migrated; want copying throughout",
+				copied, v.MigratedBlocks(), v.Blocks())
+		}
+		if allocs != 0 {
+			t.Fatalf("forward copy allocated %v times over %d engine steps, want 0", allocs, steps)
+		}
+		t.Logf("0 allocations over %d engine steps, %d chunks copied", steps, copied/chunkBytes)
+	})
+
+	t.Run("copy-back", func(t *testing.T) {
+		eng, mgr, v := start(t)
+		for v.MigratedBlocks() <= v.Blocks()/2 {
 			if !eng.Step() {
-				t.Fatal("event queue drained while the copy runs")
+				t.Fatal("event queue drained before half the VMDK moved")
 			}
 		}
+		mgr.active[0].abort("test-induced abort")
+		eng.RunFor(10 * sim.Millisecond)
+		before, left := mgr.Stats().CopyRetries, v.MigratedBlocks()
+		allocs := measure(t, eng)
+		retries, back := mgr.Stats().CopyRetries-before, left-v.MigratedBlocks()
+		if retries == 0 || back <= 0 || v.MigratedBlocks() == 0 || mgr.Stats().MigrationsAborted != 1 {
+			t.Fatalf("measured window counted %d retries and carried back %d blocks, %d left, %d aborts; want retrying copy-back throughout",
+				retries, back, v.MigratedBlocks(), mgr.Stats().MigrationsAborted)
+		}
+		if allocs != 0 {
+			t.Fatalf("copy-back allocated %v times over %d engine steps, want 0", allocs, steps)
+		}
+		t.Logf("0 allocations over %d engine steps, %d blocks carried back, %d retries", steps, back, retries)
 	})
-	copied := mgr.Stats().BytesCopied - before
-	if copied == 0 || v.MigratedBlocks() == v.Blocks() {
-		t.Fatalf("measured window copied %d bytes, %d of %d blocks migrated; want copying throughout",
-			copied, v.MigratedBlocks(), v.Blocks())
+}
+
+// failEvery wraps a device and pre-marks every k-th write it is given as
+// failed. The NVDIMM and SSD models complete a pre-marked request with its
+// error, as under fault injection.
+type failEvery struct {
+	device.Device
+	k, writes int
+}
+
+func (f *failEvery) Submit(r *trace.IORequest, done device.Completion) {
+	if r.Op == trace.OpWrite {
+		f.writes++
+		if f.writes%f.k == 0 {
+			r.Err = errFlaky
+		}
 	}
-	if allocs != 0 {
-		t.Fatalf("copy engine allocated %v times over %d engine steps, want 0", allocs, steps)
-	}
-	t.Logf("0 allocations over %d engine steps, %d chunks copied", steps, copied/chunkBytes)
+	f.Device.Submit(r, done)
 }

@@ -83,8 +83,10 @@ type Stats struct {
 	// earlier — the unnecessary-migration signature of Fig. 3.
 	PingPongs uint64
 
-	// Failure-aware management counters.
-	CopyRetries       uint64 // migration chunk attempts that failed and retried
+	// Failure-aware management counters. CopyRetries counts failed
+	// copy-chunk attempts in either direction, including the one that
+	// spends a forward chunk's retry budget and aborts the migration.
+	CopyRetries       uint64
 	MigrationsAborted uint64 // migrations that exhausted retries and unwound
 	Quarantines       uint64 // datastores entering quarantine
 	Readmissions      uint64 // datastores released after probation

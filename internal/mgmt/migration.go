@@ -11,8 +11,9 @@ import (
 const (
 	// chunkBytes is the migration copy granularity.
 	chunkBytes = 256 << 10
-	// copyRetryLimit is how many attempts each copy chunk gets before the
-	// whole migration aborts and unwinds.
+	// copyRetryLimit is how many attempts each forward copy chunk gets
+	// before the whole migration aborts and unwinds. Copy-back chunks
+	// retry without limit.
 	copyRetryLimit = 4
 	// copyRetryBackoff is the delay before a chunk's first retry, doubling
 	// each attempt (clamped at 64×).
@@ -28,16 +29,17 @@ const (
 // Every copy stage (source read, cross-node transfer, destination write)
 // can fail under fault injection. A failed chunk retries with exponential
 // backoff up to copyRetryLimit attempts; exhausting the budget
-// aborts the whole migration: redirection is switched off, and the engine
-// walks the bitmap copying migrated blocks *back* to the source, leaving
-// the VMDK fully consistent at its original location.
+// aborts the whole migration: redirection is switched off, and the same
+// engine turns around, walking the bitmap copying migrated blocks *back*
+// to the source, leaving the VMDK fully consistent at its original
+// location.
 type Migration struct {
 	mgr *Manager
 	v   *VMDK
 	src *Datastore
 	dst *Datastore
 
-	cursor    int64 // next block index to consider
+	cursor    int64 // next block index the copy scan considers
 	inflight  int
 	paused    bool // cost/benefit said "not now"
 	completed bool
@@ -46,31 +48,33 @@ type Migration struct {
 	// (getting off a failing store is not optional).
 	evac bool
 
-	abortCursor int64 // next block index the copy-back scan considers
-
 	copiedBytes int64
 	startedAt   sim.Time
 	finishedAt  sim.Time
 
-	free sim.FreeList[chunk] // recycled forward-copy chunks
+	free sim.FreeList[chunk] // recycled copy chunks
 }
 
-// chunk is one forward-copy chunk in flight: its blocks, its attempt
-// number and the source read and destination write it submits, held by
-// value. A chunk is taken by nextChunk and recycled when it leaves
-// flight (copied, emptied by redirection, dropped by an unwind, or out
-// of retries), just before the pump that may reuse it; the next chunk
-// reuses its block buffer. Its callbacks are bound on first use.
+// chunk is one copy chunk in flight: its direction, its blocks, its
+// attempt number and the read and write it submits, held by value. A
+// forward chunk reads the source and writes the destination; a copy-back
+// chunk (back, taken once the migration is aborting) reads the
+// destination and writes the source. A chunk is taken by nextChunk and
+// recycled when it leaves flight (copied, emptied by redirection, dropped
+// by an unwind, or out of retries), just before the pump that may reuse
+// it; the next chunk reuses its block buffer. Its callbacks are bound on
+// first use.
 type chunk struct {
 	g       *Migration
+	back    bool
 	blocks  []int64
 	attempt int
 	read    trace.IORequest
 	write   trace.IORequest
 
-	onRead     func(*trace.IORequest) // bound: the source read completed
+	onRead     func(*trace.IORequest) // bound: the read completed
 	onTransfer func(error)            // bound: the network transfer completed
-	onWrite    func(*trace.IORequest) // bound: the destination write completed
+	onWrite    func(*trace.IORequest) // bound: the write completed
 	onRetry    func()                 // bound: the retry backoff elapsed
 }
 
@@ -142,13 +146,12 @@ func (g *Migration) journalRuns(kind JournalKind, blocks []int64) {
 	jn.appendLazy(JournalRecord{Kind: kind, VMDK: g.v.ID, Block: start, Count: n})
 }
 
-// pump keeps CopyDepth chunks in flight.
+// pump keeps CopyDepth chunks in flight, then checks whether the
+// migration is done. An unwind is never paused: abort clears the gate and
+// regate leaves an aborting migration alone, since a half-aborted VMDK
+// must not linger on a possibly failing destination.
 func (g *Migration) pump() {
 	if g.completed {
-		return
-	}
-	if g.aborting {
-		g.pumpAbort()
 		return
 	}
 	for !g.paused && g.inflight < g.mgr.cfg.CopyDepth {
@@ -162,8 +165,10 @@ func (g *Migration) pump() {
 	g.maybeFinish()
 }
 
-// nextChunk collects the next run of unmigrated blocks, up to chunkBytes,
-// into a chunk at attempt 0, or returns nil when the cursor finds none.
+// nextChunk collects the next run of blocks still to copy, up to
+// chunkBytes, into a chunk at attempt 0, or returns nil when the cursor
+// finds none. A forward chunk takes unmigrated blocks; once the migration
+// is aborting, a copy-back chunk takes migrated ones.
 func (g *Migration) nextChunk() *chunk {
 	maxBlocks := int64(chunkBytes / BlockSize)
 	c := g.free.Get()
@@ -175,11 +180,12 @@ func (g *Migration) nextChunk() *chunk {
 		c.onWrite = c.writeDone
 		c.onRetry = c.retry
 	}
+	back := g.aborting
 	blocks := c.blocks[:0]
 	for g.cursor < g.v.Blocks() && int64(len(blocks)) < maxBlocks {
 		b := g.cursor
 		g.cursor++
-		if g.v.blockMigrated(b) {
+		if g.v.blockMigrated(b) != back {
 			if len(blocks) > 0 {
 				break // keep chunks contiguous
 			}
@@ -187,7 +193,7 @@ func (g *Migration) nextChunk() *chunk {
 		}
 		blocks = append(blocks, b)
 	}
-	c.blocks, c.attempt = blocks, 0
+	c.back, c.blocks, c.attempt = back, blocks, 0
 	if len(blocks) == 0 {
 		g.free.Put(c)
 		return nil
@@ -213,48 +219,65 @@ func (g *Migration) backoff(attempt int) sim.Time {
 	return d
 }
 
-// attemptChunk runs one forward-copy attempt: source read → cross-node
-// transfer → destination write, marking blocks migrated on success. Any
-// stage failure retries the chunk with backoff; exhausting the budget
-// aborts the migration. Blocks that a redirected write migrates while the
-// copy is in flight are detected at write time and not overwritten (the
-// §5.3.1 same-location discard handles the device-level race; here the
-// block simply stays marked). The caller has already counted the chunk in
-// g.inflight.
+// ends returns the store the chunk reads and the store it writes, each
+// with the VMDK's base offset there.
+func (c *chunk) ends() (from *Datastore, fromBase int64, to *Datastore, toBase int64) {
+	g := c.g
+	if c.back {
+		return g.dst, g.v.dstBase, g.src, g.v.srcBase
+	}
+	return g.src, g.v.srcBase, g.dst, g.v.dstBase
+}
+
+// attemptChunk runs one copy attempt: read → cross-node transfer → write,
+// then marks the blocks migrated (forward) or unmigrated (copy-back). Any
+// stage failure retries the chunk with backoff (see fail). Blocks that a
+// write moved to the chunk's target while it backed off are filtered out
+// first, so retries shrink instead of re-copying: a redirected write
+// migrates a block, an abort-time write pulls one back to the source. A
+// redirected write that lands while the copy is in flight is detected at
+// write time and not overwritten (the §5.3.1 same-location discard
+// handles the device-level race; here the block simply stays marked). A
+// chunk with nothing left to copy leaves flight, and so does a forward
+// chunk once the migration unwinds or any chunk once it has completed.
+// The caller has already counted the chunk in g.inflight.
 func (c *chunk) attemptChunk() {
 	g := c.g
-	// Redirected writes may have satisfied blocks while we backed off;
-	// re-filter so retries shrink instead of re-copying redirected data.
 	live := c.blocks[:0]
 	for _, b := range c.blocks {
-		if !g.v.blockMigrated(b) {
+		if g.v.blockMigrated(b) == c.back {
 			live = append(live, b)
 		}
 	}
 	c.blocks = live
-	if len(live) == 0 || g.completed || g.aborting {
+	if len(live) == 0 || g.completed || g.aborting && !c.back {
 		c.leave()
 		return
 	}
+	from, base, _, _ := c.ends()
 	c.read = trace.IORequest{
 		Op:     trace.OpRead,
-		Offset: g.v.srcBase + c.blocks[0]*BlockSize,
+		Offset: base + c.blocks[0]*BlockSize,
 		Size:   c.bytes(),
 		Class:  g.class(),
 		VMDK:   g.v.ID,
 	}
-	g.src.Submit(&c.read, c.onRead)
+	from.Submit(&c.read, c.onRead)
 }
 
 // bytes returns the chunk's copy size.
 func (c *chunk) bytes() int64 { return int64(len(c.blocks)) * BlockSize }
 
-// fail retries the chunk after a stage failure, or, with the retry budget
-// spent, takes it out of flight and aborts the migration.
+// fail counts a failed stage and retries the chunk after its backoff. A
+// forward chunk whose retry budget is spent leaves flight instead and
+// aborts the migration, naming the forward stage in the reason. A
+// copy-back chunk retries until it lands: the unwind must eventually
+// complete, and fault episodes are finite (the engine watchdog bounds a
+// run where they are not).
 func (c *chunk) fail(stage string, err error) {
 	g := c.g
 	g.mgr.stats.CopyRetries++
-	if c.attempt+1 >= copyRetryLimit {
+	if !c.back && c.attempt+1 >= copyRetryLimit {
 		attempts := c.attempt + 1
 		g.free.Put(c)
 		g.inflight--
@@ -270,10 +293,6 @@ func (c *chunk) fail(stage string, err error) {
 
 // retry starts the chunk's next attempt once its backoff has elapsed.
 func (c *chunk) retry() {
-	if c.g.completed || c.g.aborting {
-		c.leave()
-		return
-	}
 	c.attempt++
 	c.attemptChunk()
 }
@@ -283,9 +302,9 @@ func (c *chunk) readDone(r *trace.IORequest) {
 		c.fail("source read", r.Err)
 		return
 	}
-	g := c.g
-	if g.src.Node != g.dst.Node && g.mgr.network != nil {
-		g.mgr.network.Transfer(g.src.Node, g.dst.Node, c.bytes(), c.onTransfer)
+	from, _, to, _ := c.ends()
+	if from.Node != to.Node && c.g.mgr.network != nil {
+		c.g.mgr.network.Transfer(from.Node, to.Node, c.bytes(), c.onTransfer)
 		return
 	}
 	c.writeOut()
@@ -299,17 +318,18 @@ func (c *chunk) transferDone(err error) {
 	c.writeOut()
 }
 
-// writeOut submits the chunk's destination write.
+// writeOut submits the chunk's write.
 func (c *chunk) writeOut() {
 	g := c.g
+	_, _, to, base := c.ends()
 	c.write = trace.IORequest{
 		Op:     trace.OpWrite,
-		Offset: g.v.dstBase + c.blocks[0]*BlockSize,
+		Offset: base + c.blocks[0]*BlockSize,
 		Size:   c.bytes(),
 		Class:  g.class(),
 		VMDK:   g.v.ID,
 	}
-	g.dst.Submit(&c.write, c.onWrite)
+	to.Submit(&c.write, c.onWrite)
 }
 
 func (c *chunk) writeDone(r *trace.IORequest) {
@@ -318,26 +338,36 @@ func (c *chunk) writeDone(r *trace.IORequest) {
 		return
 	}
 	g := c.g
-	if g.aborting || g.completed {
-		// The unwind started while this chunk was in flight: leave its
-		// blocks unmarked so the source stays authoritative for them.
-		c.leave()
-		return
+	switch {
+	case c.back:
+		// The blocks are on the source now, even if crash recovery has
+		// replaced this migration: recovering an aborting migration
+		// always rolls back too.
+		for _, b := range c.blocks {
+			g.v.markUnmigrated(b)
+		}
+		g.journalRuns(JournalRevert, c.blocks)
+	case g.aborting || g.completed:
+		// The unwind started while this forward chunk was in flight:
+		// leave its blocks unmarked so the source stays authoritative
+		// for them.
+	default:
+		for _, b := range c.blocks {
+			g.v.markMigrated(b)
+		}
+		g.journalRuns(JournalProgress, c.blocks)
+		g.copiedBytes += c.bytes()
+		g.mgr.stats.BytesCopied += c.bytes()
 	}
-	for _, b := range c.blocks {
-		g.v.markMigrated(b)
-	}
-	g.journalRuns(JournalProgress, c.blocks)
-	g.copiedBytes += c.bytes()
-	g.mgr.stats.BytesCopied += c.bytes()
 	c.leave()
 }
 
 // abort begins the clean unwind after the retry budget is exhausted:
-// redirection stops, fresh writes land on the source, and migrated blocks
-// copy back from the destination. Forward chunks still in flight complete
-// harmlessly — their blocks stay bitmap-unmarked, so the source remains
-// authoritative for them.
+// redirection stops, fresh writes land on the source, and the copy cursor
+// restarts so copy-back chunks carry migrated blocks back from the
+// destination. Forward chunks still in flight count against CopyDepth
+// until they leave, and complete harmlessly: their blocks stay
+// bitmap-unmarked, so the source remains authoritative for them.
 func (g *Migration) abort(reason string) {
 	if g.completed || g.aborting {
 		return
@@ -349,184 +379,47 @@ func (g *Migration) abort(reason string) {
 	if g.mgr.journal != nil {
 		g.mgr.journal.appendSync(JournalRecord{Kind: JournalAbort, VMDK: g.v.ID, Detail: reason})
 	}
-	g.abortCursor = 0
+	g.cursor = 0
 	g.mgr.logDecision(Decision{At: g.mgr.eng.Now(), Kind: DecisionAbort, Stage: StageExecute, VMDK: g.v.ID,
 		Src: g.src.Dev.Name(), Dst: g.dst.Dev.Name(),
 		Detail: "unwinding: " + reason})
-	g.pumpAbort()
+	g.pump()
 }
 
-// pumpAbort keeps CopyDepth copy-back chunks in flight. The unwind ignores
-// the copy gate — a half-aborted VMDK must not linger on a possibly
-// failing destination.
-func (g *Migration) pumpAbort() {
-	if g.completed {
-		return
-	}
-	for g.inflight < g.mgr.cfg.CopyDepth {
-		blocks := g.nextAbortChunk()
-		if blocks == nil {
-			break
-		}
-		g.inflight++
-		g.attemptAbortChunk(blocks, 0)
-	}
-	g.maybeFinishAbort()
-}
-
-// nextAbortChunk collects the next contiguous run of *migrated* blocks —
-// the ones that must move back to the source.
-func (g *Migration) nextAbortChunk() []int64 {
-	maxBlocks := int64(chunkBytes / BlockSize)
-	var blocks []int64
-	for g.abortCursor < g.v.Blocks() && int64(len(blocks)) < maxBlocks {
-		b := g.abortCursor
-		g.abortCursor++
-		if !g.v.blockMigrated(b) {
-			if len(blocks) > 0 {
-				break // keep chunks contiguous
-			}
-			continue
-		}
-		blocks = append(blocks, b)
-	}
-	if len(blocks) == 0 {
-		return nil
-	}
-	return blocks
-}
-
-// attemptAbortChunk copies migrated blocks back: destination read →
-// cross-node transfer → source write → clear bitmap bits. Copy-back
-// retries indefinitely with clamped backoff: the unwind must eventually
-// complete, and fault episodes are finite (the engine watchdog bounds a
-// run where they are not). The caller has already counted the chunk in
-// g.inflight.
-func (g *Migration) attemptAbortChunk(blocks []int64, attempt int) {
-	// Abort-time writes may have pulled blocks back to the source already.
-	live := blocks[:0]
-	for _, b := range blocks {
-		if g.v.blockMigrated(b) {
-			live = append(live, b)
-		}
-	}
-	if len(live) == 0 || g.completed {
-		g.inflight--
-		g.pumpAbort()
-		return
-	}
-	blocks = live
-	first := blocks[0]
-	n := int64(len(blocks))
-	retry := func(stage string, err error) {
-		g.mgr.stats.CopyRetries++
-		g.mgr.eng.After(g.backoff(attempt), func() {
-			g.attemptAbortChunk(blocks, attempt+1)
-		})
-	}
-	read := &trace.IORequest{
-		Op:     trace.OpRead,
-		Offset: g.v.dstBase + first*BlockSize,
-		Size:   n * BlockSize,
-		Class:  g.class(),
-		VMDK:   g.v.ID,
-	}
-	g.dst.Submit(read, func(c *trace.IORequest) {
-		if c.Err != nil {
-			retry("destination read", c.Err)
-			return
-		}
-		writeBack := func() {
-			write := &trace.IORequest{
-				Op:     trace.OpWrite,
-				Offset: g.v.srcBase + first*BlockSize,
-				Size:   n * BlockSize,
-				Class:  g.class(),
-				VMDK:   g.v.ID,
-			}
-			g.src.Submit(write, func(c *trace.IORequest) {
-				if c.Err != nil {
-					retry("source write", c.Err)
-					return
-				}
-				for _, b := range blocks {
-					g.v.markUnmigrated(b)
-				}
-				g.journalRuns(JournalRevert, blocks)
-				g.inflight--
-				g.pumpAbort()
-			})
-		}
-		if g.src.Node != g.dst.Node && g.mgr.network != nil {
-			g.mgr.network.Transfer(g.dst.Node, g.src.Node, n*BlockSize, func(err error) {
-				if err != nil {
-					retry("network transfer", err)
-					return
-				}
-				writeBack()
-			})
-		} else {
-			writeBack()
-		}
-	})
-}
-
-// maybeFinishAbort releases the destination once every block is back on
-// the source and no copy-back chunk is in flight.
-func (g *Migration) maybeFinishAbort() {
+// maybeFinish ends the migration once no chunk is in flight and every
+// block is where the copy direction puts it: all at the destination
+// commits the move; while aborting, all back on the source releases the
+// destination. Until then, a cursor that has passed the end rescans from
+// 0 for blocks left behind it (unwritten by redirection, or marked by a
+// forward chunk that landed behind the copy-back scan), unless the copy
+// gate is shut.
+func (g *Migration) maybeFinish() {
 	if g.completed || g.inflight > 0 {
 		return
 	}
-	if g.v.MigratedBlocks() > 0 {
-		if g.abortCursor >= g.v.Blocks() {
-			// In-flight forward chunks may have marked blocks behind the
-			// copy-back scan; rescan for them.
-			g.abortCursor = 0
-			g.pumpAbort()
-		}
-		return
+	target := g.v.Blocks()
+	if g.aborting {
+		target = 0
 	}
-	g.completed = true
-	g.finishedAt = g.mgr.eng.Now()
-	g.v.finishAbort()
-	g.dst.releaseExtent(g.v.Size)
-	g.mgr.migrationAborted(g)
-}
-
-// maybeFinish commits the migration once every block lives at the
-// destination and no chunk is in flight.
-func (g *Migration) maybeFinish() {
-	if g.completed || g.aborting || g.inflight > 0 {
-		return
-	}
-	if g.v.MigratedBlocks() < g.v.Blocks() {
+	if g.v.MigratedBlocks() != target {
 		if g.cursor >= g.v.Blocks() && !g.paused {
-			// The cursor passed blocks that redirection has not written;
-			// rescan for the stragglers.
 			g.cursor = 0
-			if g.nextChunkPeek() {
-				g.pump()
-			}
+			g.pump()
 		}
 		return
 	}
 	g.completed = true
 	g.finishedAt = g.mgr.eng.Now()
+	if g.aborting {
+		g.v.finishAbort()
+		g.dst.releaseExtent(g.v.Size)
+		g.mgr.migrationAborted(g)
+		return
+	}
 	src := g.src
 	g.v.finishMigration()
 	src.evict(g.v)
 	g.dst.adopt(g.v)
 	src.releaseExtent(g.v.Size)
 	g.mgr.migrationDone(g)
-}
-
-// nextChunkPeek reports whether unmigrated blocks remain without moving
-// the cursor permanently.
-func (g *Migration) nextChunkPeek() bool {
-	for b := int64(0); b < g.v.Blocks(); b++ {
-		if !g.v.blockMigrated(b) {
-			return true
-		}
-	}
-	return false
 }
