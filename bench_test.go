@@ -337,11 +337,9 @@ type benchEngineRecord struct {
 	AllocsPerOp   float64 `json:"allocs_per_op"`
 	Inserts       uint64  `json:"inserts"`
 	MaxTimerDepth int     `json:"max_timer_depth"`
-	// Wheel-level cost counters (engine v2, DESIGN.md §15): how often the
-	// hierarchical wheel redistributed entries downward and how many
-	// events entered via the beyond-horizon overflow tier.
-	Cascades           uint64 `json:"cascades"`
-	OverflowPromotions uint64 `json:"overflow_promotions"`
+	// Wheel-level cost counter (engine v2, DESIGN.md §15): how often the
+	// hierarchical wheel redistributed entries downward.
+	Cascades uint64 `json:"cascades"`
 }
 
 // engineDelayMix is the scheduling-delay mix of a fig17-mcf run (1 node,
@@ -446,16 +444,15 @@ func BenchmarkEngineHotPath(b *testing.B) {
 	b.ReportMetric(perSec, "events/sec")
 	b.ReportMetric(allocs, "allocs/event")
 	rec := benchEngineRecord{
-		GOMAXPROCS:         runtime.GOMAXPROCS(0),
-		Timers:             engineTimers,
-		Events:             prof.Events,
-		EventsPerSec:       perSec,
-		NsPerEvent:         float64(wall.Nanoseconds()) / float64(b.N),
-		AllocsPerOp:        allocs,
-		Inserts:            prof.Inserts,
-		MaxTimerDepth:      prof.MaxDepth,
-		Cascades:           prof.Cascades,
-		OverflowPromotions: prof.OverflowPromotions,
+		GOMAXPROCS:    runtime.GOMAXPROCS(0),
+		Timers:        engineTimers,
+		Events:        prof.Events,
+		EventsPerSec:  perSec,
+		NsPerEvent:    float64(wall.Nanoseconds()) / float64(b.N),
+		AllocsPerOp:   allocs,
+		Inserts:       prof.Inserts,
+		MaxTimerDepth: prof.MaxDepth,
+		Cascades:      prof.Cascades,
 	}
 	data, err := json.MarshalIndent(rec, "", "  ")
 	if err != nil {

@@ -10,12 +10,11 @@
 // working directory, exactly like the go tool: "./..." (default) lints
 // everything under the current directory, "./internal/..." a subtree,
 // "./internal/sim" one package. Findings print one per line as
-// "file:line: [check] message"; -format=json emits a JSON array
-// (-json is the legacy spelling) and -format=github emits GitHub
-// Actions workflow annotations ("::error file=...,line=...::[check]
-// message") so findings land inline on pull requests. The exit status
-// is 1 when there are findings, 2 on usage or load errors, 0 when
-// clean.
+// "file:line: [check] message"; -format=json emits a JSON array and
+// -format=github emits GitHub Actions workflow annotations
+// ("::error file=...,line=...::[check] message") so findings land inline
+// on pull requests. The exit status is 1 when there are findings, 2 on
+// usage or load errors, 0 when clean.
 package main
 
 import (
@@ -39,14 +38,10 @@ func main() {
 func run(args []string, stdout, stderr *os.File) int {
 	fs := flag.NewFlagSet("hsmlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	jsonOut := fs.Bool("json", false, "shorthand for -format=json")
 	format := fs.String("format", "text", "output format: text, json, or github (workflow annotations)")
 	checksFlag := fs.String("checks", "", "comma-separated subset of checks to run (default: all of "+strings.Join(lint.Checks(), ",")+")")
 	if err := fs.Parse(args); err != nil {
 		return 2
-	}
-	if *jsonOut {
-		*format = "json"
 	}
 	switch *format {
 	case "text", "json", "github":

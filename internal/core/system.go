@@ -51,10 +51,6 @@ type Options struct {
 	SchedPolicy memsched.Policy
 	// BypassMigratedReads enables §5.3.2 cache bypassing on NVDIMMs.
 	BypassMigratedReads bool
-	// CacheBlocks overrides the NVDIMM buffer-cache size in pages.
-	CacheBlocks int
-	// NVDIMMPrefill pre-fills NVDIMMs to the ratio (GC experiments).
-	NVDIMMPrefill float64
 	// Model injects a pre-trained NVDIMM performance model; when nil and
 	// the scheme needs one, the System trains one at construction.
 	Model *perfmodel.Model
@@ -237,9 +233,6 @@ func NewSystem(opts Options) (*System, error) {
 		nvCfg.Sched = opts.SchedPolicy
 		nvCfg.BypassMigratedReads = opts.BypassMigratedReads
 		nvCfg.DAX = opts.DAX
-		if opts.CacheBlocks > 0 {
-			nvCfg.CacheBlocks = opts.CacheBlocks
-		}
 		ncfg := cluster.NodeConfig{
 			Name:       name,
 			Channels:   4,
@@ -257,12 +250,8 @@ func NewSystem(opts Options) (*System, error) {
 				return s.Injector.WrapDeviceOn(node, d)
 			}
 		}
-		node, err := s.Cluster.AddNode(ncfg, s.rng.Split())
-		if err != nil {
+		if _, err := s.Cluster.AddNode(ncfg, s.rng.Split()); err != nil {
 			return nil, err
-		}
-		if opts.NVDIMMPrefill > 0 {
-			node.NVDIMM.Prefill(opts.NVDIMMPrefill)
 		}
 	}
 	if s.Injector != nil {

@@ -165,7 +165,6 @@ func TestMultiNodeSystem(t *testing.T) {
 func TestSchedulerAndBypassOptionsPropagate(t *testing.T) {
 	opts := smallOpts(mgmt.Full())
 	opts.BypassMigratedReads = true
-	opts.CacheBlocks = 64
 	m, err := TrainScaledNVDIMMModel(3)
 	if err != nil {
 		t.Fatal(err)
@@ -176,20 +175,8 @@ func TestSchedulerAndBypassOptionsPropagate(t *testing.T) {
 		t.Fatal(err)
 	}
 	nv := s.Cluster.Nodes[0].NVDIMM
-	if nv.Cache().Cap() != 64 {
-		t.Fatalf("cache blocks = %d", nv.Cache().Cap())
-	}
-}
-
-func TestPrefillOption(t *testing.T) {
-	opts := smallOpts(mgmt.BASIL())
-	opts.NVDIMMPrefill = 0.9
-	s, err := NewSystem(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fs := s.Cluster.Nodes[0].NVDIMM.FTL().FreeSpaceRatio(); fs > 0.15 {
-		t.Fatalf("prefill ineffective: free space %v", fs)
+	if want := ScaledNVDIMMConfig("").CacheBlocks; nv.Cache().Cap() != want {
+		t.Fatalf("cache blocks = %d, want the scaled %d", nv.Cache().Cap(), want)
 	}
 }
 

@@ -10,8 +10,8 @@ import (
 // Differential test: the retired container/heap engine (reproduced below
 // as refEngine, with the Timer semantics layered on its records) and the
 // timer wheel run identical randomized schedules — same-time ties,
-// negative delays, scheduling-in-the-past, beyond-horizon delays, and
-// stop/reset storms — and must produce bit-identical dispatch order,
+// negative delays, scheduling-in-the-past, delays that reach the top
+// wheel levels, and stop/reset storms — and must produce bit-identical dispatch order,
 // final clocks, and pending counts. The op stream is derived from a
 // shared seeded RNG consumed in dispatch order, so the slightest order
 // divergence derails the streams and fails the comparison. The wheel's
@@ -258,15 +258,14 @@ type fireRec struct {
 const (
 	diffMaxEvents = 3000
 	diffMaxFires  = 20000
-	// The wheel horizon is 64^wheelLevels ticks of 2^tickBits ns = 2^50 ns;
-	// running to 2^52 forces overflow promotion for the beyond-horizon
-	// delays below.
-	diffHorizon = Time(1) << 52
+	// Running to 2^62 ns dispatches entries placed at every level,
+	// level 9 (2^62 ns and more ahead of the cursor) included.
+	diffHorizon = Time(1) << 62
 	diffInitial = 100
 )
 
 func randDelay(rng *RNG) Time {
-	switch rng.Intn(6) {
+	switch rng.Intn(7) {
 	case 0:
 		return Time(rng.Intn(4)) // same-timestamp ties and sub-tick gaps
 	case 1:
@@ -276,9 +275,11 @@ func randDelay(rng *RNG) Time {
 	case 3:
 		return Time(rng.Int63n(1 << 36)) // mid levels
 	case 4:
-		return Time(rng.Int63n(1 << 49)) // top level
+		return Time(rng.Int63n(1 << 49)) // level 6
+	case 5:
+		return Time(1)<<50 + Time(rng.Int63n(1<<51)) // level 7
 	default:
-		return Time(1)<<50 + Time(rng.Int63n(1<<51)) // beyond horizon: overflow tier
+		return Time(1)<<61 + Time(rng.Int63n(1<<61)) // levels 8-9
 	}
 }
 
@@ -464,8 +465,8 @@ func TestWheelHeapDifferentialWindowed(t *testing.T) {
 
 // The same program with profiling armed must produce the identical trace:
 // profiling observes without perturbing (DESIGN.md §12), and the wheel
-// counters it adds must actually move under a schedule that spans every
-// level and the overflow tier.
+// cascade counter must actually move under a schedule that spans every
+// level.
 func TestWheelDifferentialUnderProfiling(t *testing.T) {
 	eng := NewEngine()
 	eng.EnableProfiling()
@@ -477,8 +478,5 @@ func TestWheelDifferentialUnderProfiling(t *testing.T) {
 	prof := eng.Profile()
 	if prof.Cascades == 0 {
 		t.Fatal("a multi-level schedule should record cascades")
-	}
-	if prof.OverflowPromotions == 0 {
-		t.Fatal("a beyond-horizon schedule should record overflow promotions")
 	}
 }

@@ -7,14 +7,14 @@
 // given seed and schedule order, which makes every experiment in the paper
 // reproduction replayable bit-for-bit.
 //
-// The queue is a hierarchical timer wheel with an overflow tier and pooled
-// event objects (wheel.go), so the steady-state hot path allocates nothing
-// and insert/cancel are O(1). Step and RunUntil share one dispatch path:
-// a fill bounded by the run's end time finds the next event, and that
-// entry is the one dispatched, with no separate look-ahead scan. On top
-// of the raw Schedule/At callbacks, timer.go provides first-class
-// cancellable and periodic timers (After/AtTimer/Every/EveryAt returning
-// a Timer handle) that replace the hand-rolled closure-captured
+// The queue is a hierarchical timer wheel whose ten levels cover every
+// Time, with pooled event objects (wheel.go), so the steady-state hot path
+// allocates nothing and insert/cancel are O(1). Step and RunUntil share
+// one dispatch path: a fill bounded by the run's end time finds the next
+// event, and that entry is the one dispatched, with no separate look-ahead
+// scan. On top of the raw Schedule/At callbacks, timer.go provides
+// first-class cancellable and periodic timers (After/Every/EveryAt
+// returning a Timer handle) that replace the hand-rolled closure-captured
 // cancellation flags the models used to carry.
 package sim
 
@@ -92,9 +92,6 @@ type EngineProfile struct {
 	// to a lower one while the dispatch cursor advanced (the deferred part
 	// of the wheel's O(1) insert).
 	Cascades uint64
-	// OverflowPromotions counts entries that entered beyond the wheel
-	// horizon and were later promoted from the overflow tier into the wheel.
-	OverflowPromotions uint64
 }
 
 // EnableProfiling arms the self-profiling counters. Counters start from
@@ -103,7 +100,6 @@ type EngineProfile struct {
 func (e *Engine) EnableProfiling() {
 	e.prof = &EngineProfile{}
 	e.wheel.cascades = 0
-	e.wheel.promotions = 0
 }
 
 // Profile returns a snapshot of the self-profiling counters (the zero
@@ -114,7 +110,6 @@ func (e *Engine) Profile() EngineProfile {
 	}
 	p := *e.prof
 	p.Cascades = e.wheel.cascades
-	p.OverflowPromotions = e.wheel.promotions
 	return p
 }
 

@@ -381,7 +381,7 @@ func TestRunUntilBudgetTripThenCancelHead(t *testing.T) {
 	var fires []Time
 	rec := func() { fires = append(fires, e.Now()) }
 	e.At(100, rec)
-	head := e.AtTimer(5*Microsecond, func() { t.Error("cancelled timer fired") })
+	head := e.After(5*Microsecond, func() { t.Error("cancelled timer fired") })
 	e.At(50*Microsecond, rec)
 	e.SetBudget(1)
 	if err := e.RunUntil(10 * Microsecond); err == nil {
@@ -425,7 +425,7 @@ func TestRunUntilBudgetOnlyWithEventDue(t *testing.T) {
 		t.Fatalf("empty window with a spent budget tripped: %v", err)
 	}
 	e.At(5000, func() {})
-	e.AtTimer(2000, func() {}).Stop()
+	e.After(1000, func() {}).Stop() // due at 2000
 	if err := e.RunUntil(3000); err != nil {
 		t.Fatalf("window holding only a cancelled and a later event tripped: %v", err)
 	}

@@ -17,9 +17,10 @@ import (
 //	go test -fuzz FuzzWheelVsHeap -fuzztime 10s ./internal/sim
 //
 // Encoding: an opcode byte (mod 9), then its operands. A delay is two
-// bytes a, b: class a%8 picks zero, sub-tick, level 0, levels 1-2, mid
-// levels, beyond the horizon, negative (a clamp), or tick-aligned, and
-// v = (a>>3)<<8 | b scales within the class (see fuzzDelay). An event is a
+// bytes a, b: class a%8 picks zero or negative (a clamp), sub-tick,
+// level 0, levels 1-2, mid levels, level 7, levels 7-9 out to the last
+// representable time, or tick-aligned, and v = (a>>3)<<8 | b scales
+// within the class (see fuzzDelay). An event is a
 // delay followed by a kind byte (mod 4): plain; spawn, which reads a
 // further delay and re-schedules itself that far ahead on every fire;
 // halt, which calls Stop on the engine; or stop, which reads a handle
@@ -74,6 +75,28 @@ func FuzzWheelVsHeap(f *testing.F) {
 		3, 2, 40, 0, // Every(80)
 		1, 2, 200, 2, // Schedule(400, halt)
 		7, 2, 255, // RunUntil(now+510)
+		6, // Run()
+	})
+	// Cancel-only drain from level 9's last slot: After(maxTime-2^50).Stop();
+	// Run(); then events at maxTime-2^51 and maxTime, both at level 9,
+	// must dispatch in time order and leave the clock at maxTime.
+	f.Add([]byte{
+		2, 6, 1, 0, // After(maxTime - 1<<50)
+		4, 0, // Stop(handle 0)
+		6,          // Run()
+		1, 6, 2, 0, // Schedule(maxTime - 2<<50)
+		1, 6, 0, 0, // Schedule(maxTime)
+		6, // Run()
+	})
+	// Entries either side of the level 8/9 boundary, at 2^62-1 and
+	// 2^62+2^50-1 ns; a window that dispatches the first and stops short
+	// of level 9's slot; then a level-7 insert that lands on the second
+	// entry's exact time and must fire after it.
+	f.Add([]byte{
+		0, 134, 0, 0, // At(maxTime - 4096<<50) = At(2^62 - 1)
+		1, 126, 255, 0, // Schedule(maxTime - 4095<<50) = Schedule(2^62 + 2^50 - 1)
+		7, 134, 0, // RunUntil(2^62 - 1)
+		1, 5, 0, 0, // Schedule(2^50)
 		6, // Run()
 	})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -134,7 +157,7 @@ func fuzzDelay(s *fuzzBytes) Time {
 	v := Time(a>>3)<<8 | Time(b)
 	switch a % 8 {
 	case 0:
-		return 0
+		return -(v % 1000) // zero, or negative: clamps to now
 	case 1:
 		return v % (1 << tickBits) // sub-tick
 	case 2:
@@ -144,9 +167,11 @@ func fuzzDelay(s *fuzzBytes) Time {
 	case 4:
 		return v << 36 // mid and top levels
 	case 5:
-		return Time(1)<<50 + v<<37 // beyond the horizon
+		return Time(1)<<50 + v<<37 // level 7
 	case 6:
-		return -(v % 1000) // clamps to now
+		// Levels 7-9, out to the last representable time. From a clock
+		// past v<<50 the caller's now+delay wraps negative and clamps.
+		return maxTime - v<<50
 	default:
 		return v << tickBits // tick-aligned
 	}

@@ -2,9 +2,8 @@ package sim
 
 // Timer is a cancellable handle to a scheduled callback, replacing the
 // hand-rolled idiom of closures capturing a "running" bool. A Timer is
-// armed by After, AtTimer, Every, or EveryAt and owned by the goroutine
-// driving the Engine — like the Engine itself it is not safe for
-// concurrent use. The zero Timer is inert: Stop and Reset report false,
+// armed by After, Every, or EveryAt and owned by the goroutine driving
+// the Engine — like the Engine itself it is not safe for concurrent use. The zero Timer is inert: Stop and Reset report false,
 // Active reports false.
 //
 // Lifecycle rules (DESIGN.md §15):
@@ -42,14 +41,8 @@ func (e *Engine) After(delay Time, fn func()) *Timer {
 	if delay < 0 {
 		delay = 0
 	}
-	return e.AtTimer(e.now+delay, fn)
-}
-
-// AtTimer schedules fn to run once at absolute time t and returns a
-// cancellable handle. Past times clamp to now, like At.
-func (e *Engine) AtTimer(t Time, fn func()) *Timer {
 	ti := &Timer{eng: e, fn: fn}
-	ti.armAt(t)
+	ti.armAt(e.now + delay)
 	return ti
 }
 
@@ -104,7 +97,7 @@ func (t *Timer) Active() bool {
 		return false
 	}
 	switch tm.state {
-	case tmWheel, tmOverflow, tmBuffered, tmRunning:
+	case tmWheel, tmBuffered, tmRunning:
 		return true
 	}
 	return false
@@ -120,7 +113,7 @@ func (t *Timer) Stop() bool {
 		return false
 	}
 	switch tm.state {
-	case tmWheel, tmOverflow, tmBuffered:
+	case tmWheel, tmBuffered:
 		tm.state = tmDead
 		t.eng.wheel.pending--
 		return true

@@ -67,20 +67,6 @@ func TestTimerNegativeDelayClamped(t *testing.T) {
 	}
 }
 
-func TestTimerAtTimerPastClamped(t *testing.T) {
-	eng := NewEngine()
-	var at Time = -1
-	eng.Schedule(50, func() {
-		eng.AtTimer(10, func() { at = eng.Now() })
-	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if at != 50 {
-		t.Fatalf("past timer fired at %v, want clamp to 50", at)
-	}
-}
-
 func TestTimerEveryPeriodic(t *testing.T) {
 	eng := NewEngine()
 	var fires []Time
@@ -324,15 +310,18 @@ func TestRunUntilStoppedDoesNotAdvanceClock(t *testing.T) {
 // rotated occupancy scan read as nearly a full rotation in the future —
 // events dispatched out of (time, seq) order and the clock ran backwards.
 // Each case drains through a different wheel path: direct level-0
-// extraction, higher-level cascade, and overflow pruning.
+// extraction, or cascades from level 1, level 7, level 9, and level 9's
+// last slot at the end of time.
 func TestWheelCursorResyncAfterCancelOnlyDrain(t *testing.T) {
 	cases := []struct {
 		name  string
 		delay Time // delay of the timer cancelled before the drain
 	}{
 		{"level0", 10 * Microsecond},
-		{"cascade", 1 << 20},  // levels >= 1: drained by cascading, not extraction
-		{"overflow", 1 << 51}, // beyond the wheel horizon
+		{"cascade", 1 << 20}, // levels >= 1: drained by cascading, not extraction
+		{"level7", 1 << 51},
+		{"level9", 1 << 62},
+		{"endOfTime", maxTime - 1600},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -343,6 +332,9 @@ func TestWheelCursorResyncAfterCancelOnlyDrain(t *testing.T) {
 			}
 			if eng.Now() != 0 {
 				t.Fatalf("clock at %v after cancel-only drain, want 0", eng.Now())
+			}
+			if err := eng.wheel.check(eng.Now()); err != nil {
+				t.Fatal(err)
 			}
 			// Straddle the cancelled timer's tick: one event well before it,
 			// one after. With a stale cursor the earlier event dispatched

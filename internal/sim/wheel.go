@@ -7,29 +7,27 @@ import (
 
 // The event queue is a hierarchical timer wheel: wheelLevels levels of
 // wheelSlots slots each, with a 2^tickBits-ns tick at level 0. Level L
-// buckets spans of 64^L ticks, so the wheel as a whole covers
-// 64^wheelLevels ticks (~13 simulated days) ahead of the dispatch cursor.
-// Events beyond the horizon wait in a small overflow min-heap and are
-// promoted into the wheel as the cursor approaches them. Insert and
-// cancel are O(1); dispatch pays an occasional bitmap scan plus amortized
-// cascading, instead of the O(log n) pointer-chasing comparisons of the
-// old global container/heap.
+// buckets spans of 64^L ticks. Ten levels of 6 bits cover the 55-bit tick
+// range of a non-negative Time, so every timestamp has a level, and a far
+// entry cascades down like any other. Insert and cancel are O(1); dispatch
+// pays an occasional bitmap scan plus amortized cascading, instead of the
+// O(log n) pointer-chasing comparisons of the old global container/heap.
 //
 // Determinism (DESIGN.md §9, §15): dispatch order is exactly (time,
 // insertion seq). All pending entries for one level-0 tick live in one
 // slot by the time that tick is next to run (anything earlier has been
 // cascaded down), and extraction sorts them by (at, seq), so same-time
 // ties fire in scheduling order no matter how they arrived — direct
-// insert, cascade, or overflow promotion.
+// insert or cascade.
 //
 // Dispatch is head then take: head(limit) fills the buffer with the next
 // tick, never moving the cursor past limit, and returns its first live
 // entry if that is at or before limit; take consumes it. RunUntil(t)
 // therefore finds and dispatches the next event with one bounded fill and
-// no separate look-ahead. Every wheel and overflow entry is at a tick after
-// bufTick, the tick the buffer was last filled for, and an insert at or
-// below bufTick goes into the buffer at its sorted position instead; its
-// fresh sequence number puts it after every same-time entry already there.
+// no separate look-ahead. Every wheel entry is at a tick after bufTick,
+// the tick the buffer was last filled for, and an insert at or below
+// bufTick goes into the buffer at its sorted position instead; its fresh
+// sequence number puts it after every same-time entry already there.
 // The cursor is at or below the engine clock except while its tick is
 // bufTick: a watchdog trip returns with the buffer's head undispatched and
 // the cursor up to that head's tick ahead of the clock, and inserts in
@@ -39,7 +37,7 @@ const (
 	levelBits   = 6
 	wheelSlots  = 1 << levelBits
 	slotMask    = wheelSlots - 1
-	wheelLevels = 7
+	wheelLevels = 10
 )
 
 // timer states. A cancelled (tmDead) entry stays linked wherever it is and
@@ -47,7 +45,6 @@ const (
 const (
 	tmFree     uint8 = iota // in the pool
 	tmWheel                 // linked in a wheel slot
-	tmOverflow              // in the overflow heap
 	tmBuffered              // extracted into the dispatch buffer
 	tmRunning               // its callback is executing
 	tmDead                  // cancelled; awaiting lazy reclamation
@@ -79,19 +76,18 @@ func (a *timer) before(b *timer) bool {
 type wheel struct {
 	cur     Time                // dispatch cursor; advances only in fillBuf, never past its limit
 	occ     [wheelLevels]uint64 // per-level slot occupancy bitmaps
-	levels  uint8               // bitmask of levels with any occupied slot
+	levels  uint16              // bitmask of levels with any occupied slot
 	slots   [wheelLevels][wheelSlots]*timer
-	over    []*timer // overflow min-heap by (at, seq)
 	buf     []*timer // dispatch buffer for bufTick, (at, seq)-sorted
 	bufi    int      // next index into buf
-	bufTick int64    // tick the buffer was last filled for; no wheel or overflow entry is at or below it
+	bufTick int64    // tick the buffer was last filled for; no wheel entry is at or below it
 	free    *timer   // pool free list
 	pending int      // live entries not yet dispatched
 
-	// wheel-level cost counters, mirrored into EngineProfile when
-	// profiling is armed (they are cheap enough to count unconditionally).
-	cascades   uint64 // live entries moved to a lower level
-	promotions uint64 // overflow entries promoted into the wheel
+	// cascades counts live entries moved to a lower level, mirrored into
+	// EngineProfile when profiling is armed (cheap enough to count
+	// unconditionally).
+	cascades uint64
 }
 
 // timerSlab is how many timer entries the pool grows by at once: a fresh
@@ -129,7 +125,8 @@ func (w *wheel) recycle(tm *timer) {
 func tickOf(t Time) int64 { return int64(t) >> tickBits }
 
 // levelOf returns the wheel level for an event delta ticks ahead of the
-// cursor, or wheelLevels when it lies beyond the horizon.
+// cursor. Every non-negative delta between two Times has one below
+// wheelLevels.
 func levelOf(delta int64) int {
 	if delta < wheelSlots {
 		return 0
@@ -138,7 +135,7 @@ func levelOf(delta int64) int {
 }
 
 // insert links a live entry into the dispatch buffer when its tick is at
-// or below bufTick, and otherwise into the wheel or the overflow tier.
+// or below bufTick, and otherwise into the wheel.
 // tm.at must be >= the engine clock. A tick below bufTick occurs only after
 // a watchdog trip left the cursor ahead of the clock; such an entry still
 // precedes everything in the wheel, so its sorted buffer position is its
@@ -172,14 +169,9 @@ func (w *wheel) bufInsert(tm *timer) {
 }
 
 // place links tm by its tick delta from the cursor without touching the
-// live count (shared by insert, cascading, and overflow promotion).
+// live count (shared by insert and cascading).
 func (w *wheel) place(tm *timer) {
 	lvl := levelOf(tickOf(tm.at) - tickOf(w.cur))
-	if lvl >= wheelLevels {
-		tm.state = tmOverflow
-		w.overPush(tm)
-		return
-	}
 	idx := int(tm.at>>(tickBits+levelBits*lvl)) & slotMask
 	tm.state = tmWheel
 	tm.next = w.slots[lvl][idx]
@@ -198,8 +190,9 @@ func (w *wheel) nextLevel0() int {
 // nextBase returns the start time of the first occupied slot strictly
 // after the cursor's slot at level lvl (>= 1). A set bit on the cursor's
 // own slot means the next rotation: fillBuf's grouped cascade guarantees
-// live entries never linger in the current higher-level slot. Call only
-// when occ[lvl] != 0.
+// live entries never linger in the current higher-level slot. The result
+// is the start of a slot some entry occupies, at or before that entry's
+// time, so the shift cannot overflow. Call only when occ[lvl] != 0.
 func (w *wheel) nextBase(lvl int) Time {
 	shift := uint(tickBits + levelBits*lvl)
 	curAbs := uint64(w.cur) >> shift
@@ -249,10 +242,9 @@ func (w *wheel) cascade(lvl int, base Time) {
 // the cursor to it, and extracts its live entries into the dispatch buffer
 // in (at, seq) order. It reports false when no entry's tick starts at or
 // before limit. The fill is bounded: it cascades no slot whose base is
-// after limit, extracts no tick that starts after limit, and never jumps
-// to an overflow minimum after limit, so the cursor never passes limit. A
-// false return therefore leaves the cursor at or below limit, where
-// RunUntil's clock advance meets it. When the scan instead drains the
+// after limit and extracts no tick that starts after limit, so the cursor
+// never passes limit. A false return therefore leaves the cursor at or
+// below limit, where RunUntil's clock advance meets it. When the scan instead drains the
 // wheel — every remaining slot held only cancelled entries — the cursor is
 // restored to its entry value: no dispatch or clock advance may follow
 // (Run, Step), and a cursor left ahead of the clock would put later
@@ -262,30 +254,6 @@ func (w *wheel) cascade(lvl int, base Time) {
 func (w *wheel) fillBuf(limit Time) bool {
 	cur0 := w.cur
 	for {
-		// Promote overflow entries the horizon has reached. When the
-		// wheel is empty the cursor can jump straight to the overflow
-		// minimum: there is nothing between to dispatch.
-		for len(w.over) > 0 {
-			tm := w.over[0]
-			if tm.state == tmDead {
-				w.overPop()
-				w.recycle(tm)
-				continue
-			}
-			if levelOf(tickOf(tm.at)-tickOf(w.cur)) >= wheelLevels {
-				if w.levels != 0 {
-					break // wheel entries all precede the overflow tier
-				}
-				if tm.at > limit {
-					return false
-				}
-				w.cur = tm.at
-			}
-			w.overPop()
-			w.promotions++
-			w.place(tm)
-		}
-
 		// Candidate next tick: slot base times, exact slot at level 0.
 		var c0 Time
 		c0ok := w.occ[0] != 0
@@ -296,7 +264,7 @@ func (w *wheel) fillBuf(limit Time) bool {
 		var minBase Time
 		haveHigher := false
 		for mask := w.levels &^ 1; mask != 0; mask &= mask - 1 {
-			lvl := bits.TrailingZeros8(mask)
+			lvl := bits.TrailingZeros16(mask)
 			bases[lvl] = w.nextBase(lvl)
 			if !haveHigher || bases[lvl] < minBase {
 				minBase, haveHigher = bases[lvl], true
@@ -314,7 +282,7 @@ func (w *wheel) fillBuf(limit Time) bool {
 			// level would sit in that level's cursor position and read as
 			// a full rotation away, trapping its entries.
 			for mask := w.levels &^ 1; mask != 0; mask &= mask - 1 {
-				lvl := bits.TrailingZeros8(mask)
+				lvl := bits.TrailingZeros16(mask)
 				if bases[lvl] == minBase {
 					w.cascade(lvl, minBase)
 				}
@@ -322,11 +290,8 @@ func (w *wheel) fillBuf(limit Time) bool {
 			continue
 		}
 		if !c0ok {
-			if len(w.over) == 0 {
-				w.cur = cur0 // cancel-only drain: no dispatch follows
-				return false
-			}
-			continue // overflow only: next pass promotes it
+			w.cur = cur0 // cancel-only drain: no dispatch follows
+			return false
 		}
 		if c0 > limit {
 			return false
@@ -410,46 +375,4 @@ func (w *wheel) head(limit Time) *timer {
 func (w *wheel) take() {
 	w.bufi++
 	w.pending--
-}
-
-// overflow heap: a plain slice min-heap ordered by (at, seq), kept free of
-// interface boxing so pushes never allocate beyond slice growth.
-
-func (w *wheel) overPush(tm *timer) {
-	w.over = append(w.over, tm)
-	i := len(w.over) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !w.over[i].before(w.over[parent]) {
-			break
-		}
-		w.over[i], w.over[parent] = w.over[parent], w.over[i]
-		i = parent
-	}
-}
-
-func (w *wheel) overPop() *timer {
-	h := w.over
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h[n] = nil
-	w.over = h[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && h[l].before(h[small]) {
-			small = l
-		}
-		if r < n && h[r].before(h[small]) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		h[i], h[small] = h[small], h[i]
-		i = small
-	}
-	return top
 }
