@@ -57,16 +57,32 @@ type grant struct {
 	granted func(start sim.Time)
 }
 
+// Channel states: who frees the channel once the current hold ends.
+const (
+	chFree      uint8 = iota
+	chGranting        // a grant callback runs; its release key is not reserved yet
+	chHeld            // the release key is reserved on the release lane
+	chReleasing       // the release is armed as an event
+)
+
 // Channel is one DDR channel shared by a DRAM DIMM and an NVDIMM. Acquire
 // requests channel time; grants are strict-priority, FIFO within a
 // priority. Wait time by class is recorded so experiments can report the
 // contention NVDIMM traffic experienced.
+//
+// A hold's release is a reserved key on a sim.Lane, not an event: with
+// no grant queued, releasing would only mark the channel free, and an
+// Acquire after the key has passed finds it free anyway. The first
+// Acquire that has to queue arms the release under its reserved key, so
+// the release that dispatches the next grant runs exactly where an
+// always-scheduled release would have.
 type Channel struct {
 	eng       *sim.Engine
-	busy      bool
+	state     uint8
+	release   *sim.Lane                      // the current hold's release key, until it passes or is armed
 	queues    [numPriorities]sim.Ring[grant] // waiters by value; Pop drops the callback
-	onRelease func()                         // bound once: frees the channel after a hold
-	waitUS    [numPriorities]stats.Summary
+	onRelease func()                         // bound once: frees the channel and grants the next waiter
+	waitUS    [numPriorities]stats.RunningMean
 	busyTime  sim.Time
 	grants    [numPriorities]uint64
 
@@ -80,9 +96,9 @@ type Channel struct {
 // NewChannel creates a channel bound to the engine. The channel index
 // argument is unused; it stays because the perfbench module passes it.
 func NewChannel(eng *sim.Engine, _ int) *Channel {
-	c := &Channel{eng: eng}
+	c := &Channel{eng: eng, release: eng.NewLane()}
 	c.onRelease = func() {
-		c.busy = false
+		c.state = chFree
 		c.dispatch()
 	}
 	return c
@@ -97,9 +113,23 @@ func (c *Channel) Acquire(pri Priority, hold sim.Time, granted func(start sim.Ti
 		hold = 0
 	}
 	c.queues[pri].Push(grant{hold: hold, queued: c.eng.Now(), granted: granted})
-	if !c.busy {
+	if !c.busy() {
 		c.dispatch()
+		return
 	}
+	if c.state == chHeld {
+		c.release.Arm(c.onRelease)
+		c.state = chReleasing
+	}
+}
+
+// busy reports whether a hold is in progress. A reserved release key the
+// engine has passed ends its hold here.
+func (c *Channel) busy() bool {
+	if c.state == chHeld && c.release.PopPassed() > 0 {
+		c.state = chFree
+	}
+	return c.state != chFree
 }
 
 // dispatch grants the channel to the highest-priority waiter.
@@ -119,10 +149,18 @@ func (c *Channel) dispatch() {
 		c.tr.Complete(c.track, "xfer", "bus", g.queued, now+g.hold,
 			telemetry.F("wait_us", (now-g.queued).Micros()))
 	}
-	c.busy = true
+	c.state = chGranting
 	c.busyTime += g.hold
 	g.granted(now)
-	c.eng.Schedule(g.hold, c.onRelease)
+	// The release key is reserved after the grant callback, so events the
+	// callback schedules for the release time dispatch before the release.
+	c.release.Reserve(now + g.hold)
+	c.state = chHeld
+	if c.queues[PriMem].Len()+c.queues[PriIO].Len() > 0 {
+		// The grant callback queued a waiter: the release must run.
+		c.release.Arm(c.onRelease)
+		c.state = chReleasing
+	}
 }
 
 // MeanWaitUS returns the mean queuing delay (µs) seen by the class.

@@ -115,7 +115,7 @@ func TestChannelNegativeHoldClamped(t *testing.T) {
 	if !ran {
 		t.Fatal("negative-hold grant never ran")
 	}
-	if c.busy {
+	if c.busy() {
 		t.Fatal("channel stuck busy")
 	}
 }

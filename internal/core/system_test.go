@@ -3,8 +3,10 @@ package core
 import (
 	"testing"
 
+	"repro/internal/memsched"
 	"repro/internal/mgmt"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 func smallOpts(scheme mgmt.Scheme) Options {
@@ -162,21 +164,65 @@ func TestMultiNodeSystem(t *testing.T) {
 	}
 }
 
+// TestSchedulerAndBypassOptionsPropagate checks by behaviour that
+// NewSystem hands SchedPolicy and BypassMigratedReads to the NVDIMM. The
+// scheduler probe queues a persistent write that never completes, a
+// barrier, then a migrated write: only Policy One lets the migrated write
+// start past the barrier. The bypass probe reads an uncached page as a
+// migrated request: with bypassing the page must not enter the buffer
+// cache; the same read as a normal request must.
 func TestSchedulerAndBypassOptionsPropagate(t *testing.T) {
-	opts := smallOpts(mgmt.Full())
-	opts.BypassMigratedReads = true
 	m, err := TrainScaledNVDIMMModel(3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Model = m
-	s, err := NewSystem(opts)
-	if err != nil {
-		t.Fatal(err)
+	probe := func(policy memsched.Policy, bypass bool) (migratedStarted, migratedCached, normalCached bool) {
+		opts := smallOpts(mgmt.Full())
+		opts.Model = m
+		opts.SchedPolicy = policy
+		opts.BypassMigratedReads = bypass
+		s, err := NewSystem(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nv := s.Cluster.Nodes[0].NVDIMM
+		if want := ScaledNVDIMMConfig("").CacheBlocks; nv.Cache().Cap() != want {
+			t.Fatalf("cache blocks = %d, want the scaled %d", nv.Cache().Cap(), want)
+		}
+		sched := nv.Scheduler()
+		sched.EnqueueWrite(1, trace.ClassPersistent, func(func()) {}, nil)
+		sched.Barrier()
+		sched.EnqueueWrite(2, trace.ClassMigrated, func(done func()) {
+			migratedStarted = true
+			done()
+		}, nil)
+
+		const page = 4096
+		read := func(lpn int64, class trace.Class) bool {
+			r := &trace.IORequest{Op: trace.OpRead, Offset: lpn * page, Size: page, Class: class, VMDK: -1}
+			nv.Submit(r, func(*trace.IORequest) {})
+			if err := s.Cluster.Eng.RunFor(sim.Millisecond); err != nil {
+				t.Fatal(err)
+			}
+			if r.Complete == 0 {
+				t.Fatalf("%v read of page %d never completed", class, lpn)
+			}
+			return nv.Cache().Contains(lpn)
+		}
+		return migratedStarted, read(1000, trace.ClassMigrated), read(2000, trace.ClassNormal)
 	}
-	nv := s.Cluster.Nodes[0].NVDIMM
-	if want := ScaledNVDIMMConfig("").CacheBlocks; nv.Cache().Cap() != want {
-		t.Fatalf("cache blocks = %d, want the scaled %d", nv.Cache().Cap(), want)
+
+	started, migCached, normCached := probe(memsched.PolicyOne(), true)
+	if !started {
+		t.Error("SchedPolicy Policy One: the migrated write waited on the barrier; the NVDIMM got another policy")
+	}
+	if migCached || !normCached {
+		t.Errorf("BypassMigratedReads: migrated read cached %v, normal read cached %v; want false, true", migCached, normCached)
+	}
+	// The probes must tell the options apart from their defaults.
+	started, migCached, _ = probe(memsched.Baseline(), false)
+	if started || !migCached {
+		t.Errorf("defaults: migrated write started %v, migrated read cached %v; want false, true", started, migCached)
 	}
 }
 

@@ -56,6 +56,15 @@ type DIMM struct {
 	intensity trace.MemIntensity
 	served    uint64
 	free      *burst // recycled burst records
+
+	// finishes holds the finish keys of granted bursts nobody waits for
+	// (AccessBurst with a nil done), oldest first; the first such burst
+	// creates it. Grants on one channel are sequential and a finish is
+	// grant + TCL + hold, so the keys are monotone, as a lane requires.
+	finishes *sim.Lane
+	// wake, when set, is armed on the finish of the next such burst
+	// granted (WakeOnFinish with no granted burst in flight).
+	wake func()
 }
 
 // burst is one in-flight AccessBurst. Records are pooled per DIMM and
@@ -106,7 +115,8 @@ func (b *burst) ready() {
 }
 
 // grant runs when the channel is granted. A burst nobody waits for is
-// recycled here; otherwise finish recycles it.
+// recycled here and its finish becomes a key on the finish lane;
+// otherwise finish recycles it.
 func (b *burst) grant(burstStart sim.Time) {
 	d := b.d
 	finish := burstStart + TCL + b.hold
@@ -115,6 +125,11 @@ func (b *burst) grant(burstStart sim.Time) {
 	d.served += uint64(b.n)
 	if b.done == nil {
 		d.putBurst(b)
+		d.finishes.Reserve(finish)
+		if wake := d.wake; wake != nil {
+			d.wake = nil
+			d.finishes.Arm(wake)
+		}
 		return
 	}
 	d.eng.At(finish, b.onFinish)
@@ -163,7 +178,16 @@ func refreshDelay(t sim.Time) sim.Time {
 // held for n data bursts. Traffic generators use this to aggregate heavy
 // memory streams (one event per n cachelines) while preserving channel
 // occupancy — the quantity bus contention depends on.
+//
+// done, when non-nil, receives the burst's latency at its finish. A nil
+// done suits a caller that counts completions instead of waiting on each
+// one: the finish is a key on the DIMM's finish lane, which costs no
+// event unless WakeOnFinish arms it, and PopFinished reports it once
+// passed.
 func (d *DIMM) AccessBurst(req trace.MemRequest, n int, done func(lat sim.Time)) {
+	if done == nil && d.finishes == nil {
+		d.finishes = d.eng.NewLane()
+	}
 	if n < 1 {
 		n = 1
 	}
@@ -200,6 +224,31 @@ func (d *DIMM) AccessBurst(req trace.MemRequest, n int, done func(lat sim.Time))
 	b.n = n
 	b.done = done
 	d.eng.At(start+prep, b.onReady)
+}
+
+// PopFinished returns how many bursts issued with a nil done have
+// finished since the last call, not counting one whose finish
+// WakeOnFinish armed. The DIMM's finish count belongs to a single
+// consumer.
+func (d *DIMM) PopFinished() int {
+	if d.finishes == nil {
+		return 0
+	}
+	return d.finishes.PopPassed()
+}
+
+// WakeOnFinish runs fn at the finish of the oldest burst issued with a
+// nil done that is granted and not yet finished, or, when there is none,
+// at the finish of the next such burst granted. That finish then runs as
+// an event and is not reported by PopFinished. At most one wake may be
+// pending at a time: a second call before the first is armed replaces
+// it.
+func (d *DIMM) WakeOnFinish(fn func()) {
+	if d.finishes != nil && d.finishes.Len() > 0 {
+		d.finishes.Arm(fn)
+		return
+	}
+	d.wake = fn
 }
 
 // Served returns the number of requests completed.

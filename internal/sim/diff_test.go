@@ -29,9 +29,20 @@ type tengine interface {
 	setBudget(n uint64)
 	halt()
 	pending() int
+	step() bool
+	processed() uint64
+	// Lane operations on lane i (< testLanes): reserve a key at t (the
+	// caller keeps each lane monotone), arm the oldest unpassed key with
+	// fn (false when there is none), and pop the count of passed keys.
+	reserve(i int, t Time)
+	arm(i int, fn func()) bool
+	popPassed(i int) int
 	// check reports a broken queue invariant (nil for the reference).
 	check() error
 }
+
+// testLanes is how many lanes each test engine has.
+const testLanes = 2
 
 // thandle abstracts a cancellable timer handle.
 type thandle interface {
@@ -41,19 +52,55 @@ type thandle interface {
 
 // --- wheel side: thin adapters over the real Engine/Timer ---
 
-type wheelEngine struct{ e *Engine }
+type wheelEngine struct {
+	e     *Engine
+	lanes [testLanes]*Lane
+}
 
-func (w wheelEngine) schedule(d Time, fn func())      { w.e.Schedule(d, fn) }
-func (w wheelEngine) at(t Time, fn func())            { w.e.At(t, fn) }
-func (w wheelEngine) after(d Time, fn func()) thandle { return wheelHandle{w.e.After(d, fn)} }
-func (w wheelEngine) every(p Time, fn func()) thandle { return wheelHandle{w.e.Every(p, fn)} }
-func (w wheelEngine) now() Time                       { return w.e.Now() }
-func (w wheelEngine) run() error                      { return w.e.Run() }
-func (w wheelEngine) runUntil(t Time) error           { return w.e.RunUntil(t) }
-func (w wheelEngine) setBudget(n uint64)              { w.e.SetBudget(n) }
-func (w wheelEngine) halt()                           { w.e.Stop() }
-func (w wheelEngine) pending() int                    { return w.e.Pending() }
-func (w wheelEngine) check() error                    { return w.e.wheel.check(w.e.now) }
+func newWheelEngine(e *Engine) *wheelEngine {
+	w := &wheelEngine{e: e}
+	for i := range w.lanes {
+		w.lanes[i] = e.NewLane()
+	}
+	return w
+}
+
+func (w *wheelEngine) schedule(d Time, fn func())      { w.e.Schedule(d, fn) }
+func (w *wheelEngine) at(t Time, fn func())            { w.e.At(t, fn) }
+func (w *wheelEngine) after(d Time, fn func()) thandle { return wheelHandle{w.e.After(d, fn)} }
+func (w *wheelEngine) every(p Time, fn func()) thandle { return wheelHandle{w.e.Every(p, fn)} }
+func (w *wheelEngine) now() Time                       { return w.e.Now() }
+func (w *wheelEngine) run() error                      { return w.e.Run() }
+func (w *wheelEngine) runUntil(t Time) error           { return w.e.RunUntil(t) }
+func (w *wheelEngine) setBudget(n uint64)              { w.e.SetBudget(n) }
+func (w *wheelEngine) halt()                           { w.e.Stop() }
+func (w *wheelEngine) pending() int                    { return w.e.Pending() }
+func (w *wheelEngine) step() bool                      { return w.e.Step() }
+func (w *wheelEngine) processed() uint64               { return w.e.Processed() }
+func (w *wheelEngine) reserve(i int, t Time)           { w.lanes[i].Reserve(t) }
+func (w *wheelEngine) popPassed(i int) int             { return w.lanes[i].PopPassed() }
+
+// check asserts the wheel's invariants and that the engine's count of
+// lane keys, which decides when a budgeted run must step keys one at a
+// time, matches what its lanes hold.
+func (w *wheelEngine) check() error {
+	n := 0
+	for _, l := range w.e.lanes {
+		n += l.keys.Len()
+	}
+	if uint64(n) != w.e.laneKeys {
+		return fmt.Errorf("engine counts %d lane keys, lanes hold %d", w.e.laneKeys, n)
+	}
+	return w.e.wheel.check(w.e.now)
+}
+
+func (w *wheelEngine) arm(i int, fn func()) bool {
+	if w.lanes[i].Len() == 0 {
+		return false
+	}
+	w.lanes[i].Arm(fn)
+	return true
+}
 
 type wheelHandle struct{ t *Timer }
 
@@ -97,10 +144,15 @@ type refEngine struct {
 	live  int
 
 	// Engine.Stop and the SetBudget watchdog, with the Engine's semantics.
-	stopped   bool
-	processed uint64
-	budget    uint64 // absolute processed-count limit (0 = off)
-	tripped   bool
+	stopped bool
+	nproc   uint64
+	budget  uint64 // absolute processed-count limit (0 = off)
+	tripped bool
+
+	// Lanes, eagerly: a reserved key is an ordinary no-op event, listed
+	// here until it is seen dispatched (passed) or armed (its fn filled in).
+	lanes  [testLanes][]*refEvent
+	passed [testLanes]int
 }
 
 var errRefBudget = errors.New("ref: event budget exhausted")
@@ -141,21 +193,61 @@ func (r *refEngine) every(p Time, fn func()) thandle {
 	return &refHandle{e: r, ev: ev}
 }
 
-func (r *refEngine) now() Time    { return r.clock }
-func (r *refEngine) pending() int { return r.live }
-func (r *refEngine) check() error { return nil }
-func (r *refEngine) halt()        { r.stopped = true }
+func (r *refEngine) now() Time         { return r.clock }
+func (r *refEngine) pending() int      { return r.live }
+func (r *refEngine) check() error      { return nil }
+func (r *refEngine) halt()             { r.stopped = true }
+func (r *refEngine) processed() uint64 { return r.nproc }
+
+func (r *refEngine) reserve(i int, t Time) {
+	ev := &refEvent{fn: func() {}}
+	r.push(ev, t)
+	r.lanes[i] = append(r.lanes[i], ev)
+}
+
+// settle drops lane i's dispatched keys from its front, counting them.
+func (r *refEngine) settle(i int) {
+	for len(r.lanes[i]) > 0 && r.lanes[i][0].state != tmWheel {
+		r.lanes[i] = r.lanes[i][1:]
+		r.passed[i]++
+	}
+}
+
+func (r *refEngine) arm(i int, fn func()) bool {
+	r.settle(i)
+	if len(r.lanes[i]) == 0 {
+		return false
+	}
+	r.lanes[i][0].fn = fn
+	r.lanes[i] = r.lanes[i][1:]
+	return true
+}
+
+func (r *refEngine) popPassed(i int) int {
+	r.settle(i)
+	n := r.passed[i]
+	r.passed[i] = 0
+	return n
+}
+
+func (r *refEngine) step() bool {
+	if r.next() == nil {
+		return false
+	}
+	r.dispatch()
+	return true
+}
 
 func (r *refEngine) setBudget(n uint64) {
 	r.tripped = false
 	r.budget = 0
 	if n > 0 {
-		r.budget = r.processed + n
+		r.budget = r.nproc + n
 	}
 }
 
 func (r *refEngine) overBudget() bool {
-	if r.budget > 0 && r.processed >= r.budget {
+	if r.budget > 0 && r.nproc >= r.budget {
 		r.tripped = true
 	}
 	return r.tripped
@@ -177,7 +269,7 @@ func (r *refEngine) dispatch() {
 	ev.state = tmRunning
 	r.clock = ev.at
 	r.live--
-	r.processed++
+	r.nproc++
 	ev.fn()
 	if ev.state == tmRunning {
 		if ev.period > 0 {
@@ -442,7 +534,7 @@ func compareRuns(t *testing.T, label string, w, r progResult) {
 
 func TestWheelHeapDifferential(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 3, 0xdecafbad, 42424242} {
-		w := runProgram(wheelEngine{NewEngine()}, seed, diffMaxEvents, 0)
+		w := runProgram(newWheelEngine(NewEngine()), seed, diffMaxEvents, 0)
 		r := runProgram(&refEngine{}, seed, diffMaxEvents, 0)
 		compareRuns(t, fmt.Sprintf("seed %d", seed), w, r)
 	}
@@ -457,7 +549,7 @@ func TestWheelHeapDifferential(t *testing.T) {
 func TestWheelHeapDifferentialWindowed(t *testing.T) {
 	const seeds, maxEvents, windows = 40, 600, 3000
 	for seed := uint64(1); seed <= seeds; seed++ {
-		w := runProgram(wheelEngine{NewEngine()}, seed, maxEvents, windows)
+		w := runProgram(newWheelEngine(NewEngine()), seed, maxEvents, windows)
 		r := runProgram(&refEngine{}, seed, maxEvents, windows)
 		compareRuns(t, fmt.Sprintf("seed %d", seed), w, r)
 	}
@@ -470,8 +562,8 @@ func TestWheelHeapDifferentialWindowed(t *testing.T) {
 func TestWheelDifferentialUnderProfiling(t *testing.T) {
 	eng := NewEngine()
 	eng.EnableProfiling()
-	p := runProgram(wheelEngine{eng}, 7, diffMaxEvents, 0)
-	plain := runProgram(wheelEngine{NewEngine()}, 7, diffMaxEvents, 0)
+	p := runProgram(newWheelEngine(eng), 7, diffMaxEvents, 0)
+	plain := runProgram(newWheelEngine(NewEngine()), 7, diffMaxEvents, 0)
 	if len(p.trace) != len(plain.trace) || p.now != plain.now {
 		t.Fatalf("profiling perturbed the run: %d/%v vs %d/%v", len(p.trace), p.now, len(plain.trace), plain.now)
 	}

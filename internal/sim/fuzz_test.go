@@ -7,30 +7,38 @@ import (
 )
 
 // FuzzWheelVsHeap decodes a byte stream into engine operations — At,
-// Schedule, After, Every, Stop, Reset, Run, RunUntil and SetBudget, plus
-// events that on firing schedule a child, halt the run or stop a timer —
-// and runs the same operations on the wheel engine and on refEngine. After
-// every operation the clocks, pending counts and watchdog errors must
-// agree and the wheel must pass its self-check; at the end the dispatch
-// traces must be identical.
+// Schedule, After, Every, Stop, Reset, Run, RunUntil, SetBudget, Step and
+// the lane operations Reserve, Arm and PopPassed, plus events that on
+// firing schedule a child, halt the run, stop a timer or operate on a
+// lane — and runs the same operations on the wheel engine and on
+// refEngine, where a reserved key is an ordinary no-op event. After every
+// operation the clocks, pending and processed counts, passed-key counts
+// and watchdog errors must agree and the wheel must pass its self-check;
+// at the end the dispatch traces must be identical.
 //
 //	go test -fuzz FuzzWheelVsHeap -fuzztime 10s ./internal/sim
 //
-// Encoding: an opcode byte (mod 9), then its operands. A delay is two
+// Encoding: an opcode byte (mod 13), then its operands. A delay is two
 // bytes a, b: class a%8 picks zero or negative (a clamp), sub-tick,
 // level 0, levels 1-2, mid levels, level 7, levels 7-9 out to the last
 // representable time, or tick-aligned, and v = (a>>3)<<8 | b scales
 // within the class (see fuzzDelay). An event is a
-// delay followed by a kind byte (mod 4): plain; spawn, which reads a
+// delay followed by a kind byte (mod 7): plain; spawn, which reads a
 // further delay and re-schedules itself that far ahead on every fire;
-// halt, which calls Stop on the engine; or stop, which reads a handle
-// index and stops that timer when it fires.
+// halt, which calls Stop on the engine; stop, which reads a handle index
+// and stops that timer when it fires; or, each reading a lane byte (mod
+// 2), reserve, which also reads a delay; pop, which records the lane's
+// passed count; and arm, which reads a further event to arm the lane's
+// oldest unpassed key with. A reserved time is clamped up to the lane's
+// previous one, keeping the lane monotone.
 //
 //	0 At(now+delay, event)    1 Schedule(delay, event)
 //	2 After(delay, event)     3 Every(max(delay, 1), event)
 //	4 Stop(handle i)          5 Reset(handle i, delay)
 //	6 Run()                   7 RunUntil(now+delay)
-//	8 SetBudget(n mod 16)
+//	8 SetBudget(n mod 16)     9 Step()
+//	10 Reserve(lane, now+delay)
+//	11 Arm(lane, event)       12 PopPassed(lane)
 func FuzzWheelVsHeap(f *testing.F) {
 	// Cancel-only drain through a cascade: After(1<<20).Stop(); Run();
 	// then two events that straddle the cancelled slot must dispatch in
@@ -99,8 +107,75 @@ func FuzzWheelVsHeap(f *testing.F) {
 		1, 5, 0, 0, // Schedule(2^50)
 		6, // Run()
 	})
+	// A drain that ends on reserved keys: the clock must end at the last
+	// key, 5 us, with both counted as processed.
+	f.Add([]byte{
+		0, 1, 100, 0, // At(100)
+		10, 0, 74, 196, // Reserve(lane 0, 5000)
+		10, 1, 2, 0, // Reserve(lane 1, now)
+		6,     // Run()
+		12, 0, // PopPassed(lane 0)
+	})
+	// Step over a reserved key that comes first, then the event after it.
+	f.Add([]byte{
+		10, 0, 1, 100, // Reserve(lane 0, 100)
+		0, 1, 200, 0, // At(200)
+		9,     // Step()
+		12, 0, // PopPassed(lane 0)
+		9, // Step()
+		9, // Step()
+	})
+	// Budget trip on a reserved key: SetBudget(2) stops before the event
+	// at 300 with the clock on the key at 150.
+	f.Add([]byte{
+		0, 1, 100, 0, // At(100)
+		10, 1, 1, 150, // Reserve(lane 1, 150)
+		0, 2, 150, 0, // At(300)
+		8, 2, // SetBudget(2)
+		6,    // Run()
+		8, 0, // SetBudget(0)
+		7, 2, 0, // RunUntil(now)
+		6, // Run()
+	})
+	// An armed key keeps its seq: At(500), Reserve(500), At(500), then
+	// arming the key must dispatch it between the two events.
+	f.Add([]byte{
+		0, 2, 250, 0, // At(500)
+		10, 0, 2, 250, // Reserve(lane 0, 500)
+		0, 2, 250, 0, // At(500)
+		11, 0, 0, // Arm(lane 0, plain)
+		6, // Run()
+	})
+	// Lane operations inside callbacks: an event at 100 reserves a key
+	// at 100 on lane 0, one at 100 arms it, one at 200 pops it.
+	f.Add([]byte{
+		0, 1, 100, 4, 0, 0, 0, // At(100, reserve(lane 0, now))
+		0, 1, 100, 6, 0, 0, // At(100, arm(lane 0, plain))
+		0, 1, 200, 5, 0, // At(200, pop(lane 0))
+		6, // Run()
+	})
+	// Same-time keys either side of an event at 100 that pops the lane:
+	// only the first has passed when it fires.
+	f.Add([]byte{
+		10, 0, 1, 100, // Reserve(lane 0, 100)
+		0, 1, 100, 5, 0, // At(100, pop(lane 0))
+		10, 0, 1, 100, // Reserve(lane 0, 100)
+		6, // Run()
+	})
+	// A budget spent just before a lane key while the wheel's next event
+	// lies beyond the key in a higher level: the trip must not fill the
+	// wheel up to the key, which would leave the cursor ahead of the
+	// clock.
+	f.Add([]byte{
+		0, 55, 48, 0, // At(now+405504, plain)
+		9,    // Step()
+		8, 1, // SetBudget(1)
+		3, 143, 48, 5, 0, // Every(1126400, pop(lane 0))
+		10, 0, 231, 48, // Reserve(lane 0, now+1847296)
+		7, 67, 48, // RunUntil(now+17170432)
+	})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		w := runFuzzOps(wheelEngine{NewEngine()}, data)
+		w := runFuzzOps(newWheelEngine(NewEngine()), data)
 		r := runFuzzOps(&refEngine{}, data)
 		if w.err != nil {
 			t.Fatalf("wheel self-check: %v", w.err)
@@ -123,17 +198,19 @@ const (
 
 // fuzzStep is what the engine showed after one operation.
 type fuzzStep struct {
-	op      byte
-	now     Time
-	pending int
-	fires   int
-	tripped bool
+	op        byte
+	now       Time
+	pending   int
+	processed uint64
+	popped    int // PopPassed's count, for op 12
+	fires     int
+	tripped   bool
 }
 
 type fuzzResult struct {
 	steps []fuzzStep
-	trace []fireRec
-	err   error // first self-check failure
+	trace []fireRec // pop events record the count as a fireRec with id -1-count
+	err   error     // first self-check failure
 }
 
 // fuzzBytes reads the operation stream; past its end it reads zeros.
@@ -191,13 +268,26 @@ func runFuzzOps(eng tengine, data []byte) fuzzResult {
 		}
 	}
 	created := 0
+	// last is each lane's latest reserved time; reserve clamps up to it.
+	var last [testLanes]Time
+	reserve := func(lane int, d Time) {
+		t := eng.now() + d
+		if t < eng.now() {
+			t = eng.now() // a negative delay, or a sum that wrapped
+		}
+		if t < last[lane] {
+			t = last[lane]
+		}
+		last[lane] = t
+		eng.reserve(lane, t)
+	}
 	// event decodes a kind byte (and its operands) into a callback.
 	var event func() func()
 	event = func() func() {
 		id := created
 		created++
 		var fire func()
-		switch s.next() % 4 {
+		switch s.next() % 7 {
 		case 0:
 			fire = func() {}
 		case 1:
@@ -216,6 +306,18 @@ func runFuzzOps(eng tengine, data []byte) fuzzResult {
 					handles[i%len(handles)].stop()
 				}
 			}
+		case 4:
+			lane, d := int(s.next()%testLanes), fuzzDelay(s)
+			fire = func() { reserve(lane, d) }
+		case 5:
+			lane := int(s.next() % testLanes)
+			fire = func() {
+				res.trace = append(res.trace, fireRec{id: -1 - eng.popPassed(lane), at: eng.now()})
+			}
+		case 6:
+			lane := int(s.next() % testLanes)
+			armed := event()
+			fire = func() { eng.arm(lane, armed) }
 		}
 		return func() {
 			res.trace = append(res.trace, fireRec{id: id, at: eng.now()})
@@ -231,8 +333,9 @@ func runFuzzOps(eng tengine, data []byte) fuzzResult {
 		}
 	}
 	for s.i < len(s.b) && len(res.steps) < fuzzMaxOps {
-		op := s.next() % 9
+		op := s.next() % 13
 		var err error
+		popped := 0
 		switch op {
 		case 0:
 			d := fuzzDelay(s)
@@ -266,9 +369,20 @@ func runFuzzOps(eng tengine, data []byte) fuzzResult {
 			err = eng.runUntil(eng.now() + fuzzDelay(s))
 		case 8:
 			eng.setBudget(uint64(s.next() % 16))
+		case 9:
+			eng.step()
+		case 10:
+			lane := int(s.next() % testLanes)
+			reserve(lane, fuzzDelay(s))
+		case 11:
+			lane := int(s.next() % testLanes)
+			eng.arm(lane, event())
+		case 12:
+			popped = eng.popPassed(int(s.next() % testLanes))
 		}
 		verify()
-		res.steps = append(res.steps, fuzzStep{op: op, now: eng.now(), pending: eng.pending(), fires: len(res.trace), tripped: err != nil})
+		res.steps = append(res.steps, fuzzStep{op: op, now: eng.now(), pending: eng.pending(),
+			processed: eng.processed(), popped: popped, fires: len(res.trace), tripped: err != nil})
 	}
 	return res
 }

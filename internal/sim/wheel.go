@@ -150,10 +150,11 @@ func (w *wheel) insert(tm *timer) {
 }
 
 // bufInsert splices an entry into the pending part of the dispatch buffer
-// at its (at, seq) position. Its seq is the largest assigned so far, so it
-// only has to move past later-timestamp entries. A consumed buffer is
-// rewound first, so a same-tick chain reuses the buffer's front instead of
-// growing it.
+// at its (at, seq) position. A fresh entry's seq is the largest assigned
+// so far, so it only has to move past later-timestamp entries; an armed
+// lane key keeps its older seq and may move past same-time entries too.
+// A consumed buffer is rewound first, so a same-tick chain reuses the
+// buffer's front instead of growing it.
 func (w *wheel) bufInsert(tm *timer) {
 	if w.bufi == len(w.buf) {
 		w.buf, w.bufi = w.buf[:0], 0

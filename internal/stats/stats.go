@@ -11,21 +11,41 @@ import (
 	"sort"
 )
 
+// RunningMean accumulates the mean of a stream of float64 observations
+// with Welford's update and keeps nothing else. Summary keeps its count and
+// mean in one, so a RunningMean fed the same stream reads Summary.Mean bit
+// for bit.
+type RunningMean struct {
+	n    uint64
+	mean float64
+}
+
+// Add records one observation and returns its deviation from the mean
+// before it.
+func (m *RunningMean) Add(x float64) float64 {
+	m.n++
+	d := x - m.mean
+	m.mean += d / float64(m.n)
+	return d
+}
+
+// Mean returns the running mean (0 if empty).
+func (m *RunningMean) Mean() float64 { return m.mean }
+
 // Summary accumulates a stream of float64 observations and reports moments
 // without retaining samples. It uses Welford's online algorithm for
 // numerically stable variance.
 type Summary struct {
-	n    uint64
-	mean float64
-	m2   float64
-	min  float64
-	max  float64
+	m   RunningMean
+	m2  float64
+	min float64
+	max float64
 }
 
 // Add records one observation.
 func (s *Summary) Add(x float64) {
-	s.n++
-	if s.n == 1 {
+	d := s.m.Add(x)
+	if s.m.n == 1 {
 		s.min, s.max = x, x
 	} else {
 		if x < s.min {
@@ -35,9 +55,7 @@ func (s *Summary) Add(x float64) {
 			s.max = x
 		}
 	}
-	d := x - s.mean
-	s.mean += d / float64(s.n)
-	s.m2 += d * (x - s.mean)
+	s.m2 += d * (x - s.m.mean)
 }
 
 // Empty-sample contract: every Summary accessor, and Mean and Percentile
@@ -47,20 +65,20 @@ func (s *Summary) Add(x float64) {
 // plottable zero.
 
 // N returns the number of observations.
-func (s *Summary) N() uint64 { return s.n }
+func (s *Summary) N() uint64 { return s.m.n }
 
 // Mean returns the running mean (0 if empty).
-func (s *Summary) Mean() float64 { return s.mean }
+func (s *Summary) Mean() float64 { return s.m.mean }
 
 // Max returns the maximum observation (0 if empty).
 func (s *Summary) Max() float64 { return s.max }
 
 // Variance returns the sample variance (0 for n < 2).
 func (s *Summary) Variance() float64 {
-	if s.n < 2 {
+	if s.m.n < 2 {
 		return 0
 	}
-	return s.m2 / float64(s.n-1)
+	return s.m2 / float64(s.m.n-1)
 }
 
 // StdDev returns the sample standard deviation.
@@ -69,7 +87,7 @@ func (s *Summary) StdDev() float64 { return math.Sqrt(s.Variance()) }
 // String renders a compact human-readable summary.
 func (s *Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.3f std=%.3f min=%.3f max=%.3f",
-		s.n, s.Mean(), s.StdDev(), s.min, s.max)
+		s.m.n, s.Mean(), s.StdDev(), s.min, s.max)
 }
 
 // Mean returns the arithmetic mean of xs (0 if empty).

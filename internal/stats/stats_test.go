@@ -231,3 +231,40 @@ func TestPercentileNaNClamp(t *testing.T) {
 		t.Errorf("Percentile(NaN) = %v, want 1 (lowest rank)", got)
 	}
 }
+
+// TestRunningMeanMatchesSummary pins RunningMean and Summary's mean to
+// one Welford update (d := x − mean; mean += d/n), written out here: on
+// random streams of the values bus waits in µs take (zeros, whole
+// nanoseconds, small fractions and long tails) every prefix's mean must
+// be bit-identical across the three, so a caller that keeps only the mean
+// reads exactly what a Summary would.
+func TestRunningMeanMatchesSummary(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for stream := 0; stream < 50; stream++ {
+		var rm RunningMean
+		var sum Summary
+		var n uint64
+		var mean float64
+		for i := 0; i < 2000; i++ {
+			var x float64
+			switch rng.Intn(4) {
+			case 0: // an uncontended grant
+			case 1:
+				x = float64(rng.Intn(100)) / 1e3
+			case 2:
+				x = rng.Float64() * 10
+			default:
+				x = rng.ExpFloat64() * 1e3
+			}
+			rm.Add(x)
+			sum.Add(x)
+			n++
+			d := x - mean
+			mean += d / float64(n)
+			if rm.Mean() != mean || sum.Mean() != mean {
+				t.Fatalf("stream %d, sample %d: RunningMean %v, Summary %v, Welford %v",
+					stream, i, rm.Mean(), sum.Mean(), mean)
+			}
+		}
+	}
+}

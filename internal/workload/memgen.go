@@ -22,12 +22,23 @@ type MemGen struct {
 	// Scale multiplies the profile's access rate (default 1).
 	Scale float64
 
-	running     bool
-	next        *sim.Timer     // the one tick timer, re-armed with Reset
-	onDone      func(sim.Time) // g.burstDone, bound once
-	addr        uint64
+	running bool
+	next    *sim.Timer // the one tick timer, re-armed with Reset
+	onDone  func()     // g.burstDone, bound once
+	addr    uint64
+	// outstanding counts the bursts in flight as of the last tick: tick
+	// subtracts the finishes that have passed since (dram.PopFinished),
+	// and burstDone the one finish armed to resume generation.
 	outstanding int
-	waiting     bool
+	// waiting marks saturation: one burst finish is armed (or will be, at
+	// the next grant) to run burstDone and resume generation.
+	waiting bool
+
+	// The inter-burst gap depends only on the phase factor, Scale and
+	// Aggregation; gap caches it for the values it was computed from.
+	gapFactor, gapScale float64
+	gapAgg              int
+	gap                 sim.Time // 0: nothing cached; -1: an idle phase
 }
 
 // maxOutstanding caps in-flight bursts so an over-subscribed profile
@@ -85,13 +96,12 @@ func (g *MemGen) arm(delay sim.Time) {
 	g.next.Reset(delay)
 }
 
-// burstDone retires one burst and, if generation was saturated, resumes it.
-func (g *MemGen) burstDone(sim.Time) {
+// burstDone runs at the burst finish armed when generation saturated:
+// it retires that burst and resumes generation.
+func (g *MemGen) burstDone() {
 	g.outstanding--
-	if g.waiting {
-		g.waiting = false
-		g.tick()
-	}
+	g.waiting = false
+	g.tick()
 }
 
 // tick issues one aggregated burst and arms the next via a timer.
@@ -99,24 +109,23 @@ func (g *MemGen) tick() {
 	if !g.running {
 		return
 	}
+	g.outstanding -= g.dimm.PopFinished()
 	if g.outstanding >= maxOutstanding {
-		// Saturated: resume from the next burst completion.
-		g.waiting = true
+		// Saturated: resume from the next burst completion, the one
+		// finish that has to run as an event. Until it runs no other
+		// finish passes, so a tick after Stop and Start lands here again.
+		if !g.waiting {
+			g.waiting = true
+			g.dimm.WakeOnFinish(g.onDone)
+		}
 		return
 	}
 	now := g.eng.Now()
-	rate := g.profile.AccessesPerSecond(g.Scale) * g.phaseFactor(now)
-	if rate <= 0 {
+	gap := g.burstGap(g.phaseFactor(now))
+	if gap < 0 {
 		// Idle phase: re-check at the next phase boundary.
 		g.arm(g.profile.PhasePeriod/8 + sim.Microsecond)
 		return
-	}
-	// Inter-burst gap so that Aggregation cachelines per burst hits the
-	// target rate.
-	gapNS := float64(g.Aggregation) / rate * 1e9
-	gap := sim.Time(gapNS)
-	if gap < 1 {
-		gap = 1
 	}
 
 	// The read/write draw decides nothing (DIMM timing ignores a burst's
@@ -130,6 +139,28 @@ func (g *MemGen) tick() {
 		g.addr += 64 * uint64(g.Aggregation)
 	}
 	g.outstanding++
-	g.dimm.AccessBurst(trace.MemRequest{Addr: g.addr, At: now}, g.Aggregation, g.onDone)
+	g.dimm.AccessBurst(trace.MemRequest{Addr: g.addr, At: now}, g.Aggregation, nil)
 	g.arm(gap)
+}
+
+// burstGap returns the inter-burst gap at phase factor f that makes
+// Aggregation cachelines per burst hit the target rate, or -1 when the
+// rate is not positive (an idle phase). The last result is cached: it
+// changes only at a phase boundary or when Scale or Aggregation is set.
+func (g *MemGen) burstGap(f float64) sim.Time {
+	if g.gap != 0 && f == g.gapFactor && g.Scale == g.gapScale && g.Aggregation == g.gapAgg {
+		return g.gap
+	}
+	g.gapFactor, g.gapScale, g.gapAgg = f, g.Scale, g.Aggregation
+	rate := g.profile.AccessesPerSecond(g.Scale) * f
+	if rate <= 0 {
+		g.gap = -1
+		return g.gap
+	}
+	gapNS := float64(g.Aggregation) / rate * 1e9
+	g.gap = sim.Time(gapNS)
+	if g.gap < 1 {
+		g.gap = 1
+	}
+	return g.gap
 }

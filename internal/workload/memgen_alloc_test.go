@@ -16,7 +16,8 @@ import (
 // TestCoRunnerSteadyStateZeroAllocs pins the co-runner path MemGen.tick →
 // dram.DIMM.AccessBurst → bus.Channel.Acquire/dispatch → engine as
 // allocation-free once warm: the wheel's timer pool, the channel's grant
-// rings and the DIMM's burst free list have all grown to their peak, and
+// rings, the release and finish lanes and the DIMM's burst free list
+// have all grown to their peak, and
 // every callback on the path is bound once. The generator is over-
 // subscribed (mcf at 4×), so it also exercises the saturated path where a
 // burst completion resumes generation.

@@ -587,3 +587,59 @@ func TestRunnerThinkTimerReuse(t *testing.T) {
 		t.Fatalf("restart issued %d on %d slots, want %d on the same %d", r.Issued()-issued, len(r.slots), p.OIO, p.OIO)
 	}
 }
+
+// TestMemGenGapCacheMatchesFormula sweeps tick times across many phase
+// boundaries, with Scale and Aggregation changed mid-sweep, and checks
+// that every gap burstGap returns from its cache carries the same bits as
+// the uncached formula: rate = AccessesPerSecond(Scale) × phase factor,
+// gap = Aggregation / rate × 1e9 ns (at least 1), -1 (idle) when
+// rate ≤ 0.
+func TestMemGenGapCacheMatchesFormula(t *testing.T) {
+	mcf, _ := SPECProfile("429.mcf")
+	profiles := []MemProfile{
+		mcf,
+		{Name: "idle-half", RPKI: 40, WPKI: 15, PhasePeriod: 40 * sim.Microsecond, PhaseDuty: 0.3, HighFactor: 2.5, LowFactor: 0},
+		{Name: "flat", RPKI: 3.3, WPKI: 1.1},
+	}
+	for _, p := range profiles {
+		eng := sim.NewEngine()
+		g := NewMemGen(eng, sim.NewRNG(1), dram.New(eng, bus.NewChannel(eng, 0)), p)
+		period := p.PhasePeriod
+		if period <= 0 {
+			period = sim.Millisecond
+		}
+		step := period/7 + 13 // lands on both sides of every boundary
+		hits, misses := 0, 0
+		for i, now := 0, sim.Time(0); now < 20*period; i, now = i+1, now+step {
+			switch i {
+			case 40:
+				g.Scale = 3.7
+			case 80:
+				g.Aggregation = 5
+			case 120:
+				g.Scale = 1e-9 // a tiny rate: gaps of tens of seconds
+			}
+			f := g.phaseFactor(now)
+			if g.gap != 0 && f == g.gapFactor && g.Scale == g.gapScale && g.Aggregation == g.gapAgg {
+				hits++
+			} else {
+				misses++
+			}
+			gap := g.burstGap(f)
+			want := sim.Time(-1)
+			if rate := p.AccessesPerSecond(g.Scale) * f; rate > 0 {
+				want = sim.Time(float64(g.Aggregation) / rate * 1e9)
+				if want < 1 {
+					want = 1
+				}
+			}
+			if gap != want {
+				t.Fatalf("%s at %v (factor %v, scale %v, aggregation %d): gap %v, formula %v",
+					p.Name, now, f, g.Scale, g.Aggregation, gap, want)
+			}
+		}
+		if hits == 0 || (p.PhasePeriod > 0 && misses < 20) {
+			t.Fatalf("%s: %d cache hits, %d misses: the sweep does not exercise the cache", p.Name, hits, misses)
+		}
+	}
+}
