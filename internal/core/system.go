@@ -183,7 +183,7 @@ type System struct {
 
 	rng         *sim.RNG
 	samples     []WindowSample
-	lastTotal   map[int]uint64 // per-node intensity snapshot
+	lastTotal   uint64 // node 0's memory-intensity total at the last window
 	tel         *Telemetry
 	sampler     *telemetry.Sampler
 	tailTracker *telemetry.TailTracker
@@ -194,7 +194,7 @@ type System struct {
 // the scheme requires one and none was injected.
 func NewSystem(opts Options) (*System, error) {
 	opts = opts.withDefaults()
-	s := &System{Opts: opts, rng: sim.NewRNG(opts.Seed), lastTotal: make(map[int]uint64)}
+	s := &System{Opts: opts, rng: sim.NewRNG(opts.Seed)}
 
 	var memProfile *workload.MemProfile
 	if opts.MemProfile != "" {
@@ -382,8 +382,8 @@ func (s *System) observeEpoch(perfs []mgmt.StorePerf) {
 	for _, d := range node0.DIMMs {
 		total += d.Intensity().Total()
 	}
-	sample.MemIntensity = total - s.lastTotal[0]
-	s.lastTotal[0] = total
+	sample.MemIntensity = total - s.lastTotal
+	s.lastTotal = total
 	st := node0.NVDIMM.Cache().Stats()
 	sample.CacheHitRatio = st.WindowHitRatio()
 	st.ResetWindow()
@@ -583,14 +583,11 @@ func TrainScaledNVDIMMModel(seed uint64) (*perfmodel.Model, error) {
 	return perfmodel.TrainModel(ds, mlmodel.DefaultTreeConfig())
 }
 
-// contentionOf is a small helper for experiments: MP − PP for a window.
+// ContentionOf is a small helper for experiments: BC = MP − PP (Eq. 3)
+// for a window, or 0 without a model.
 func (s *System) ContentionOf(sample WindowSample) float64 {
 	if s.Model == nil {
 		return 0
 	}
-	bc := sample.NVDIMMLatencyUS - sample.PredictedUS
-	if bc < 0 {
-		return 0
-	}
-	return bc
+	return perfmodel.ContentionUS(sample.NVDIMMLatencyUS, sample.PredictedUS)
 }

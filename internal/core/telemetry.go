@@ -14,12 +14,11 @@ import (
 // SampleEvery disables the windowed sampler.
 type Telemetry struct {
 	// Registry receives every subsystem's counters, gauges, and latency
-	// histograms under Prefix.
+	// histograms.
 	Registry *telemetry.Registry
 	// Tracer receives request/migration/bus/scheduler spans.
 	Tracer *telemetry.Tracer
-	// Series is the sampler's row sink; shared across systems it merges
-	// their time series (columns distinguish them via Prefix).
+	// Series is the sampler's row sink.
 	Series *telemetry.Series
 	// SampleEvery is the simulated-time sampling interval (0 = off).
 	SampleEvery sim.Time
@@ -29,8 +28,6 @@ type Telemetry struct {
 	// TailEvery is the tail-tracking window length (0 = tail tracking
 	// off).
 	TailEvery sim.Time
-	// Prefix namespaces this system's metrics and tracks (e.g. "sys0.").
-	Prefix string
 }
 
 // resolveTelemetry picks the sinks a new system should use: an explicit
@@ -56,22 +53,21 @@ func (s *System) wireTelemetry(t *Telemetry) {
 		return
 	}
 	s.tel = t
-	pfx := t.Prefix
 	if reg := t.Registry; reg != nil {
 		for i, n := range s.Cluster.Nodes {
-			np := fmt.Sprintf("%snode%d.", pfx, i)
+			np := fmt.Sprintf("node%d.", i)
 			n.NVDIMM.RegisterTelemetry(reg, np+"nvdimm.")
 			n.SSD.RegisterTelemetry(reg, np+"ssd.")
 			n.HDD.RegisterTelemetry(reg, np+"hdd.")
 			n.IC.RegisterTelemetry(reg, np+"bus.")
 		}
-		s.Manager.RegisterTelemetry(reg, pfx+"mgmt.")
+		s.Manager.RegisterTelemetry(reg, "mgmt.")
 		if s.Injector != nil {
-			s.Injector.RegisterTelemetry(reg, pfx+"faults.")
+			s.Injector.RegisterTelemetry(reg, "faults.")
 		}
 		for _, r := range s.Runners {
 			// The runner ID keeps names unique when an app repeats in Apps.
-			r.RegisterTelemetry(reg, fmt.Sprintf("%swl%d.%s.", pfx, r.ID(), r.Profile().Name))
+			r.RegisterTelemetry(reg, fmt.Sprintf("wl%d.%s.", r.ID(), r.Profile().Name))
 		}
 		if t.SampleEvery > 0 {
 			s.sampler = telemetry.NewSampler(s.Cluster.Eng, reg, t.SampleEvery, t.Series)
@@ -83,15 +79,15 @@ func (s *System) wireTelemetry(t *Telemetry) {
 	}
 	if tr := t.Tracer; tr != nil {
 		for i, n := range s.Cluster.Nodes {
-			np := fmt.Sprintf("%snode%d.", pfx, i)
+			np := fmt.Sprintf("node%d.", i)
 			n.NVDIMM.SetTracer(tr, np+"nvdimm.")
 			n.SSD.Metrics().SetTracer(tr, np+"ssd.io")
 			n.HDD.Metrics().SetTracer(tr, np+"hdd.io")
 			n.IC.SetTracer(tr, np+"bus.")
 		}
-		s.Manager.SetTracer(tr, pfx+"mgmt")
+		s.Manager.SetTracer(tr, "mgmt")
 		for _, r := range s.Runners {
-			r.SetTracer(tr, fmt.Sprintf("%swl%d.%s", pfx, r.ID(), r.Profile().Name))
+			r.SetTracer(tr, fmt.Sprintf("wl%d.%s", r.ID(), r.Profile().Name))
 		}
 	}
 }
@@ -131,10 +127,10 @@ func (s *System) wireSLO(opts Options) error {
 	tracker.OnViolation = s.Manager.NoteSLOViolation
 	if t := s.tel; t != nil {
 		if t.Tracer != nil {
-			tracker.SetTracer(t.Tracer, t.Prefix+"slo")
+			tracker.SetTracer(t.Tracer, "slo")
 		}
 		if t.Registry != nil {
-			tracker.RegisterTelemetry(t.Registry, t.Prefix+"slo.")
+			tracker.RegisterTelemetry(t.Registry, "slo.")
 		}
 	}
 	return nil

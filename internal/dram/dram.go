@@ -55,57 +55,29 @@ type DIMM struct {
 	banks     [NumRanks][NumBanks]bank
 	intensity trace.MemIntensity
 	served    uint64
-	free      *burst // recycled burst records
+	free      sim.FreeList[burst] // recycled burst records
 
-	// finishes holds the finish keys of granted bursts nobody waits for
-	// (AccessBurst with a nil done), oldest first; the first such burst
-	// creates it. Grants on one channel are sequential and a finish is
-	// grant + TCL + hold, so the keys are monotone, as a lane requires.
+	// finishes holds the finish keys of granted bursts, oldest first; the
+	// first burst creates it, so a DIMM nobody drives adds no lane.
+	// Grants on one channel are sequential and a finish is grant + TCL +
+	// hold, so the keys are monotone, as a lane requires.
 	finishes *sim.Lane
-	// wake, when set, is armed on the finish of the next such burst
-	// granted (WakeOnFinish with no granted burst in flight).
+	// wake, when set, is armed on the finish of the next burst granted
+	// (WakeOnFinish with no granted burst in flight).
 	wake func()
 }
 
-// burst is one in-flight AccessBurst. Records are pooled per DIMM and
-// their three callbacks are bound once, when the record is created, so a
-// steady stream of bursts allocates nothing.
+// burst is one AccessBurst from the call to its grant. Records are pooled
+// per DIMM and their two callbacks are bound on a record's first use, so
+// a steady stream of bursts allocates nothing.
 type burst struct {
-	d     *DIMM
-	bk    *bank
-	issue sim.Time // latency origin: the request's At, or the call time
-	hold  sim.Time // channel occupancy of the n data bursts
-	n     int
-	lat   sim.Time
-	done  func(lat sim.Time)
-	next  *burst // free-list link
+	d    *DIMM
+	bk   *bank
+	hold sim.Time // channel occupancy of the n data bursts
+	n    int
 
-	onReady  func()               // column ready: contend for the channel
-	onGrant  func(start sim.Time) // channel granted: account, schedule finish
-	onFinish func()               // data returned: run done
-}
-
-// getBurst pops a recycled record or creates (and binds) a new one.
-func (d *DIMM) getBurst() *burst {
-	b := d.free
-	if b == nil {
-		b = &burst{d: d}
-		b.onReady = b.ready
-		b.onGrant = b.grant
-		b.onFinish = b.finish
-		return b
-	}
-	d.free = b.next
-	b.next = nil
-	return b
-}
-
-// putBurst returns a record to the free list.
-func (d *DIMM) putBurst(b *burst) {
-	b.bk = nil
-	b.done = nil
-	b.next = d.free
-	d.free = b
+	onReady func()               // column ready: contend for the channel
+	onGrant func(start sim.Time) // channel granted: account, reserve the finish
 }
 
 // ready runs when the bank has the column open; the data burst then
@@ -114,33 +86,19 @@ func (b *burst) ready() {
 	b.d.channel.Acquire(bus.PriMem, b.hold, b.onGrant)
 }
 
-// grant runs when the channel is granted. A burst nobody waits for is
-// recycled here and its finish becomes a key on the finish lane;
-// otherwise finish recycles it.
+// grant runs when the channel is granted. It recycles the record and
+// reserves the burst's finish as a key on the finish lane.
 func (b *burst) grant(burstStart sim.Time) {
 	d := b.d
 	finish := burstStart + TCL + b.hold
 	b.bk.readyAt = finish
-	b.lat = finish - b.issue
 	d.served += uint64(b.n)
-	if b.done == nil {
-		d.putBurst(b)
-		d.finishes.Reserve(finish)
-		if wake := d.wake; wake != nil {
-			d.wake = nil
-			d.finishes.Arm(wake)
-		}
-		return
+	d.free.Put(b)
+	d.finishes.Reserve(finish)
+	if wake := d.wake; wake != nil {
+		d.wake = nil
+		d.finishes.Arm(wake)
 	}
-	d.eng.At(finish, b.onFinish)
-}
-
-// finish recycles the record before running done, so a done that issues
-// the next AccessBurst may reuse it.
-func (b *burst) finish() {
-	done, lat := b.done, b.lat
-	b.d.putBurst(b)
-	done(lat)
 }
 
 // New creates a DIMM attached to the given channel.
@@ -173,30 +131,26 @@ func refreshDelay(t sim.Time) sim.Time {
 	return 0
 }
 
-// AccessBurst serves a burst of n consecutive cacheline accesses as a
-// single scheduling unit: bank preparation is paid once and the channel is
-// held for n data bursts. Traffic generators use this to aggregate heavy
-// memory streams (one event per n cachelines) while preserving channel
-// occupancy — the quantity bus contention depends on.
+// AccessBurst serves a burst of n consecutive cacheline accesses at addr
+// as a single scheduling unit: bank preparation is paid once and the
+// channel is held for n data bursts. Traffic generators use this to
+// aggregate heavy memory streams (one event per n cachelines) while
+// preserving channel occupancy — the quantity bus contention depends on.
 //
-// done, when non-nil, receives the burst's latency at its finish. A nil
-// done suits a caller that counts completions instead of waiting on each
-// one: the finish is a key on the DIMM's finish lane, which costs no
-// event unless WakeOnFinish arms it, and PopFinished reports it once
-// passed.
-func (d *DIMM) AccessBurst(req trace.MemRequest, n int, done func(lat sim.Time)) {
-	if done == nil && d.finishes == nil {
+// The burst's finish is a key on the DIMM's finish lane, which costs no
+// event unless WakeOnFinish arms it; PopFinished reports it once passed.
+func (d *DIMM) AccessBurst(addr uint64, n int) {
+	if d.finishes == nil {
 		d.finishes = d.eng.NewLane()
 	}
 	if n < 1 {
 		n = 1
 	}
 	d.intensity.Add(n)
-	rank, bi, row := mapAddr(req.Addr)
+	rank, bi, row := mapAddr(addr)
 	bk := &d.banks[rank][bi]
 
-	now := d.eng.Now()
-	start := now
+	start := d.eng.Now()
 	if bk.readyAt > start {
 		start = bk.readyAt
 	}
@@ -214,22 +168,21 @@ func (d *DIMM) AccessBurst(req trace.MemRequest, n int, done func(lat sim.Time))
 	}
 	bk.openRow = row
 
-	b := d.getBurst()
-	b.bk = bk
-	b.issue = req.At
-	if b.issue == 0 {
-		b.issue = now
+	b := d.free.Get()
+	if b.d == nil {
+		b.d = d
+		b.onReady = b.ready
+		b.onGrant = b.grant
 	}
+	b.bk = bk
 	b.hold = sim.Time(n) * BurstTime
 	b.n = n
-	b.done = done
 	d.eng.At(start+prep, b.onReady)
 }
 
-// PopFinished returns how many bursts issued with a nil done have
-// finished since the last call, not counting one whose finish
-// WakeOnFinish armed. The DIMM's finish count belongs to a single
-// consumer.
+// PopFinished returns how many bursts have finished since the last call,
+// not counting one whose finish WakeOnFinish armed. The DIMM's finish
+// count belongs to a single consumer.
 func (d *DIMM) PopFinished() int {
 	if d.finishes == nil {
 		return 0
@@ -237,12 +190,11 @@ func (d *DIMM) PopFinished() int {
 	return d.finishes.PopPassed()
 }
 
-// WakeOnFinish runs fn at the finish of the oldest burst issued with a
-// nil done that is granted and not yet finished, or, when there is none,
-// at the finish of the next such burst granted. That finish then runs as
-// an event and is not reported by PopFinished. At most one wake may be
-// pending at a time: a second call before the first is armed replaces
-// it.
+// WakeOnFinish runs fn at the finish of the oldest burst that is granted
+// and not yet finished, or, when there is none, at the finish of the next
+// burst granted. That finish then runs as an event and is not reported
+// by PopFinished. At most one wake may be pending at a time: a second
+// call before the first is armed replaces it.
 func (d *DIMM) WakeOnFinish(fn func()) {
 	if d.finishes != nil && d.finishes.Len() > 0 {
 		d.finishes.Arm(fn)
@@ -251,7 +203,8 @@ func (d *DIMM) WakeOnFinish(fn func()) {
 	d.wake = fn
 }
 
-// Served returns the number of requests completed.
+// Served returns the number of cachelines served: a burst's n count when
+// the channel is granted, before its finish.
 func (d *DIMM) Served() uint64 { return d.served }
 
 // Intensity returns the access counter (the memory-intensity signal of

@@ -1,11 +1,11 @@
 package dram
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/bus"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 func newDIMM() (*sim.Engine, *DIMM) {
@@ -14,19 +14,31 @@ func newDIMM() (*sim.Engine, *DIMM) {
 	return eng, New(eng, ch)
 }
 
+// finishLog arms every burst finish on d in turn and records its time.
+// An armed finish is not reported by PopFinished.
+func finishLog(eng *sim.Engine, d *DIMM) *[]sim.Time {
+	var ends []sim.Time
+	var wake func()
+	wake = func() {
+		ends = append(ends, eng.Now())
+		d.WakeOnFinish(wake)
+	}
+	d.WakeOnFinish(wake)
+	return &ends
+}
+
 func TestAccessCompletes(t *testing.T) {
 	eng, d := newDIMM()
 	// Start past the t=0 refresh blackout so timing is pure bank latency.
 	eng.RunUntil(200)
-	var lat sim.Time = -1
-	d.AccessBurst(trace.MemRequest{Addr: 0x1000, At: 200}, 1, func(l sim.Time) { lat = l })
+	d.AccessBurst(0x1000, 1)
 	eng.Run()
-	if lat < 0 {
-		t.Fatal("access never completed")
+	if n := d.PopFinished(); n != 1 {
+		t.Fatalf("%d bursts finished, want 1", n)
 	}
 	// Closed bank: tRCD + tCL + burst.
 	want := TRCD + TCL + BurstTime
-	if lat != want {
+	if lat := eng.Now() - 200; lat != want {
 		t.Fatalf("first-access latency = %v, want %v", lat, want)
 	}
 	if d.Served() != 1 {
@@ -36,11 +48,10 @@ func TestAccessCompletes(t *testing.T) {
 
 func TestAccessAtZeroIncludesRefresh(t *testing.T) {
 	eng, d := newDIMM()
-	var lat sim.Time = -1
-	d.AccessBurst(trace.MemRequest{Addr: 0x1000, At: 0}, 1, func(l sim.Time) { lat = l })
+	d.AccessBurst(0x1000, 1)
 	eng.Run()
 	want := RefreshRowTime + TRCD + TCL + BurstTime
-	if lat != want {
+	if lat := eng.Now(); lat != want {
 		t.Fatalf("latency during refresh blackout = %v, want %v", lat, want)
 	}
 }
@@ -48,24 +59,22 @@ func TestAccessAtZeroIncludesRefresh(t *testing.T) {
 func TestRowHitFasterThanConflict(t *testing.T) {
 	eng, d := newDIMM()
 	var latencies []sim.Time
-	record := func(l sim.Time) { latencies = append(latencies, l) }
+	access := func(addr uint64) {
+		at := eng.Now()
+		d.AccessBurst(addr, 1)
+		eng.Run()
+		latencies = append(latencies, eng.Now()-at)
+	}
 
 	base := uint64(0x10000)
-	d.AccessBurst(trace.MemRequest{Addr: base, At: 0}, 1, record)
-	eng.Run()
-
+	access(base)
 	// Same row (same upper bits): row hit.
-	at := eng.Now()
-	d.AccessBurst(trace.MemRequest{Addr: base + 64, At: at}, 1, record)
-	eng.Run()
-
+	access(base + 64)
 	// Different row, same bank (flip row bits above bit 13).
-	at = eng.Now()
-	d.AccessBurst(trace.MemRequest{Addr: base + (1 << 20), At: at}, 1, record)
-	eng.Run()
+	access(base + (1 << 20))
 
-	if len(latencies) != 3 {
-		t.Fatalf("completed %d accesses", len(latencies))
+	if n := d.PopFinished(); n != 3 {
+		t.Fatalf("completed %d accesses", n)
 	}
 	hit, conflict := latencies[1], latencies[2]
 	if hit >= conflict {
@@ -78,12 +87,11 @@ func TestBankParallelism(t *testing.T) {
 	// same bank row-conflicting.
 	run := func(addr2 uint64) sim.Time {
 		eng, d := newDIMM()
-		doneCount := 0
-		d.AccessBurst(trace.MemRequest{Addr: 0, At: 0}, 1, func(sim.Time) { doneCount++ })
-		d.AccessBurst(trace.MemRequest{Addr: addr2, At: 0}, 1, func(sim.Time) { doneCount++ })
+		d.AccessBurst(0, 1)
+		d.AccessBurst(addr2, 1)
 		eng.Run()
-		if doneCount != 2 {
-			t.Fatalf("only %d completed", doneCount)
+		if n := d.PopFinished(); n != 2 {
+			t.Fatalf("only %d completed", n)
 		}
 		return eng.Now()
 	}
@@ -97,9 +105,9 @@ func TestBankParallelism(t *testing.T) {
 
 func TestIntensityTracking(t *testing.T) {
 	eng, d := newDIMM()
-	d.AccessBurst(trace.MemRequest{Addr: 0}, 1, nil)
-	d.AccessBurst(trace.MemRequest{Addr: 64}, 1, nil)
-	d.AccessBurst(trace.MemRequest{Addr: 128}, 1, nil)
+	d.AccessBurst(0, 1)
+	d.AccessBurst(64, 1)
+	d.AccessBurst(128, 1)
 	eng.Run()
 	if d.Intensity().Total() != 3 {
 		t.Fatalf("intensity = %d accesses, want 3", d.Intensity().Total())
@@ -142,20 +150,23 @@ func TestRefreshDelay(t *testing.T) {
 
 func TestMeanLatencyAccumulates(t *testing.T) {
 	eng, d := newDIMM()
-	var sum sim.Time
-	n := 0
+	ends := finishLog(eng, d)
 	for i := 0; i < 50; i++ {
-		d.AccessBurst(trace.MemRequest{Addr: uint64(i) << 13, At: eng.Now()}, 1, func(l sim.Time) {
-			sum += l
-			n++
-		})
+		d.AccessBurst(uint64(i)<<13, 1)
 	}
 	eng.Run()
-	if n != 50 || d.Served() != 50 {
-		t.Fatalf("%d callbacks, served = %d, want 50", n, d.Served())
+	if len(*ends) != 50 || d.Served() != 50 {
+		t.Fatalf("%d finishes, served = %d, want 50", len(*ends), d.Served())
 	}
-	if sum <= 0 {
-		t.Fatal("mean latency not positive")
+	// All 50 were issued at 0, so each finish time is its latency; the
+	// bursts share one channel, so each finishes after the last.
+	for k := 1; k < len(*ends); k++ {
+		if (*ends)[k] <= (*ends)[k-1] {
+			t.Fatalf("finishes %v not increasing", *ends)
+		}
+	}
+	if (*ends)[49] != eng.Now() {
+		t.Fatalf("last finish %v, clock %v", (*ends)[49], eng.Now())
 	}
 }
 
@@ -166,31 +177,22 @@ func TestChannelContentionSlowsDRAM(t *testing.T) {
 	d := New(eng, ch)
 	// Hold the channel with a long IO transfer first.
 	ch.Acquire(bus.PriIO, 10*sim.Microsecond, func(sim.Time) {})
-	var lat sim.Time
-	d.AccessBurst(trace.MemRequest{Addr: 0, At: 0}, 1, func(l sim.Time) { lat = l })
+	d.AccessBurst(0, 1)
 	eng.Run()
-	if lat < 10*sim.Microsecond {
+	if lat := eng.Now(); lat < 10*sim.Microsecond {
 		t.Fatalf("DRAM access latency %v should include waiting for the 10us IO hold", lat)
 	}
 }
 
-// freeBursts counts the DIMM's recycled burst records.
-func freeBursts(d *DIMM) int {
-	n := 0
-	for b := d.free; b != nil; b = b.next {
-		n++
-	}
-	return n
-}
-
 // TestBurstPool checks the pooled burst records against hand-computed
-// schedules: every latency, Served and Intensity. All times stay clear
-// of the refresh blackouts at multiples of tREFI (7812 ns), so latency is
-// bank preparation + channel wait + tCL + n×5 ns of data.
+// schedules: every finish time, Served and Intensity. All times stay
+// clear of the refresh blackouts at multiples of tREFI (7812 ns), so a
+// finish is issue + bank preparation + channel wait + tCL + n×5 ns of
+// data.
 func TestBurstPool(t *testing.T) {
 	t.Run("done issues the next burst", func(t *testing.T) {
-		// MemGen's saturated path: the completion callback issues the
-		// next burst, which must not clobber the record being finished.
+		// MemGen's saturated path: the callback armed on a finish issues
+		// the next burst and arms its finish.
 		eng, d := newDIMM()
 		eng.RunUntil(200)
 		const base = uint64(0x10000) // rank 0, bank 0, row 8
@@ -202,29 +204,28 @@ func TestBurstPool(t *testing.T) {
 			{base + 64, 2},    // same row: hit
 			{base + 1<<20, 1}, // same bank, new row: conflict
 		}
-		var lats, ends []sim.Time
-		var issue func(k int)
-		issue = func(k int) {
-			s := steps[k]
-			d.AccessBurst(trace.MemRequest{Addr: s.addr, At: eng.Now()}, s.n, func(l sim.Time) {
-				lats = append(lats, l)
-				ends = append(ends, eng.Now())
-				if k+1 < len(steps) {
-					issue(k + 1)
-				}
-			})
+		var ends []sim.Time
+		k := 0
+		var done func()
+		done = func() {
+			ends = append(ends, eng.Now())
+			if k++; k < len(steps) {
+				d.AccessBurst(steps[k].addr, steps[k].n)
+				d.WakeOnFinish(done)
+			}
 		}
-		issue(0)
+		d.AccessBurst(steps[0].addr, steps[0].n)
+		d.WakeOnFinish(done)
 		eng.Run()
 		// 200 +14 prep → grant 214, finish 214+14+20 = 248.
 		// 248 +0 (hit) → grant 248, finish 248+14+10 = 272.
 		// 272 +47 (19+14+14) → grant 319, finish 319+14+5 = 338.
-		wantLat := []sim.Time{48, 24, 66}
 		wantEnd := []sim.Time{248, 272, 338}
-		for k := range wantLat {
-			if k >= len(lats) || lats[k] != wantLat[k] || ends[k] != wantEnd[k] {
-				t.Fatalf("latencies %v ending %v, want %v ending %v", lats, ends, wantLat, wantEnd)
-			}
+		if !slices.Equal(ends, wantEnd) {
+			t.Fatalf("finishes %v, want %v", ends, wantEnd)
+		}
+		if n := d.PopFinished(); n != 0 {
+			t.Fatalf("%d unarmed finishes, want 0", n)
 		}
 		if d.Served() != 7 {
 			t.Fatalf("served = %d, want 7", d.Served())
@@ -232,24 +233,20 @@ func TestBurstPool(t *testing.T) {
 		if got := d.Intensity().Total(); got != 7 {
 			t.Fatalf("intensity = %d accesses, want 7", got)
 		}
-		// Each done ran after its record was recycled, so the chain
-		// reused one record throughout.
-		if n := freeBursts(d); n != 1 {
-			t.Fatalf("%d pooled records after the chain, want 1", n)
-		}
 	})
 
-	t.Run("nil done", func(t *testing.T) {
+	t.Run("queued behind a longer hold", func(t *testing.T) {
 		eng, d := newDIMM()
 		eng.RunUntil(200)
-		var lat sim.Time = -1
-		// Bank 0 with no callback: recycled at its grant (214).
-		d.AccessBurst(trace.MemRequest{Addr: 0x10000, At: 200}, 8, nil)
-		// Bank 1, ready at 214 too but queued behind the 40 ns hold.
-		d.AccessBurst(trace.MemRequest{Addr: 0x10100, At: 200}, 1, func(l sim.Time) { lat = l })
+		ends := finishLog(eng, d)
+		// Bank 0: grant 214, finish 214+14+40 = 268.
+		d.AccessBurst(0x10000, 8)
+		// Bank 1, ready at 214 too but queued behind the 40 ns hold:
+		// grant 254, finish 254+14+5 = 273.
+		d.AccessBurst(0x10100, 1)
 		eng.Run()
-		if lat != 73 { // grant 254, finish 254+14+5
-			t.Fatalf("queued access latency = %v, want 73", lat)
+		if want := []sim.Time{268, 273}; !slices.Equal(*ends, want) {
+			t.Fatalf("finishes %v, want %v", *ends, want)
 		}
 		if d.Served() != 9 {
 			t.Fatalf("served = %d, want 9", d.Served())
@@ -257,43 +254,23 @@ func TestBurstPool(t *testing.T) {
 		if got := d.Intensity().Total(); got != 9 {
 			t.Fatalf("intensity = %d accesses, want 9", got)
 		}
-		if n := freeBursts(d); n != 2 {
-			t.Fatalf("%d pooled records, want 2", n)
-		}
-		// A later burst reuses a pooled record rather than a new one.
-		d.AccessBurst(trace.MemRequest{Addr: 0x10000, At: eng.Now()}, 1, nil)
-		eng.Run()
-		if n := freeBursts(d); n != 2 {
-			t.Fatalf("%d pooled records after reuse, want 2", n)
-		}
 	})
 
 	t.Run("mixed Access and AccessBurst", func(t *testing.T) {
 		eng, d := newDIMM()
 		eng.RunUntil(300)
-		var order []string
-		var lats []sim.Time
-		record := func(name string) func(sim.Time) {
-			return func(l sim.Time) {
-				order = append(order, name)
-				lats = append(lats, l)
-			}
-		}
+		ends := finishLog(eng, d)
 		// a: bank 2 row 0, closed → ready 314.
-		d.AccessBurst(trace.MemRequest{Addr: 0x200, At: 300}, 1, record("a"))
+		d.AccessBurst(0x200, 1)
 		// b: bank 3, closed → ready 314, queued behind a.
-		d.AccessBurst(trace.MemRequest{Addr: 0x300, At: 300}, 4, record("b"))
+		d.AccessBurst(0x300, 4)
 		// c: bank 2 row 0 again, a hit on the row a opened → ready 300.
-		d.AccessBurst(trace.MemRequest{Addr: 0x240, At: 300}, 1, record("c"))
+		d.AccessBurst(0x240, 1)
 		eng.Run()
 		// c: grant 300, finish 319. a: grant 314, finish 333.
 		// b: grant 319 (after a's 5 ns hold), finish 319+14+20 = 353.
-		wantOrder := []string{"c", "a", "b"}
-		wantLat := []sim.Time{19, 33, 53}
-		for k := range wantOrder {
-			if k >= len(order) || order[k] != wantOrder[k] || lats[k] != wantLat[k] {
-				t.Fatalf("completions %v with latencies %v, want %v with %v", order, lats, wantOrder, wantLat)
-			}
+		if want := []sim.Time{319, 333, 353}; !slices.Equal(*ends, want) {
+			t.Fatalf("finishes %v, want %v (c, a, b)", *ends, want)
 		}
 		if d.Served() != 6 {
 			t.Fatalf("served = %d, want 6", d.Served())

@@ -133,8 +133,8 @@ type Scheduler struct {
 	recorded          []int64
 
 	st      Stats
-	waitPer stats.Summary
-	waitMig stats.Summary
+	waitPer stats.RunningMean
+	waitMig stats.RunningMean
 
 	tr    *telemetry.Tracer
 	track string

@@ -76,8 +76,8 @@ type refScheduler struct {
 	queuedMigrated    int
 
 	st      Stats
-	waitPer stats.Summary
-	waitMig stats.Summary
+	waitPer stats.RunningMean
+	waitMig stats.RunningMean
 }
 
 // newRefScheduler creates a scheduler dispatching at most slots concurrent operations.

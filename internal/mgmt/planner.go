@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/device"
+	"repro/internal/perfmodel"
 )
 
 // Planner constants.
@@ -236,10 +237,7 @@ func (m *Manager) costBenefit(v *VMDK, src, dst *StorePerf, remaining int64) (co
 		if !ok {
 			return 0
 		}
-		d := p.MeasuredUS - model.PredictUS(p.WC)
-		if d < 0 {
-			return 0
-		}
+		d := perfmodel.ContentionUS(p.MeasuredUS, model.PredictUS(p.WC))
 		ios := p.WC.IOSize
 		if ios < BlockSize {
 			ios = BlockSize

@@ -52,10 +52,10 @@ func (m *Model) PredictUS(wc trace.WC) float64 {
 // Tree exposes the underlying tree (for rendering, Fig. 6).
 func (m *Model) Tree() *mlmodel.Tree { return m.tree }
 
-// ContentionUS estimates the bus-contention component of a measured
-// latency (Eq. 3): BC = MP − PP, clamped at zero.
-func (m *Model) ContentionUS(measuredUS float64, wc trace.WC) float64 {
-	bc := measuredUS - m.PredictUS(wc)
+// ContentionUS is the bus-contention component of a measured latency
+// (Eq. 3): BC = MP − PP, clamped at zero.
+func ContentionUS(measuredUS, predictedUS float64) float64 {
+	bc := measuredUS - predictedUS
 	if bc < 0 {
 		return 0
 	}

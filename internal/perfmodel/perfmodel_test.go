@@ -73,19 +73,15 @@ func TestModelPredictsOIOTrend(t *testing.T) {
 }
 
 func TestContentionEstimate(t *testing.T) {
-	ds := Collect(nvdimmFactory, quickSpec())
-	m, err := TrainModel(ds, mlmodel.DefaultTreeConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	wc := trace.WC{WriteRatio: 0.2, OIOs: 1, IOSize: 4096, FreeSpaceRatio: 1}
-	pp := m.PredictUS(wc)
 	// Measured latency above prediction is attributed to contention.
-	if got := m.ContentionUS(pp+50, wc); got < 45 || got > 55 {
-		t.Fatalf("contention = %v, want ~50", got)
+	if got := ContentionUS(150, 100); got != 50 {
+		t.Fatalf("contention = %v, want 50", got)
 	}
 	// Never negative.
-	if got := m.ContentionUS(0, wc); got != 0 {
+	if got := ContentionUS(100, 100); got != 0 {
+		t.Fatalf("contention at MP = PP: %v, want 0", got)
+	}
+	if got := ContentionUS(0, 100); got != 0 {
 		t.Fatalf("negative contention not clamped: %v", got)
 	}
 }
@@ -151,7 +147,7 @@ func TestModelVerificationUnderContention(t *testing.T) {
 			errPP, errMP, ppLoud, mpQuiet, mpLoud)
 	}
 	// And the BC estimate should be a large share of the real gap.
-	bc := m.ContentionUS(mpLoud, wcLoud)
+	bc := ContentionUS(mpLoud, ppLoud)
 	if bc < 0.3*(mpLoud-mpQuiet) {
 		t.Fatalf("BC = %v underestimates the gap %v", bc, mpLoud-mpQuiet)
 	}

@@ -1,12 +1,12 @@
 // Package stats provides the small numeric toolkit shared by the device
 // models, the performance model, and the experiment harness: streaming
-// summaries, percentiles, and simple series utilities. Latency
-// distributions live in telemetry.TailHist; this package keeps only
-// moments (Summary) and exact small-slice statistics.
+// means, percentiles, and simple series utilities. Latency distributions
+// live in telemetry.TailHist; this package keeps only running means
+// (RunningMean, and Summary, which also reports the count and maximum)
+// and exact small-slice statistics.
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -20,42 +20,28 @@ type RunningMean struct {
 	mean float64
 }
 
-// Add records one observation and returns its deviation from the mean
-// before it.
-func (m *RunningMean) Add(x float64) float64 {
+// Add records one observation.
+func (m *RunningMean) Add(x float64) {
 	m.n++
-	d := x - m.mean
-	m.mean += d / float64(m.n)
-	return d
+	m.mean += (x - m.mean) / float64(m.n)
 }
 
 // Mean returns the running mean (0 if empty).
 func (m *RunningMean) Mean() float64 { return m.mean }
 
-// Summary accumulates a stream of float64 observations and reports moments
-// without retaining samples. It uses Welford's online algorithm for
-// numerically stable variance.
+// Summary accumulates a stream of float64 observations and reports their
+// count, mean and maximum without retaining samples.
 type Summary struct {
 	m   RunningMean
-	m2  float64
-	min float64
 	max float64
 }
 
 // Add records one observation.
 func (s *Summary) Add(x float64) {
-	d := s.m.Add(x)
-	if s.m.n == 1 {
-		s.min, s.max = x, x
-	} else {
-		if x < s.min {
-			s.min = x
-		}
-		if x > s.max {
-			s.max = x
-		}
+	s.m.Add(x)
+	if s.m.n == 1 || x > s.max {
+		s.max = x
 	}
-	s.m2 += d * (x - s.m.mean)
 }
 
 // Empty-sample contract: every Summary accessor, and Mean and Percentile
@@ -72,23 +58,6 @@ func (s *Summary) Mean() float64 { return s.m.mean }
 
 // Max returns the maximum observation (0 if empty).
 func (s *Summary) Max() float64 { return s.max }
-
-// Variance returns the sample variance (0 for n < 2).
-func (s *Summary) Variance() float64 {
-	if s.m.n < 2 {
-		return 0
-	}
-	return s.m2 / float64(s.m.n-1)
-}
-
-// StdDev returns the sample standard deviation.
-func (s *Summary) StdDev() float64 { return math.Sqrt(s.Variance()) }
-
-// String renders a compact human-readable summary.
-func (s *Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.3f std=%.3f min=%.3f max=%.3f",
-		s.m.n, s.Mean(), s.StdDev(), s.min, s.max)
-}
 
 // Mean returns the arithmetic mean of xs (0 if empty).
 func Mean(xs []float64) float64 {

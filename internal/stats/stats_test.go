@@ -20,12 +20,8 @@ func TestSummaryBasic(t *testing.T) {
 	if !almostEqual(s.Mean(), 5, 1e-9) {
 		t.Fatalf("mean = %v", s.Mean())
 	}
-	if s.min != 2 || s.Max() != 9 {
-		t.Fatalf("min/max = %v/%v", s.min, s.Max())
-	}
-	// Sample variance of this classic set is 32/7.
-	if !almostEqual(s.Variance(), 32.0/7.0, 1e-9) {
-		t.Fatalf("variance = %v", s.Variance())
+	if s.Max() != 9 {
+		t.Fatalf("max = %v", s.Max())
 	}
 	if got := s.Mean() * float64(s.N()); !almostEqual(got, 40, 1e-9) {
 		t.Fatalf("sum = %v", got)
@@ -34,11 +30,11 @@ func TestSummaryBasic(t *testing.T) {
 
 func TestSummaryEmptyAndSingle(t *testing.T) {
 	var s Summary
-	if s.Mean() != 0 || s.Variance() != 0 || s.StdDev() != 0 {
+	if s.N() != 0 || s.Mean() != 0 || s.Max() != 0 {
 		t.Fatal("empty summary not zero")
 	}
 	s.Add(3.5)
-	if s.Mean() != 3.5 || s.Variance() != 0 || s.min != 3.5 || s.Max() != 3.5 {
+	if s.N() != 1 || s.Mean() != 3.5 || s.Max() != 3.5 {
 		t.Fatal("single-element summary wrong")
 	}
 }
@@ -143,7 +139,7 @@ func TestCorrelation(t *testing.T) {
 	}
 }
 
-// Property: Summary mean/min/max agree with direct computation.
+// Property: Summary mean/max agree with direct computation.
 func TestSummaryMatchesDirectProperty(t *testing.T) {
 	f := func(xs []float64) bool {
 		clean := make([]float64, 0, len(xs))
@@ -157,18 +153,13 @@ func TestSummaryMatchesDirectProperty(t *testing.T) {
 			return true
 		}
 		var s Summary
-		mn, mx := clean[0], clean[0]
+		mx := clean[0]
 		for _, x := range clean {
 			s.Add(x)
-			if x < mn {
-				mn = x
-			}
-			if x > mx {
-				mx = x
-			}
+			mx = math.Max(mx, x)
 		}
 		scale := math.Max(1, math.Abs(Mean(clean)))
-		return s.min == mn && s.Max() == mx &&
+		return s.Max() == mx &&
 			almostEqual(s.Mean(), Mean(clean), 1e-6*scale)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(1))}); err != nil {
@@ -206,8 +197,7 @@ func TestPercentileMonotoneProperty(t *testing.T) {
 func TestEmptySampleContract(t *testing.T) {
 	var sum Summary
 	for name, got := range map[string]float64{
-		"Mean": sum.Mean(), "Min": sum.min,
-		"Max": sum.Max(), "Variance": sum.Variance(), "StdDev": sum.StdDev(),
+		"N": float64(sum.N()), "Mean": sum.Mean(), "Max": sum.Max(),
 	} {
 		if got != 0 {
 			t.Errorf("empty Summary.%s = %v, want 0", name, got)

@@ -21,7 +21,6 @@ func buildAndRunSpec(t *testing.T, seed uint64, faultSpec string) (traceOut, csv
 		Registry:    telemetry.NewRegistry(),
 		Tracer:      telemetry.NewTracer(),
 		SampleEvery: 10 * sim.Millisecond,
-		Prefix:      "d.",
 	}
 	sys, err := core.NewSystem(core.Options{
 		Apps:      []string{"sort", "bayes"},

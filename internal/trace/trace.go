@@ -86,13 +86,6 @@ func (r *IORequest) Latency() sim.Time {
 	return r.Complete - r.Issue
 }
 
-// MemRequest is one main-memory (DRAM) access generated by the compute
-// side of a workload; it competes with NVDIMM traffic for the memory bus.
-type MemRequest struct {
-	Addr uint64
-	At   sim.Time
-}
-
 // WC is the workload-characteristic vector of Eq. (2):
 //
 //	WC = ⟨wr_ratio, OIOs, IOS, wr_rand, rd_rand, free_space_ratio⟩

@@ -8,7 +8,6 @@ import (
 	"repro/internal/bus"
 	"repro/internal/dram"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // FuzzCoRunnerVsEager runs one byte-decoded scenario on the co-runner
@@ -18,8 +17,8 @@ import (
 // two must agree on the clock, Processed, Pending, the channel's grant
 // counts, mean waits and utilization (bit for bit), the DIMM's served and
 // issued counts and the generator's running and waiting flags; and the
-// logs of channel grants (order and start times), DIMM burst latencies and
-// in-event probes must be identical.
+// logs of channel grants (order and start times) and in-event probes must
+// be identical.
 //
 //	go test -fuzz FuzzCoRunnerVsEager -fuzztime 10s ./internal/workload
 //
@@ -30,7 +29,7 @@ import (
 //	0 Acquire(PriIO, h*16 ns), chain c: on grant, c%3 = 1 acquires
 //	  PriMem and 2 PriIO for the same hold, inside the grant callback
 //	1 Acquire(PriMem, h*8 ns)
-//	2 AccessBurst(addr a<<13 | b<<6, n%16+1 cachelines), logging latency
+//	2 AccessBurst(addr a<<13 | b<<6, n%16+1 cachelines)
 //	3 MemGen.Start               4 MemGen.Stop
 //	5 Scale = (s%16+1)/2         6 RunFor((d%64+1) * 500 ns)
 //	7 Step() × (k%64+1)          8 Run() if stopped, else RunFor(10 µs)
@@ -42,8 +41,7 @@ func FuzzCoRunnerVsEager(f *testing.F) {
 	f.Add([]byte{0, 15, 5, 7, 3, 0, 20, 0, 6, 63, 0, 40, 2, 6, 63, 9, 3, 4, 8, 3, 6, 20})
 	// Idle phases: the generator re-checks at the next boundary.
 	f.Add([]byte{1, 15, 5, 3, 3, 6, 63, 6, 63, 9, 100, 6, 63, 4, 8})
-	// Steps through saturation, bursts with latencies and re-entrant
-	// grants.
+	// Steps through saturation, bursts and re-entrant grants.
 	f.Add([]byte{2, 3, 5, 15, 3, 7, 63, 2, 1, 2, 3, 0, 9, 1, 0, 9, 2, 7, 63, 1, 30, 7, 63, 4, 8})
 	// A watchdog budget that trips mid-window, then a rerun without it.
 	f.Add([]byte{0, 15, 5, 7, 3, 10, 3, 6, 63, 6, 63, 10, 0, 6, 63, 4, 8})
@@ -86,7 +84,7 @@ func TestCoRunnerMatchesEager(t *testing.T) {
 type coStack interface {
 	engine() *sim.Engine
 	acquire(pri bus.Priority, hold sim.Time, granted func(start sim.Time))
-	access(addr uint64, n int, done func(lat sim.Time))
+	access(addr uint64, n int)
 	start()
 	stop()
 	setScale(s float64)
@@ -107,8 +105,8 @@ type coState struct {
 	tripped             bool
 }
 
-// coRec is one log record: a grant (kind 'g'), a burst latency ('l') or a
-// probe ('p', with the state at the probe).
+// coRec is one log record: a grant (kind 'g') or a probe ('p', with the
+// state at the probe).
 type coRec struct {
 	kind byte
 	id   int
@@ -168,13 +166,11 @@ func (s *lazyStack) engine() *sim.Engine { return s.eng }
 func (s *lazyStack) acquire(pri bus.Priority, hold sim.Time, granted func(sim.Time)) {
 	s.ch.Acquire(pri, hold, granted)
 }
-func (s *lazyStack) access(addr uint64, n int, done func(sim.Time)) {
-	s.d.AccessBurst(trace.MemRequest{Addr: addr, At: s.eng.Now()}, n, done)
-}
-func (s *lazyStack) start()             { s.g.Start() }
-func (s *lazyStack) stop()              { s.g.Stop() }
-func (s *lazyStack) setScale(x float64) { s.g.Scale = x }
-func (s *lazyStack) running() bool      { return s.g.running }
+func (s *lazyStack) access(addr uint64, n int) { s.d.AccessBurst(addr, n) }
+func (s *lazyStack) start()                    { s.g.Start() }
+func (s *lazyStack) stop()                     { s.g.Stop() }
+func (s *lazyStack) setScale(x float64)        { s.g.Scale = x }
+func (s *lazyStack) running() bool             { return s.g.running }
 func (s *lazyStack) state() coState {
 	return coState{
 		now: s.eng.Now(), processed: s.eng.Processed(), pending: s.eng.Pending(),
@@ -205,13 +201,15 @@ func (s *refStack) engine() *sim.Engine { return s.eng }
 func (s *refStack) acquire(pri bus.Priority, hold sim.Time, granted func(sim.Time)) {
 	s.ch.Acquire(pri, hold, granted)
 }
-func (s *refStack) access(addr uint64, n int, done func(sim.Time)) {
-	s.d.AccessBurst(trace.MemRequest{Addr: addr, At: s.eng.Now()}, n, done)
-}
-func (s *refStack) start()             { s.g.Start() }
-func (s *refStack) stop()              { s.g.Stop() }
-func (s *refStack) setScale(x float64) { s.g.Scale = x }
-func (s *refStack) running() bool      { return s.g.running }
+
+// access gives the burst the generator's burstDone: on the lane stack
+// every finish on the DIMM counts against the generator's bursts in
+// flight, the test's own bursts included.
+func (s *refStack) access(addr uint64, n int) { s.d.AccessBurst(addr, n, s.g.burstDone) }
+func (s *refStack) start()                    { s.g.Start() }
+func (s *refStack) stop()                     { s.g.Stop() }
+func (s *refStack) setScale(x float64)        { s.g.Scale = x }
+func (s *refStack) running() bool             { return s.g.running }
 func (s *refStack) state() coState {
 	util := 0.0
 	if now := s.eng.Now(); now != 0 {
@@ -260,12 +258,7 @@ func runCoRunnerOps(s coStack, data []byte, maxOps int) coResult {
 			ids++
 		case 2:
 			addr := uint64(b.next())<<13 | uint64(b.next())<<6
-			n := int(b.next()%16) + 1
-			id := ids
-			ids++
-			s.access(addr, n, func(lat sim.Time) {
-				res.log = append(res.log, coRec{kind: 'l', id: id, at: eng.Now(), v: lat})
-			})
+			s.access(addr, int(b.next()%16)+1)
 		case 3:
 			s.start()
 		case 4:

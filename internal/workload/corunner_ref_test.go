@@ -5,7 +5,6 @@ import (
 	"repro/internal/dram"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
 // The co-runner path as it was before its releases and burst finishes
@@ -27,7 +26,7 @@ type refChannel struct {
 	eng      *sim.Engine
 	busy     bool
 	queues   [2][]refGrant
-	waitUS   [2]stats.Summary
+	waitUS   [2]stats.RunningMean
 	busyTime sim.Time
 	grants   [2]uint64
 }
@@ -89,18 +88,17 @@ func newRefDIMM(eng *sim.Engine, ch *refChannel) *refDIMM {
 	return d
 }
 
-func (d *refDIMM) AccessBurst(req trace.MemRequest, n int, done func(lat sim.Time)) {
+func (d *refDIMM) AccessBurst(addr uint64, n int, done func()) {
 	if n < 1 {
 		n = 1
 	}
 	d.intensity += uint64(n)
-	bi := int((req.Addr >> 8) & (dram.NumBanks - 1))
-	rank := int((req.Addr >> 11) & (dram.NumRanks - 1))
-	row := int64(req.Addr >> 13)
+	bi := int((addr >> 8) & (dram.NumBanks - 1))
+	rank := int((addr >> 11) & (dram.NumRanks - 1))
+	row := int64(addr >> 13)
 	bk := &d.banks[rank][bi]
 
-	now := d.eng.Now()
-	start := now
+	start := d.eng.Now()
 	if bk.readyAt > start {
 		start = bk.readyAt
 	}
@@ -118,20 +116,13 @@ func (d *refDIMM) AccessBurst(req trace.MemRequest, n int, done func(lat sim.Tim
 	}
 	bk.openRow = row
 
-	issue := req.At
-	if issue == 0 {
-		issue = now
-	}
 	hold := sim.Time(n) * dram.BurstTime
 	d.eng.At(start+prep, func() {
 		d.channel.Acquire(bus.PriMem, hold, func(burstStart sim.Time) {
 			finish := burstStart + dram.TCL + hold
 			bk.readyAt = finish
 			d.served += uint64(n)
-			if done == nil {
-				return
-			}
-			d.eng.At(finish, func() { done(finish - issue) })
+			d.eng.At(finish, done)
 		})
 	})
 }
@@ -188,7 +179,7 @@ func (g *refMemGen) arm(delay sim.Time) {
 	g.next.Reset(delay)
 }
 
-func (g *refMemGen) burstDone(sim.Time) {
+func (g *refMemGen) burstDone() {
 	g.outstanding--
 	if g.waiting {
 		g.waiting = false
@@ -221,6 +212,6 @@ func (g *refMemGen) tick() {
 		g.addr += 64 * uint64(g.Aggregation)
 	}
 	g.outstanding++
-	g.dimm.AccessBurst(trace.MemRequest{Addr: g.addr, At: now}, g.Aggregation, g.burstDone)
+	g.dimm.AccessBurst(g.addr, g.Aggregation, g.burstDone)
 	g.arm(gap)
 }

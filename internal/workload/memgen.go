@@ -3,7 +3,6 @@ package workload
 import (
 	"repro/internal/dram"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // MemGen drives a DRAM DIMM with the memory traffic of a SPEC-style
@@ -139,7 +138,7 @@ func (g *MemGen) tick() {
 		g.addr += 64 * uint64(g.Aggregation)
 	}
 	g.outstanding++
-	g.dimm.AccessBurst(trace.MemRequest{Addr: g.addr, At: now}, g.Aggregation, nil)
+	g.dimm.AccessBurst(g.addr, g.Aggregation)
 	g.arm(gap)
 }
 
