@@ -177,10 +177,14 @@ func TestChannelContentionSlowsDRAM(t *testing.T) {
 	d := New(eng, ch)
 	// Hold the channel with a long IO transfer first.
 	ch.Acquire(bus.PriIO, 10*sim.Microsecond, func(sim.Time) {})
+	ends := finishLog(eng, d)
 	d.AccessBurst(0, 1)
 	eng.Run()
-	if lat := eng.Now(); lat < 10*sim.Microsecond {
-		t.Fatalf("DRAM access latency %v should include waiting for the 10us IO hold", lat)
+	// The column is ready at 110 (refresh) + tRCD, long before the hold
+	// ends; the data burst is granted at the release, 10 us.
+	want := []sim.Time{10*sim.Microsecond + TCL + BurstTime}
+	if !slices.Equal(*ends, want) {
+		t.Fatalf("DRAM finishes %v, want %v: the burst must wait for the 10us IO hold", *ends, want)
 	}
 }
 

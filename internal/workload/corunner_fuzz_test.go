@@ -29,7 +29,12 @@ import (
 //	0 Acquire(PriIO, h*16 ns), chain c: on grant, c%3 = 1 acquires
 //	  PriMem and 2 PriIO for the same hold, inside the grant callback
 //	1 Acquire(PriMem, h*8 ns)
-//	2 AccessBurst(addr a<<13 | b<<6, n%16+1 cachelines)
+//	2 AccessBurst(addr a<<13 | b<<6, n%16+1 cachelines) on the
+//	  generator's DIMM: both stacks count its finish as one of the
+//	  generator's bursts in flight, so outstanding can go below zero and
+//	  the generator then issue more than maxOutstanding bursts. This
+//	  reaches past the DIMM's single-consumer contract on purpose; it is
+//	  not how a second caller may use a DIMM.
 //	3 MemGen.Start               4 MemGen.Stop
 //	5 Scale = (s%16+1)/2         6 RunFor((d%64+1) * 500 ns)
 //	7 Step() × (k%64+1)          8 Run() if stopped, else RunFor(10 µs)
@@ -204,7 +209,10 @@ func (s *refStack) acquire(pri bus.Priority, hold sim.Time, granted func(sim.Tim
 
 // access gives the burst the generator's burstDone: on the lane stack
 // every finish on the DIMM counts against the generator's bursts in
-// flight, the test's own bursts included.
+// flight, the test's own bursts included, so outstanding can go below
+// zero. This mirrors the lane stack under op 2 of FuzzCoRunnerVsEager;
+// it is not the production contract, where the DIMM's finish count has
+// a single consumer.
 func (s *refStack) access(addr uint64, n int) { s.d.AccessBurst(addr, n, s.g.burstDone) }
 func (s *refStack) start()                    { s.g.Start() }
 func (s *refStack) stop()                     { s.g.Stop() }
