@@ -51,7 +51,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 )
 
 func main() {
@@ -162,67 +161,10 @@ func main() {
 }
 
 // exportTelemetry merges and writes the scope's trace/metric/tail
-// artifacts (no-op when telemetry was not requested).
+// artifacts, reporting each file on stderr (no-op when telemetry was not
+// requested).
 func exportTelemetry(scope *core.TelemetryScope, traceOut, metricsOut, tailOut string) {
-	if !scope.Enabled() {
-		return
+	if err := scope.Merge().Export(traceOut, metricsOut, tailOut, os.Stderr); err != nil {
+		log.Fatal(err)
 	}
-	tel := scope.Merge()
-	if traceOut != "" {
-		if err := writeTrace(traceOut, tel.Tracer); err != nil {
-			log.Fatalf("trace export: %v", err)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %d trace events to %s\n", tel.Tracer.NumEvents(), traceOut)
-	}
-	if metricsOut != "" {
-		if err := writeCSV(metricsOut, tel.Series); err != nil {
-			log.Fatalf("metrics export: %v", err)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %d metric samples to %s\n", tel.Series.Len(), metricsOut)
-	}
-	if tailOut != "" {
-		f, err := os.Create(tailOut)
-		if err != nil {
-			log.Fatalf("tail export: %v", err)
-		}
-		err = tel.Tail.WriteCSV(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			log.Fatalf("tail export: %v", err)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %d tail windows to %s\n", tel.Tail.Len(), tailOut)
-	}
-}
-
-// writeTrace exports recorded spans: Chrome trace JSON by default, JSONL
-// when the path ends in .jsonl.
-func writeTrace(path string, tr *telemetry.Tracer) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if strings.HasSuffix(path, ".jsonl") {
-		err = tr.WriteJSONL(f)
-	} else {
-		err = tr.WriteChromeTrace(f)
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// writeCSV exports the sampled metric time series.
-func writeCSV(path string, s *telemetry.Series) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	err = s.WriteCSV(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }

@@ -54,6 +54,8 @@
 // With -invariants the structural invariant checker runs at every
 // management epoch, after every crash recovery, and once after the drain;
 // the run exits nonzero if any check fails, printing every violation.
+// With -replicas a violation in any replica exits nonzero too, naming
+// the replica, its seed and its first violation.
 // This is the flag chaos-harness reproduction commands use (see
 // internal/chaos). -footprint-div overrides the application footprint
 // divisor so such commands can match the harness's scaled-down VMDKs.
@@ -75,7 +77,6 @@ import (
 	"repro/internal/runpool"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/telemetry"
 )
 
 func policyByName(name string) (memsched.Policy, error) {
@@ -142,26 +143,16 @@ func main() {
 	cfg.MinWindowRequests = 3
 	cfg.DecisionLogCap = *decLog
 
+	if *sampleMS <= 0 {
+		*sampleMS = 25
+	}
 	if *tailMS <= 0 {
 		*tailMS = 10
 	}
-	var tel *core.Telemetry
-	if *traceOut != "" || *metricsOut != "" || *tailOut != "" {
-		tel = &core.Telemetry{}
-		if *traceOut != "" {
-			tel.Tracer = telemetry.NewTracer()
-		}
-		if *metricsOut != "" {
-			if *sampleMS <= 0 {
-				*sampleMS = 25
-			}
-			tel.Registry = telemetry.NewRegistry()
-			tel.SampleEvery = sim.Time(*sampleMS) * sim.Millisecond
-		}
-		if *tailOut != "" {
-			tel.Tail = telemetry.NewTailSeries()
-			tel.TailEvery = sim.Time(*tailMS) * sim.Millisecond
-		}
+	sampleEvery := sim.Time(*sampleMS) * sim.Millisecond
+	tailEvery := sim.Time(0)
+	if *tailOut != "" {
+		tailEvery = sim.Time(*tailMS) * sim.Millisecond
 	}
 
 	opts := core.Options{
@@ -175,7 +166,6 @@ func main() {
 		BypassMigratedReads: *bypass,
 		DAX:                 *dax,
 		WorkloadSkew:        *skew,
-		Telemetry:           tel,
 		SLOSpec:             *sloSpec,
 		FaultSpec:           *faultSpec,
 		MaxEvents:           *maxEvents,
@@ -188,11 +178,8 @@ func main() {
 	dur := sim.Time(*durationMS) * sim.Millisecond
 
 	if *replicas > 1 {
-		if *sampleMS <= 0 {
-			*sampleMS = 25
-		}
 		err := runReplicas(opts, scheme, *replicas, *replicaSeeds, *jobs, dur,
-			*traceOut, *metricsOut, *sampleMS, *tailOut, *tailMS)
+			*traceOut, *metricsOut, sampleEvery, *tailOut, tailEvery)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -202,6 +189,7 @@ func main() {
 	if scheme.NeedsModel() {
 		fmt.Println("training NVDIMM performance model...")
 	}
+	opts.Telemetry = core.NewTelemetry(*traceOut != "", *metricsOut != "", sampleEvery, tailEvery)
 	sys, err := core.NewSystem(opts)
 	if err != nil {
 		log.Fatal(err)
@@ -224,25 +212,8 @@ func main() {
 		l := sys.Manager.Log()
 		fmt.Printf("decision log:        %d/%d entries, %d dropped\n", l.Len(), l.Cap(), l.Dropped())
 	}
-
-	if *traceOut != "" {
-		if err := writeTrace(*traceOut, tel.Tracer); err != nil {
-			log.Fatalf("trace export: %v", err)
-		}
-		fmt.Printf("wrote %d trace events to %s\n", tel.Tracer.NumEvents(), *traceOut)
-	}
-	if *metricsOut != "" {
-		series := sys.Sampler().Series()
-		if err := writeCSV(*metricsOut, series); err != nil {
-			log.Fatalf("metrics export: %v", err)
-		}
-		fmt.Printf("wrote %d metric samples to %s\n", series.Len(), *metricsOut)
-	}
-	if *tailOut != "" {
-		if err := writeTailCSV(*tailOut, tel.Tail); err != nil {
-			log.Fatalf("tail export: %v", err)
-		}
-		fmt.Printf("wrote %d tail windows to %s\n", tel.Tail.Len(), *tailOut)
+	if err := sys.Telemetry().Export(*traceOut, *metricsOut, *tailOut, os.Stdout); err != nil {
+		log.Fatal(err)
 	}
 }
 
@@ -252,10 +223,12 @@ func main() {
 // the output is identical for every -jobs value. When a BCA scheme needs
 // the performance model it is trained once from the base seed and shared
 // read-only by all replicas. Telemetry from all replicas merges into
-// single artifacts with "sys<k>." tracks numbered by replica index.
+// single artifacts with "sys<k>." tracks numbered by replica index. A
+// replica whose run aborts or whose invariant checker recorded a
+// violation fails the whole command.
 func runReplicas(opts core.Options, scheme mgmt.Scheme, n int, seedList string,
-	jobs int, dur sim.Time, traceOut, metricsOut string, sampleMS int,
-	tailOut string, tailMS int) error {
+	jobs int, dur sim.Time, traceOut, metricsOut string, sampleEvery sim.Time,
+	tailOut string, tailEvery sim.Time) error {
 	seeds := make([]uint64, n)
 	for i := range seeds {
 		seeds[i] = opts.Seed + uint64(i)
@@ -283,12 +256,7 @@ func runReplicas(opts core.Options, scheme mgmt.Scheme, n int, seedList string,
 		opts.Model = m
 	}
 
-	tailEvery := sim.Time(0)
-	if tailOut != "" {
-		tailEvery = sim.Time(tailMS) * sim.Millisecond
-	}
-	scope := core.NewTelemetryScope(traceOut != "", metricsOut != "",
-		sim.Time(sampleMS)*sim.Millisecond, tailEvery)
+	scope := core.NewTelemetryScope(traceOut != "", metricsOut != "", sampleEvery, tailEvery)
 	scopes := scope.Fork(n)
 
 	fmt.Printf("running %s x%d replicas for %v (nodes=%d mem=%q)...\n",
@@ -296,16 +264,12 @@ func runReplicas(opts core.Options, scheme mgmt.Scheme, n int, seedList string,
 	reports, errs := runpool.Do(jobs, n, func(i int) (core.Report, error) {
 		o := opts
 		o.Seed = seeds[i]
-		o.Telemetry = nil
 		o.Scope = scopes[i]
-		sys, err := core.NewSystem(o)
+		rep, err := runReplica(o, dur)
 		if err != nil {
 			return core.Report{}, fmt.Errorf("replica %d (seed %d): %w", i, seeds[i], err)
 		}
-		if err := sys.Run(dur); err != nil {
-			return core.Report{}, fmt.Errorf("replica %d (seed %d): %w", i, seeds[i], err)
-		}
-		return sys.Report(), nil
+		return rep, nil
 	})
 	if err := runpool.FirstError(errs); err != nil {
 		return err
@@ -322,72 +286,21 @@ func runReplicas(opts core.Options, scheme mgmt.Scheme, n int, seedList string,
 	fmt.Printf("aggregate over %d replicas: mean latency %.1fus (p95 %.1fus), mean IOPS %.0f (p95 %.0f)\n",
 		n, stats.Mean(lat), stats.Percentile(lat, 95), stats.Mean(iops), stats.Percentile(iops, 95))
 
-	if scope.Enabled() {
-		tel := scope.Merge()
-		if traceOut != "" {
-			if err := writeTrace(traceOut, tel.Tracer); err != nil {
-				return fmt.Errorf("trace export: %w", err)
-			}
-			fmt.Printf("wrote %d trace events to %s\n", tel.Tracer.NumEvents(), traceOut)
-		}
-		if metricsOut != "" {
-			if err := writeCSV(metricsOut, tel.Series); err != nil {
-				return fmt.Errorf("metrics export: %w", err)
-			}
-			fmt.Printf("wrote %d metric samples to %s\n", tel.Series.Len(), metricsOut)
-		}
-		if tailOut != "" {
-			if err := writeTailCSV(tailOut, tel.Tail); err != nil {
-				return fmt.Errorf("tail export: %w", err)
-			}
-			fmt.Printf("wrote %d tail windows to %s\n", tel.Tail.Len(), tailOut)
-		}
-	}
-	return nil
+	return scope.Merge().Export(traceOut, metricsOut, tailOut, os.Stdout)
 }
 
-// writeTrace exports recorded spans: Chrome trace JSON by default, JSONL
-// when the path ends in .jsonl.
-func writeTrace(path string, tr *telemetry.Tracer) error {
-	f, err := os.Create(path)
+// runReplica builds and runs one replica's system and returns its report,
+// or the error that aborted the run or summarizes its invariant
+// violations.
+func runReplica(o core.Options, dur sim.Time) (core.Report, error) {
+	sys, err := core.NewSystem(o)
 	if err != nil {
-		return err
+		return core.Report{}, err
 	}
-	if strings.HasSuffix(path, ".jsonl") {
-		err = tr.WriteJSONL(f)
-	} else {
-		err = tr.WriteChromeTrace(f)
+	if err := sys.Run(dur); err != nil {
+		return core.Report{}, err
 	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// writeCSV exports the sampled metric time series.
-func writeCSV(path string, s *telemetry.Series) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	err = s.WriteCSV(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// writeTailCSV exports the windowed tail-latency series.
-func writeTailCSV(path string, s *telemetry.TailSeries) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	err = s.WriteCSV(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return sys.Report(), sys.Invariants.Err()
 }
 
 func printReport(rep core.Report) {

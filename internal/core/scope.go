@@ -98,19 +98,7 @@ func (sc *TelemetryScope) adopt() *Telemetry {
 	if !sc.Enabled() {
 		return nil
 	}
-	t := &Telemetry{}
-	if sc.traceOn {
-		t.Tracer = telemetry.NewTracer()
-	}
-	if sc.metricsOn {
-		t.Registry = telemetry.NewRegistry()
-		t.Series = &telemetry.Series{}
-		t.SampleEvery = sc.sampleEvery
-	}
-	if sc.tailEvery > 0 {
-		t.Tail = telemetry.NewTailSeries()
-		t.TailEvery = sc.tailEvery
-	}
+	t := NewTelemetry(sc.traceOn, sc.metricsOn, sc.sampleEvery, sc.tailEvery)
 	sc.slots = append(sc.slots, scopeSlot{sys: t})
 	return t
 }

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"io"
+	"os"
 	"testing"
 
 	"repro/internal/sim"
@@ -136,5 +138,46 @@ func TestScopeNilSafety(t *testing.T) {
 	m := sc.Merge()
 	if m.Tracer != nil || m.Series != nil {
 		t.Fatal("nil scope merged sinks")
+	}
+}
+
+// TestTelemetryExport pins the CLIs' shared writer: each non-empty path
+// gets its sink's own export (JSONL for a .jsonl trace path), each file
+// is reported on w, and a nil Telemetry with no paths writes nothing.
+func TestTelemetryExport(t *testing.T) {
+	tel := NewTelemetry(true, true, sim.Millisecond, sim.Millisecond)
+	fillScopeSystem(tel, "a", sim.Millisecond)
+	dir := t.TempDir()
+	trace, metrics, tail := dir+"/t.jsonl", dir+"/m.csv", dir+"/tail.csv"
+	var w bytes.Buffer
+	if err := tel.Export(trace, metrics, tail, &w); err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	for _, f := range []struct {
+		path  string
+		write func(io.Writer) error
+	}{{trace, tel.Tracer.WriteJSONL}, {metrics, tel.Series.WriteCSV}, {tail, tel.Tail.WriteCSV}} {
+		want.Reset()
+		if err := f.write(&want); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(f.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("%s differs from its sink's export", f.path)
+		}
+	}
+	wantLines := "wrote 1 trace events to " + trace + "\nwrote 1 metric samples to " + metrics +
+		"\nwrote 0 tail windows to " + tail + "\n"
+	if w.String() != wantLines {
+		t.Errorf("reported %q, want %q", w.String(), wantLines)
+	}
+
+	w.Reset()
+	if err := (*Telemetry)(nil).Export("", "", "", &w); err != nil || w.Len() != 0 {
+		t.Fatalf("nil Telemetry with no paths: err %v, wrote %q", err, w.String())
 	}
 }

@@ -218,13 +218,6 @@ func NewSystem(opts Options) (*System, error) {
 		if !spec.Empty() {
 			s.Injector = faultinject.New(s.Cluster.Eng, opts.Seed, spec)
 		}
-		if spec.HasCrash() {
-			// A crash spec without the journal would leave recovery blind;
-			// arm it here so every crash-carrying run gets the DESIGN §13
-			// recovery path. Journal-free runs stay byte-identical.
-			opts.Mgmt.Journal = true
-			s.Opts.Mgmt.Journal = true
-		}
 	}
 
 	for i := 0; i < opts.Nodes; i++ {

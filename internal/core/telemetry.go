@@ -2,6 +2,9 @@ package core
 
 import (
 	"fmt"
+	"io"
+	"os"
+	"strings"
 
 	"repro/internal/mgmt/slo"
 	"repro/internal/sim"
@@ -28,6 +31,75 @@ type Telemetry struct {
 	// TailEvery is the tail-tracking window length (0 = tail tracking
 	// off).
 	TailEvery sim.Time
+}
+
+// NewTelemetry builds fresh sinks: a Tracer when traceOn, a Registry and
+// a Series sampled every sampleEvery when metricsOn, and a TailSeries
+// windowed every tailEvery when tailEvery > 0. It returns nil when every
+// sink is off.
+func NewTelemetry(traceOn, metricsOn bool, sampleEvery, tailEvery sim.Time) *Telemetry {
+	if !traceOn && !metricsOn && tailEvery <= 0 {
+		return nil
+	}
+	t := &Telemetry{}
+	if traceOn {
+		t.Tracer = telemetry.NewTracer()
+	}
+	if metricsOn {
+		t.Registry = telemetry.NewRegistry()
+		t.Series = &telemetry.Series{}
+		t.SampleEvery = sampleEvery
+	}
+	if tailEvery > 0 {
+		t.Tail = telemetry.NewTailSeries()
+		t.TailEvery = tailEvery
+	}
+	return t
+}
+
+// Export writes the recorded artifacts: the trace to traceOut (Chrome
+// trace JSON, or line-delimited JSON when the path ends in .jsonl), the
+// sampled metrics to metricsOut and the tail windows to tailOut, both as
+// CSV. An empty path skips its artifact, so a nil Telemetry exports
+// nothing when every path is empty. Each written file is reported to w
+// as a "wrote N …" line.
+func (t *Telemetry) Export(traceOut, metricsOut, tailOut string, w io.Writer) error {
+	if traceOut != "" {
+		write := t.Tracer.WriteChromeTrace
+		if strings.HasSuffix(traceOut, ".jsonl") {
+			write = t.Tracer.WriteJSONL
+		}
+		if err := writeFile(traceOut, write); err != nil {
+			return fmt.Errorf("trace export: %w", err)
+		}
+		fmt.Fprintf(w, "wrote %d trace events to %s\n", t.Tracer.NumEvents(), traceOut)
+	}
+	if metricsOut != "" {
+		if err := writeFile(metricsOut, t.Series.WriteCSV); err != nil {
+			return fmt.Errorf("metrics export: %w", err)
+		}
+		fmt.Fprintf(w, "wrote %d metric samples to %s\n", t.Series.Len(), metricsOut)
+	}
+	if tailOut != "" {
+		if err := writeFile(tailOut, t.Tail.WriteCSV); err != nil {
+			return fmt.Errorf("tail export: %w", err)
+		}
+		fmt.Fprintf(w, "wrote %d tail windows to %s\n", t.Tail.Len(), tailOut)
+	}
+	return nil
+}
+
+// writeFile creates path and fills it with write.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // resolveTelemetry picks the sinks a new system should use: an explicit

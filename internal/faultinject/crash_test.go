@@ -24,12 +24,6 @@ func TestParseSpecCrashClauses(t *testing.T) {
 		nf.Win.From != 10*sim.Millisecond || nf.Win.To != 20*sim.Millisecond {
 		t.Fatalf("node crash fault: %+v", nf)
 	}
-	if !spec.HasCrash() {
-		t.Fatal("HasCrash = false")
-	}
-	if mustParse(t, "dev=d:errate=0.5").HasCrash() {
-		t.Fatal("crash-free spec reports HasCrash")
-	}
 }
 
 func TestParseSpecCrashRoundTrip(t *testing.T) {

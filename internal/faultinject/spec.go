@@ -168,22 +168,6 @@ func (s *Spec) Empty() bool {
 	return s == nil || (len(s.Devices) == 0 && len(s.Links) == 0 && len(s.Nodes) == 0)
 }
 
-// HasCrash reports whether any clause arms a crash fault — the signal
-// core uses to arm migration journaling and crash recovery.
-func (s *Spec) HasCrash() bool {
-	if s == nil {
-		return false
-	}
-	for _, d := range s.Devices {
-		for _, f := range d.Faults {
-			if f.Kind == FaultCrash {
-				return true
-			}
-		}
-	}
-	return len(s.Nodes) > 0
-}
-
 // String renders the spec canonically (parse → String → parse round-trips).
 func (s *Spec) String() string {
 	var parts []string

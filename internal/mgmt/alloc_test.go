@@ -157,15 +157,18 @@ func takeStorageCounts(n *node, reg *telemetry.Registry, runners []*workload.Run
 // TestMigrationCopySteadyStateZeroAllocs pins the copy engine as
 // allocation-free once warm, in both directions: each chunk's read, write
 // and callbacks live in a pooled chunk record, its block buffer is
-// reused, and a retry's backoff is a bound callback on the engine. A
-// 256 MiB VMDK moves from the NVDIMM to the SSD of one node (no network
-// hop, no journal) with four chunks in flight.
+// reused, a retry's backoff is a bound callback on the engine, and each
+// landed chunk's journal runs go into the manager's journal. A 256 MiB
+// VMDK moves from the NVDIMM to the SSD of one node (no network hop)
+// with four chunks in flight. The journal keeps every record, so, as in
+// TestStorageSteadyStateZeroAllocs, it gets journalRoom records of
+// storage up front.
 //
-// The forward window must land copy chunks and end with the migration
-// still running. The copy-back window starts after more than half the
-// VMDK has moved and the migration is aborted; every fifth write to the
-// source fails, so it must also retry chunks, and it must end with blocks
-// still to carry back.
+// The forward window must land copy chunks, journal progress runs, and
+// end with the migration still running. The copy-back window starts after
+// more than half the VMDK has moved and the migration is aborted; every
+// fifth write to the source fails, so it must also retry chunks, journal
+// revert runs, and end with blocks still to carry back.
 func TestMigrationCopySteadyStateZeroAllocs(t *testing.T) {
 	const steps = 50000
 	// start begins the migration with its source writes failing as the
@@ -174,6 +177,7 @@ func TestMigrationCopySteadyStateZeroAllocs(t *testing.T) {
 		n := newNode(t)
 		src := NewDatastore(&failEvery{Device: n.nv, k: 5}, 0)
 		mgr := NewManager(n.eng, quickCfg(), Full(), []*Datastore{src, n.dss[1]})
+		mgr.journal.records = make([]JournalRecord, 0, journalRoom)
 		v, err := src.CreateVMDK(1, 256<<20)
 		if err != nil {
 			t.Fatal(err)
@@ -192,21 +196,37 @@ func TestMigrationCopySteadyStateZeroAllocs(t *testing.T) {
 			}
 		})
 	}
+	// journaled counts the records of kind appended since the journal
+	// held from records, and fails if the journal outgrew its room.
+	journaled := func(t *testing.T, mgr *Manager, from int, kind JournalKind) int {
+		if n := len(mgr.journal.records); n > journalRoom {
+			t.Fatalf("journal holds %d records, more than the %d it was given room for", n, journalRoom)
+		}
+		k := 0
+		for _, r := range mgr.journal.records[from:] {
+			if r.Kind == kind {
+				k++
+			}
+		}
+		return k
+	}
 
 	t.Run("forward", func(t *testing.T) {
 		eng, mgr, v := start(t)
 		eng.RunFor(50 * sim.Millisecond)
-		before := mgr.Stats().BytesCopied
+		before, from := mgr.Stats().BytesCopied, len(mgr.journal.records)
 		allocs := measure(t, eng)
 		copied := mgr.Stats().BytesCopied - before
-		if copied == 0 || v.MigratedBlocks() == v.Blocks() {
-			t.Fatalf("measured window copied %d bytes, %d of %d blocks migrated; want copying throughout",
-				copied, v.MigratedBlocks(), v.Blocks())
+		progress := journaled(t, mgr, from, JournalProgress)
+		if copied == 0 || progress == 0 || v.MigratedBlocks() == v.Blocks() {
+			t.Fatalf("measured window copied %d bytes in %d progress runs, %d of %d blocks migrated; want copying throughout",
+				copied, progress, v.MigratedBlocks(), v.Blocks())
 		}
 		if allocs != 0 {
 			t.Fatalf("forward copy allocated %v times over %d engine steps, want 0", allocs, steps)
 		}
-		t.Logf("0 allocations over %d engine steps, %d chunks copied", steps, copied/chunkBytes)
+		t.Logf("0 allocations over %d engine steps, %d chunks copied, %d progress runs journaled",
+			steps, copied/chunkBytes, progress)
 	})
 
 	t.Run("copy-back", func(t *testing.T) {
@@ -218,17 +238,19 @@ func TestMigrationCopySteadyStateZeroAllocs(t *testing.T) {
 		}
 		mgr.active[0].abort("test-induced abort")
 		eng.RunFor(10 * sim.Millisecond)
-		before, left := mgr.Stats().CopyRetries, v.MigratedBlocks()
+		before, left, from := mgr.Stats().CopyRetries, v.MigratedBlocks(), len(mgr.journal.records)
 		allocs := measure(t, eng)
 		retries, back := mgr.Stats().CopyRetries-before, left-v.MigratedBlocks()
-		if retries == 0 || back <= 0 || v.MigratedBlocks() == 0 || mgr.Stats().MigrationsAborted != 1 {
-			t.Fatalf("measured window counted %d retries and carried back %d blocks, %d left, %d aborts; want retrying copy-back throughout",
-				retries, back, v.MigratedBlocks(), mgr.Stats().MigrationsAborted)
+		revert := journaled(t, mgr, from, JournalRevert)
+		if retries == 0 || back <= 0 || revert == 0 || v.MigratedBlocks() == 0 || mgr.Stats().MigrationsAborted != 1 {
+			t.Fatalf("measured window counted %d retries and carried back %d blocks in %d revert runs, %d left, %d aborts; want retrying copy-back throughout",
+				retries, back, revert, v.MigratedBlocks(), mgr.Stats().MigrationsAborted)
 		}
 		if allocs != 0 {
 			t.Fatalf("copy-back allocated %v times over %d engine steps, want 0", allocs, steps)
 		}
-		t.Logf("0 allocations over %d engine steps, %d blocks carried back, %d retries", steps, back, retries)
+		t.Logf("0 allocations over %d engine steps, %d blocks carried back in %d revert runs, %d retries",
+			steps, back, revert, retries)
 	})
 }
 

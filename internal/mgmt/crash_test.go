@@ -19,8 +19,8 @@ var crashSchemes = []struct {
 	{"lazy-redirect", Scheme{Name: "lazy-redirect", Gate: GateCopy, Redirect: true, Tagged: true}},
 }
 
-// journaledPair builds two healthy datastores under a journaled manager
-// with a strictly sequential copy engine (CopyDepth 1), so chunk
+// journaledPair builds two healthy datastores under a manager with a
+// strictly sequential copy engine (CopyDepth 1), so chunk
 // boundaries are distinct instants a crash can land between.
 func journaledPair(t *testing.T, scheme Scheme) (*sim.Engine, *Manager, *Datastore, *Datastore) {
 	t.Helper()
@@ -30,7 +30,6 @@ func journaledPair(t *testing.T, scheme Scheme) (*sim.Engine, *Manager, *Datasto
 	a := NewDatastore(fa, 0)
 	b := NewDatastore(fb, 0)
 	cfg := quickCfg()
-	cfg.Journal = true
 	cfg.CopyDepth = 1
 	mgr := NewManager(eng, cfg, scheme, []*Datastore{a, b})
 	return eng, mgr, a, b
@@ -160,7 +159,8 @@ func TestCrashAtEveryChunkBoundary(t *testing.T) {
 
 // TestJournalEpochFenceDropsPendingRecords pins the durability model: lazy
 // appends whose DurableAt is still in the future when the epoch bumps are
-// lost, sync appends are not, and replay ignores the lost tail.
+// discarded from the log, sync appends and settled lazy ones are kept,
+// and replay sees only what was kept.
 func TestJournalEpochFenceDropsPendingRecords(t *testing.T) {
 	eng := sim.NewEngine()
 	jn := newJournal(eng)
@@ -170,8 +170,9 @@ func TestJournalEpochFenceDropsPendingRecords(t *testing.T) {
 	jn.appendLazy(JournalRecord{Kind: JournalProgress, VMDK: 1, Block: 8, Count: 8})
 	ep := jn.Epoch(1)
 	jn.bumpEpoch(1) // crash: the pending record had not persisted
-	if jn.lost != 1 {
-		t.Fatalf("lost = %d, want 1", jn.lost)
+	if len(jn.records) != 2 || jn.records[0].Kind != JournalIntent ||
+		jn.records[1].Kind != JournalProgress || jn.records[1].Block != 0 {
+		t.Fatalf("records after the crash = %+v, want the sync intent and the settled progress [0,8)", jn.records)
 	}
 	if jn.AppendIfEpoch(ep, JournalRecord{Kind: JournalProgress, VMDK: 1, Block: 16, Count: 1}) {
 		t.Fatal("append accepted across the epoch fence")
@@ -192,7 +193,7 @@ func TestJournalReplayRevertAndAbort(t *testing.T) {
 	jn := newJournal(eng)
 	jn.appendSync(JournalRecord{Kind: JournalIntent, VMDK: 3, Src: "a", Dst: "b"})
 	jn.appendSync(JournalRecord{Kind: JournalProgress, VMDK: 3, Block: 0, Count: 16})
-	jn.appendSync(JournalRecord{Kind: JournalAbort, VMDK: 3, Detail: "retry budget exhausted"})
+	jn.appendSync(JournalRecord{Kind: JournalAbort, VMDK: 3})
 	jn.appendSync(JournalRecord{Kind: JournalRevert, VMDK: 3, Block: 0, Count: 4})
 	st := jn.replay(3, 64)
 	if !st.live || !st.aborting {

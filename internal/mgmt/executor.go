@@ -10,8 +10,8 @@ import (
 // redirecting upcoming writes when the scheme says so. The started
 // counter lives here — not in balance or evacuate — so budget
 // conservation holds for every launch path (balancing, evacuation,
-// direct test harnesses). When the journal is armed, the intent record
-// persists before the first block moves.
+// direct test harnesses). The intent record persists before the first
+// block moves.
 func (m *Manager) startMigration(v *VMDK, dst *Datastore) error {
 	base, err := dst.allocExtent(v.Size)
 	if err != nil {
@@ -19,12 +19,10 @@ func (m *Manager) startMigration(v *VMDK, dst *Datastore) error {
 	}
 	v.beginMigration(dst, base, m.scheme.Redirect)
 	m.stats.MigrationsStarted++
-	if m.journal != nil {
-		v.jn = m.journal
-		m.journal.appendSync(JournalRecord{Kind: JournalIntent, VMDK: v.ID,
-			Src: v.src.Dev.Name(), Dst: dst.Dev.Name(),
-			DstBase: base, Redirect: m.scheme.Redirect})
-	}
+	v.jn = m.journal
+	m.journal.appendSync(JournalRecord{Kind: JournalIntent, VMDK: v.ID,
+		Src: v.src.Dev.Name(), Dst: dst.Dev.Name(),
+		DstBase: base, Redirect: m.scheme.Redirect})
 	mig := newMigration(m, v, v.src, dst)
 	m.active = append(m.active, mig)
 	mig.pump()
@@ -41,11 +39,8 @@ func (m *Manager) migrationAborted(mig *Migration) {
 			break
 		}
 	}
-	if m.journal != nil {
-		m.journal.appendSync(JournalRecord{Kind: JournalDone, VMDK: mig.v.ID,
-			Detail: "unwind complete; source authoritative"})
-		mig.v.jn = nil
-	}
+	m.journal.appendSync(JournalRecord{Kind: JournalDone, VMDK: mig.v.ID})
+	mig.v.jn = nil
 	m.logDecision(Decision{At: m.eng.Now(), Kind: DecisionAbort, Stage: StageExecute, VMDK: mig.v.ID,
 		Src: mig.src.Dev.Name(), Dst: mig.dst.Dev.Name(),
 		Detail: fmt.Sprintf("unwind complete in %v; VMDK consistent on source", mig.finishedAt-mig.startedAt)})
@@ -64,11 +59,8 @@ func (m *Manager) migrationDone(mig *Migration) {
 			break
 		}
 	}
-	if m.journal != nil {
-		m.journal.appendSync(JournalRecord{Kind: JournalCommit, VMDK: mig.v.ID,
-			Detail: "destination primary"})
-		mig.v.jn = nil
-	}
+	m.journal.appendSync(JournalRecord{Kind: JournalCommit, VMDK: mig.v.ID})
+	mig.v.jn = nil
 	m.stats.MigrationsCompleted++
 	// BytesCopied accrues per chunk as copies land (partial migrations
 	// count); only the redirected complement is known at completion.

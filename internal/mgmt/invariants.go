@@ -165,21 +165,19 @@ func (m *Manager) CheckInvariants() []invariant.Violation {
 	// the durable journal proves migrated must be marked in the volatile
 	// bitmap (the reverse may lag — lazy records settle later). Unwinding
 	// migrations are skipped: revert records trail the bitmap by design.
-	if m.journal != nil {
-		for _, mig := range m.active {
-			if mig.aborting || mig.completed {
-				continue
-			}
-			st := m.journal.replay(mig.v.ID, mig.v.Blocks())
-			if !st.live || st.aborting {
-				continue
-			}
-			for i, w := range st.bitmap {
-				if i < len(mig.v.bitmap) && w&^mig.v.bitmap[i] != 0 {
-					add("journal", fmt.Sprintf("vmdk%d", mig.v.ID),
-						"journal marks blocks near %d migrated but bitmap does not", i*64)
-					break
-				}
+	for _, mig := range m.active {
+		if mig.aborting || mig.completed {
+			continue
+		}
+		st := m.journal.replay(mig.v.ID, mig.v.Blocks())
+		if !st.live || st.aborting {
+			continue
+		}
+		for i, w := range st.bitmap {
+			if i < len(mig.v.bitmap) && w&^mig.v.bitmap[i] != 0 {
+				add("journal", fmt.Sprintf("vmdk%d", mig.v.ID),
+					"journal marks blocks near %d migrated but bitmap does not", i*64)
+				break
 			}
 		}
 	}

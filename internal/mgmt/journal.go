@@ -2,8 +2,6 @@ package mgmt
 
 import (
 	"errors"
-	"fmt"
-	"strings"
 
 	"repro/internal/sim"
 )
@@ -38,37 +36,11 @@ const (
 	// JournalDone closes a migration whose unwind completed: the source is
 	// primary and no recovery action remains.
 	JournalDone
-	// JournalCrash marks a power-loss event observed by the manager, for
-	// the recovery trace (it carries no replay semantics of its own).
-	JournalCrash
 )
 
-// String names the record kind for dumps.
-func (k JournalKind) String() string {
-	switch k {
-	case JournalIntent:
-		return "intent"
-	case JournalProgress:
-		return "progress"
-	case JournalRevert:
-		return "revert"
-	case JournalAbort:
-		return "abort"
-	case JournalCommit:
-		return "commit"
-	case JournalDone:
-		return "done"
-	case JournalCrash:
-		return "crash"
-	default:
-		return fmt.Sprintf("journal(%d)", uint8(k))
-	}
-}
-
-// JournalRecord is one journal entry. Records are totally ordered by Seq
-// (append order, which is sim-time order) and replayed per VMDK.
+// JournalRecord is one journal entry. Records are kept in append order,
+// which is sim-time order, and replayed per VMDK.
 type JournalRecord struct {
-	Seq       uint64
 	At        sim.Time // when the append was issued
 	DurableAt sim.Time // when the record is persistent (== At for sync appends)
 	Kind      JournalKind
@@ -81,25 +53,6 @@ type JournalRecord struct {
 
 	// Progress/Revert payload: a contiguous block run.
 	Block, Count int64
-
-	// Crash payload / free-form annotation.
-	Detail string
-}
-
-// String renders one record for the deterministic journal dump.
-func (r JournalRecord) String() string {
-	switch r.Kind {
-	case JournalIntent:
-		return fmt.Sprintf("%06d @%-12d intent   vmdk%d %s->%s base=%d redirect=%v",
-			r.Seq, int64(r.At), r.VMDK, r.Src, r.Dst, r.DstBase, r.Redirect)
-	case JournalProgress, JournalRevert:
-		return fmt.Sprintf("%06d @%-12d %-8s vmdk%d blocks[%d,%d)",
-			r.Seq, int64(r.At), r.Kind, r.VMDK, r.Block, r.Block+r.Count)
-	case JournalCrash:
-		return fmt.Sprintf("%06d @%-12d crash    %s", r.Seq, int64(r.At), r.Detail)
-	default:
-		return fmt.Sprintf("%06d @%-12d %-8s vmdk%d %s", r.Seq, int64(r.At), r.Kind, r.VMDK, r.Detail)
-	}
 }
 
 // journalAppendDelay is how long a lazy (background-copy progress)
@@ -115,13 +68,11 @@ const journalAppendDelay = 2 * sim.Microsecond
 // journalAppendDelay before persisting and are discarded if a crash bumps
 // the VMDK's epoch first. Epochs fence the ack path: a completion that
 // captured the pre-crash epoch cannot append after recovery rebuilt the
-// VMDK.
+// VMDK. Every Manager keeps one, and every migration it starts journals.
 type Journal struct {
 	eng     *sim.Engine
 	records []JournalRecord
-	seq     uint64
 	epochs  map[int]uint64
-	lost    uint64
 }
 
 // newJournal builds an empty journal.
@@ -135,8 +86,6 @@ func (j *Journal) Epoch(vmdkID int) uint64 { return j.epochs[vmdkID] }
 
 // append stamps and stores a record, durable at durableAt.
 func (j *Journal) append(rec JournalRecord, durableAt sim.Time) {
-	rec.Seq = j.seq
-	j.seq++
 	rec.At = j.eng.Now()
 	rec.DurableAt = durableAt
 	j.records = append(j.records, rec)
@@ -177,7 +126,6 @@ func (j *Journal) bumpEpoch(vmdkID int) {
 	kept := j.records[:0]
 	for _, r := range j.records {
 		if r.VMDK == vmdkID && r.DurableAt > now {
-			j.lost++
 			continue
 		}
 		kept = append(kept, r)
@@ -235,15 +183,4 @@ func (j *Journal) replay(vmdkID int, blocks int64) replayState {
 		}
 	}
 	return st
-}
-
-// String renders the full journal, one record per line — the byte-
-// identical recovery trace the determinism contract covers (DESIGN §9).
-func (j *Journal) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "journal: %d records, %d lost to crashes\n", len(j.records), j.lost)
-	for _, r := range j.records {
-		b.WriteString("  " + r.String() + "\n")
-	}
-	return b.String()
 }

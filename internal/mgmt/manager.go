@@ -45,12 +45,6 @@ type Config struct {
 	// ProbationWindows is how many consecutive error-free windows a
 	// quarantined store must serve before readmission. Default 8.
 	ProbationWindows int
-
-	// Journal arms the durable migration journal (DESIGN.md §13): intent/
-	// progress/commit/abort records at chunk granularity, enabling crash
-	// recovery. Off by default — journal-free runs are byte-identical to
-	// builds that predate the crash model.
-	Journal bool
 }
 
 // DefaultConfig returns the evaluation defaults.
@@ -174,12 +168,10 @@ func NewManager(eng *sim.Engine, cfg Config, scheme Scheme, stores []*Datastore)
 		models:   make(map[device.Kind]perfmodel.Predictor),
 		history:  make(map[int][]string),
 		smoothed: make(map[*Datastore]float64),
+		journal:  newJournal(eng),
 	}
 	if cfg.DecisionLogCap > 0 {
 		m.log.SetCapacity(cfg.DecisionLogCap)
-	}
-	if cfg.Journal {
-		m.journal = newJournal(eng)
 	}
 	return m
 }

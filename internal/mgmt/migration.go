@@ -131,7 +131,7 @@ func (g *Migration) regate(perfs []StorePerf) {
 // format is runs, not arbitrary sets.
 func (g *Migration) journalRuns(kind JournalKind, blocks []int64) {
 	jn := g.mgr.journal
-	if jn == nil || len(blocks) == 0 {
+	if len(blocks) == 0 {
 		return
 	}
 	start, n := blocks[0], int64(1)
@@ -376,9 +376,7 @@ func (g *Migration) abort(reason string) {
 	g.paused = false
 	g.mgr.stats.MigrationsAborted++
 	g.v.beginAbort()
-	if g.mgr.journal != nil {
-		g.mgr.journal.appendSync(JournalRecord{Kind: JournalAbort, VMDK: g.v.ID, Detail: reason})
-	}
+	g.mgr.journal.appendSync(JournalRecord{Kind: JournalAbort, VMDK: g.v.ID})
 	g.cursor = 0
 	g.mgr.logDecision(Decision{At: g.mgr.eng.Now(), Kind: DecisionAbort, Stage: StageExecute, VMDK: g.v.ID,
 		Src: g.src.Dev.Name(), Dst: g.dst.Dev.Name(),

@@ -47,9 +47,6 @@ func (s CrashScope) String() string {
 func (m *Manager) OnCrash(scope CrashScope) {
 	m.logDecision(Decision{At: m.eng.Now(), Kind: DecisionCrash, Stage: StageExecute, VMDK: -1,
 		Detail: fmt.Sprintf("power loss %s; scanning %d active migration(s)", scope, len(m.active))})
-	if m.journal != nil {
-		m.journal.appendSync(JournalRecord{Kind: JournalCrash, VMDK: -1, Detail: scope.String()})
-	}
 	// Snapshot: recovery edits m.active while iterating.
 	for _, mig := range append([]*Migration(nil), m.active...) {
 		if mig.completed || (!scope.covers(mig.src) && !scope.covers(mig.dst)) {
@@ -61,10 +58,9 @@ func (m *Manager) OnCrash(scope CrashScope) {
 }
 
 // recoverMigration tears down one affected migration and rebuilds it from
-// the journal. Without a journal armed the volatile bitmap is kept as-is
-// (a documented shortcut: core always arms the journal when the fault
-// spec contains crash clauses, so this path only serves bare test
-// harnesses) and the same resume-or-rollback verdict is applied.
+// the journal. When replay finds no open migration for the VMDK the
+// volatile bitmap is kept as-is and the same resume-or-rollback verdict
+// is applied.
 func (m *Manager) recoverMigration(old *Migration, scope CrashScope) {
 	v := old.v
 	wasAborting := old.aborting
@@ -79,16 +75,12 @@ func (m *Manager) recoverMigration(old *Migration, scope CrashScope) {
 			break
 		}
 	}
-	journaled := false
-	if m.journal != nil {
-		m.journal.bumpEpoch(v.ID)
-		st := m.journal.replay(v.ID, v.Blocks())
-		if st.live {
-			v.bitmap = st.bitmap
-			v.migrated = st.migrated
-			wasAborting = wasAborting || st.aborting
-			journaled = true
-		}
+	m.journal.bumpEpoch(v.ID)
+	st := m.journal.replay(v.ID, v.Blocks())
+	if st.live {
+		v.bitmap = st.bitmap
+		v.migrated = st.migrated
+		wasAborting = wasAborting || st.aborting
 	}
 
 	rollback := wasAborting || scope.covers(old.dst)
@@ -103,16 +95,13 @@ func (m *Manager) recoverMigration(old *Migration, scope CrashScope) {
 			// The forward move died with the crash; account the abort
 			// exactly once so budget conservation holds.
 			m.stats.MigrationsAborted++
-			if m.journal != nil {
-				m.journal.appendSync(JournalRecord{Kind: JournalAbort, VMDK: v.ID,
-					Detail: "recovery rollback: " + scope.String()})
-			}
+			m.journal.appendSync(JournalRecord{Kind: JournalAbort, VMDK: v.ID})
 		}
 		m.stats.RecoveryRollbacks++
 		m.logDecision(Decision{At: m.eng.Now(), Kind: DecisionRecover, Stage: StageExecute, VMDK: v.ID,
 			Src: old.src.Dev.Name(), Dst: old.dst.Dev.Name(),
 			Detail: fmt.Sprintf("rollback after %s: %d/%d blocks return to source (journaled=%v)",
-				scope, v.migrated, v.Blocks(), journaled)})
+				scope, v.migrated, v.Blocks(), st.live)})
 		fresh.pump()
 		return
 	}
@@ -126,6 +115,6 @@ func (m *Manager) recoverMigration(old *Migration, scope CrashScope) {
 	m.logDecision(Decision{At: m.eng.Now(), Kind: DecisionRecover, Stage: StageExecute, VMDK: v.ID,
 		Src: old.src.Dev.Name(), Dst: old.dst.Dev.Name(),
 		Detail: fmt.Sprintf("resume after %s: %d/%d blocks already at destination (journaled=%v)",
-			scope, v.migrated, v.Blocks(), journaled)})
+			scope, v.migrated, v.Blocks(), st.live)})
 	fresh.pump()
 }

@@ -43,7 +43,7 @@ type VMDK struct {
 	// lastMoveEpoch records when this VMDK last migrated (hysteresis).
 	lastMoveEpoch uint64
 
-	// jn is the migration journal while a journaled migration is open
+	// jn is the manager's migration journal while a migration is open
 	// (nil otherwise): bitmap changes made by application writes persist
 	// a record before the write acks (DESIGN.md §13).
 	jn *Journal
@@ -248,8 +248,8 @@ func (v *VMDK) newForward(r *trace.IORequest, done device.Completion) *forward {
 // epoch in between, the write fails with ErrAckLost instead — recovery
 // already rebuilt the bitmap without this write's marks, so acking it
 // would advertise a block-location change that never became durable.
-// With no journal bound (journal off, or no migration open) the
-// completion passes through untouched.
+// With no journal bound (no migration open) the completion passes
+// through untouched.
 func (v *VMDK) guardAck(f *forward, kind JournalKind, first, last int64) {
 	if v.jn == nil {
 		return
