@@ -18,19 +18,3 @@ func BenchmarkLRFUMixed(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkLRUMixed is the comparison point for the policy choice.
-func BenchmarkLRUMixed(b *testing.B) {
-	c := NewLRU(1024)
-	for i := int64(0); i < 1024; i++ {
-		c.Insert(i, false)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		block := int64(i) % 1280
-		if !c.Lookup(block) {
-			c.Insert(block, false)
-		}
-	}
-}

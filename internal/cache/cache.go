@@ -1,8 +1,8 @@
 // Package cache implements the NVDIMM buffer cache with the LRFU
-// replacement policy (Lee et al., 2001 — paper ref [8]) and an LRU policy
-// for comparison. The migration experiments (Fig. 11, Fig. 15) depend on
-// two behaviours modeled here: cache pollution by migrated-data reads, and
-// the bypass path that avoids it.
+// replacement policy (Lee et al., 2001 — paper ref [8]). At λ = 1 LRFU is
+// LRU, which serves as the comparison point. The migration experiments
+// (Fig. 11, Fig. 15) depend on two behaviours modeled here: cache
+// pollution by migrated-data reads, and the bypass path that avoids it.
 package cache
 
 import (
@@ -17,19 +17,6 @@ import (
 type Victim struct {
 	Block int64
 	Dirty bool
-}
-
-// Cache is the replacement-policy abstraction.
-type Cache interface {
-	// Lookup reports whether block is cached, updating recency state on a
-	// hit and recording hit/miss statistics.
-	Lookup(block int64) bool
-	// Insert caches block. A full cache evicts exactly one block to make
-	// room, reported with evicted = true so the device can schedule a
-	// write-back when it is dirty.
-	Insert(block int64, dirty bool) (v Victim, evicted bool)
-	// Stats returns the hit/miss counters.
-	Stats() *Stats
 }
 
 // Stats tracks cache effectiveness, both lifetime and over a rolling
@@ -101,7 +88,9 @@ type fifoItem struct {
 }
 
 // LRFU is a Combined-Recency-and-Frequency cache. Lambda in (0,1]:
-// λ → 0 behaves like LFU, λ = 1 like LRU. The clock is the access count.
+// λ → 0 behaves like LFU. At λ = 1 it is LRU: crf = 1 + crf·2^(−Δ) stays
+// in [1, 2), so key = log2(crf) + last orders blocks by last touch. The
+// clock is the access count.
 //
 // Eviction is two-tier. A block inserted and never referenced again has
 // crf = 1, so its key is λ·last; every operation advances the clock, so
@@ -252,7 +241,8 @@ func (c *LRFU) decayFactor(dt uint64) float64 {
 	return math.Exp2(-c.lambda * float64(dt))
 }
 
-// Lookup implements Cache.
+// Lookup reports whether block is cached, updating recency state on a
+// hit and recording hit/miss statistics.
 func (c *LRFU) Lookup(block int64) bool {
 	c.clock++
 	i, ok := c.entries.Get(block)
@@ -280,7 +270,9 @@ func (c *LRFU) touch(slot int32) {
 	c.fix(i)
 }
 
-// Insert implements Cache.
+// Insert caches block. A full cache evicts exactly one block to make
+// room, reported with evicted = true so the device can schedule a
+// write-back when it is dirty.
 func (c *LRFU) Insert(block int64, dirty bool) (Victim, bool) {
 	c.clock++
 	if i, ok := c.entries.Get(block); ok {
@@ -339,107 +331,5 @@ func (c *LRFU) Len() int { return len(c.slab) }
 //lint:ignore unreachable core TestSchedulerAndBypassOptionsPropagate
 func (c *LRFU) Cap() int { return c.capacity }
 
-// Stats implements Cache.
+// Stats returns the hit/miss counters.
 func (c *LRFU) Stats() *Stats { return &c.stats }
-
-// ---------------------------------------------------------------------------
-// LRU
-
-// lruNode is a doubly-linked list node.
-type lruNode struct {
-	block      int64
-	dirty      bool
-	prev, next *lruNode
-}
-
-// LRU is a classic least-recently-used cache for baseline comparisons.
-type LRU struct {
-	capacity   int
-	entries    map[int64]*lruNode
-	head, tail *lruNode // head = most recent
-	stats      Stats
-}
-
-// NewLRU creates an LRU cache holding capacity blocks.
-func NewLRU(capacity int) *LRU {
-	if capacity <= 0 {
-		panic("cache: non-positive capacity")
-	}
-	return &LRU{capacity: capacity, entries: make(map[int64]*lruNode, capacity)}
-}
-
-func (c *LRU) unlink(n *lruNode) {
-	if n.prev != nil {
-		n.prev.next = n.next
-	} else {
-		c.head = n.next
-	}
-	if n.next != nil {
-		n.next.prev = n.prev
-	} else {
-		c.tail = n.prev
-	}
-	n.prev, n.next = nil, nil
-}
-
-func (c *LRU) pushFront(n *lruNode) {
-	n.next = c.head
-	if c.head != nil {
-		c.head.prev = n
-	}
-	c.head = n
-	if c.tail == nil {
-		c.tail = n
-	}
-}
-
-// Lookup implements Cache.
-func (c *LRU) Lookup(block int64) bool {
-	n, ok := c.entries[block]
-	if !ok {
-		c.stats.miss()
-		return false
-	}
-	c.stats.hit()
-	c.unlink(n)
-	c.pushFront(n)
-	return true
-}
-
-// Insert implements Cache. When full, the evicted node is reused for the
-// incoming block.
-func (c *LRU) Insert(block int64, dirty bool) (Victim, bool) {
-	if n, ok := c.entries[block]; ok {
-		if dirty {
-			n.dirty = true
-		}
-		c.unlink(n)
-		c.pushFront(n)
-		return Victim{}, false
-	}
-	var (
-		v       Victim
-		evicted bool
-		n       *lruNode
-	)
-	if len(c.entries) >= c.capacity {
-		n = c.tail
-		c.unlink(n)
-		delete(c.entries, n.block)
-		v, evicted = Victim{Block: n.block, Dirty: n.dirty}, true
-	} else {
-		n = &lruNode{}
-	}
-	n.block, n.dirty = block, dirty
-	c.entries[block] = n
-	c.pushFront(n)
-	return v, evicted
-}
-
-// Stats implements Cache.
-func (c *LRU) Stats() *Stats { return &c.stats }
-
-var (
-	_ Cache = (*LRFU)(nil)
-	_ Cache = (*LRU)(nil)
-)

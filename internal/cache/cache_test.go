@@ -9,45 +9,13 @@ import (
 	"testing/quick"
 )
 
-func caches(capacity int) map[string]Cache {
-	return map[string]Cache{
+// caches returns the two ends of the policy range the tests run over:
+// the paper's λ and λ = 1, which is LRU.
+func caches(capacity int) map[string]*LRFU {
+	return map[string]*LRFU{
 		"lrfu": NewLRFU(capacity, DefaultLambda),
-		"lru":  NewLRU(capacity),
+		"lru":  NewLRFU(capacity, 1),
 	}
-}
-
-// resident, capacity and contains read a cache's occupancy straight from
-// its state, for tests that run over both policies.
-func resident(c Cache) int {
-	switch c := c.(type) {
-	case *LRFU:
-		return c.Len()
-	case *LRU:
-		return len(c.entries)
-	}
-	panic(fmt.Sprintf("unknown cache %T", c))
-}
-
-func capacity(c Cache) int {
-	switch c := c.(type) {
-	case *LRFU:
-		return c.capacity
-	case *LRU:
-		return c.capacity
-	}
-	panic(fmt.Sprintf("unknown cache %T", c))
-}
-
-func contains(c Cache, block int64) bool {
-	switch c := c.(type) {
-	case *LRFU:
-		_, ok := c.entries.Get(block)
-		return ok
-	case *LRU:
-		_, ok := c.entries[block]
-		return ok
-	}
-	panic(fmt.Sprintf("unknown cache %T", c))
 }
 
 func TestConstructorsPanicOnBadArgs(t *testing.T) {
@@ -55,7 +23,6 @@ func TestConstructorsPanicOnBadArgs(t *testing.T) {
 		func() { NewLRFU(0, 0.5) },
 		func() { NewLRFU(10, 0) },
 		func() { NewLRFU(10, 1.5) },
-		func() { NewLRU(0) },
 	} {
 		func() {
 			defer func() {
@@ -92,11 +59,11 @@ func TestCapacityEnforced(t *testing.T) {
 		for i := int64(0); i < 10; i++ {
 			c.Insert(i, false)
 		}
-		if resident(c) != 3 {
-			t.Fatalf("%s: len = %d, want 3", name, resident(c))
+		if c.Len() != 3 {
+			t.Fatalf("%s: len = %d, want 3", name, c.Len())
 		}
-		if capacity(c) != 3 {
-			t.Fatalf("%s: cap = %d", name, capacity(c))
+		if c.Cap() != 3 {
+			t.Fatalf("%s: cap = %d", name, c.Cap())
 		}
 	}
 }
@@ -145,7 +112,7 @@ func TestReinsertUpdatesDirty(t *testing.T) {
 	for name, c := range caches(2) {
 		c.Insert(1, false)
 		c.Insert(1, true) // same block, now dirty
-		if resident(c) != 1 {
+		if c.Len() != 1 {
 			t.Fatalf("%s: duplicate insert grew cache", name)
 		}
 		if _, evicted := c.Insert(2, false); evicted {
@@ -160,7 +127,7 @@ func TestReinsertUpdatesDirty(t *testing.T) {
 }
 
 func TestLRUEvictsLeastRecent(t *testing.T) {
-	c := NewLRU(2)
+	c := NewLRFU(2, 1)
 	c.Insert(1, false)
 	c.Insert(2, false)
 	c.Lookup(1) // 1 becomes most recent
@@ -188,19 +155,50 @@ func TestLRFUFrequencyProtects(t *testing.T) {
 	}
 }
 
+// TestLRFUHighLambdaActsLikeLRU checks λ = 1 against an LRU oracle: a
+// map of each resident block's last touch. Every eviction must take the
+// resident block touched longest ago, and only an insert into a full
+// cache of a non-resident block may evict.
 func TestLRFUHighLambdaActsLikeLRU(t *testing.T) {
-	// λ = 1: pure recency. Oldest block goes first.
-	c := NewLRFU(2, 1)
-	c.Insert(1, false)
-	c.Insert(2, false)
-	c.Lookup(1)
-	if v, evicted := c.Insert(3, false); !evicted || v.Block != 2 {
-		t.Fatalf("λ=1 LRFU evicted %+v (%v), want block 2", v, evicted)
+	for seed := int64(0); seed < 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		capacity := 1 + rng.Intn(32)
+		c := NewLRFU(capacity, 1)
+		lastTouch := make(map[int64]int) // resident block → op index
+		for op := 0; op < 5000; op++ {
+			b := int64(rng.Intn(3 * capacity))
+			_, resident := lastTouch[b]
+			if rng.Intn(2) == 0 {
+				if c.Lookup(b) != resident {
+					t.Fatalf("seed %d op %d: Lookup(%d) = %v, oracle residency %v", seed, op, b, !resident, resident)
+				}
+				if resident {
+					lastTouch[b] = op
+				}
+				continue
+			}
+			oldest, oldestAt := int64(-1), op
+			for blk, at := range lastTouch {
+				if at < oldestAt {
+					oldest, oldestAt = blk, at
+				}
+			}
+			v, evicted := c.Insert(b, false)
+			wantEvict := !resident && len(lastTouch) == capacity
+			if evicted != wantEvict || (evicted && v.Block != oldest) {
+				t.Fatalf("seed %d op %d: Insert(%d) evicted %v (%v), want %v (block %d, touched at op %d)",
+					seed, op, b, v, evicted, wantEvict, oldest, oldestAt)
+			}
+			if evicted {
+				delete(lastTouch, oldest)
+			}
+			lastTouch[b] = op
+		}
 	}
 }
 
 func TestWindowStats(t *testing.T) {
-	c := NewLRU(2)
+	c := NewLRFU(2, 1)
 	c.Insert(1, false)
 	c.Lookup(1)
 	c.Lookup(2)
@@ -229,9 +227,10 @@ func TestEmptyStats(t *testing.T) {
 }
 
 // Property: Len never exceeds Cap and every reported victim is no longer
-// resident, for arbitrary operation sequences on both policies.
+// resident, for arbitrary operation sequences at the paper's λ and at
+// λ = 1 (LRU).
 func TestCacheInvariantsProperty(t *testing.T) {
-	run := func(mk func() Cache) func(ops []uint8, blocks []int16) bool {
+	run := func(mk func() *LRFU) func(ops []uint8, blocks []int16) bool {
 		return func(ops []uint8, blocks []int16) bool {
 			c := mk()
 			n := len(ops)
@@ -244,11 +243,11 @@ func TestCacheInvariantsProperty(t *testing.T) {
 				case 0:
 					c.Lookup(b)
 				case 1:
-					if v, evicted := c.Insert(b, ops[i]%4 == 1); evicted && contains(c, v.Block) {
+					if v, evicted := c.Insert(b, ops[i]%4 == 1); evicted && c.Contains(v.Block) {
 						return false
 					}
 				}
-				if resident(c) > capacity(c) {
+				if c.Len() > c.Cap() {
 					return false
 				}
 			}
@@ -256,11 +255,10 @@ func TestCacheInvariantsProperty(t *testing.T) {
 		}
 	}
 	cfg := &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(1))}
-	if err := quick.Check(run(func() Cache { return NewLRFU(8, DefaultLambda) }), cfg); err != nil {
-		t.Fatalf("LRFU: %v", err)
-	}
-	if err := quick.Check(run(func() Cache { return NewLRU(8) }), cfg); err != nil {
-		t.Fatalf("LRU: %v", err)
+	for name, lambda := range map[string]float64{"LRFU": DefaultLambda, "LRU": 1} {
+		if err := quick.Check(run(func() *LRFU { return NewLRFU(8, lambda) }), cfg); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 	}
 }
 
@@ -268,7 +266,7 @@ func TestMigrationScanPollutesLRU(t *testing.T) {
 	// The Fig. 11/15 phenomenon in miniature: a working set that fits in
 	// cache gets evicted by a one-pass migration scan, cratering the hit
 	// ratio; skipping insertion (bypass) preserves it.
-	workingSet := func(c Cache) {
+	workingSet := func(c *LRFU) {
 		for round := 0; round < 5; round++ {
 			for b := int64(0); b < 50; b++ {
 				if !c.Lookup(b) {
@@ -277,7 +275,7 @@ func TestMigrationScanPollutesLRU(t *testing.T) {
 			}
 		}
 	}
-	polluted := NewLRU(100)
+	polluted := NewLRFU(100, 1)
 	workingSet(polluted)
 	// Migration scan inserts 1000 one-shot blocks.
 	for b := int64(1000); b < 2000; b++ {
@@ -287,7 +285,7 @@ func TestMigrationScanPollutesLRU(t *testing.T) {
 	workingSet(polluted)
 	pollutedRatio := polluted.Stats().WindowHitRatio()
 
-	bypassed := NewLRU(100)
+	bypassed := NewLRFU(100, 1)
 	workingSet(bypassed)
 	// Migration scan bypasses: no insertions at all.
 	bypassed.Stats().ResetWindow()

@@ -92,7 +92,7 @@ func (r ModelAblationResult) String() string {
 type LambdaAblationResult struct {
 	Lambdas   []float64
 	HitRatios []float64 // application window hit ratio per λ
-	LRU       float64   // LRU comparison point
+	LRU       float64   // LRU comparison point: the λ = 1 run
 }
 
 // LambdaAblation sweeps λ with the Fig. 15 pollution scenario.
@@ -100,8 +100,8 @@ func LambdaAblation(scale Scale) LambdaAblationResult {
 	// The λ sweep drives the cache policy directly with the Fig. 15
 	// access pattern — the device pipeline around it is identical across
 	// policies and only adds simulation time.
-	run := func(mk func() cache.Cache) float64 {
-		c := mk()
+	run := func(lambda float64) float64 {
+		c := cache.NewLRFU(256, lambda)
 		rng := sim.NewRNG(3)
 		// Hot working set of 300 blocks accessed with locality.
 		touch := func(b int64) {
@@ -132,10 +132,10 @@ func LambdaAblation(scale Scale) LambdaAblationResult {
 	}
 	res := LambdaAblationResult{Lambdas: []float64{0.0001, 0.001, 0.01, 0.1, 1.0}}
 	for _, l := range res.Lambdas {
-		l := l
-		res.HitRatios = append(res.HitRatios, run(func() cache.Cache { return cache.NewLRFU(256, l) }))
+		res.HitRatios = append(res.HitRatios, run(l))
 	}
-	res.LRU = run(func() cache.Cache { return cache.NewLRU(256) })
+	// LRFU at λ = 1 is LRU (package cache), the sweep's last point.
+	res.LRU = res.HitRatios[len(res.HitRatios)-1]
 	return res
 }
 

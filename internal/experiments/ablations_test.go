@@ -30,7 +30,7 @@ func TestLambdaAblationShapes(t *testing.T) {
 		t.Fatal("length mismatch")
 	}
 	// λ→0 (LFU-like) protects the hot set best under a one-shot scan;
-	// λ=1 (LRU-like) should do no better than actual LRU's ballpark.
+	// λ=1 is LRU, which a one-shot scan pollutes.
 	if r.HitRatios[0] <= r.HitRatios[len(r.HitRatios)-1] {
 		t.Fatalf("LFU-like λ (%v) should beat LRU-like λ (%v) under pollution\n%s",
 			r.HitRatios[0], r.HitRatios[len(r.HitRatios)-1], r)

@@ -34,11 +34,12 @@ const goldenPath = "testdata/golden_digests.json"
 //
 // and justify the diff in the commit message.
 //
-// Recomputing all 20 cells takes 77 s alone on a 2-vCPU VM. need is
-// about twice that, so the check fits the default per-package -timeout
-// 10m of a plain `go test ./...` after this package's other matrix tests;
-// the test still skips itself when less than need of the deadline budget
-// remains. CI also runs it alone with -timeout 25m.
+// Recomputing all 20 cells takes about 16 s alone on a 2-vCPU VM, and
+// the whole package about 40 s. need was set when the check took 77 s,
+// so it leaves ample room: the check fits the default per-package
+// -timeout 10m of a plain `go test ./...` after this package's other
+// matrix tests; the test still skips itself when less than need of the
+// deadline budget remains. CI also runs it alone with -timeout 25m.
 func TestPipelineGoldenEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-matrix golden check skipped in -short mode")

@@ -24,7 +24,7 @@ import (
 // One node's three devices each back a runner's VMDK: persistent writes
 // with barriers on the NVDIMM, a think-time runner on the SSD, sequential
 // I/O on the HDD. A fourth VMDK is mid-migration from the NVDIMM to the
-// SSD with I/O mirroring under a journal, so its writes go through the
+// SSD with I/O mirroring, so its writes go through the journal's
 // record-then-ack path and its reads split between the two stores. The
 // SSD's write footprint is most of its flash, so GC runs throughout. No
 // manager runs, so no epoch or migration copy traffic is measured.
@@ -61,13 +61,11 @@ func TestStorageSteadyStateZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mirrored.beginMigration(sdDS, base, true)
-	jn := newJournal(eng)
-	// The journal keeps every record it is given, as the log it models
-	// does; its backing array is the log's storage, not per-request
-	// state, so it gets room for the whole run up front.
-	jn.records = make([]JournalRecord, 0, journalRoom)
-	mirrored.jn = jn
+	mirrored.beginMigration(eng, sdDS, base, true)
+	// The open migration's journal keeps every mirrored write's record
+	// until the migration closes; its backing array is the log's storage,
+	// not per-request state, so it gets room for the whole run up front.
+	mirrored.jn.records = make([]JournalRecord, 0, journalRoom)
 	mirroring := workload.NewRunner(eng, rng.Split(), workload.Profile{
 		Name: "mirroring", WriteRatio: 0.3, ReadRand: 1, WriteRand: 1,
 		IOSize: 4096, OIO: 3, Footprint: 1 << 20,
@@ -79,7 +77,7 @@ func TestStorageSteadyStateZeroAllocs(t *testing.T) {
 	}
 	eng.RunFor(400 * sim.Millisecond)
 
-	before := takeStorageCounts(n, reg, runners, jn)
+	before := takeStorageCounts(n, reg, runners, &mirrored.jn)
 	const steps = 50000
 	step := func() {
 		for i := 0; i < steps; i++ {
@@ -91,7 +89,7 @@ func TestStorageSteadyStateZeroAllocs(t *testing.T) {
 	// One run: AllocsPerRun truncates the per-run average, so a single
 	// run of many steps is the only way a lone allocation still shows.
 	allocs := testing.AllocsPerRun(1, step)
-	after := takeStorageCounts(n, reg, runners, jn)
+	after := takeStorageCounts(n, reg, runners, &mirrored.jn)
 
 	// The window must have exercised every path it claims to cover.
 	for i, r := range runners {
@@ -158,11 +156,11 @@ func takeStorageCounts(n *node, reg *telemetry.Registry, runners []*workload.Run
 // allocation-free once warm, in both directions: each chunk's read, write
 // and callbacks live in a pooled chunk record, its block buffer is
 // reused, a retry's backoff is a bound callback on the engine, and each
-// landed chunk's journal runs go into the manager's journal. A 256 MiB
+// landed chunk's journal runs go into the VMDK's journal. A 256 MiB
 // VMDK moves from the NVDIMM to the SSD of one node (no network hop)
-// with four chunks in flight. The journal keeps every record, so, as in
-// TestStorageSteadyStateZeroAllocs, it gets journalRoom records of
-// storage up front.
+// with four chunks in flight. The journal keeps the open migration's
+// records, so, as in TestStorageSteadyStateZeroAllocs, it gets
+// journalRoom records of storage up front.
 //
 // The forward window must land copy chunks, journal progress runs, and
 // end with the migration still running. The copy-back window starts after
@@ -177,11 +175,11 @@ func TestMigrationCopySteadyStateZeroAllocs(t *testing.T) {
 		n := newNode(t)
 		src := NewDatastore(&failEvery{Device: n.nv, k: 5}, 0)
 		mgr := NewManager(n.eng, quickCfg(), Full(), []*Datastore{src, n.dss[1]})
-		mgr.journal.records = make([]JournalRecord, 0, journalRoom)
 		v, err := src.CreateVMDK(1, 256<<20)
 		if err != nil {
 			t.Fatal(err)
 		}
+		v.jn.records = make([]JournalRecord, 0, journalRoom)
 		if err := mgr.startMigration(v, n.dss[1]); err != nil {
 			t.Fatal(err)
 		}
@@ -198,12 +196,12 @@ func TestMigrationCopySteadyStateZeroAllocs(t *testing.T) {
 	}
 	// journaled counts the records of kind appended since the journal
 	// held from records, and fails if the journal outgrew its room.
-	journaled := func(t *testing.T, mgr *Manager, from int, kind JournalKind) int {
-		if n := len(mgr.journal.records); n > journalRoom {
+	journaled := func(t *testing.T, v *VMDK, from int, kind JournalKind) int {
+		if n := len(v.jn.records); n > journalRoom {
 			t.Fatalf("journal holds %d records, more than the %d it was given room for", n, journalRoom)
 		}
 		k := 0
-		for _, r := range mgr.journal.records[from:] {
+		for _, r := range v.jn.records[from:] {
 			if r.Kind == kind {
 				k++
 			}
@@ -214,10 +212,10 @@ func TestMigrationCopySteadyStateZeroAllocs(t *testing.T) {
 	t.Run("forward", func(t *testing.T) {
 		eng, mgr, v := start(t)
 		eng.RunFor(50 * sim.Millisecond)
-		before, from := mgr.Stats().BytesCopied, len(mgr.journal.records)
+		before, from := mgr.Stats().BytesCopied, len(v.jn.records)
 		allocs := measure(t, eng)
 		copied := mgr.Stats().BytesCopied - before
-		progress := journaled(t, mgr, from, JournalProgress)
+		progress := journaled(t, v, from, JournalProgress)
 		if copied == 0 || progress == 0 || v.MigratedBlocks() == v.Blocks() {
 			t.Fatalf("measured window copied %d bytes in %d progress runs, %d of %d blocks migrated; want copying throughout",
 				copied, progress, v.MigratedBlocks(), v.Blocks())
@@ -238,10 +236,10 @@ func TestMigrationCopySteadyStateZeroAllocs(t *testing.T) {
 		}
 		mgr.active[0].abort("test-induced abort")
 		eng.RunFor(10 * sim.Millisecond)
-		before, left, from := mgr.Stats().CopyRetries, v.MigratedBlocks(), len(mgr.journal.records)
+		before, left, from := mgr.Stats().CopyRetries, v.MigratedBlocks(), len(v.jn.records)
 		allocs := measure(t, eng)
 		retries, back := mgr.Stats().CopyRetries-before, left-v.MigratedBlocks()
-		revert := journaled(t, mgr, from, JournalRevert)
+		revert := journaled(t, v, from, JournalRevert)
 		if retries == 0 || back <= 0 || revert == 0 || v.MigratedBlocks() == 0 || mgr.Stats().MigrationsAborted != 1 {
 			t.Fatalf("measured window counted %d retries and carried back %d blocks in %d revert runs, %d left, %d aborts; want retrying copy-back throughout",
 				retries, back, revert, v.MigratedBlocks(), mgr.Stats().MigrationsAborted)

@@ -36,9 +36,9 @@ func journaledPair(t *testing.T, scheme Scheme) (*sim.Engine, *Manager, *Datasto
 }
 
 // chunkBoundaries runs a reference migration to completion and returns
-// the distinct sim times at which copy chunks landed (the journal's
-// Progress stamps). Crash runs share the harness, so their timeline is
-// identical up to the crash instant.
+// the distinct sim times at which copy chunks landed: the engine steps
+// after which the manager's copied-byte count grew. Crash runs share the
+// harness, so their timeline is identical up to the crash instant.
 func chunkBoundaries(t *testing.T, scheme Scheme, size int64) []sim.Time {
 	t.Helper()
 	eng, mgr, a, b := journaledPair(t, scheme)
@@ -49,22 +49,18 @@ func chunkBoundaries(t *testing.T, scheme Scheme, size int64) []sim.Time {
 	if err := mgr.startMigration(v, b); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
+	var times []sim.Time
+	copied := mgr.Stats().BytesCopied
+	for eng.Step() {
+		if c := mgr.Stats().BytesCopied; c != copied {
+			copied = c
+			if len(times) == 0 || times[len(times)-1] != eng.Now() {
+				times = append(times, eng.Now())
+			}
+		}
 	}
 	if mgr.Stats().MigrationsCompleted != 1 {
 		t.Fatalf("reference migration did not complete: %+v", mgr.Stats())
-	}
-	var times []sim.Time
-	last := sim.Time(-1)
-	for _, rec := range mgr.journal.records {
-		if rec.Kind == JournalProgress && rec.At != last {
-			times = append(times, rec.At)
-			last = rec.At
-		}
-	}
-	if len(times) < 4 {
-		t.Fatalf("reference migration produced only %d chunk boundaries", len(times))
 	}
 	return times
 }
@@ -76,12 +72,17 @@ func chunkBoundaries(t *testing.T, scheme Scheme, size int64) []sim.Time {
 // to the source, with a source-consistent bitmap, released extents,
 // conserved migration budgets, and zero invariant violations.
 func TestCrashAtEveryChunkBoundary(t *testing.T) {
-	const size = 16 * chunkBytes // 16 chunk boundaries
+	const chunks = 16
+	const size = chunks * chunkBytes
 	for _, fam := range crashSchemes {
 		fam := fam
 		t.Run(fam.name, func(t *testing.T) {
+			landed := chunkBoundaries(t, fam.scheme, size)
+			if len(landed) != chunks {
+				t.Fatalf("reference migration landed chunks at %d distinct times %v, want %d", len(landed), landed, chunks)
+			}
 			// Boundary 0 (sim time 1ns) crashes before any chunk lands.
-			boundaries := append([]sim.Time{1}, chunkBoundaries(t, fam.scheme, size)...)
+			boundaries := append([]sim.Time{1}, landed...)
 			for _, side := range []string{"src", "dst"} {
 				for bi, at := range boundaries {
 					eng, mgr, a, b := journaledPair(t, fam.scheme)
@@ -163,21 +164,21 @@ func TestCrashAtEveryChunkBoundary(t *testing.T) {
 // and replay sees only what was kept.
 func TestJournalEpochFenceDropsPendingRecords(t *testing.T) {
 	eng := sim.NewEngine()
-	jn := newJournal(eng)
-	jn.appendSync(JournalRecord{Kind: JournalIntent, VMDK: 1, Src: "a", Dst: "b", Redirect: true})
-	jn.appendLazy(JournalRecord{Kind: JournalProgress, VMDK: 1, Block: 0, Count: 8})
+	jn := &Journal{eng: eng}
+	jn.appendSync(JournalRecord{Kind: JournalIntent, Src: "a", Dst: "b", Redirect: true})
+	jn.appendLazy(JournalRecord{Kind: JournalProgress, Block: 0, Count: 8})
 	eng.RunFor(10 * sim.Microsecond) // first progress record becomes durable
-	jn.appendLazy(JournalRecord{Kind: JournalProgress, VMDK: 1, Block: 8, Count: 8})
-	ep := jn.Epoch(1)
-	jn.bumpEpoch(1) // crash: the pending record had not persisted
+	jn.appendLazy(JournalRecord{Kind: JournalProgress, Block: 8, Count: 8})
+	ep := jn.Epoch()
+	jn.bumpEpoch() // crash: the pending record had not persisted
 	if len(jn.records) != 2 || jn.records[0].Kind != JournalIntent ||
 		jn.records[1].Kind != JournalProgress || jn.records[1].Block != 0 {
 		t.Fatalf("records after the crash = %+v, want the sync intent and the settled progress [0,8)", jn.records)
 	}
-	if jn.AppendIfEpoch(ep, JournalRecord{Kind: JournalProgress, VMDK: 1, Block: 16, Count: 1}) {
+	if jn.AppendIfEpoch(ep, JournalRecord{Kind: JournalProgress, Block: 16, Count: 1}) {
 		t.Fatal("append accepted across the epoch fence")
 	}
-	st := jn.replay(1, 256)
+	st := jn.replay(256)
 	if !st.live || st.migrated != 8 {
 		t.Fatalf("replay: live=%v migrated=%d, want 8 (only the durable chunk)", st.live, st.migrated)
 	}
@@ -190,20 +191,20 @@ func TestJournalEpochFenceDropsPendingRecords(t *testing.T) {
 // Abort record marks the replayed state as unwinding.
 func TestJournalReplayRevertAndAbort(t *testing.T) {
 	eng := sim.NewEngine()
-	jn := newJournal(eng)
-	jn.appendSync(JournalRecord{Kind: JournalIntent, VMDK: 3, Src: "a", Dst: "b"})
-	jn.appendSync(JournalRecord{Kind: JournalProgress, VMDK: 3, Block: 0, Count: 16})
-	jn.appendSync(JournalRecord{Kind: JournalAbort, VMDK: 3})
-	jn.appendSync(JournalRecord{Kind: JournalRevert, VMDK: 3, Block: 0, Count: 4})
-	st := jn.replay(3, 64)
+	jn := &Journal{eng: eng}
+	jn.appendSync(JournalRecord{Kind: JournalIntent, Src: "a", Dst: "b"})
+	jn.appendSync(JournalRecord{Kind: JournalProgress, Block: 0, Count: 16})
+	jn.appendSync(JournalRecord{Kind: JournalAbort})
+	jn.appendSync(JournalRecord{Kind: JournalRevert, Block: 0, Count: 4})
+	st := jn.replay(64)
 	if !st.live || !st.aborting {
 		t.Fatalf("replay: live=%v aborting=%v", st.live, st.aborting)
 	}
 	if st.migrated != 12 {
 		t.Fatalf("replay migrated = %d, want 12 (16 forward, 4 reverted)", st.migrated)
 	}
-	jn.appendSync(JournalRecord{Kind: JournalDone, VMDK: 3})
-	if st := jn.replay(3, 64); st.live {
+	jn.appendSync(JournalRecord{Kind: JournalDone})
+	if st := jn.replay(64); st.live {
 		t.Fatal("replay still live after Done")
 	}
 }

@@ -17,10 +17,9 @@ func (m *Manager) startMigration(v *VMDK, dst *Datastore) error {
 	if err != nil {
 		return err
 	}
-	v.beginMigration(dst, base, m.scheme.Redirect)
+	v.beginMigration(m.eng, dst, base, m.scheme.Redirect)
 	m.stats.MigrationsStarted++
-	v.jn = m.journal
-	m.journal.appendSync(JournalRecord{Kind: JournalIntent, VMDK: v.ID,
+	v.jn.appendSync(JournalRecord{Kind: JournalIntent,
 		Src: v.src.Dev.Name(), Dst: dst.Dev.Name(),
 		DstBase: base, Redirect: m.scheme.Redirect})
 	mig := newMigration(m, v, v.src, dst)
@@ -39,8 +38,7 @@ func (m *Manager) migrationAborted(mig *Migration) {
 			break
 		}
 	}
-	m.journal.appendSync(JournalRecord{Kind: JournalDone, VMDK: mig.v.ID})
-	mig.v.jn = nil
+	mig.v.jn.appendSync(JournalRecord{Kind: JournalDone})
 	m.logDecision(Decision{At: m.eng.Now(), Kind: DecisionAbort, Stage: StageExecute, VMDK: mig.v.ID,
 		Src: mig.src.Dev.Name(), Dst: mig.dst.Dev.Name(),
 		Detail: fmt.Sprintf("unwind complete in %v; VMDK consistent on source", mig.finishedAt-mig.startedAt)})
@@ -59,8 +57,7 @@ func (m *Manager) migrationDone(mig *Migration) {
 			break
 		}
 	}
-	m.journal.appendSync(JournalRecord{Kind: JournalCommit, VMDK: mig.v.ID})
-	mig.v.jn = nil
+	mig.v.jn.appendSync(JournalRecord{Kind: JournalCommit})
 	m.stats.MigrationsCompleted++
 	// BytesCopied accrues per chunk as copies land (partial migrations
 	// count); only the redirected complement is known at completion.

@@ -161,7 +161,7 @@ func TestAbortTimeWritesLandOnSourceAndClearBitmap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v.beginMigration(b, base, true)
+	v.beginMigration(eng, b, base, true)
 	v.markMigrated(0)
 	v.beginAbort()
 	srcWritesBefore := fa.writes

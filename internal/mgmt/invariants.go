@@ -169,7 +169,7 @@ func (m *Manager) CheckInvariants() []invariant.Violation {
 		if mig.aborting || mig.completed {
 			continue
 		}
-		st := m.journal.replay(mig.v.ID, mig.v.Blocks())
+		st := mig.v.jn.replay(mig.v.Blocks())
 		if !st.live || st.aborting {
 			continue
 		}

@@ -39,12 +39,11 @@ const (
 )
 
 // JournalRecord is one journal entry. Records are kept in append order,
-// which is sim-time order, and replayed per VMDK.
+// which is sim-time order.
 type JournalRecord struct {
 	At        sim.Time // when the append was issued
 	DurableAt sim.Time // when the record is persistent (== At for sync appends)
 	Kind      JournalKind
-	VMDK      int
 
 	// Intent payload.
 	Src, Dst string
@@ -61,33 +60,39 @@ type JournalRecord struct {
 // redirected-write marks) are durable immediately.
 const journalAppendDelay = 2 * sim.Microsecond
 
-// Journal is the deterministic migration journal (DESIGN.md §13). It
-// models an append-only log on the NVDIMM tier: synchronous appends are
+// Journal is one VMDK's deterministic migration journal (DESIGN.md §13).
+// It models an append-only log on the NVDIMM tier: synchronous appends are
 // durable at the instant they are issued (record-then-ack), while lazy
 // appends — background-copy progress — sit in a write buffer for
 // journalAppendDelay before persisting and are discarded if a crash bumps
-// the VMDK's epoch first. Epochs fence the ack path: a completion that
+// the epoch first. The epoch fences the ack path: a completion that
 // captured the pre-crash epoch cannot append after recovery rebuilt the
-// VMDK. Every Manager keeps one, and every migration it starts journals.
+// VMDK.
+//
+// The log restarts at every intent, commit and done record: each is
+// synchronous, so durable when appended, and each resets replay's state
+// completely, so nothing logged before it is ever read again. The log
+// therefore holds only the open migration's records (or the closing
+// record and any late acks after it), however long the run.
 type Journal struct {
 	eng     *sim.Engine
 	records []JournalRecord
-	epochs  map[int]uint64
-}
-
-// newJournal builds an empty journal.
-func newJournal(eng *sim.Engine) *Journal {
-	return &Journal{eng: eng, epochs: make(map[int]uint64)}
+	epoch   uint64
 }
 
 // Epoch returns the VMDK's current crash epoch. Callers on the ack path
 // capture it at submit and pass it back to AppendIfEpoch at completion.
-func (j *Journal) Epoch(vmdkID int) uint64 { return j.epochs[vmdkID] }
+func (j *Journal) Epoch() uint64 { return j.epoch }
 
-// append stamps and stores a record, durable at durableAt.
+// append stamps and stores a record, durable at durableAt. An intent,
+// commit or done record restarts the log.
 func (j *Journal) append(rec JournalRecord, durableAt sim.Time) {
 	rec.At = j.eng.Now()
 	rec.DurableAt = durableAt
+	switch rec.Kind {
+	case JournalIntent, JournalCommit, JournalDone:
+		j.records = j.records[:0]
+	}
 	j.records = append(j.records, rec)
 }
 
@@ -105,30 +110,29 @@ func (j *Journal) appendLazy(rec JournalRecord) {
 	j.append(rec, j.eng.Now()+journalAppendDelay)
 }
 
-// AppendIfEpoch persists rec synchronously if the VMDK's epoch still
-// matches ep, reporting whether it did. A mismatch means a crash tore the
-// VMDK down between submit and completion: the caller must fail its
-// request (ErrAckLost) instead of acking.
+// AppendIfEpoch persists rec synchronously if the epoch still matches ep,
+// reporting whether it did. A mismatch means a crash tore the VMDK down
+// between submit and completion: the caller must fail its request
+// (ErrAckLost) instead of acking.
 func (j *Journal) AppendIfEpoch(ep uint64, rec JournalRecord) bool {
-	if j.epochs[rec.VMDK] != ep {
+	if j.epoch != ep {
 		return false
 	}
 	j.appendSync(rec)
 	return true
 }
 
-// bumpEpoch advances the VMDK's crash epoch, discarding buffered records
-// that had not yet persisted — the power loss took the write buffer with
-// it. Durable records survive.
-func (j *Journal) bumpEpoch(vmdkID int) {
-	j.epochs[vmdkID]++
+// bumpEpoch advances the crash epoch, discarding buffered records that
+// had not yet persisted — the power loss took the write buffer with it.
+// Durable records survive.
+func (j *Journal) bumpEpoch() {
+	j.epoch++
 	now := j.eng.Now()
 	kept := j.records[:0]
 	for _, r := range j.records {
-		if r.VMDK == vmdkID && r.DurableAt > now {
-			continue
+		if r.DurableAt <= now {
+			kept = append(kept, r)
 		}
-		kept = append(kept, r)
 	}
 	j.records = kept
 }
@@ -148,11 +152,11 @@ type replayState struct {
 // replay rebuilds the VMDK's migration state from its durable records:
 // intent resets, progress sets, revert clears, abort flags, commit/done
 // close. blocks is the VMDK's bitmap length in blocks.
-func (j *Journal) replay(vmdkID int, blocks int64) replayState {
+func (j *Journal) replay(blocks int64) replayState {
 	var st replayState
 	now := j.eng.Now()
 	for _, r := range j.records {
-		if r.VMDK != vmdkID || r.DurableAt > now {
+		if r.DurableAt > now {
 			continue
 		}
 		switch r.Kind {

@@ -114,7 +114,6 @@ type Manager struct {
 	tr           *telemetry.Tracer
 	track        string
 	migTrack     string // track + ".mig", the migration spans' track
-	journal      *Journal
 	inv          *invariant.Checker
 
 	// OnEpoch, when set, observes each epoch's per-store performance
@@ -168,7 +167,6 @@ func NewManager(eng *sim.Engine, cfg Config, scheme Scheme, stores []*Datastore)
 		models:   make(map[device.Kind]perfmodel.Predictor),
 		history:  make(map[int][]string),
 		smoothed: make(map[*Datastore]float64),
-		journal:  newJournal(eng),
 	}
 	if cfg.DecisionLogCap > 0 {
 		m.log.SetCapacity(cfg.DecisionLogCap)

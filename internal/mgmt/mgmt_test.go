@@ -114,7 +114,7 @@ func TestMirroringRedirectsWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v.beginMigration(dst, base, true)
+	v.beginMigration(n.eng, dst, base, true)
 
 	// Writes go to the destination and mark blocks migrated.
 	v.Submit(&trace.IORequest{Op: trace.OpWrite, Offset: 0, Size: 4096}, nil)
@@ -142,7 +142,7 @@ func TestBitmapOps(t *testing.T) {
 	n := newNode(t)
 	v, _ := n.dss[0].CreateVMDK(1, 1<<20)
 	base, _ := n.dss[1].allocExtent(v.Size)
-	v.beginMigration(n.dss[1], base, false)
+	v.beginMigration(n.eng, n.dss[1], base, false)
 	if v.blockMigrated(5) {
 		t.Fatal("fresh bitmap has set bits")
 	}

@@ -130,7 +130,7 @@ func (g *Migration) regate(perfs []StorePerf) {
 // can leave holes in a chunk's block list, and the journal's record
 // format is runs, not arbitrary sets.
 func (g *Migration) journalRuns(kind JournalKind, blocks []int64) {
-	jn := g.mgr.journal
+	jn := &g.v.jn
 	if len(blocks) == 0 {
 		return
 	}
@@ -140,10 +140,10 @@ func (g *Migration) journalRuns(kind JournalKind, blocks []int64) {
 			n++
 			continue
 		}
-		jn.appendLazy(JournalRecord{Kind: kind, VMDK: g.v.ID, Block: start, Count: n})
+		jn.appendLazy(JournalRecord{Kind: kind, Block: start, Count: n})
 		start, n = b, 1
 	}
-	jn.appendLazy(JournalRecord{Kind: kind, VMDK: g.v.ID, Block: start, Count: n})
+	jn.appendLazy(JournalRecord{Kind: kind, Block: start, Count: n})
 }
 
 // pump keeps CopyDepth chunks in flight, then checks whether the
@@ -376,7 +376,7 @@ func (g *Migration) abort(reason string) {
 	g.paused = false
 	g.mgr.stats.MigrationsAborted++
 	g.v.beginAbort()
-	g.mgr.journal.appendSync(JournalRecord{Kind: JournalAbort, VMDK: g.v.ID})
+	g.v.jn.appendSync(JournalRecord{Kind: JournalAbort})
 	g.cursor = 0
 	g.mgr.logDecision(Decision{At: g.mgr.eng.Now(), Kind: DecisionAbort, Stage: StageExecute, VMDK: g.v.ID,
 		Src: g.src.Dev.Name(), Dst: g.dst.Dev.Name(),

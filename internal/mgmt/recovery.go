@@ -75,8 +75,8 @@ func (m *Manager) recoverMigration(old *Migration, scope CrashScope) {
 			break
 		}
 	}
-	m.journal.bumpEpoch(v.ID)
-	st := m.journal.replay(v.ID, v.Blocks())
+	v.jn.bumpEpoch()
+	st := v.jn.replay(v.Blocks())
 	if st.live {
 		v.bitmap = st.bitmap
 		v.migrated = st.migrated
@@ -95,7 +95,7 @@ func (m *Manager) recoverMigration(old *Migration, scope CrashScope) {
 			// The forward move died with the crash; account the abort
 			// exactly once so budget conservation holds.
 			m.stats.MigrationsAborted++
-			m.journal.appendSync(JournalRecord{Kind: JournalAbort, VMDK: v.ID})
+			v.jn.appendSync(JournalRecord{Kind: JournalAbort})
 		}
 		m.stats.RecoveryRollbacks++
 		m.logDecision(Decision{At: m.eng.Now(), Kind: DecisionRecover, Stage: StageExecute, VMDK: v.ID,

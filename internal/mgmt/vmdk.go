@@ -43,10 +43,11 @@ type VMDK struct {
 	// lastMoveEpoch records when this VMDK last migrated (hysteresis).
 	lastMoveEpoch uint64
 
-	// jn is the manager's migration journal while a migration is open
-	// (nil otherwise): bitmap changes made by application writes persist
-	// a record before the write acks (DESIGN.md §13).
-	jn *Journal
+	// jn is the VMDK's migration journal, holding only the open
+	// migration's records: while one is open, bitmap changes made by
+	// application writes persist a record before the write acks
+	// (DESIGN.md §13).
+	jn Journal
 
 	// spans holds the migration span names "vmdk<ID>" and
 	// "vmdk<ID>!abort", built on the first traced migration.
@@ -59,17 +60,17 @@ type VMDK struct {
 // forward is one request routed through a VMDK, from Submit to the
 // datastore's completion: the clone rebased onto the datastore extent, the
 // caller's request the result is copied back into, and for a journaled
-// write the record-then-ack fields (jn nil: none). The record is recycled
-// just before done runs, so a done that submits the next request may
-// reuse it.
+// write the record-then-ack fields (guarded false: none). The record is
+// recycled just before done runs, so a done that submits the next
+// request may reuse it.
 type forward struct {
 	v     *VMDK
 	clone trace.IORequest
 	r     *trace.IORequest
 	done  device.Completion
 
-	jn           *Journal
-	epoch        uint64 // jn's epoch for the VMDK at submit
+	guarded      bool
+	epoch        uint64 // the journal's epoch at submit
 	kind         JournalKind
 	first, count int64 // blocks the journal record covers
 
@@ -111,8 +112,10 @@ func (v *VMDK) resetWindow() {
 	v.windowRequests = 0
 }
 
-// beginMigration attaches the destination extent and bitmap.
-func (v *VMDK) beginMigration(dst *Datastore, dstBase int64, mirroring bool) {
+// beginMigration attaches the destination extent and bitmap, and binds
+// the journal to the engine whose clock stamps its records.
+func (v *VMDK) beginMigration(eng *sim.Engine, dst *Datastore, dstBase int64, mirroring bool) {
+	v.jn.eng = eng
 	v.dst = dst
 	v.dstBase = dstBase
 	v.bitmap = make([]uint64, (v.Blocks()+63)/64)
@@ -238,7 +241,7 @@ func (v *VMDK) newForward(r *trace.IORequest, done device.Completion) *forward {
 		f.v = v
 		f.onDone = f.complete
 	}
-	f.r, f.done, f.jn = r, done, nil
+	f.r, f.done, f.guarded = r, done, false
 	return f
 }
 
@@ -248,16 +251,12 @@ func (v *VMDK) newForward(r *trace.IORequest, done device.Completion) *forward {
 // epoch in between, the write fails with ErrAckLost instead — recovery
 // already rebuilt the bitmap without this write's marks, so acking it
 // would advertise a block-location change that never became durable.
-// With no journal bound (no migration open) the completion passes
-// through untouched.
+// Submit guards only writes that change the bitmap of an open migration.
 func (v *VMDK) guardAck(f *forward, kind JournalKind, first, last int64) {
-	if v.jn == nil {
-		return
-	}
 	if last >= v.Blocks() {
 		last = v.Blocks() - 1
 	}
-	f.jn, f.epoch = v.jn, v.jn.Epoch(v.ID)
+	f.guarded, f.epoch = true, v.jn.Epoch()
 	f.kind, f.first, f.count = kind, first, last-first+1
 }
 
@@ -275,11 +274,11 @@ func (f *forward) complete(c *trace.IORequest) {
 	r.Issue = c.Issue
 	r.Complete = c.Complete
 	r.Err = c.Err
-	if f.jn != nil && r.Err == nil && !f.jn.AppendIfEpoch(f.epoch, JournalRecord{
-		Kind: f.kind, VMDK: v.ID, Block: f.first, Count: f.count}) {
+	if f.guarded && r.Err == nil && !v.jn.AppendIfEpoch(f.epoch, JournalRecord{
+		Kind: f.kind, Block: f.first, Count: f.count}) {
 		r.Err = ErrAckLost
 	}
-	f.r, f.done, f.jn = nil, nil, nil
+	f.r, f.done, f.guarded = nil, nil, false
 	v.free.Put(f)
 	if done != nil {
 		done(r)
