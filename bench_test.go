@@ -258,7 +258,7 @@ func BenchmarkAblationLambda(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := experiments.LambdaAblation(experiments.Quick())
 		b.ReportMetric(r.HitRatios[0]*100, "lfu_like_hit_%")
-		b.ReportMetric(r.LRU*100, "lru_hit_%")
+		b.ReportMetric(r.HitRatios[len(r.HitRatios)-1]*100, "lru_hit_%") // λ = 1 is LRU
 	}
 }
 

@@ -197,7 +197,8 @@ func (c *Channel) RegisterTelemetry(reg *telemetry.Registry, prefix string) {
 }
 
 // Interconnect is the set of memory channels on one server node. Table 4
-// configures 4 channels, each carrying one DRAM DIMM and one NVDIMM.
+// configures 4 channels, each carrying one DRAM DIMM; the NVDIMM sits on
+// channel 0.
 type Interconnect struct {
 	channels []*Channel
 }
@@ -217,30 +218,12 @@ func (ic *Interconnect) Channel(i int) *Channel { return ic.channels[i] }
 // NumChannels returns the channel count.
 func (ic *Interconnect) NumChannels() int { return len(ic.channels) }
 
-// MeanIOWaitUS returns the average NVDIMM-traffic queuing delay across all
-// channels (µs) — the system-level bus-contention signal.
-func (ic *Interconnect) MeanIOWaitUS() float64 {
-	var sum float64
-	var n int
-	for _, c := range ic.channels {
-		if c.grants[PriIO] > 0 {
-			sum += c.MeanWaitUS(PriIO)
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
-// RegisterTelemetry exposes every channel under prefix ("bus.ch<i>.")
-// plus the aggregate I/O wait.
+// RegisterTelemetry exposes every channel under prefix ("bus.ch<i>.").
+// The NVDIMM's bus-contention signal is ch0's io_wait_us_mean.
 func (ic *Interconnect) RegisterTelemetry(reg *telemetry.Registry, prefix string) {
 	for i, c := range ic.channels {
 		c.RegisterTelemetry(reg, fmt.Sprintf("%sch%d.", prefix, i))
 	}
-	reg.Gauge(prefix+"io_wait_us_mean", ic.MeanIOWaitUS)
 }
 
 // SetTracer enables I/O-grant spans on every channel, on tracks named

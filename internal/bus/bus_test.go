@@ -237,18 +237,3 @@ func TestInterconnect(t *testing.T) {
 		seen[c] = i
 	}
 }
-
-func TestInterconnectMeanIOWait(t *testing.T) {
-	eng := sim.NewEngine()
-	ic := NewInterconnect(eng, 2)
-	if ic.MeanIOWaitUS() != 0 {
-		t.Fatal("no traffic should mean zero wait")
-	}
-	ch := ic.Channel(0)
-	ch.Acquire(PriMem, 1000, func(sim.Time) {})
-	ch.Acquire(PriIO, 100, func(sim.Time) {})
-	eng.Run()
-	if ic.MeanIOWaitUS() != 1.0 {
-		t.Fatalf("mean IO wait = %v us, want 1.0", ic.MeanIOWaitUS())
-	}
-}

@@ -150,20 +150,23 @@ func ScaledHDDConfig(name string, seed uint64) hdd.Config {
 	return hdd.Config{Name: name, Capacity: 4 << 30, Seed: seed}
 }
 
-// WindowSample is one management-epoch observation (the Fig. 4/7/15 time
-// series).
+// WindowSample is one management-epoch observation: node 0's measured
+// NVDIMM latency and the model's prediction for the same window, the MP
+// and PP of BC = MP − PP (Eq. 3).
 type WindowSample struct {
 	At sim.Time
 	// NVDIMMLatencyUS is the measured NVDIMM latency (node 0).
 	NVDIMMLatencyUS float64
 	// PredictedUS is the model's PP for the same window (0 without model).
 	PredictedUS float64
-	// MemIntensity is memory accesses observed in the window (node 0).
-	MemIntensity uint64
-	// CacheHitRatio is the NVDIMM buffer-cache window hit ratio.
+
+	// MemIntensity, CacheHitRatio and PerStoreUS are never set by
+	// System, which records only the fields above. They remain only
+	// because the perfbench module's epoch observer sets them; ROADMAP
+	// item 8 deletes them with that observer.
+	MemIntensity  uint64
 	CacheHitRatio float64
-	// PerStoreUS maps device name → decision latency P_d.
-	PerStoreUS map[string]float64
+	PerStoreUS    map[string]float64
 }
 
 // System is an assembled experiment instance.
@@ -183,7 +186,6 @@ type System struct {
 
 	rng         *sim.RNG
 	samples     []WindowSample
-	lastTotal   uint64 // node 0's memory-intensity total at the last window
 	tel         *Telemetry
 	sampler     *telemetry.Sampler
 	tailTracker *telemetry.TailTracker
@@ -360,9 +362,8 @@ func (s *System) placeWorkloads() error {
 
 // observeEpoch records the per-window time series.
 func (s *System) observeEpoch(perfs []mgmt.StorePerf) {
-	sample := WindowSample{At: s.Cluster.Eng.Now(), PerStoreUS: make(map[string]float64)}
+	sample := WindowSample{At: s.Cluster.Eng.Now()}
 	for _, p := range perfs {
-		sample.PerStoreUS[p.Store.Dev.Name()] = p.PerfUS
 		if p.Store.Dev.Kind() == device.KindNVDIMM && p.Store.Node == 0 {
 			sample.NVDIMMLatencyUS = p.MeasuredUS
 			if s.Model != nil {
@@ -370,16 +371,6 @@ func (s *System) observeEpoch(perfs []mgmt.StorePerf) {
 			}
 		}
 	}
-	node0 := s.Cluster.Nodes[0]
-	var total uint64
-	for _, d := range node0.DIMMs {
-		total += d.Intensity().Total()
-	}
-	sample.MemIntensity = total - s.lastTotal
-	s.lastTotal = total
-	st := node0.NVDIMM.Cache().Stats()
-	sample.CacheHitRatio = st.WindowHitRatio()
-	st.ResetWindow()
 	s.samples = append(s.samples, sample)
 }
 

@@ -142,10 +142,10 @@ func (m *Metrics) Observe(r *trace.IORequest) {
 
 // RegisterTelemetry exposes the collector under prefix (e.g.
 // "node0.nvdimm."): lifetime read/write/byte counts, mean and max latency,
-// accumulated bus contention, and the lat_hist.* count/mean/p95 of a
-// lifetime TailHist. All are gauges, read-callbacks over state the
-// collector already maintains; the only hot-path cost is one
-// TailHist.Observe per successful completion.
+// accumulated bus contention, and lat_hist.p95_us, the p95 of a lifetime
+// TailHist. All are gauges, read-callbacks over state the collector
+// already maintains; the only hot-path cost is one TailHist.Observe per
+// successful completion.
 func (m *Metrics) RegisterTelemetry(reg *telemetry.Registry, prefix string) {
 	reg.Gauge(prefix+"reads", func() float64 { return float64(m.TotalReads) })
 	reg.Gauge(prefix+"writes", func() float64 { return float64(m.TotalWrites) })
@@ -155,8 +155,6 @@ func (m *Metrics) RegisterTelemetry(reg *telemetry.Registry, prefix string) {
 	reg.Gauge(prefix+"contention_us", func() float64 { return m.LifetimeContentionUS })
 	reg.Gauge(prefix+"errors", func() float64 { return float64(m.TotalErrors) })
 	m.hist = &telemetry.TailHist{}
-	reg.Gauge(prefix+"lat_hist.count", func() float64 { return float64(m.hist.Count()) })
-	reg.Gauge(prefix+"lat_hist.mean_us", func() float64 { return m.Lifetime.Mean() })
 	reg.Gauge(prefix+"lat_hist.p95_us", func() float64 { return m.hist.Quantile(0.95) })
 }
 

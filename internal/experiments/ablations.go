@@ -91,8 +91,7 @@ func (r ModelAblationResult) String() string {
 // storm (the design choice behind the buffer-cache configuration).
 type LambdaAblationResult struct {
 	Lambdas   []float64
-	HitRatios []float64 // application window hit ratio per λ
-	LRU       float64   // LRU comparison point: the λ = 1 run
+	HitRatios []float64 // application window hit ratio per λ; λ = 1 is LRU
 }
 
 // LambdaAblation sweeps λ with the Fig. 15 pollution scenario.
@@ -134,8 +133,6 @@ func LambdaAblation(scale Scale) LambdaAblationResult {
 	for _, l := range res.Lambdas {
 		res.HitRatios = append(res.HitRatios, run(l))
 	}
-	// LRFU at λ = 1 is LRU (package cache), the sweep's last point.
-	res.LRU = res.HitRatios[len(res.HitRatios)-1]
 	return res
 }
 
@@ -147,7 +144,6 @@ func (r LambdaAblationResult) String() string {
 	for i, l := range r.Lambdas {
 		t.add(fmt.Sprintf("LRFU λ=%g", l), pct(r.HitRatios[i]))
 	}
-	t.add("LRU", pct(r.LRU))
 	return "LRFU λ ablation under migration pollution\n" + t.String()
 }
 

@@ -113,9 +113,15 @@ func (v *VMDK) resetWindow() {
 }
 
 // beginMigration attaches the destination extent and bitmap, and binds
-// the journal to the engine whose clock stamps its records.
+// the journal to the engine whose clock stamps its records. The first
+// migration gives the journal room for its intent plus one progress
+// record per copy chunk; the log restarts in place, so later migrations
+// reuse that room.
 func (v *VMDK) beginMigration(eng *sim.Engine, dst *Datastore, dstBase int64, mirroring bool) {
 	v.jn.eng = eng
+	if v.jn.records == nil {
+		v.jn.records = make([]JournalRecord, 0, 1+(v.Size+chunkBytes-1)/chunkBytes)
+	}
 	v.dst = dst
 	v.dstBase = dstBase
 	v.bitmap = make([]uint64, (v.Blocks()+63)/64)

@@ -122,7 +122,7 @@ func TestTelemetryCoverage(t *testing.T) {
 		"node0.ssd.lat_mean_us",
 		"node0.hdd.lat_mean_us",
 		"node0.hdd.lat_hist.p95_us",
-		"node0.bus.io_wait_us_mean",
+		"node0.bus.ch0.io_wait_us_mean",
 		"node0.bus.ch0.util",
 		"mgmt.epochs",
 		"mgmt.decision_log.len",

@@ -81,10 +81,10 @@ func (h *TailHist) Max() float64 { return h.max }
 
 // Quantile returns the q-th quantile (q in [0,1]) in microseconds: the
 // upper bound of the bucket containing the ceil(q·count)-th observation,
-// so the result is a deterministic conservative (upper) estimate. q = 1
-// and the top bucket report the exact tracked max instead of a bucket
-// bound. An empty histogram returns exactly 0; q outside [0,1] or NaN
-// clamps.
+// or the exact tracked max where that bound exceeds it, so the result is
+// a deterministic conservative (upper) estimate that never exceeds Max.
+// q = 1 and the top bucket report the exact max. An empty histogram
+// returns exactly 0; q outside [0,1] or NaN clamps.
 func (h *TailHist) Quantile(q float64) float64 {
 	if h.total == 0 {
 		return 0
@@ -106,7 +106,7 @@ func (h *TailHist) Quantile(q float64) float64 {
 			if i == tailBuckets-1 {
 				return h.max
 			}
-			return tailBounds[i]
+			return math.Min(tailBounds[i], h.max)
 		}
 	}
 	return h.max

@@ -21,7 +21,7 @@ func TestTailHistSingleSample(t *testing.T) {
 	var h TailHist
 	h.Observe(137)
 	// Every quantile of a single observation covers that observation;
-	// bucketed quantiles report the bucket's upper bound, at or above it.
+	// the bound of its bucket lies above it and clamps to the exact max.
 	for _, q := range []float64{0, 0.5, 0.95, 0.99, 1} {
 		got := h.Quantile(q)
 		if got < 137 || got > 137*1.1 {
@@ -36,7 +36,8 @@ func TestTailHistSingleSample(t *testing.T) {
 // tailOracle returns the range TailHist.Quantile(q) must land in for the
 // stream xs: above the nearest-rank value x (the ceil(q·n)-th smallest),
 // since bucket bounds are exclusive uppers, and at most one 1/8 octave
-// above it (values below 1µs share bucket 0). q = 1 and the top bucket
+// above it (values below 1µs share bucket 0). The result may equal x only
+// when x is the max, which caps every bound. q = 1 and the top bucket
 // answer the exact max, so there lo == hi.
 func tailOracle(xs []float64, q float64) (lo, hi float64) {
 	s := append([]float64(nil), xs...)
@@ -96,7 +97,7 @@ func TestTailHistQuantileBounds(t *testing.T) {
 			for _, q := range qs {
 				lo, hi := tailOracle(tc.xs, q)
 				got := h.Quantile(q)
-				if got < lo || got > hi || (lo < hi && got == lo) {
+				if got < lo || got > hi || (lo < hi && got == lo && lo != h.Max()) {
 					t.Errorf("Quantile(%g) = %g, want within (%g, %g]", q, got, lo, hi)
 				}
 			}
@@ -111,6 +112,33 @@ func TestTailHistQuantileBounds(t *testing.T) {
 				t.Errorf("Quantile(1.5) = %g, want exact max %g", got, want)
 			}
 		})
+	}
+}
+
+// TestTailHistQuantileMonotoneAtMostMax checks, over random streams, that
+// no quantile exceeds the exact maximum and that quantiles never decrease
+// as q grows.
+func TestTailHistQuantileMonotoneAtMostMax(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for stream := 0; stream < 200; stream++ {
+		var h TailHist
+		n := 1 + rng.Intn(300)
+		for i := 0; i < n; i++ {
+			// 0.1µs .. 10s, uniform in log space.
+			h.Observe(math.Exp(rng.Float64()*math.Log(1e8)) / 10)
+		}
+		prev := 0.0
+		for k := 0; k <= 200; k++ {
+			q := float64(k) / 200
+			got := h.Quantile(q)
+			if got > h.Max() {
+				t.Fatalf("stream %d (n=%d): Quantile(%g) = %g above Max %g", stream, n, q, got, h.Max())
+			}
+			if got < prev {
+				t.Fatalf("stream %d (n=%d): Quantile(%g) = %g below the previous %g", stream, n, q, got, prev)
+			}
+			prev = got
+		}
 	}
 }
 

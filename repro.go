@@ -66,8 +66,8 @@ type Options = core.Options
 // migration statistics, and contention totals.
 type Report = core.Report
 
-// WindowSample is one management-window observation (latency, prediction,
-// memory intensity, cache hit ratio).
+// WindowSample is one management-window observation: node 0's measured
+// NVDIMM latency and the model's prediction for it.
 type WindowSample = core.WindowSample
 
 // NewSystem builds a system from options; it trains the NVDIMM
